@@ -72,9 +72,10 @@ class Check:
 
     @property
     def passed(self) -> bool:
+        # a Python bool even when measured is a numpy scalar, so verdicts serialize
         if self.larger_is_better:
-            return self.measured > self.tolerance
-        return self.measured < self.tolerance
+            return bool(self.measured > self.tolerance)
+        return bool(self.measured < self.tolerance)
 
 
 @dataclass

@@ -4,6 +4,15 @@ The target qubit is solved along each classical source path under a
 classical-field drive, and the joint state is reassembled as a weighted
 mixture of coherent-projector (x) conditional-target products for comparison
 with the full cascaded master-equation solution.
+
+The separated target equation is linear in rho_T, so on row-major 4-vectors
+it reads dv/dt = M(alpha) v with M(alpha) = A0 + alpha A1 + alpha* A2.  One
+classical RK4 step is then exactly a 4x4 propagator
+P_n = I + dt/6 (K1 + 2 K2 + 2 K3 + K4), with K1 = M(alpha_n),
+K2 = M(alpha_mid) (I + dt/2 K1), K3 = M(alpha_mid) (I + dt/2 K2) and
+K4 = M(alpha_n+1) (I + dt K3).  The propagators are built in batched numpy
+expressions, a block of steps at a time; only the product v <- P_n v runs
+step by step.
 """
 
 from __future__ import annotations
@@ -20,6 +29,8 @@ from .sources import ClassicalPath
 _B = qubit_lowering().mat
 _BD = _B.conj().T
 _NB = _BD @ _B
+# RK4 steps whose propagators are held at once by solve_separated_target
+_BLOCK_STEPS = 64
 
 
 def drive_hamiltonian(alpha: complex, config: CouplingConfig) -> Operator:
@@ -42,14 +53,29 @@ class ConditionalTargetState:
             raise DimensionMismatchError(f"rhos shape {self.rhos.shape}")
 
 
-def _target_rhs(rho: np.ndarray, alpha: complex, config: CouplingConfig) -> np.ndarray:
-    """d rho_T/dt: qubit damping at gamma_T, detuning, and the classical drive."""
+def _left(A: np.ndarray) -> np.ndarray:
+    """rho -> A rho on row-major 4-vectors."""
+    return np.kron(A, np.eye(2))
+
+
+def _right(A: np.ndarray) -> np.ndarray:
+    """rho -> rho A on row-major 4-vectors."""
+    return np.kron(np.eye(2), A.T)
+
+
+def _target_generator(config: CouplingConfig) -> tuple:
+    """(A0, A1, A2) of d rho_T/dt = (A0 + alpha A1 + alpha* A2) rho_T.
+
+    A0 is the detuning and the qubit damping at gamma_T; A1 and A2 are the
+    two halves of the classical drive i sqrt(gS gTf) (alpha* b - alpha b^dag).
+    """
     g = np.sqrt(config.gamma_S * config.gamma_Tf)
-    H = config.delta * _NB + 1j * g * (np.conj(alpha) * _B - alpha * _BD)
-    out = -1j * (H @ rho - rho @ H)
     gt = config.gamma_T
-    out += gt * (_B @ rho @ _BD) - 0.5 * gt * (_NB @ rho + rho @ _NB)
-    return out
+    A0 = (-1j * config.delta * (_left(_NB) - _right(_NB))
+          + gt * np.kron(_B, _BD.T) - 0.5 * gt * (_left(_NB) + _right(_NB)))
+    A1 = -g * (_left(_BD) - _right(_BD))
+    A2 = g * (_left(_B) - _right(_B))
+    return A0, A1, A2
 
 
 def solve_separated_target(path: ClassicalPath, config: CouplingConfig,
@@ -65,20 +91,30 @@ def solve_separated_target(path: ClassicalPath, config: CouplingConfig,
     if abs(np.trace(rho) - 1.0) > 1e-10:
         raise ValueError("initial target state must have unit trace")
     t = path.times
-    alphas = path.alphas
-    out = np.empty((len(t), 2, 2), dtype=complex)
-    out[0] = rho
-    for i in range(len(t) - 1):
-        dt = t[i + 1] - t[i]
-        a0, a1 = alphas[i], alphas[i + 1]
-        a_mid = 0.5 * (a0 + a1)
-        k1 = _target_rhs(rho, a0, config)
-        k2 = _target_rhs(rho + 0.5 * dt * k1, a_mid, config)
-        k3 = _target_rhs(rho + 0.5 * dt * k2, a_mid, config)
-        k4 = _target_rhs(rho + dt * k3, a1, config)
-        rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        out[i + 1] = rho
-    return ConditionalTargetState(times=t, rhos=out)
+    A0, A1, A2 = _target_generator(config)
+
+    def generator(alpha):
+        a = alpha[:, None, None]
+        return A0 + a * A1 + a.conj() * A2
+
+    out = np.empty((len(t), 4), dtype=complex)
+    v = out[0] = rho.reshape(4)
+    # propagators are built a block of steps at a time, so memory stays
+    # bounded however long the path is
+    for start in range(0, len(t) - 1, _BLOCK_STEPS):
+        seg = slice(start, start + _BLOCK_STEPS + 1)
+        dt = np.diff(t[seg])[:, None, None]
+        a0, a1 = path.alphas[seg][:-1], path.alphas[seg][1:]
+        m_mid = generator(0.5 * (a0 + a1))
+        k1 = generator(a0)
+        k2 = m_mid + 0.5 * dt * (m_mid @ k1)
+        k3 = m_mid + 0.5 * dt * (m_mid @ k2)
+        m_end = generator(a1)
+        k4 = m_end + dt * (m_end @ k3)
+        props = np.eye(4) + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        for i, P in enumerate(props, start=start + 1):
+            v = out[i] = P @ v
+    return ConditionalTargetState(times=t, rhos=out.reshape(len(t), 2, 2))
 
 
 def build_ansatz_state(paths: list, conditionals: list, t_index: int,

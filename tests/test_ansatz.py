@@ -29,6 +29,32 @@ def constant_path(alpha, t):
     return ClassicalPath(t, np.full(len(t), alpha, dtype=complex), weight=1.0)
 
 
+def literal_target_rk4(path, cfg, rho0):
+    """Per-step RK4 on 2x2 matrices: the reference for the propagator solver."""
+    b = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # |g><e|, GROUND = 0
+    bd, nb = b.conj().T, b.conj().T @ b
+    g = np.sqrt(cfg.gamma_S * cfg.gamma_Tf)
+
+    def rhs(rho, alpha):
+        H = cfg.delta * nb + 1j * g * (np.conj(alpha) * b - alpha * bd)
+        return (-1j * (H @ rho - rho @ H) + cfg.gamma_T * (b @ rho @ bd)
+                - 0.5 * cfg.gamma_T * (nb @ rho + rho @ nb))
+
+    rho = np.asarray(rho0, dtype=complex)
+    out = [rho]
+    for i in range(len(path.times) - 1):
+        dt = path.times[i + 1] - path.times[i]
+        a0, a1 = path.alphas[i], path.alphas[i + 1]
+        a_mid = 0.5 * (a0 + a1)
+        k1 = rhs(rho, a0)
+        k2 = rhs(rho + 0.5 * dt * k1, a_mid)
+        k3 = rhs(rho + 0.5 * dt * k2, a_mid)
+        k4 = rhs(rho + dt * k3, a1)
+        rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        out.append(rho)
+    return np.array(out)
+
+
 class TestDriveHamiltonian:
     def test_hermitian(self):
         H = drive_hamiltonian(0.4 + 0.3j, CouplingConfig(1.0, 0.8, 0.1)).mat
@@ -85,6 +111,29 @@ class TestSeparatedTarget:
         path = ClassicalPath(t, 0.8 * np.exp(-t / 2), weight=1.0)
         sol = solve_separated_target(path, cfg, GROUND_RHO)
         assert np.max(np.abs(np.trace(sol.rhos, axis1=1, axis2=2) - 1.0)) < 1e-10
+
+    def test_matches_literal_rk4(self):
+        cfg = CouplingConfig(1.3, 0.7, 0.2, delta=0.9)
+        t = np.linspace(0.0, 3.0, 301)
+        alphas = 1.2 * np.exp((-0.3 + 0.7j) * t + 0.2j) + 0.1j * np.sin(3.0 * t)
+        path = ClassicalPath(t, alphas, weight=1.0)
+        rho0 = np.array([[0.6, 0.1 - 0.2j], [0.1 + 0.2j, 0.4]], dtype=complex)
+        sol = solve_separated_target(path, cfg, rho0)
+        assert np.max(np.abs(sol.rhos - literal_target_rk4(path, cfg, rho0))) <= 1e-13
+
+    def test_fourth_order(self):
+        # alpha linear in t is reproduced exactly by the piecewise-linear
+        # drive, so only the RK4 truncation error remains
+        cfg = CouplingConfig(1.0, 0.8, 0.3, delta=0.5)
+
+        def final_state(steps):
+            t = np.linspace(0.0, 2.0, steps + 1)
+            path = ClassicalPath(t, (0.9 - 0.3j) + (0.4 + 0.6j) * t, weight=1.0)
+            return solve_separated_target(path, cfg, GROUND_RHO).rhos[-1]
+
+        exact = final_state(1280)
+        err = [np.max(np.abs(final_state(n) - exact)) for n in (20, 40)]
+        assert err[0] / err[1] >= 12.0
 
     def test_rejects_bad_initial_state(self):
         t = np.linspace(0, 1, 11)

@@ -128,6 +128,17 @@ class TestRunTrajectories:
         assert main(["run-trajectories", write_config(tmp_path, doc)]) == 3
         assert "reduce dt" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("rate", ["gamma_S", "gamma_Ts"])
+    def test_nan_rate_exits_2(self, tmp_path, capsys, rate):
+        doc = load_preset_doc("birth_death.json")
+        doc["coupling"][rate] = float("nan")  # json writes the bare token NaN
+        doc["output_dir"] = str(tmp_path / "out")
+        path = write_config(tmp_path, doc)
+        assert "NaN" in open(path).read()
+        assert main(["run-trajectories", path]) == 2
+        assert "finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestVerify:
     def test_single_fast_suite(self, tmp_path, capsys):
@@ -139,6 +150,14 @@ class TestVerify:
         assert verdict["passed"] is True
         assert verdict["criteria"][0]["name"] == "A3"
         assert verdict["criteria"][0]["checks"][0]["passed"] is True
+
+    def test_numpy_measured_suite(self, tmp_path, capsys):
+        # A1 measures numpy floats; its verdict must still serialize
+        out = str(tmp_path / "verdict")
+        assert main(["verify", "--suite", "A1", "--out", out]) == 0
+        verdict = json.loads((tmp_path / "verdict" / "verdict.json").read_text())
+        assert verdict["passed"] is True
+        assert all(c["passed"] is True for c in verdict["criteria"][0]["checks"])
 
     def test_unknown_suite_exits_2(self, tmp_path, capsys):
         assert main(["verify", "--suite", "A17", "--out", str(tmp_path)]) == 2

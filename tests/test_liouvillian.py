@@ -49,6 +49,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             CouplingConfig(gamma_Tf=-1.0)
 
+    @pytest.mark.parametrize("field", ["gamma_S", "gamma_Tf", "gamma_Ts", "delta"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(ValueError, match="finite"):
+            CouplingConfig(**{field: value})
+
     def test_total_rate(self):
         assert CouplingConfig(1.0, 0.3, 0.2).gamma_T == 0.5
 
@@ -253,3 +259,55 @@ class TestSuperoperatorForm:
         L = build_L_T(CouplingConfig(), SPEC)
         with pytest.raises(DimensionMismatchError):
             apply(L, np.eye(4))
+
+
+def literal_apply(superop, rho):
+    """Term-by-term sandwich sum: the reference for the folded apply."""
+    out = np.zeros_like(rho)
+    for t in superop.terms:
+        out += t.coeff * (t.left @ rho @ t.right)
+    return out
+
+
+class TestFoldedGenerator:
+    def assert_matches_literal(self, L, rng, count=5):
+        for _ in range(count):
+            rho = random_density(L.dim, rng).mat
+            assert np.max(np.abs(apply(L, rho) - literal_apply(L, rho))) <= 1e-13
+
+    def test_full_generator(self, rng):
+        cfg = CouplingConfig(1.2, 0.7, 0.3, delta=0.4)
+        L = build_L_T(cfg, SPEC) + build_L_ST(cfg, SPEC)
+        _, _, sandwiches = L.folded
+        assert len(sandwiches) == 2  # the two jump sandwiches s.s^dag, f.f^dag
+        self.assert_matches_literal(L, rng)
+
+    def test_regrouped_generators(self, rng):
+        cfg = CouplingConfig(1.3, 0.8, 0.4, delta=-0.6)
+        L_S = build_L_S(CoherentDrive(0.7 - 0.4j), SPEC)
+        for L in regroup(L_S, cfg):
+            self.assert_matches_literal(L, rng)
+
+    def test_empty(self, rng):
+        L = Superoperator([], SPEC.dim)
+        assert L.folded[2] == []
+        self.assert_matches_literal(L, rng, count=1)
+
+    def test_identity_term(self, rng):
+        eye = np.eye(SPEC.dim, dtype=complex)
+        L = Superoperator([SuperoperatorTerm(eye, eye, 0.5 - 0.25j)], SPEC.dim)
+        assert L.folded[2] == []
+        rho = random_density(SPEC.dim, rng).mat
+        assert np.max(np.abs(apply(L, rho) - (0.5 - 0.25j) * rho)) <= 1e-15
+        self.assert_matches_literal(L, rng, count=1)
+
+    def test_sum_folds_its_own_terms(self, rng):
+        cfg = CouplingConfig(1.0, 0.6, 0.4, delta=0.2)
+        L_T, L_ST = build_L_T(cfg, SPEC), build_L_ST(cfg, SPEC)
+        rho = random_density(SPEC.dim, rng).mat
+        apply(L_T, rho)  # folds L_T before the sum exists
+        apply(L_ST, rho)
+        L = L_T + L_ST
+        assert L.folded is not L_T.folded and L.folded is not L_ST.folded
+        assert len(L.folded[2]) == len(L_T.folded[2]) + len(L_ST.folded[2])
+        self.assert_matches_literal(L, rng)
