@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .acceptance import CRITERIA, run_criterion
+from .acceptance import CRITERIA, run_suite
 from .analysis import schmidt_entropy
 from .errors import (
     InvariantViolationError,
@@ -114,6 +114,10 @@ def _parse_initial(doc: dict, spec: FockSpec) -> PureState:
     raise ConfigError(f"unknown initial state kind {kind!r}")
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def load_config(path: str) -> ExperimentConfig:
     try:
         with open(path) as f:
@@ -137,6 +141,8 @@ def load_config(path: str) -> ExperimentConfig:
         source = _parse_source(_require(doc, "source", path))
         initial = _parse_initial(_require(doc, "initial", path), spec)
         store_every = doc.get("store_every", 1)
+        if not _is_int(store_every) or store_every < 1:
+            raise ConfigError(f"store_every must be an integer >= 1, got {store_every!r}")
         if grid.n_steps % store_every:
             raise ConfigError(
                 f"store_every={store_every} does not divide {grid.n_steps} steps"
@@ -144,6 +150,11 @@ def load_config(path: str) -> ExperimentConfig:
         s = doc.get("seeds", {"start": 0, "count": 1})
         seeds = (list(s) if isinstance(s, list)
                  else list(range(s.get("start", 0), s.get("start", 0) + s["count"])))
+        if not seeds:
+            raise ConfigError("seeds must name at least one seed")
+        bad = [seed for seed in seeds if not (_is_int(seed) and seed >= 0)]
+        if bad:
+            raise ConfigError(f"seeds must be integers >= 0, got {bad[0]!r}")
         resolved = {
             "name": doc.get("name", os.path.splitext(os.path.basename(path))[0]),
             "coupling": {"gamma_S": coupling.gamma_S, "gamma_Tf": coupling.gamma_Tf,
@@ -281,14 +292,14 @@ def cmd_run_trajectories(cfg: ExperimentConfig) -> int:
 
 def cmd_verify(suite: str, out_dir: str) -> int:
     if suite == "all":
-        names = sorted(CRITERIA)
+        names = None  # run_suite's default: every criterion, in order
     elif suite.upper() in CRITERIA:
         names = [suite.upper()]
     else:
         print(f"error: unknown suite {suite!r}; choose 'all' or one of "
               f"{', '.join(sorted(CRITERIA))}", file=sys.stderr)
         return 2
-    results = [run_criterion(n) for n in names]
+    results = run_suite(names)
     os.makedirs(out_dir, exist_ok=True)
     verdict = []
     for r in results:

@@ -5,8 +5,10 @@ The trajectory scheme is fixed-step with at most one jump per step: jump
 probabilities are computed from the current normalized state, one uniform
 variate is drawn per step (plus one per jump for channel selection), and the
 no-jump drift is the first-order non-Hermitian step (1 - i H dt) with
-renormalization.  Each trajectory owns exactly one RNG stream, so results are
-bit-reproducible given (config, seed).
+renormalization.  Each trajectory owns exactly one RNG stream, read in
+fixed-width blocks, so results are bit-reproducible given (config, seed).
+There is one trajectory engine, vectorized over seeds; a single trajectory
+is its one-seed call.
 """
 
 from __future__ import annotations
@@ -110,8 +112,8 @@ def evolve_master(rho0: DensityOperator, L_total: Superoperator, grid: TimeGrid,
 
     Trace drift beyond 1e-8 or negativity below -1e-8 aborts with a diagnostic.
     """
-    if grid.n_steps % store_every:
-        raise ValueError("store_every must divide the number of steps")
+    if store_every < 1 or grid.n_steps % store_every:
+        raise ValueError("store_every must be a positive divisor of the number of steps")
     m = np.array(rho0.mat, dtype=complex)
     dt = grid.dt
     out = [DensityOperator(m.copy(), layout=rho0.layout)]
@@ -134,26 +136,8 @@ def evolve_master(rho0: DensityOperator, L_total: Superoperator, grid: TimeGrid,
     return out
 
 
-def _schmidt_eigs(psi: np.ndarray) -> tuple:
-    """Eigenvalues of the 2x2 reduced target state of a composite pure state."""
-    A = psi.reshape(-1, 2)
-    G = A.conj().T @ A
-    tr = G[0, 0].real + G[1, 1].real
-    det = (G[0, 0] * G[1, 1] - G[0, 1] * G[1, 0]).real
-    disc = max(tr * tr - 4.0 * det, 0.0) ** 0.5
-    return (tr + disc) / 2.0, (tr - disc) / 2.0
-
-
-def _entropy_from_eigs(lam1: float, lam2: float) -> float:
-    s = 0.0
-    for lam in (lam1, lam2):
-        if lam > 1e-300:
-            s -= lam * np.log2(lam)
-    return max(s, 0.0)
-
-
 def mcwf_run(psi0: PureState, config: CouplingConfig, source_model, grid: TimeGrid,
-             seed: int, store_every: int = 1, order: int = 1,
+             seed: int, store_every: int = 1,
              diagnostics: bool = True) -> TrajectoryResult:
     """One Monte-Carlo wavefunction trajectory with its environmental record.
 
@@ -161,151 +145,19 @@ def mcwf_run(psi0: PureState, config: CouplingConfig, source_model, grid: TimeGr
     birth-death source, the pump / gain / non-lasing channels acting on the
     classical carrier counter.  The gain channel's no-jump back-action
     -(i/2) g N a a^dag is included in the drift so conditional amplitudes stay
-    consistent with the record.
+    consistent with the record.  This is the single-seed call of the ensemble
+    engine, which then also returns the stored states and carrier counts.
     """
-    if grid.n_steps % store_every:
-        raise ValueError("store_every must divide the number of steps")
-    if order not in (1, 2):
-        raise ValueError("order must be 1 or 2")
-    dim = psi0.dim
-    spec = FockSpec(dim // 2 - 1)
-    f_op, s_op = build_jump_ops(config, spec)
-    H = build_nonhermitian_H(config, spec).mat.copy()
-
-    birth_death = isinstance(source_model, BirthDeathLaser)
-    track_span = birth_death
-    carrier = source_model.N0 if birth_death else 0
-    n_pred = source_model.n0 if birth_death else 0
-
-    channels = [
-        JumpChannel("forward_f", operator=f_op.mat),
-        JumpChannel("side_s", operator=s_op.mat),
-    ]
-    gain_damp = None
-    if birth_death:
-        channels += source_jump_channels(source_model, config, spec)
-        gain_op = next(c.operator for c in channels if c.label == "gain")
-        # diagonal of C^dag C for the gain channel (a a^dag is diagonal)
-        gain_damp = np.real(np.diag(gain_op.conj().T @ gain_op))
-    elif isinstance(source_model, CoherentDrive):
-        a = embed(annihilation(spec), SOURCE, spec).mat
-        H += 1j * (source_model.epsilon * a.conj().T
-                   - np.conj(source_model.epsilon) * a)
-
-    # n shifts per event label
-    n_delta = {"forward_f": -1, "side_s": -1, "gain": +1, "pump": 0, "nonlasing": 0}
-
-    rng = np.random.default_rng(seed)
-    psi = psi0.normalized().vec.copy()
-    dt = grid.dt
-    n_stored = grid.n_steps // store_every + 1
-    states = np.empty((n_stored, dim), dtype=complex)
-    carriers = np.empty(n_stored, dtype=int) if birth_death else None
-    states[0] = psi
-    if birth_death:
-        carriers[0] = carrier
-    events = []
-    soft_warned = False
-    max_entropy = 0.0
-    max_residual = 0.0
-
-    def update_diagnostics(v):
-        nonlocal max_entropy, max_residual
-        l1, l2 = _schmidt_eigs(v)
-        ent = _entropy_from_eigs(l1, l2)
-        if ent > max_entropy:
-            max_entropy = ent
-        if track_span:
-            out = np.abs(v) ** 2
-            if 0 <= n_pred <= spec.n_max:
-                out[2 * n_pred] = 0.0
-            if n_pred >= 1:
-                out[2 * n_pred - 1] = 0.0
-            res = float(out.sum()) ** 0.5
-            if res > max_residual:
-                max_residual = res
-
-    if diagnostics:
-        update_diagnostics(psi)
-
-    for step in range(grid.n_steps):
-        t_next = grid.t0 + (step + 1) * dt
-        probs = np.empty(len(channels))
-        jumped = [None] * len(channels)
-        for k, ch in enumerate(channels):
-            if ch.operator is None:
-                rate = ch.rate * (carrier if ch.scales_with_carrier else 1.0)
-                probs[k] = dt * rate
-            else:
-                v = ch.operator @ psi
-                jumped[k] = v
-                p = dt * float(np.real(np.vdot(v, v)))
-                if ch.scales_with_carrier:
-                    p *= carrier
-                probs[k] = p
-        p_tot = float(probs.sum())
-        if p_tot > HARD_STEP_PROBABILITY:
-            worst = channels[int(np.argmax(probs))].label
-            raise StepProbabilityError(
-                f"step probability {p_tot:.3g} > {HARD_STEP_PROBABILITY} at "
-                f"t={t_next - dt:.6g} (largest channel: {worst}); reduce dt"
-            )
-        if p_tot > SOFT_STEP_PROBABILITY and not soft_warned:
-            warnings.warn(
-                f"step probability {p_tot:.3g} exceeds recommended "
-                f"{SOFT_STEP_PROBABILITY}", stacklevel=2,
-            )
-            soft_warned = True
-
-        u = rng.random()
-        fired = None
-        if u < p_tot:
-            r = rng.random() * p_tot
-            k = int(np.searchsorted(np.cumsum(probs), r, side="right"))
-            k = min(k, len(channels) - 1)
-            fired = channels[k]
-        if fired is not None and fired.operator is not None:
-            v = jumped[k]
-            nrm = np.linalg.norm(v)
-            if nrm == 0.0:
-                raise InvariantViolationError(
-                    f"jump {fired.label} annihilated the state at t={t_next:.6g}"
-                )
-            psi = v / nrm
-        else:
-            # no-jump drift; classical counter events leave the quantum
-            # state on this same drift
-            Hpsi = H @ psi
-            if gain_damp is not None and carrier:
-                Hpsi = Hpsi - 0.5j * carrier * (gain_damp * psi)
-            v = psi - 1j * dt * Hpsi
-            if order == 2:
-                H2psi = H @ Hpsi
-                if gain_damp is not None and carrier:
-                    H2psi = H2psi - 0.5j * carrier * (gain_damp * Hpsi)
-                v = v - 0.5 * dt * dt * H2psi
-            psi = v / np.linalg.norm(v)
-        if fired is not None:
-            carrier += fired.carrier_delta
-            n_pred += n_delta[fired.label]
-            events.append((t_next, fired.label))
-
-        if diagnostics:
-            update_diagnostics(psi)
-        if (step + 1) % store_every == 0:
-            idx = (step + 1) // store_every
-            states[idx] = psi
-            if birth_death:
-                carriers[idx] = carrier
-
-    times = grid.t0 + grid.dt * store_every * np.arange(n_stored)
+    times, _, records, ents, spans, (states, carriers) = _ensemble_chunk(
+        (psi0.normalized().vec, config, source_model, grid, [seed], store_every,
+         diagnostics, True))
     return TrajectoryResult(
-        record=Record(events=events, seed=seed),
+        record=records[0],
         times=times,
-        states=states,
-        carriers=carriers,
-        max_schmidt_entropy=max_entropy if diagnostics else None,
-        max_span_residual=(max_residual if (diagnostics and track_span) else None),
+        states=states[:, 0],
+        carriers=None if carriers is None else carriers[:, 0],
+        max_schmidt_entropy=ents[0],
+        max_span_residual=spans[0],
     )
 
 
@@ -337,17 +189,29 @@ class EnsembleResult:
     max_span_residuals: list
 
 
+# n shifts per event label
+N_DELTA = {"forward_f": -1, "side_s": -1, "gain": +1, "pump": 0, "nonlasing": 0}
+# uniforms drawn per refill of a trajectory's block; Generator.random(n)
+# returns exactly the next n scalar draws of the stream
+UNIFORM_BLOCK = 32
+
+
 def _ensemble_chunk(args):
     """Advance one chunk of trajectories in lockstep (vectorized over seeds).
 
-    Per-trajectory RNG stream consumption matches mcwf_run exactly: one
-    uniform per step from each trajectory's stream, plus one per jump.
+    Each trajectory owns the RNG stream of its seed and consumes one uniform
+    per step plus one per jump, read in order from a fixed-width block that
+    its own stream refills.  With the trailing ``keep`` flag set, the stored
+    states and carrier counts of every trajectory are returned as well.
     """
-    psi0_vec, config, source_model, grid, seeds, store_every, diagnostics = args
+    psi0_vec, config, source_model, grid, seeds, store_every, diagnostics, keep = args
+    if store_every < 1 or grid.n_steps % store_every:
+        raise ValueError("store_every must be a positive divisor of the number of steps")
     M = len(seeds)
     dim = len(psi0_vec)
     spec = FockSpec(dim // 2 - 1)
     fock_dim = spec.fock_dim
+    dt = grid.dt
     f_op, s_op = build_jump_ops(config, spec)
     H = build_nonhermitian_H(config, spec).mat.copy()
 
@@ -356,34 +220,68 @@ def _ensemble_chunk(args):
         JumpChannel("forward_f", operator=f_op.mat),
         JumpChannel("side_s", operator=s_op.mat),
     ]
-    gain_damp = None
     if birth_death:
         channels += source_jump_channels(source_model, config, spec)
         gain_op = next(c.operator for c in channels if c.label == "gain")
-        gain_damp = np.real(np.diag(gain_op.conj().T @ gain_op))
+        # diagonal of C^dag C for the gain channel (a a^dag is diagonal),
+        # repeated for the real and imaginary parts of a real view
+        gain_damp_f = np.repeat(np.real(np.diag(gain_op.conj().T @ gain_op)), 2)
     elif isinstance(source_model, CoherentDrive):
         a = embed(annihilation(spec), SOURCE, spec).mat
         H += 1j * (source_model.epsilon * a.conj().T
                    - np.conj(source_model.epsilon) * a)
-    n_delta = {"forward_f": -1, "side_s": -1, "gain": +1, "pump": 0, "nonlasing": 0}
+    n_ch = len(channels)
+    quantum = [k for k, ch in enumerate(channels) if ch.operator is not None]
+    classical = [k for k, ch in enumerate(channels) if ch.operator is None]
+    nq = len(quantum)
+    rates = np.array([channels[k].rate for k in classical])
+    scaled = [k for k, ch in enumerate(channels) if ch.scales_with_carrier]
+    carrier_delta = np.array([ch.carrier_delta for ch in channels])
+    n_delta = np.array([N_DELTA[ch.label] for ch in channels])
+
+    # one product psi @ F gives every jump vector C_k psi and the
+    # un-normalized drift (1 - i H dt) psi, each in its own column block
+    F = np.concatenate([channels[k].operator.T for k in quantum]
+                       + [(np.eye(dim) - 1j * dt * H).T], axis=1)
+    Y = np.empty((M, (nq + 1) * dim), dtype=complex)
+    Yf = Y.view(float)
+    Yq = Yf[:, :2 * nq * dim].reshape(M, nq, 2 * dim)
+    drift_f = Yf[:, 2 * nq * dim:]
+    jump_vecs = {k: Y[:, j * dim:(j + 1) * dim] for j, k in enumerate(quantum)}
 
     rngs = [np.random.default_rng(s) for s in seeds]
+    uniforms = np.empty((M, UNIFORM_BLOCK))
+    cursor = np.full(M, UNIFORM_BLOCK)
+
+    def draw(idx):
+        """Next uniform of each trajectory in idx, from its own stream."""
+        for m in idx[cursor[idx] == UNIFORM_BLOCK].tolist():
+            rngs[m].random(out=uniforms[m])
+            cursor[m] = 0
+        u = uniforms[idx, cursor[idx]]
+        cursor[idx] += 1
+        return u
+
     v0 = np.asarray(psi0_vec, dtype=complex)
     psi = np.tile(v0 / np.linalg.norm(v0), (M, 1))
+    psi_f = psi.view(float)
     carrier = np.full(M, source_model.N0 if birth_death else 0, dtype=int)
     n_pred = np.full(M, source_model.n0 if birth_death else 0, dtype=int)
+    if birth_death:
+        # per-row factor of the gain back-action; changes only with the carrier
+        damp = np.outer(0.5 * dt * carrier, gain_damp_f)
     events = [[] for _ in range(M)]
     max_ent = np.zeros(M)
     max_span = np.zeros(M)
     soft_warned = False
-    dt = grid.dt
-    HT = np.ascontiguousarray(H.T)
-    op_T = {k: np.ascontiguousarray(ch.operator.T)
-            for k, ch in enumerate(channels) if ch.operator is not None}
 
     n_stored = grid.n_steps // store_every + 1
-    acc = np.zeros((n_stored, dim, dim), dtype=complex)
-    acc[0] = np.einsum("mi,mj->ij", psi, psi.conj())
+    acc = np.empty((n_stored, dim, dim), dtype=complex)
+    np.matmul(psi.T, psi.conj(), out=acc[0])
+    if keep:
+        states = np.empty((n_stored, M, dim), dtype=complex)
+        carriers = np.empty((n_stored, M), dtype=int)
+        states[0], carriers[0] = psi, carrier
 
     rows = np.arange(M)
 
@@ -412,24 +310,25 @@ def _ensemble_chunk(args):
     if diagnostics:
         update_diagnostics()
 
-    probs = np.empty((M, len(channels)))
+    probs = np.empty((M, n_ch))
     for step in range(grid.n_steps):
         t_next = grid.t0 + (step + 1) * dt
-        jumped = {}
-        for k, ch in enumerate(channels):
-            if ch.operator is None:
-                probs[:, k] = dt * ch.rate * (carrier if ch.scales_with_carrier else 1.0)
-            else:
-                v = psi @ op_T[k]
-                jumped[k] = v
-                p = dt * np.einsum("mi,mi->m", v.conj(), v).real
-                if ch.scales_with_carrier:
-                    p = p * carrier
-                probs[:, k] = p
+        np.matmul(psi, F, out=Y)
+        probs[:, quantum] = np.einsum("mkd,mkd->mk", Yq, Yq)
+        probs[:, classical] = rates
+        probs *= dt
+        if scaled:
+            probs[:, scaled] *= carrier[:, None]
         p_tot = probs.sum(axis=1)
-        worst = float(p_tot.max())
-        if worst > HARD_STEP_PROBABILITY:
+        worst = p_tot.max()
+        # negated so that NaN fails the bound too
+        if not worst <= HARD_STEP_PROBABILITY:
             m = int(p_tot.argmax())
+            if not np.isfinite(worst):
+                raise InvariantViolationError(
+                    f"non-finite step probability at t={t_next - dt:.6g} "
+                    f"(seed {seeds[m]})"
+                )
             k = int(probs[m].argmax())
             raise StepProbabilityError(
                 f"step probability {worst:.3g} > {HARD_STEP_PROBABILITY} at "
@@ -442,49 +341,57 @@ def _ensemble_chunk(args):
             )
             soft_warned = True
 
-        u = np.array([r.random() for r in rngs])
-        jumpers = np.nonzero(u < p_tot)[0]
+        jumpers = np.nonzero(draw(rows) < p_tot)[0]
 
-        Hpsi = psi @ HT
-        if gain_damp is not None:
-            Hpsi = Hpsi - 0.5j * carrier[:, None] * (gain_damp[None, :] * psi)
-        new_psi = psi - 1j * dt * Hpsi
-        new_psi /= np.linalg.norm(new_psi, axis=1)[:, None]
+        if birth_death:
+            # gain back-action -i dt (-(i/2) N g a a^dag) psi, computed in
+            # psi's buffer, which the normalized drift overwrites next
+            psi_f *= damp
+            drift_f -= psi_f
+        norm = np.sqrt(np.einsum("md,md->m", drift_f, drift_f))
+        if not np.isfinite(norm.sum()):  # any NaN or inf row makes the sum so
+            m = int(np.argmin(np.isfinite(norm)))
+            raise InvariantViolationError(
+                f"non-finite drift norm at t={t_next:.6g} (seed {seeds[m]})"
+            )
+        np.divide(drift_f, norm[:, None], out=psi_f)
 
-        for m in jumpers:
-            r = rngs[m].random() * p_tot[m]
-            cum = 0.0
-            k = len(channels) - 1
-            for kk in range(len(channels)):
-                cum += probs[m, kk]
-                if r < cum:
-                    k = kk
-                    break
-            ch = channels[k]
-            if ch.operator is not None:
-                v = jumped[k][m]
-                nrm = np.linalg.norm(v)
-                if nrm == 0.0:
-                    raise InvariantViolationError(
-                        f"jump {ch.label} annihilated the state at t={t_next:.6g} "
-                        f"(seed {seeds[m]})"
-                    )
-                new_psi[m] = v / nrm
-            carrier[m] += ch.carrier_delta
-            n_pred[m] += n_delta[ch.label]
-            events[m].append((t_next, ch.label))
-        psi = new_psi
+        if len(jumpers):
+            r = draw(jumpers) * p_tot[jumpers]
+            # first channel whose cumulative probability exceeds r
+            passed = np.cumsum(probs[jumpers], axis=1) <= r[:, None]
+            ks = np.minimum(passed.sum(axis=1), n_ch - 1)
+            for m, k in zip(jumpers.tolist(), ks.tolist()):
+                ch = channels[k]
+                if ch.operator is not None:
+                    v = jump_vecs[k][m]
+                    nrm = np.linalg.norm(v)
+                    if nrm == 0.0:
+                        raise InvariantViolationError(
+                            f"jump {ch.label} annihilated the state at t={t_next:.6g} "
+                            f"(seed {seeds[m]})"
+                        )
+                    np.divide(v, nrm, out=psi[m])
+                events[m].append((t_next, ch.label))
+            carrier[jumpers] += carrier_delta[ks]
+            n_pred[jumpers] += n_delta[ks]
+            if birth_death:
+                damp[jumpers] = np.outer(0.5 * dt * carrier[jumpers], gain_damp_f)
 
         if diagnostics:
             update_diagnostics()
         if (step + 1) % store_every == 0:
-            acc[(step + 1) // store_every] = np.einsum("mi,mj->ij", psi, psi.conj())
+            idx = (step + 1) // store_every
+            np.matmul(psi.T, psi.conj(), out=acc[idx])
+            if keep:
+                states[idx], carriers[idx] = psi, carrier
 
     times = grid.t0 + grid.dt * store_every * np.arange(n_stored)
     records = [Record(events=e, seed=s) for e, s in zip(events, seeds)]
-    ents = list(max_ent) if diagnostics else [None] * M
-    spans = list(max_span) if (diagnostics and birth_death) else [None] * M
-    return times, acc, records, ents, spans
+    ents = [float(e) for e in max_ent] if diagnostics else [None] * M
+    spans = [float(s) for s in max_span] if (diagnostics and birth_death) else [None] * M
+    stored = (states, carriers if birth_death else None) if keep else None
+    return times, acc, records, ents, spans, stored
 
 
 def run_ensemble(psi0: PureState, config: CouplingConfig, source_model,
@@ -498,11 +405,13 @@ def run_ensemble(psi0: PureState, config: CouplingConfig, source_model,
     rounding level (~1e-15) but nowhere beyond.
     """
     seeds = list(seeds)
+    if not seeds:
+        raise ValueError("need at least one seed")
     if workers is None:
         workers = int(os.environ.get("CASCADESIM_WORKERS", "1"))
     workers = max(1, min(workers, len(seeds)))
     chunks = [seeds] if workers == 1 else [seeds[i::workers] for i in range(workers)]
-    args = [(psi0.vec, config, source_model, grid, c, store_every, diagnostics)
+    args = [(psi0.vec, config, source_model, grid, c, store_every, diagnostics, False)
             for c in chunks if c]
     if workers == 1:
         results = [_ensemble_chunk(args[0])]
@@ -510,11 +419,12 @@ def run_ensemble(psi0: PureState, config: CouplingConfig, source_model,
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_ensemble_chunk, args))
 
-    times = results[0][0]
-    acc = np.zeros_like(results[0][1])
+    # the first chunk's sum is reused, so the reduction holds no second copy
+    times, acc = results[0][0], results[0][1]
+    for r in results[1:]:
+        acc += r[1]
     by_seed = {}
-    for _, a, recs, ents, ress in results:
-        acc += a
+    for _, _, recs, ents, ress, _ in results:
         for rec, ent, resd in zip(recs, ents, ress):
             by_seed[rec.seed] = (rec, ent, resd)
     records, entropies, residuals = [], [], []

@@ -9,6 +9,7 @@ form here; its ensemble states come from trajectory averaging.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,7 +53,10 @@ class BirthDeathLaser:
     n0: int
 
     def __post_init__(self):
-        if min(self.pump_rate, self.gain_per_carrier, self.nonlasing_rate) < 0:
+        rates = (self.pump_rate, self.gain_per_carrier, self.nonlasing_rate)
+        if not all(math.isfinite(r) for r in rates):
+            raise ValueError(f"rates must be finite, got {rates}")
+        if min(rates) < 0:
             raise ValueError("rates must be >= 0")
         if self.N0 < 0 or self.n0 < 0:
             raise ValueError("initial counts must be >= 0")

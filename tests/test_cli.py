@@ -140,6 +140,35 @@ class TestRunTrajectories:
         assert not (tmp_path / "out").exists()
 
 
+class TestConfigValidation:
+    @pytest.mark.parametrize("command, key, value", [
+        ("run-master", "store_every", 0),
+        ("run-master", "store_every", -2),
+        ("run-master", "store_every", 2.0),
+        ("run-trajectories", "seeds", [3, -1]),
+        ("run-trajectories", "seeds", {"start": -5, "count": 2}),
+        ("run-trajectories", "seeds", {"start": 0, "count": 0}),
+        ("run-trajectories", "seeds", []),
+    ])
+    def test_malformed_value_exits_2(self, tmp_path, capsys, command, key, value):
+        doc = load_preset_doc("coherent_drive.json")
+        doc["grid"] = {"t0": 0.0, "t1": 0.1, "dt": 0.01}
+        doc[key] = value
+        doc["output_dir"] = str(tmp_path / "out")
+        assert main([command, write_config(tmp_path, doc)]) == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("rate", ["pump_rate", "gain_per_carrier", "nonlasing_rate"])
+    def test_nan_birth_death_rate_exits_2(self, tmp_path, capsys, rate):
+        doc = load_preset_doc("birth_death.json")
+        doc["source"][rate] = float("nan")
+        doc["output_dir"] = str(tmp_path / "out")
+        assert main(["run-trajectories", write_config(tmp_path, doc)]) == 2
+        assert "finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
 class TestVerify:
     def test_single_fast_suite(self, tmp_path, capsys):
         out = str(tmp_path / "verdict")

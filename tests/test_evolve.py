@@ -2,7 +2,11 @@ import numpy as np
 import pytest
 
 from cascadesim.analysis import trace_distance
-from cascadesim.errors import GridMismatchError, StepProbabilityError
+from cascadesim.errors import (
+    GridMismatchError,
+    InvariantViolationError,
+    StepProbabilityError,
+)
 from cascadesim.hilbert import (
     GROUND,
     DensityOperator,
@@ -22,9 +26,18 @@ from cascadesim.liouvillian import (
     build_jump_ops,
     build_L_ST,
     build_L_T,
+    build_nonhermitian_H,
 )
-from cascadesim.sources import BirthDeathLaser, CoherentDrive, FreeDecayMixture, build_L_S
+from cascadesim.sources import (
+    BirthDeathLaser,
+    CoherentDrive,
+    FreeDecayMixture,
+    JumpChannel,
+    build_L_S,
+    source_jump_channels,
+)
 from cascadesim.evolve import (
+    UNIFORM_BLOCK,
     TimeGrid,
     ensemble_average,
     evolve_master,
@@ -38,6 +51,68 @@ BARE = CouplingConfig(1.0, 0.0, 0.0)  # cavity only, qubit decoupled
 
 def ket(n, q, spec):
     return product_state(fock_state(n, spec), qubit_state(q))
+
+
+def scalar_mcwf(psi0, config, model, grid, seed, store_every):
+    """A literal one-trajectory MCWF loop, independent of the engine.
+
+    First-order drift (1 - i H dt) with renormalization, at most one jump per
+    step, and one rng.random() call per step plus one per jump.  Returns the
+    events, the stored states and the stored carrier counts.
+    """
+    spec = FockSpec(psi0.dim // 2 - 1)
+    f_op, s_op = build_jump_ops(config, spec)
+    H = build_nonhermitian_H(config, spec).mat.copy()
+    channels = [JumpChannel("forward_f", operator=f_op.mat),
+                JumpChannel("side_s", operator=s_op.mat)]
+    damp = np.zeros(psi0.dim)
+    carrier = 0
+    if isinstance(model, BirthDeathLaser):
+        carrier = model.N0
+        channels += source_jump_channels(model, config, spec)
+        gain = next(ch.operator for ch in channels if ch.label == "gain")
+        damp = np.real(np.diag(gain.conj().T @ gain))
+    elif isinstance(model, CoherentDrive):
+        a = embed(annihilation(spec), SOURCE, spec).mat
+        H += 1j * (model.epsilon * a.conj().T - np.conj(model.epsilon) * a)
+    rng = np.random.default_rng(seed)
+    dt = grid.dt
+    psi = psi0.vec / np.linalg.norm(psi0.vec)
+    events, states, carriers = [], [psi], [carrier]
+    for step in range(grid.n_steps):
+        t_next = grid.t0 + (step + 1) * dt
+        probs = []
+        for ch in channels:
+            scale = carrier if ch.scales_with_carrier else 1.0
+            if ch.operator is None:
+                probs.append(dt * ch.rate * scale)
+            else:
+                v = ch.operator @ psi
+                probs.append(dt * float(np.vdot(v, v).real) * scale)
+        p_tot = sum(probs)
+        fired = None
+        if rng.random() < p_tot:
+            r = rng.random() * p_tot
+            cum = 0.0
+            fired = channels[-1]
+            for ch, p in zip(channels, probs):
+                cum += p
+                if r < cum:
+                    fired = ch
+                    break
+        if fired is not None and fired.operator is not None:
+            v = fired.operator @ psi
+        else:
+            Hpsi = H @ psi - 0.5j * carrier * damp * psi
+            v = psi - 1j * dt * Hpsi
+        psi = v / np.linalg.norm(v)
+        if fired is not None:
+            carrier += fired.carrier_delta
+            events.append((t_next, fired.label))
+        if (step + 1) % store_every == 0:
+            states.append(psi)
+            carriers.append(carrier)
+    return events, np.array(states), np.array(carriers)
 
 
 class TestTimeGrid:
@@ -173,6 +248,65 @@ class TestSingleTrajectory:
                      if lab == "forward_f" and t > t_burn)
         mean = flux * (t_end - t_burn)
         assert abs(clicks - mean) < 3.0 * np.sqrt(mean)
+
+
+class TestEngineOracle:
+    CFG = CouplingConfig(1.0, 0.5, 0.5)
+    SPEC = FockSpec(5)
+    CASES = {
+        "birth_death": (BirthDeathLaser(1.0, 0.5, 0.3, N0=2, n0=2),
+                        ket(2, GROUND, SPEC), TimeGrid(0.0, 2.0, 0.005)),
+        "coherent_drive": (CoherentDrive(0.5),
+                           product_state(coherent_state(1.0, SPEC), qubit_state(GROUND)),
+                           TimeGrid(0.0, 3.0, 0.01)),
+    }
+
+    @pytest.mark.filterwarnings("ignore:step probability")
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_scalar_oracle(self, case, seed):
+        model, psi0, grid = self.CASES[case]
+        # long enough to refill every uniform block several times
+        assert grid.n_steps > 5 * UNIFORM_BLOCK
+        events, states, carriers = scalar_mcwf(psi0, self.CFG, model, grid, seed,
+                                               store_every=20)
+        r = mcwf_run(psi0, self.CFG, model, grid, seed=seed, store_every=20)
+        assert len(events) > 0
+        assert r.record.events == events
+        assert np.max(np.abs(r.states - states)) < 1e-12
+        if r.carriers is not None:
+            assert np.array_equal(r.carriers, carriers)
+
+    @pytest.mark.filterwarnings("ignore:step probability")
+    def test_seed_alone_matches_batch(self):
+        model, psi0, grid = self.CASES["birth_death"]
+        batch = run_ensemble(psi0, self.CFG, model, grid, range(60), store_every=100)
+        assert sum(len(r.events) for r in batch.records) > 60
+        for seed in (0, 31, 59):
+            alone = run_ensemble(psi0, self.CFG, model, grid, [seed], store_every=100)
+            assert alone.records[0].events == batch.records[seed].events
+
+    def test_empty_seed_list_rejected(self):
+        model, psi0, grid = self.CASES["birth_death"]
+        with pytest.raises(ValueError, match="seed"):
+            run_ensemble(psi0, self.CFG, model, grid, [])
+
+    @pytest.mark.parametrize("rate", ["pump_rate", "gain_per_carrier", "nonlasing_rate"])
+    def test_non_finite_step_probability_is_invariant_violation(self, rate):
+        # bypasses the model's own validation to reach the engine's guard
+        model = BirthDeathLaser(1.0, 0.5, 0.3, N0=2, n0=2)
+        object.__setattr__(model, rate, float("nan"))
+        _, psi0, grid = self.CASES["birth_death"]
+        with pytest.raises(InvariantViolationError, match="non-finite step probability"):
+            mcwf_run(psi0, self.CFG, model, grid, seed=0)
+
+    @pytest.mark.filterwarnings("ignore:invalid value")
+    def test_non_finite_drift_is_invariant_violation(self):
+        cfg = CouplingConfig(1.0, 0.5, 0.5)
+        object.__setattr__(cfg, "delta", float("inf"))
+        model, psi0, grid = self.CASES["coherent_drive"]
+        with pytest.raises(InvariantViolationError, match="non-finite drift"):
+            run_ensemble(psi0, cfg, model, grid, range(3))
 
 
 class TestEnsemble:

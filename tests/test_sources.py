@@ -54,6 +54,14 @@ class TestModels:
         with pytest.raises(ValueError):
             BirthDeathLaser(1.0, 1.0, 0.5, N0=-1, n0=0)
 
+    @pytest.mark.parametrize("field", ["pump_rate", "gain_per_carrier", "nonlasing_rate"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_birth_death_non_finite_rejected(self, field, value):
+        rates = {"pump_rate": 1.0, "gain_per_carrier": 1.0, "nonlasing_rate": 0.5}
+        rates[field] = value
+        with pytest.raises(ValueError, match="finite"):
+            BirthDeathLaser(**rates, N0=1, n0=0)
+
 
 class TestSourceGenerator:
     def test_free_decay_is_empty(self):
