@@ -6,7 +6,8 @@ Subcommands:
   verify            run the numbered verification suite -> verdict table + JSON
 
 Exit codes: 0 success, 1 verification failure, 2 configuration error,
-3 invariant violation during a run.
+3 invariant violation during a run, 4 any other (internal) error, reported
+as one line on stderr instead of a traceback.
 
 File formats: configs are JSON (one experiment per file); time series are CSV
 with a header row, the time column first, and complex observables split into
@@ -357,6 +358,10 @@ def main(argv=None) -> int:
     except (InvariantViolationError, StepProbabilityError) as e:
         print(f"invariant violation: {e}", file=sys.stderr)
         return 3
+    except Exception as e:
+        msg = str(e).replace("\n", " ")
+        print(f"internal error: {type(e).__name__}: {msg}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

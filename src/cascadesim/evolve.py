@@ -1,14 +1,19 @@
 """Time evolution: deterministic master-equation integration and Monte-Carlo
 wavefunction trajectories with event records.
 
-The trajectory scheme is fixed-step with at most one jump per step: jump
-probabilities are computed from the current normalized state, one uniform
-variate is drawn per step (plus one per jump for channel selection), and the
-no-jump drift is the first-order non-Hermitian step (1 - i H dt) with
-renormalization.  Each trajectory owns exactly one RNG stream, read in
-fixed-width blocks, so results are bit-reproducible given (config, seed).
-There is one trajectory engine, vectorized over seeds; a single trajectory
-is its one-seed call.
+The trajectory scheme is fixed-step with at most one jump per step.  A step
+costs one d x d product per trajectory, Z = -i dt H psi, where H is the
+non-Hermitian drift Hamiltonian.  Its anti-Hermitian part is -(i/2) times the
+sum of C^dag C over the forward and side channels (checked once per run), so
+their total jump probability dt <psi|sum C^dag C|psi> is -2 Re<psi|Z>; the
+birth-death gain channel's back-action is folded into Z the same way, and the
+classical channels add their rates.  The no-jump state is psi + Z,
+renormalized.  Only the trajectories that jump compute the per-channel jump
+vectors C_k psi, from their pre-step state, to pick the channel.  One uniform
+variate is drawn per step, plus one per jump for the channel.  Each
+trajectory owns exactly one RNG stream, read in fixed-width blocks, so
+results are bit-reproducible given (config, seed).  There is one trajectory
+engine, vectorized over seeds; a single trajectory is its one-seed call.
 """
 
 from __future__ import annotations
@@ -148,9 +153,10 @@ def mcwf_run(psi0: PureState, config: CouplingConfig, source_model, grid: TimeGr
     consistent with the record.  This is the single-seed call of the ensemble
     engine, which then also returns the stored states and carrier counts.
     """
-    times, _, records, ents, spans, (states, carriers) = _ensemble_chunk(
+    times, _, records, ents, spans, max_p, (states, carriers) = _ensemble_chunk(
         (psi0.normalized().vec, config, source_model, grid, [seed], store_every,
          diagnostics, True))
+    _warn_step_probability(max_p)
     return TrajectoryResult(
         record=records[0],
         times=times,
@@ -196,13 +202,35 @@ N_DELTA = {"forward_f": -1, "side_s": -1, "gain": +1, "pump": 0, "nonlasing": 0}
 UNIFORM_BLOCK = 32
 
 
+def _check_drift(H: np.ndarray, jump_ops):
+    """Raise InvariantViolationError unless i(H - H^dag) equals the sum of
+    C^dag C over jump_ops, the quantum channels not scaled by the carrier.
+
+    The engine reads those channels' summed jump probability off the drift,
+    so the identity must hold for the records to be right.
+    """
+    if not np.all(np.isfinite(H)):
+        raise InvariantViolationError("non-finite drift Hamiltonian; check rates and detuning")
+    K = 1j * (H - H.conj().T)
+    for C in jump_ops:
+        K -= C.conj().T @ C
+    residual = np.abs(K).max()
+    if not residual <= 1e-12 * max(1.0, np.abs(H).max()):
+        raise InvariantViolationError(
+            f"drift Hamiltonian does not match the jump operators: "
+            f"max |i(H - H^dag) - sum C^dag C| = {residual:.3g}"
+        )
+
+
 def _ensemble_chunk(args):
     """Advance one chunk of trajectories in lockstep (vectorized over seeds).
 
     Each trajectory owns the RNG stream of its seed and consumes one uniform
     per step plus one per jump, read in order from a fixed-width block that
-    its own stream refills.  With the trailing ``keep`` flag set, the stored
-    states and carrier counts of every trajectory are returned as well.
+    its own stream refills.  Besides the records and the summed projectors,
+    the largest step probability of the chunk is returned, so the caller can
+    warn about it.  With the trailing ``keep`` flag set, the stored states and
+    carrier counts of every trajectory are returned as well.
     """
     psi0_vec, config, source_model, grid, seeds, store_every, diagnostics, keep = args
     if store_every < 1 or grid.n_steps % store_every:
@@ -214,6 +242,11 @@ def _ensemble_chunk(args):
     dt = grid.dt
     f_op, s_op = build_jump_ops(config, spec)
     H = build_nonhermitian_H(config, spec).mat.copy()
+    if isinstance(source_model, CoherentDrive):
+        a = embed(annihilation(spec), SOURCE, spec).mat
+        H += 1j * (source_model.epsilon * a.conj().T
+                   - np.conj(source_model.epsilon) * a)
+    _check_drift(H, (f_op.mat, s_op.mat))
 
     birth_death = isinstance(source_model, BirthDeathLaser)
     channels = [
@@ -226,28 +259,20 @@ def _ensemble_chunk(args):
         # diagonal of C^dag C for the gain channel (a a^dag is diagonal),
         # repeated for the real and imaginary parts of a real view
         gain_damp_f = np.repeat(np.real(np.diag(gain_op.conj().T @ gain_op)), 2)
-    elif isinstance(source_model, CoherentDrive):
-        a = embed(annihilation(spec), SOURCE, spec).mat
-        H += 1j * (source_model.epsilon * a.conj().T
-                   - np.conj(source_model.epsilon) * a)
     n_ch = len(channels)
     quantum = [k for k, ch in enumerate(channels) if ch.operator is not None]
     classical = [k for k, ch in enumerate(channels) if ch.operator is None]
-    nq = len(quantum)
     rates = np.array([channels[k].rate for k in classical])
     scaled = [k for k, ch in enumerate(channels) if ch.scales_with_carrier]
     carrier_delta = np.array([ch.carrier_delta for ch in channels])
     n_delta = np.array([N_DELTA[ch.label] for ch in channels])
 
-    # one product psi @ F gives every jump vector C_k psi and the
-    # un-normalized drift (1 - i H dt) psi, each in its own column block
-    F = np.concatenate([channels[k].operator.T for k in quantum]
-                       + [(np.eye(dim) - 1j * dt * H).T], axis=1)
-    Y = np.empty((M, (nq + 1) * dim), dtype=complex)
-    Yf = Y.view(float)
-    Yq = Yf[:, :2 * nq * dim].reshape(M, nq, 2 * dim)
-    drift_f = Yf[:, 2 * nq * dim:]
-    jump_vecs = {k: Y[:, j * dim:(j + 1) * dim] for j, k in enumerate(quantum)}
+    HT = (-1j * dt * H).T
+    # every C_k^T side by side: jump vectors of the rows that jump
+    Fq = np.concatenate([channels[k].operator.T for k in quantum], axis=1)
+    block = {k: slice(j * dim, (j + 1) * dim) for j, k in enumerate(quantum)}
+    Z = np.empty((M, dim), dtype=complex)
+    Z_f = Z.view(float)
 
     rngs = [np.random.default_rng(s) for s in seeds]
     uniforms = np.empty((M, UNIFORM_BLOCK))
@@ -270,10 +295,27 @@ def _ensemble_chunk(args):
     if birth_death:
         # per-row factor of the gain back-action; changes only with the carrier
         damp = np.outer(0.5 * dt * carrier, gain_damp_f)
+        work = np.empty_like(damp)
+    # summed rates of the classical channels, without and with the carrier factor
+    rate_fixed = sum(channels[k].rate for k in classical if k not in scaled)
+    rate_scaled = sum(channels[k].rate for k in classical if k in scaled)
+
+    def channel_probs(idx):
+        """Jump vectors C_k psi and per-channel step probabilities of rows idx."""
+        Y = psi[idx] @ Fq
+        Yq = Y.view(float).reshape(len(idx), len(quantum), 2 * dim)
+        probs = np.empty((len(idx), n_ch))
+        probs[:, quantum] = np.einsum("mkd,mkd->mk", Yq, Yq)
+        probs[:, classical] = rates
+        probs *= dt
+        if scaled:
+            probs[:, scaled] *= carrier[idx][:, None]
+        return Y, probs
+
     events = [[] for _ in range(M)]
     max_ent = np.zeros(M)
     max_span = np.zeros(M)
-    soft_warned = False
+    max_p = 0.0
 
     n_stored = grid.n_steps // store_every + 1
     acc = np.empty((n_stored, dim, dim), dtype=complex)
@@ -310,16 +352,19 @@ def _ensemble_chunk(args):
     if diagnostics:
         update_diagnostics()
 
-    probs = np.empty((M, n_ch))
     for step in range(grid.n_steps):
         t_next = grid.t0 + (step + 1) * dt
-        np.matmul(psi, F, out=Y)
-        probs[:, quantum] = np.einsum("mkd,mkd->mk", Yq, Yq)
-        probs[:, classical] = rates
-        probs *= dt
-        if scaled:
-            probs[:, scaled] *= carrier[:, None]
-        p_tot = probs.sum(axis=1)
+        # Z = -i dt H psi, minus the gain back-action (dt/2) N g a a^dag psi;
+        # then -2 Re<psi|Z> = dt <psi| sum C^dag C |psi> over every quantum
+        # channel, the Monte-Carlo wavefunction jump probability
+        np.matmul(psi, HT, out=Z)
+        if birth_death:
+            np.multiply(psi_f, damp, out=work)
+            Z_f -= work
+        p_tot = np.einsum("md,md->m", psi_f, Z_f)
+        p_tot *= -2.0
+        if classical:
+            p_tot += dt * (rate_fixed + rate_scaled * carrier)
         worst = p_tot.max()
         # negated so that NaN fails the bound too
         if not worst <= HARD_STEP_PROBABILITY:
@@ -329,42 +374,38 @@ def _ensemble_chunk(args):
                     f"non-finite step probability at t={t_next - dt:.6g} "
                     f"(seed {seeds[m]})"
                 )
-            k = int(probs[m].argmax())
+            k = int(channel_probs([m])[1][0].argmax())
             raise StepProbabilityError(
                 f"step probability {worst:.3g} > {HARD_STEP_PROBABILITY} at "
                 f"t={t_next - dt:.6g} (largest channel: {channels[k].label}); reduce dt"
             )
-        if worst > SOFT_STEP_PROBABILITY and not soft_warned:
-            warnings.warn(
-                f"step probability {worst:.3g} exceeds recommended "
-                f"{SOFT_STEP_PROBABILITY}", stacklevel=2,
-            )
-            soft_warned = True
+        max_p = max(max_p, float(worst))
 
         jumpers = np.nonzero(draw(rows) < p_tot)[0]
+        if len(jumpers):
+            # from the pre-step states, before the drift overwrites psi
+            jump_vecs, probs = channel_probs(jumpers)
 
-        if birth_death:
-            # gain back-action -i dt (-(i/2) N g a a^dag) psi, computed in
-            # psi's buffer, which the normalized drift overwrites next
-            psi_f *= damp
-            drift_f -= psi_f
-        norm = np.sqrt(np.einsum("md,md->m", drift_f, drift_f))
+        Z += psi  # the no-jump state, before renormalization
+        norm = np.sqrt(np.einsum("md,md->m", Z_f, Z_f))
         if not np.isfinite(norm.sum()):  # any NaN or inf row makes the sum so
             m = int(np.argmin(np.isfinite(norm)))
             raise InvariantViolationError(
                 f"non-finite drift norm at t={t_next:.6g} (seed {seeds[m]})"
             )
-        np.divide(drift_f, norm[:, None], out=psi_f)
+        np.divide(Z_f, norm[:, None], out=psi_f)
 
         if len(jumpers):
-            r = draw(jumpers) * p_tot[jumpers]
-            # first channel whose cumulative probability exceeds r
-            passed = np.cumsum(probs[jumpers], axis=1) <= r[:, None]
+            # scaled by the per-channel sum, which p_tot equals only to
+            # rounding, so that r always falls inside the cumulative range;
+            # the first channel whose cumulative probability exceeds r fires
+            r = draw(jumpers) * probs.sum(axis=1)
+            passed = np.cumsum(probs, axis=1) <= r[:, None]
             ks = np.minimum(passed.sum(axis=1), n_ch - 1)
-            for m, k in zip(jumpers.tolist(), ks.tolist()):
+            for v, m, k in zip(jump_vecs, jumpers.tolist(), ks.tolist()):
                 ch = channels[k]
                 if ch.operator is not None:
-                    v = jump_vecs[k][m]
+                    v = v[block[k]]
                     nrm = np.linalg.norm(v)
                     if nrm == 0.0:
                         raise InvariantViolationError(
@@ -391,7 +432,17 @@ def _ensemble_chunk(args):
     ents = [float(e) for e in max_ent] if diagnostics else [None] * M
     spans = [float(s) for s in max_span] if (diagnostics and birth_death) else [None] * M
     stored = (states, carriers if birth_death else None) if keep else None
-    return times, acc, records, ents, spans, stored
+    return times, acc, records, ents, spans, max_p, stored
+
+
+def _warn_step_probability(p: float):
+    """Warn, at the line that called the public entry point, about a step
+    probability above the recommended bound."""
+    if p > SOFT_STEP_PROBABILITY:
+        warnings.warn(
+            f"step probability {p:.3g} exceeds recommended {SOFT_STEP_PROBABILITY}",
+            stacklevel=3,
+        )
 
 
 def run_ensemble(psi0: PureState, config: CouplingConfig, source_model,
@@ -424,7 +475,7 @@ def run_ensemble(psi0: PureState, config: CouplingConfig, source_model,
     for r in results[1:]:
         acc += r[1]
     by_seed = {}
-    for _, _, recs, ents, ress, _ in results:
+    for _, _, recs, ents, ress, _, _ in results:
         for rec, ent, resd in zip(recs, ents, ress):
             by_seed[rec.seed] = (rec, ent, resd)
     records, entropies, residuals = [], [], []
@@ -435,4 +486,5 @@ def run_ensemble(psi0: PureState, config: CouplingConfig, source_model,
         residuals.append(resd)
     acc /= len(seeds)
     rho_avg = [DensityOperator(acc[i], layout=COMPOSITE) for i in range(acc.shape[0])]
+    _warn_step_probability(max(r[5] for r in results))
     return EnsembleResult(times, rho_avg, records, entropies, residuals)

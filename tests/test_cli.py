@@ -191,3 +191,19 @@ class TestVerify:
     def test_unknown_suite_exits_2(self, tmp_path, capsys):
         assert main(["verify", "--suite", "A17", "--out", str(tmp_path)]) == 2
         assert "unknown suite" in capsys.readouterr().err
+
+
+class TestInternalError:
+    def test_unexpected_exception_exits_4(self, tmp_path, capsys, monkeypatch):
+        import cascadesim.cli as cli
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("integrator exploded")
+
+        monkeypatch.setattr(cli, "evolve_master", broken)
+        doc = load_preset_doc("bare_cavity.json")
+        doc["output_dir"] = str(tmp_path / "out")
+        assert main(["run-master", write_config(tmp_path, doc)]) == 4
+        err = capsys.readouterr().err
+        assert err == "internal error: RuntimeError: integrator exploded\n"
+        assert "Traceback" not in err

@@ -1,3 +1,6 @@
+import warnings
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -9,7 +12,9 @@ from cascadesim.errors import (
 )
 from cascadesim.hilbert import (
     GROUND,
+    TARGET,
     DensityOperator,
+    Operator,
     FockSpec,
     annihilation,
     coherent_state,
@@ -17,6 +22,7 @@ from cascadesim.hilbert import (
     fock_state,
     number_operator,
     product_state,
+    qubit_lowering,
     qubit_state,
     SOURCE,
 )
@@ -36,6 +42,7 @@ from cascadesim.sources import (
     build_L_S,
     source_jump_channels,
 )
+import cascadesim.evolve as evolve
 from cascadesim.evolve import (
     UNIFORM_BLOCK,
     TimeGrid,
@@ -218,7 +225,7 @@ class TestSingleTrajectory:
         spec = FockSpec(6)
         psi0 = ket(5, GROUND, spec)
         model = FreeDecayMixture(((0.0, 1.0),))
-        with pytest.raises(StepProbabilityError):
+        with pytest.raises(StepProbabilityError, match="largest channel: forward_f"):
             mcwf_run(psi0, BARE, model, TimeGrid(0.0, 1.0, 0.05), seed=0)
 
     def test_soft_probability_warning(self):
@@ -227,6 +234,26 @@ class TestSingleTrajectory:
         model = FreeDecayMixture(((0.0, 1.0),))
         with pytest.warns(UserWarning, match="step probability"):
             mcwf_run(psi0, BARE, model, TimeGrid(0.0, 0.2, 0.004), seed=0)
+
+    @pytest.mark.parametrize("workers", [None, 1, 2])
+    def test_soft_warning_points_at_caller(self, workers):
+        # one warning for the whole run, at the caller's line, also when the
+        # trajectories run in worker processes; None is the one-seed mcwf_run
+        spec = FockSpec(6)
+        psi0 = ket(5, GROUND, spec)
+        model = FreeDecayMixture(((0.0, 1.0),))
+        grid = TimeGrid(0.0, 0.2, 0.004)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            if workers is None:
+                mcwf_run(psi0, BARE, model, grid, seed=0)
+            else:
+                run_ensemble(psi0, BARE, model, grid, range(4), workers=workers)
+        soft = [w for w in caught if "step probability" in str(w.message)]
+        assert len(soft) == 1
+        assert soft[0].filename == __file__
+        # the largest step probability of the run: dt * gamma_S * 5 photons
+        assert f"step probability {0.004 * 5:.3g} " in str(soft[0].message)
 
     @pytest.mark.filterwarnings("ignore:step probability")
     def test_forward_count_matches_steady_flux(self):
@@ -277,6 +304,29 @@ class TestEngineOracle:
         if r.carriers is not None:
             assert np.array_equal(r.carriers, carriers)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_scalar_oracle_at_large_step_probability(self, seed):
+        # birth-death with pump and non-lasing loss: the step probability
+        # stays between 0.02 and 0.08, so a jump happens every few dozen
+        # steps and the channel choice runs many times per seed
+        model = BirthDeathLaser(1.0, 0.3, 1.0, N0=1, n0=1)
+        psi0 = ket(1, GROUND, self.SPEC)
+        grid = TimeGrid(0.0, 10.0, 0.01)
+        assert grid.n_steps >= 300
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            r = mcwf_run(psi0, self.CFG, model, grid, seed=seed, store_every=20)
+        (soft,) = [w for w in caught if "step probability" in str(w.message)]
+        largest = float(str(soft.message).split()[2])
+        assert 0.02 < largest < 0.08
+        events, states, carriers = scalar_mcwf(psi0, self.CFG, model, grid, seed,
+                                               store_every=20)
+        labels = Counter(lab for _, lab in events)
+        assert len(events) >= 10 and len(labels) >= 3
+        assert r.record.events == events
+        assert np.max(np.abs(r.states - states)) < 1e-12
+        assert np.array_equal(r.carriers, carriers)
+
     @pytest.mark.filterwarnings("ignore:step probability")
     def test_seed_alone_matches_batch(self):
         model, psi0, grid = self.CASES["birth_death"]
@@ -307,6 +357,65 @@ class TestEngineOracle:
         model, psi0, grid = self.CASES["coherent_drive"]
         with pytest.raises(InvariantViolationError, match="non-finite drift"):
             run_ensemble(psi0, cfg, model, grid, range(3))
+
+
+class TestDriftIdentity:
+    """The engine reads the forward and side channels' summed jump
+    probability off the drift: i (H - H^dag) = f^dag f + s^dag s."""
+
+    SPEC = FockSpec(6)
+    CASES = {
+        "coherent_drive": (CouplingConfig(1.0, 0.5, 0.5), CoherentDrive(0.3 - 0.2j)),
+        "free_decay": (CouplingConfig(1.0, 0.5, 0.5), FreeDecayMixture(((1.0, 1.0),))),
+        "birth_death": (CouplingConfig(1.0, 0.5, 0.5),
+                        BirthDeathLaser(1.0, 0.5, 0.3, N0=2, n0=1)),
+        "detuned": (CouplingConfig(0.7, 0.4, 0.2, delta=1.3), FreeDecayMixture(((1.0, 1.0),))),
+        "no_side_channel": (CouplingConfig(1.0, 0.8, 0.0), CoherentDrive(0.5)),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_identity(self, case):
+        cfg, model = self.CASES[case]
+        H = build_nonhermitian_H(cfg, self.SPEC).mat
+        if isinstance(model, CoherentDrive):
+            # the drive is Hermitian, so it leaves the identity alone
+            a = embed(annihilation(self.SPEC), SOURCE, self.SPEC).mat
+            H = H + 1j * (model.epsilon * a.conj().T - np.conj(model.epsilon) * a)
+        f, s = build_jump_ops(cfg, self.SPEC)
+        decay = (f.dag() @ f).mat + (s.dag() @ s).mat
+        assert np.max(np.abs(1j * (H - H.conj().T) - decay)) < 1e-14
+        # and the engine's own set-up check accepts it
+        psi0 = ket(1, GROUND, self.SPEC)
+        mcwf_run(psi0, cfg, model, TimeGrid(0.0, 0.05, 0.001), seed=0)
+
+    @staticmethod
+    def without_gamma_T(config, spec):
+        """build_nonhermitian_H with its -(i/2) gamma_T b^dag b term left out."""
+        b = embed(qubit_lowering(), TARGET, spec).mat
+        H = build_nonhermitian_H(config, spec).mat
+        return Operator(H + 0.5j * config.gamma_T * (b.conj().T @ b))
+
+    def test_broken_drift_is_invariant_violation(self, monkeypatch):
+        monkeypatch.setattr(evolve, "build_nonhermitian_H", self.without_gamma_T)
+        cfg, model = self.CASES["coherent_drive"]
+        with pytest.raises(InvariantViolationError, match="does not match the jump operators"):
+            mcwf_run(ket(1, GROUND, self.SPEC), cfg, model, TimeGrid(0.0, 0.1, 0.01), seed=0)
+
+    def test_broken_drift_exits_3(self, monkeypatch, tmp_path, capsys):
+        import json
+        from importlib import resources
+
+        from cascadesim.cli import main
+
+        monkeypatch.setattr(evolve, "build_nonhermitian_H", self.without_gamma_T)
+        with resources.files("cascadesim.presets").joinpath("coherent_drive.json").open() as f:
+            doc = json.load(f)
+        doc["seeds"] = {"start": 0, "count": 2}
+        doc["output_dir"] = str(tmp_path / "out")
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        assert main(["run-trajectories", str(path)]) == 3
+        assert "does not match the jump operators" in capsys.readouterr().err
 
 
 class TestEnsemble:
