@@ -5,13 +5,19 @@ so both Lindblad generators and the regrouped cross-coupling piece (which is
 not a dissipator on its own) share one representation.  The dense matrix form
 uses column-stacking: matrix(S) = sum coeff * kron(R^T, L).
 
-``apply`` works on a folded form of the term list, built on first use and
-cached on the superoperator: every term with an identity on its right side is
-summed into one left operator, every term with an identity on its left side
-into one right operator, and only the true sandwiches stay, so
-apply(S, rho) = Lsum rho + rho Rsum + sum coeff * L rho R.  For a Lindblad
-generator this is the "H_eff plus jump sandwich" form: L_T + L_ST needs six
-matrix products instead of twenty.
+``apply`` works on a compiled gather form, built on the first call and cached
+on the superoperator.  Terms with an identity on one side are first summed
+into one left and one right operator (``folded``), giving
+Lsum rho + rho Rsum + sum coeff * L rho R.  The operators are banded:
+diagonal o1 of L and diagonal o2 of R move entry (i + o1, j - o2) of rho to
+output entry (i, j), with a weight that depends on (i, j).  Pieces with the
+same shift share a slot, and the form holds, per slot and per row-major
+output index p = i * d + j, one input index and one weight, as two
+(width, d^2) arrays; apply is one gather, one multiply and one sum.  The
+width is at most 9 for L_T + L_ST and 13 for any bundled generator.  A
+form with more than MAX_GATHER_ENTRIES entries (as many as the largest
+to_matrix form; a dense generator has up to (2d - 1)^2 slots) raises
+DimensionMismatchError instead of exhausting memory.
 """
 
 from __future__ import annotations
@@ -33,6 +39,10 @@ from .hilbert import (
     embed,
     qubit_lowering,
 )
+
+# the most entries a compiled generator may hold: those of to_matrix's
+# largest form, (64^2)^2
+MAX_GATHER_ENTRIES = 64 ** 4
 
 
 @dataclass(frozen=True)
@@ -115,6 +125,68 @@ class Superoperator:
             else:
                 sandwiches.append((t.coeff, t.left, t.right))
         return lsum, rsum, sandwiches
+
+    @cached_property
+    def compiled(self) -> tuple:
+        """(index, weight): the gather form of ``folded``, two (width, d^2) arrays.
+
+        Output entry p of apply is sum over slots s of
+        weight[s, p] * rho.ravel()[index[s, p]].  Built from the nonzero
+        diagonals of each folded piece, on first use, and cached like
+        ``folded``.
+        """
+        d = self.dim
+        lsum, rsum, sandwiches = self.folded
+        eye = np.eye(d, dtype=complex)
+        pieces = [(1.0, lsum, eye), (1.0, eye, rsum)] + sandwiches
+        offsets = [(_diagonal_offsets(left), _diagonal_offsets(right))
+                   for _, left, right in pieces]
+        # a slot is the shift (di, dj) that reads rho[i + di, j + dj]; the
+        # guard runs as slots appear, before anything of size d^2 is built
+        shifts = set()
+        for left_offsets, right_offsets in offsets:
+            for o1 in left_offsets:
+                for o2 in right_offsets:
+                    shifts.add((o1, -o2))
+                    if len(shifts) * d * d > MAX_GATHER_ENTRIES:
+                        raise DimensionMismatchError(
+                            f"the gather form of this dim-{d} generator needs more than "
+                            f"{MAX_GATHER_ENTRIES} entries; it is too dense to apply"
+                        )
+        slot = {shift: s for s, shift in enumerate(sorted(shifts))}
+        weight = np.zeros((len(slot), d, d), dtype=complex)
+        for (coeff, left, right), (left_offsets, right_offsets) in zip(pieces, offsets):
+            for o1 in left_offsets:
+                u = coeff * _band(left, o1)
+                for o2 in right_offsets:
+                    # right[j - o2, j] as a vector over j
+                    weight[slot[o1, -o2]] += np.outer(u, _band(right.T, -o2))
+        index = np.empty((len(slot), d, d), dtype=np.int32)
+        k = np.arange(d)
+        for (di, dj), s in slot.items():
+            # the weight is zero where i + di or j + dj leaves the matrix,
+            # so those entries may read any in-range index
+            rows = np.clip(k + di, 0, d - 1)
+            cols = np.clip(k + dj, 0, d - 1)
+            index[s] = rows[:, None] * d + cols
+        return index.reshape(len(slot), d * d), weight.reshape(len(slot), d * d)
+
+
+def _diagonal_offsets(M: np.ndarray) -> list:
+    """Offsets o of the diagonals M[i, i + o] that hold a nonzero entry."""
+    rows, cols = np.nonzero(M)
+    # a set, not np.unique: the first np.unique call of a process costs
+    # about 1.2 MB of resident memory
+    return sorted(set((cols - rows).tolist()))
+
+
+def _band(M: np.ndarray, o: int) -> np.ndarray:
+    """v[i] = M[i, i + o], zero where i + o falls outside the matrix."""
+    v = np.zeros(M.shape[0], dtype=complex)
+    diagonal = np.diagonal(M, o)
+    start = max(0, -o)
+    v[start:start + len(diagonal)] = diagonal
+    return v
 
 
 def commutator_terms(H: np.ndarray) -> list:
@@ -228,13 +300,13 @@ def build_nonhermitian_H(config: CouplingConfig, spec: FockSpec) -> Operator:
 def apply(superop: Superoperator, rho) -> np.ndarray:
     """Apply the superoperator to a density matrix; returns the raw derivative matrix."""
     m = rho.mat if isinstance(rho, DensityOperator) else np.asarray(rho, dtype=complex)
-    if m.shape[0] != superop.dim:
-        raise DimensionMismatchError(f"rho dim {m.shape[0]} != superoperator dim {superop.dim}")
-    lsum, rsum, sandwiches = superop.folded
-    out = lsum @ m + m @ rsum
-    for coeff, left, right in sandwiches:
-        out += coeff * (left @ m @ right)
-    return out
+    d = superop.dim
+    if m.shape != (d, d):
+        raise DimensionMismatchError(f"rho shape {m.shape} != superoperator dim {d}")
+    index, weight = superop.compiled
+    out = np.take(m.ravel(), index)
+    out *= weight
+    return out.sum(axis=0).reshape(d, d)
 
 
 def to_matrix(superop: Superoperator, max_dim: int = 64) -> np.ndarray:

@@ -10,6 +10,7 @@ form here; its ensemble states come from trajectory averaging.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,8 +35,8 @@ class FreeDecayMixture:
 
     def __post_init__(self):
         weights = [w for _, w in self.initial_amplitudes]
-        if any(w < 0 for w in weights):
-            raise ValueError("weights must be >= 0")
+        if not all(math.isfinite(w) and w >= 0 for w in weights):
+            raise ValueError(f"weights must be finite and >= 0, got {weights}")
         if abs(sum(weights) - 1.0) > 1e-12:
             raise ValueError(f"weights must sum to 1, got {sum(weights)}")
 
@@ -58,8 +59,9 @@ class BirthDeathLaser:
             raise ValueError(f"rates must be finite, got {rates}")
         if min(rates) < 0:
             raise ValueError("rates must be >= 0")
-        if self.N0 < 0 or self.n0 < 0:
-            raise ValueError("initial counts must be >= 0")
+        counts = (self.N0, self.n0)
+        if not all(isinstance(c, numbers.Integral) and c >= 0 for c in counts):
+            raise ValueError(f"initial counts must be integers >= 0, got {counts}")
 
 
 @dataclass

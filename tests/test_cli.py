@@ -1,11 +1,22 @@
+import contextlib
+import copy
+import io
 import json
+import math
 import os
+import tempfile
+import warnings
 from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from cascadesim.cli import main
+from cascadesim.cli import OBSERVABLE_BLOCK, _observable_ops, _observable_rows, main
+from cascadesim.evolve import expectation
+from cascadesim.hilbert import FockSpec
+from conftest import random_density
 
 
 def load_preset_doc(name):
@@ -168,6 +179,51 @@ class TestConfigValidation:
         assert "finite" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("preset, command, path, value", [
+        ("coherent_drive.json", "run-master", ("coupling",), "x"),
+        ("coherent_drive.json", "run-trajectories", ("grid",), None),
+        ("coherent_drive.json", "run-trajectories", ("seeds",), 7),
+        ("coherent_drive.json", "run-master", ("grid", "t0"), float("inf")),
+        ("coherent_drive.json", "run-master", ("initial", "alpha", 0), float("nan")),
+        ("coherent_drive.json", "run-trajectories", ("output_dir",), None),
+        ("coherent_drive.json", "run-master", ("name",), float("nan")),
+        ("birth_death.json", "run-trajectories", ("source", "N0"), float("nan")),
+        ("bare_cavity.json", "run-master", ("source", "amplitudes", 0, 2), float("nan")),
+    ])
+    def test_malformed_entry_exits_2(self, tmp_path, capsys, preset, command, path, value):
+        doc = short_preset(preset)
+        doc["output_dir"] = str(tmp_path / "out")
+        mutate(doc, path, value)
+        assert main([command, write_config(tmp_path, doc)]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not (tmp_path / "out").exists()
+
+    def test_non_object_config_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text("[1, 2]")
+        assert main(["run-master", str(path)]) == 2
+        assert "JSON object" in capsys.readouterr().err
+
+
+class TestObservableRows:
+    def test_matches_per_row_expectation(self, rng):
+        spec = FockSpec(4)
+        # crosses two block boundaries
+        rhos = [random_density(spec.dim, rng) for _ in range(2 * OBSERVABLE_BLOCK + 5)]
+        times = 0.1 * np.arange(len(rhos))
+        header, rows = _observable_rows(times, rhos, spec)
+        assert header == ["time", "re_source_amp", "im_source_amp", "source_photons",
+                          "re_qubit_coherence", "im_qubit_coherence",
+                          "excited_population", "purity"]
+        assert len(rows) == len(rhos)
+        a, n, b, pe = _observable_ops(spec)
+        for t, rho, row in zip(times, rhos, rows):
+            ea, eb = expectation(rho, a), expectation(rho, b)
+            expected = [t, ea.real, ea.imag, expectation(rho, n).real, eb.real, eb.imag,
+                        expectation(rho, pe).real, np.trace(rho.mat @ rho.mat).real]
+            assert all(type(v) is float for v in row)
+            assert np.max(np.abs(np.array(row) - expected)) <= 1e-14
+
 
 class TestVerify:
     def test_single_fast_suite(self, tmp_path, capsys):
@@ -207,3 +263,77 @@ class TestInternalError:
         err = capsys.readouterr().err
         assert err == "internal error: RuntimeError: integrator exploded\n"
         assert "Traceback" not in err
+
+
+RUNNABLE_PRESETS = ("bare_cavity.json", "birth_death.json", "coherent_drive.json")
+
+
+def short_preset(name):
+    """A runnable preset cut to t1 = 0.1 (whole stored steps for each) and at
+    most two seeds, so that one run takes milliseconds."""
+    doc = load_preset_doc(name)
+    doc["grid"]["t1"] = 0.1
+    doc["seeds"]["count"] = min(doc["seeds"]["count"], 2)
+    doc["output_dir"] = "out"
+    return doc
+
+
+def key_paths(node, prefix=()):
+    """Every key or list index path in a parsed JSON document."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield prefix + (key,)
+        yield from key_paths(child, prefix + (key,))
+
+
+MISSING = object()
+BAD_VALUES = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+    st.integers(-3, -1),
+    st.floats(-10.0, -1e-3),
+    st.sampled_from(["x", None, True, [], {}, [1.0, "y"]]),
+    st.just(MISSING),
+)
+
+
+def mutate(doc, path, value):
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is MISSING:
+        del parent[path[-1]]
+    else:
+        # a copy, so that a later mutation inside it leaves the strategy's
+        # own list or dict as it was
+        parent[path[-1]] = copy.deepcopy(value)
+
+
+class TestConfigProperty:
+    """A malformed config ends in a documented exit code, never exit 4 or a
+    traceback."""
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data(), name=st.sampled_from(RUNNABLE_PRESETS),
+           command=st.sampled_from(["run-master", "run-trajectories"]))
+    def test_mutated_preset_exits_0_2_or_3(self, data, name, command):
+        doc = short_preset(name)
+        for _ in range(data.draw(st.integers(1, 2), label="mutations")):
+            path = data.draw(st.sampled_from(sorted(key_paths(doc), key=repr)), label="path")
+            mutate(doc, path, data.draw(BAD_VALUES, label="value"))
+        err = io.StringIO()
+        cwd = os.getcwd()
+        with tempfile.TemporaryDirectory() as work:
+            os.chdir(work)
+            try:
+                with open("config.json", "w") as f:
+                    json.dump(doc, f)
+                with contextlib.redirect_stderr(err), warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    code = main([command, "config.json"])
+            finally:
+                os.chdir(cwd)
+        assert code in (0, 2, 3), (code, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+

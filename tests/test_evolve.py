@@ -4,18 +4,20 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from cascadesim.analysis import trace_distance
+from cascadesim.analysis import schmidt_entropy, trace_distance
 from cascadesim.errors import (
     GridMismatchError,
     InvariantViolationError,
     StepProbabilityError,
 )
 from cascadesim.hilbert import (
+    EXCITED,
     GROUND,
     TARGET,
     DensityOperator,
     Operator,
     FockSpec,
+    PureState,
     annihilation,
     coherent_state,
     embed,
@@ -29,6 +31,7 @@ from cascadesim.hilbert import (
 from cascadesim.liouvillian import (
     CouplingConfig,
     Superoperator,
+    apply,
     build_jump_ops,
     build_L_ST,
     build_L_T,
@@ -168,6 +171,31 @@ class TestMasterEquation:
             rho1 = evolve_master(rho0, L, TimeGrid(0.0, 0.8, dt))[-1]
             errs.append(abs(expectation(rho1, n_op) - 3.0 * np.exp(-0.8)))
         assert errs[0] / errs[1] > 12.0
+
+    def test_matches_literal_rk4(self, rng):
+        # the nested step against the four-stage classical RK4 sum
+        from conftest import random_density
+
+        spec = FockSpec(3)
+        cfg = CouplingConfig(1.2, 0.7, 0.3, delta=0.4)
+        L = (build_L_S(CoherentDrive(0.5 - 0.2j), spec)
+             + build_L_T(cfg, spec) + build_L_ST(cfg, spec))
+        rho0 = random_density(spec.dim, rng)
+        dt = 0.01
+        states = evolve_master(rho0, L, TimeGrid(0.0, 0.2, dt), store_every=5)
+        m = rho0.mat.copy()
+        expected = [m]
+        for step in range(20):
+            k1 = apply(L, m)
+            k2 = apply(L, m + 0.5 * dt * k1)
+            k3 = apply(L, m + 0.5 * dt * k2)
+            k4 = apply(L, m + dt * k3)
+            m = m + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if (step + 1) % 5 == 0:
+                expected.append(m)
+        assert len(states) == len(expected)
+        for rho, ref in zip(states, expected):
+            assert np.max(np.abs(rho.mat - ref)) <= 1e-14
 
     def test_invariants_enforced(self):
         # an unnormalized initial state trips the trace check immediately
@@ -416,6 +444,47 @@ class TestDriftIdentity:
         path.write_text(json.dumps(doc))
         assert main(["run-trajectories", str(path)]) == 3
         assert "does not match the jump operators" in capsys.readouterr().err
+
+
+class TestDiagnostics:
+    """The engine's per-step diagnostics against their definitions, evaluated
+    on the states mcwf_run stores at every step."""
+
+    CASES = {
+        # an entangling start for the coherent drive; a start outside the
+        # predicted sector for the birth-death source
+        "coherent": (CoherentDrive(0.4 - 0.2j), lambda spec: ket(2, EXCITED, spec)),
+        "birth_death": (BirthDeathLaser(1.0, 0.5, 0.5, N0=2, n0=1),
+                        lambda spec: product_state(coherent_state(0.8, spec, warn=False),
+                                                   qubit_state(GROUND))),
+    }
+
+    @pytest.mark.filterwarnings("ignore:step probability")
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_match_stored_states(self, case):
+        model, start = self.CASES[case]
+        spec = FockSpec(8)
+        cfg = CouplingConfig(1.0, 0.5, 0.5)
+        dt = 0.005
+        r = mcwf_run(start(spec), cfg, model, TimeGrid(0.0, 2.0, dt), seed=11)
+        assert r.record.events
+        entropies = [schmidt_entropy(PureState(v)) for v in r.states]
+        assert max(entropies) > 0.1
+        assert abs(r.max_schmidt_entropy - max(entropies)) <= 1e-12
+        if case != "birth_death":
+            assert r.max_span_residual is None
+            return
+        # predicted photon number n after each step, from the record; the
+        # sector of n holds |n, ground> (column 2n) and |n-1, excited> (2n - 1)
+        n = np.full(len(r.times), model.n0)
+        for t, label in r.record.events:
+            n[int(round(t / dt)):] += evolve.N_DELTA[label]
+        residuals = [
+            np.sqrt(sum(abs(v[c]) ** 2 for c in range(spec.dim) if c not in (2 * k - 1, 2 * k)))
+            for v, k in zip(r.states, n)
+        ]
+        assert max(residuals) > 0.1
+        assert abs(r.max_span_residual - max(residuals)) <= 1e-12
 
 
 class TestEnsemble:

@@ -311,3 +311,69 @@ class TestFoldedGenerator:
         assert L.folded is not L_T.folded and L.folded is not L_ST.folded
         assert len(L.folded[2]) == len(L_T.folded[2]) + len(L_ST.folded[2])
         self.assert_matches_literal(L, rng)
+
+
+def random_superoperator(dim, rng, count=3):
+    """Dense random sandwich terms, plus one with an identity on each side."""
+    def dense():
+        return rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    eye = np.eye(dim, dtype=complex)
+    terms = [SuperoperatorTerm(dense(), dense(), complex(*rng.normal(size=2)))
+             for _ in range(count)]
+    terms += [SuperoperatorTerm(dense(), eye, 0.3j), SuperoperatorTerm(eye, dense(), -0.7)]
+    return Superoperator(terms, dim)
+
+
+class TestCompiledGenerator:
+    """The gather form of apply against the term-by-term sandwich sum."""
+
+    def assert_matches_literal(self, L, rng, count=3):
+        for _ in range(count):
+            rho = random_density(L.dim, rng).mat
+            assert np.max(np.abs(apply(L, rho) - literal_apply(L, rho))) <= 1e-13
+
+    @pytest.mark.parametrize("n_max", [1, 12, 25])
+    def test_full_coherent_generator(self, rng, n_max):
+        spec = FockSpec(n_max)
+        cfg = CouplingConfig(1.2, 0.7, 0.3, delta=0.4)
+        L = (build_L_S(CoherentDrive(0.6 - 0.3j), spec)
+             + build_L_T(cfg, spec) + build_L_ST(cfg, spec))
+        index, weight = L.compiled
+        assert index.dtype == np.int32
+        assert index.shape == weight.shape == (index.shape[0], spec.dim ** 2)
+        assert index.shape[0] <= 13
+        self.assert_matches_literal(L, rng)
+
+    def test_regrouped_generators(self, rng):
+        spec = FockSpec(12)
+        cfg = CouplingConfig(1.3, 0.8, 0.4, delta=-0.6)
+        for L in regroup(build_L_S(CoherentDrive(0.7 - 0.4j), spec), cfg):
+            self.assert_matches_literal(L, rng)
+
+    def test_empty(self, rng):
+        L = Superoperator([], SPEC.dim)
+        assert L.compiled[0].shape == (0, SPEC.dim ** 2)
+        rho = random_density(SPEC.dim, rng).mat
+        assert np.array_equal(apply(L, rho), np.zeros_like(rho))
+
+    def test_identity_term(self, rng):
+        eye = np.eye(SPEC.dim, dtype=complex)
+        L = Superoperator([SuperoperatorTerm(eye, eye, 0.5 - 0.25j)], SPEC.dim)
+        assert L.compiled[0].shape[0] == 1
+        self.assert_matches_literal(L, rng)
+
+    def test_dense_random(self, rng):
+        L = random_superoperator(6, rng)
+        assert L.compiled[0].shape[0] == 11 ** 2  # every shift of a dense 6 x 6
+        self.assert_matches_literal(L, rng)
+
+    def test_too_dense_raises(self, rng):
+        # (2 * 50 - 1)^2 shifts of 50^2 entries each: more than 64^4
+        L = random_superoperator(50, rng, count=1)
+        with pytest.raises(DimensionMismatchError, match="too dense"):
+            apply(L, np.eye(50))
+
+    def test_non_square_rho_rejected(self):
+        L = build_L_T(CouplingConfig(), SPEC)
+        with pytest.raises(DimensionMismatchError):
+            apply(L, np.zeros((SPEC.dim, SPEC.dim + 1)))
