@@ -36,7 +36,7 @@ _BLOCK_STEPS = 64
 def drive_hamiltonian(alpha: complex, config: CouplingConfig) -> Operator:
     """Classical-field drive i sqrt(gS gTf) (alpha* b - alpha b^dag), a 2x2 operator."""
     g = np.sqrt(config.gamma_S * config.gamma_Tf)
-    return Operator(1j * g * (np.conj(alpha) * _B - alpha * _BD), label="H_drive")
+    return Operator(1j * g * (np.conj(alpha) * _B - alpha * _BD))
 
 
 @dataclass

@@ -35,7 +35,7 @@ from .errors import (
     StepProbabilityError,
     UnsupportedSourceError,
 )
-from .evolve import TimeGrid, evolve_master, run_ensemble
+from .evolve import TimeGrid, evolve_master, run_ensemble, workers_from_env
 from .hilbert import (
     EXCITED,
     GROUND,
@@ -68,7 +68,6 @@ class ConfigError(Exception):
 
 @dataclass
 class ExperimentConfig:
-    name: str
     coupling: CouplingConfig
     source: object
     initial_vec: np.ndarray
@@ -128,7 +127,10 @@ def _parse_initial(doc: dict, spec: FockSpec) -> PureState:
     qubit = qubit_state(GROUND if qubit_name == "ground" else EXCITED)
     kind = _require(doc, "kind", "initial")
     if kind == "fock":
-        return product_state(fock_state(_require(doc, "n", "initial"), spec), qubit)
+        n = _require(doc, "n", "initial")
+        if not _is_int(n):
+            raise ConfigError(f"initial.n must be an integer, got {n!r}")
+        return product_state(fock_state(n, spec), qubit)
     if kind == "coherent":
         alpha = _complex(_require(doc, "alpha", "initial"), "initial.alpha")
         return product_state(coherent_state(alpha, spec, warn=False), qubit)
@@ -157,7 +159,10 @@ def load_config(path: str) -> ExperimentConfig:
             gamma_Ts=cpl.get("gamma_Ts", 0.5),
             delta=cpl.get("delta", 0.0),
         )
-        spec = FockSpec(_require(doc, "n_max", path))
+        n_max = _require(doc, "n_max", path)
+        if not _is_int(n_max):
+            raise ConfigError(f"n_max must be an integer, got {n_max!r}")
+        spec = FockSpec(n_max)
         g = _section(doc, "grid", path)
         grid = TimeGrid(g.get("t0", 0.0), _require(g, "t1", "grid"),
                         _require(g, "dt", "grid"))
@@ -201,7 +206,7 @@ def load_config(path: str) -> ExperimentConfig:
             "basis_ordering": BASIS_ORDERING,
         }
         return ExperimentConfig(
-            name=resolved["name"], coupling=coupling, source=source,
+            coupling=coupling, source=source,
             initial_vec=initial.vec, spec=spec, grid=grid,
             store_every=store_every, seeds=seeds,
             output_dir=resolved["output_dir"], resolved=resolved,
@@ -296,8 +301,12 @@ def cmd_run_master(cfg: ExperimentConfig) -> int:
 
 
 def cmd_run_trajectories(cfg: ExperimentConfig) -> int:
+    try:
+        workers = workers_from_env()
+    except ValueError as e:
+        raise ConfigError(str(e)) from e
     ens = run_ensemble(PureState(cfg.initial_vec), cfg.coupling, cfg.source,
-                       cfg.grid, cfg.seeds, store_every=cfg.store_every)
+                       cfg.grid, cfg.seeds, store_every=cfg.store_every, workers=workers)
     os.makedirs(cfg.output_dir, exist_ok=True)
     rec_dir = os.path.join(cfg.output_dir, "records")
     os.makedirs(rec_dir, exist_ok=True)

@@ -115,7 +115,7 @@ def expectation(rho, op) -> complex:
 
 
 def evolve_master(rho0: DensityOperator, L_total: Superoperator, grid: TimeGrid,
-                  store_every: int = 1, check: bool = True) -> list:
+                  store_every: int = 1) -> list:
     """Classical RK4 on d rho/dt = L rho; stored states are invariant-checked.
 
     Trace drift beyond 1e-8 or negativity below -1e-8 aborts with a diagnostic.
@@ -138,13 +138,12 @@ def evolve_master(rho0: DensityOperator, L_total: Superoperator, grid: TimeGrid,
         m += k
         if (step + 1) % store_every == 0:
             rho = DensityOperator(m.copy(), layout=rho0.layout)
-            if check:
-                try:
-                    rho.check(trace_tol=1e-8, herm_tol=1e-8, eig_tol=1e-8)
-                except InvariantViolationError as exc:
-                    raise InvariantViolationError(
-                        f"master integration failed at t={grid.t0 + (step + 1) * dt:.6g}: {exc}"
-                    ) from exc
+            try:
+                rho.check(trace_tol=1e-8, herm_tol=1e-8, eig_tol=1e-8)
+            except InvariantViolationError as exc:
+                raise InvariantViolationError(
+                    f"master integration failed at t={grid.t0 + (step + 1) * dt:.6g}: {exc}"
+                ) from exc
             out.append(rho)
     return out
 
@@ -456,6 +455,15 @@ def _warn_step_probability(p: float):
         )
 
 
+def workers_from_env() -> int:
+    """CASCADESIM_WORKERS as an int (default 1); a ValueError naming it otherwise."""
+    value = os.environ.get("CASCADESIM_WORKERS", "1")
+    try:
+        return int(value)
+    except ValueError:
+        raise ValueError(f"CASCADESIM_WORKERS must be an integer, got {value!r}") from None
+
+
 def run_ensemble(psi0: PureState, config: CouplingConfig, source_model,
                  grid: TimeGrid, seeds, store_every: int = 1,
                  diagnostics: bool = True, workers: int | None = None) -> EnsembleResult:
@@ -470,11 +478,10 @@ def run_ensemble(psi0: PureState, config: CouplingConfig, source_model,
     if not seeds:
         raise ValueError("need at least one seed")
     if workers is None:
-        workers = int(os.environ.get("CASCADESIM_WORKERS", "1"))
+        workers = workers_from_env()
     workers = max(1, min(workers, len(seeds)))
-    chunks = [seeds] if workers == 1 else [seeds[i::workers] for i in range(workers)]
-    args = [(psi0.vec, config, source_model, grid, c, store_every, diagnostics, False)
-            for c in chunks if c]
+    args = [(psi0.vec, config, source_model, grid, seeds[i::workers], store_every,
+             diagnostics, False) for i in range(workers)]
     if workers == 1:
         results = [_ensemble_chunk(args[0])]
     else:
@@ -485,16 +492,10 @@ def run_ensemble(psi0: PureState, config: CouplingConfig, source_model,
     times, acc = results[0][0], results[0][1]
     for r in results[1:]:
         acc += r[1]
-    by_seed = {}
-    for _, _, recs, ents, ress, _, _ in results:
-        for rec, ent, resd in zip(recs, ents, ress):
-            by_seed[rec.seed] = (rec, ent, resd)
-    records, entropies, residuals = [], [], []
-    for seed in seeds:
-        rec, ent, resd = by_seed[seed]
-        records.append(rec)
-        entropies.append(ent)
-        residuals.append(resd)
+    # chunk i holds seeds[i::workers]; its per-seed lists go back to those places
+    records, entropies, residuals = ([None] * len(seeds) for _ in range(3))
+    for i, (_, _, recs, ents, ress, _, _) in enumerate(results):
+        records[i::workers], entropies[i::workers], residuals[i::workers] = recs, ents, ress
     acc /= len(seeds)
     rho_avg = [DensityOperator(acc[i], layout=COMPOSITE) for i in range(acc.shape[0])]
     _warn_step_probability(max(r[5] for r in results))

@@ -53,7 +53,6 @@ class Operator:
     """Dense operator on a truncated space."""
 
     mat: np.ndarray
-    label: str = ""
 
     def __post_init__(self):
         self.mat = np.asarray(self.mat, dtype=complex)
@@ -65,28 +64,17 @@ class Operator:
         return self.mat.shape[0]
 
     def dag(self) -> "Operator":
-        return Operator(self.mat.conj().T, label=f"{self.label}^dag" if self.label else "")
+        return Operator(self.mat.conj().T)
 
     def __matmul__(self, other: "Operator") -> "Operator":
         if self.dim != other.dim:
             raise DimensionMismatchError(f"dims {self.dim} and {other.dim}")
         return Operator(self.mat @ other.mat)
 
-    def __add__(self, other: "Operator") -> "Operator":
-        if self.dim != other.dim:
-            raise DimensionMismatchError(f"dims {self.dim} and {other.dim}")
-        return Operator(self.mat + other.mat)
-
-    def __sub__(self, other: "Operator") -> "Operator":
-        return self + (-1.0) * other
-
     def __mul__(self, scalar: complex) -> "Operator":
-        return Operator(scalar * self.mat, label=self.label)
+        return Operator(scalar * self.mat)
 
     __rmul__ = __mul__
-
-    def __neg__(self) -> "Operator":
-        return (-1.0) * self
 
 
 @dataclass
@@ -159,22 +147,22 @@ class DensityOperator:
 def annihilation(spec: FockSpec) -> Operator:
     """Photon annihilation: <n-1| a |n> = sqrt(n), truncated at n_max."""
     d = spec.fock_dim
-    return Operator(np.diag(np.sqrt(np.arange(1, d, dtype=float)), k=1), label="a")
+    return Operator(np.diag(np.sqrt(np.arange(1, d, dtype=float)), k=1))
 
 
 def number_operator(spec: FockSpec) -> Operator:
-    return Operator(np.diag(np.arange(spec.fock_dim, dtype=float)), label="n")
+    return Operator(np.diag(np.arange(spec.fock_dim, dtype=float)))
 
 
 def qubit_lowering() -> Operator:
     """<-| b |+> = 1 in the (|->, |+>) ordering; b^2 = 0."""
     m = np.zeros((2, 2), dtype=complex)
     m[GROUND, EXCITED] = 1.0
-    return Operator(m, label="b")
+    return Operator(m)
 
 
 def identity(dim: int) -> Operator:
-    return Operator(np.eye(dim, dtype=complex), label="1")
+    return Operator(np.eye(dim, dtype=complex))
 
 
 def embed(op: Operator, which: str, spec: FockSpec) -> Operator:
@@ -182,11 +170,11 @@ def embed(op: Operator, which: str, spec: FockSpec) -> Operator:
     if which == SOURCE:
         if op.dim != spec.fock_dim:
             raise DimensionMismatchError(f"source op dim {op.dim} != {spec.fock_dim}")
-        return Operator(np.kron(op.mat, np.eye(QUBIT_DIM)), label=op.label)
+        return Operator(np.kron(op.mat, np.eye(QUBIT_DIM)))
     if which == TARGET:
         if op.dim != QUBIT_DIM:
             raise DimensionMismatchError(f"target op dim {op.dim} != {QUBIT_DIM}")
-        return Operator(np.kron(np.eye(spec.fock_dim), op.mat), label=op.label)
+        return Operator(np.kron(np.eye(spec.fock_dim), op.mat))
     raise ValueError(f"which must be 'source' or 'target', got {which!r}")
 
 
@@ -221,21 +209,16 @@ def coherent_state(alpha: complex, spec: FockSpec, warn: bool = True) -> PureSta
             TruncationWarning,
             stacklevel=2,
         )
-    n = np.arange(spec.fock_dim)
-    # log-space to stay finite for larger n_max
-    log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, spec.fock_dim)))))
-    mag = np.exp(-abs(alpha) ** 2 / 2.0 + n * np.log(abs(alpha)) - log_fact / 2.0) if alpha != 0 else None
     if alpha == 0:
         v = np.zeros(spec.fock_dim, dtype=complex)
         v[0] = 1.0
         return PureState(v)
+    n = np.arange(spec.fock_dim)
+    # log-space to stay finite for larger n_max
+    log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, spec.fock_dim)))))
+    mag = np.exp(-abs(alpha) ** 2 / 2.0 + n * np.log(abs(alpha)) - log_fact / 2.0)
     phase = np.exp(1j * n * np.angle(alpha))
-    v = mag * phase
-    return PureState(v).normalized()
-
-
-def coherent_projector(alpha: complex, spec: FockSpec, warn: bool = True) -> np.ndarray:
-    return coherent_state(alpha, spec, warn=warn).projector()
+    return PureState(mag * phase).normalized()
 
 
 def partial_trace(rho: DensityOperator, keep: str) -> DensityOperator:

@@ -5,19 +5,17 @@ so both Lindblad generators and the regrouped cross-coupling piece (which is
 not a dissipator on its own) share one representation.  The dense matrix form
 uses column-stacking: matrix(S) = sum coeff * kron(R^T, L).
 
-``apply`` works on a compiled gather form, built on the first call and cached
-on the superoperator.  Terms with an identity on one side are first summed
-into one left and one right operator (``folded``), giving
-Lsum rho + rho Rsum + sum coeff * L rho R.  The operators are banded:
-diagonal o1 of L and diagonal o2 of R move entry (i + o1, j - o2) of rho to
-output entry (i, j), with a weight that depends on (i, j).  Pieces with the
-same shift share a slot, and the form holds, per slot and per row-major
-output index p = i * d + j, one input index and one weight, as two
-(width, d^2) arrays; apply is one gather, one multiply and one sum.  The
-width is at most 9 for L_T + L_ST and 13 for any bundled generator.  A
-form with more than MAX_GATHER_ENTRIES entries (as many as the largest
-to_matrix form; a dense generator has up to (2d - 1)^2 slots) raises
-DimensionMismatchError instead of exhausting memory.
+``apply`` works on a gather form that ``Superoperator.compiled`` builds from
+the terms on the first call.  The operators are banded: diagonal o1 of L and
+diagonal o2 of R move entry (i + o1, j - o2) of rho to output entry (i, j),
+with a weight that depends on (i, j); an identity side is the offset-0
+diagonal with weight 1.  Terms with the same shift share a slot, and slots
+whose weights cancel to exact zeros are dropped: of its cross terms,
+-i H_ST - f^dag f / 2 keeps only a b^dag, the one-way coupling of the
+cascade, so L_T + L_ST has width 7, not 9, when gamma_S = 1.  The width is
+at most 13 for any bundled generator.  A form with more than
+MAX_GATHER_ENTRIES entries (a dense generator has up to (2d - 1)^2 slots)
+raises DimensionMismatchError instead of exhausting memory.
 """
 
 from __future__ import annotations
@@ -40,9 +38,10 @@ from .hilbert import (
     qubit_lowering,
 )
 
-# the most entries a compiled generator may hold: those of to_matrix's
-# largest form, (64^2)^2
-MAX_GATHER_ENTRIES = 64 ** 4
+# the largest dim to_matrix builds a dense d^2 x d^2 form for
+MAX_DENSE_DIM = 64
+# the most entries a compiled generator may hold: those of that dense form
+MAX_GATHER_ENTRIES = MAX_DENSE_DIM ** 4
 
 
 @dataclass(frozen=True)
@@ -92,7 +91,6 @@ class SuperoperatorTerm:
 class Superoperator:
     terms: list
     dim: int
-    label: str = ""
 
     def __post_init__(self):
         for t in self.terms:
@@ -104,72 +102,57 @@ class Superoperator:
     def __add__(self, other: "Superoperator") -> "Superoperator":
         if self.dim != other.dim:
             raise DimensionMismatchError(f"dims {self.dim} and {other.dim}")
-        return Superoperator(self.terms + other.terms, self.dim,
-                             label=f"{self.label}+{other.label}")
-
-    @cached_property
-    def folded(self) -> tuple:
-        """(Lsum, Rsum, [(coeff, L, R), ...]): identity-sided terms summed once.
-
-        Cached on first use, so ``terms`` must not change after the first apply.
-        """
-        eye = np.eye(self.dim, dtype=complex)
-        lsum = np.zeros((self.dim, self.dim), dtype=complex)
-        rsum = np.zeros_like(lsum)
-        sandwiches = []
-        for t in self.terms:
-            if np.array_equal(t.right, eye):
-                lsum += t.coeff * t.left
-            elif np.array_equal(t.left, eye):
-                rsum += t.coeff * t.right
-            else:
-                sandwiches.append((t.coeff, t.left, t.right))
-        return lsum, rsum, sandwiches
+        return Superoperator(self.terms + other.terms, self.dim)
 
     @cached_property
     def compiled(self) -> tuple:
-        """(index, weight): the gather form of ``folded``, two (width, d^2) arrays.
+        """(index, weight): the gather form of ``terms``, two (width, d^2) arrays.
 
-        Output entry p of apply is sum over slots s of
-        weight[s, p] * rho.ravel()[index[s, p]].  Built from the nonzero
-        diagonals of each folded piece, on first use, and cached like
-        ``folded``.
+        Output entry p = i * d + j of apply is the sum over slots s of
+        weight[s, p] * rho.ravel()[index[s, p]].  Cached on first use, so
+        ``terms`` must not change after the first apply.
         """
         d = self.dim
-        lsum, rsum, sandwiches = self.folded
-        eye = np.eye(d, dtype=complex)
-        pieces = [(1.0, lsum, eye), (1.0, eye, rsum)] + sandwiches
-        offsets = [(_diagonal_offsets(left), _diagonal_offsets(right))
-                   for _, left, right in pieces]
-        # a slot is the shift (di, dj) that reads rho[i + di, j + dj]; the
-        # guard runs as slots appear, before anything of size d^2 is built
-        shifts = set()
-        for left_offsets, right_offsets in offsets:
-            for o1 in left_offsets:
+        # a slot is the shift (di, dj) that reads rho[i + di, j + dj]; each
+        # term adds pieces u v^T to the slots of its shifts.  The guard runs
+        # as shifts appear, before anything of size d^2 is built
+        pieces = {}
+        for t in self.terms:
+            right_offsets = _diagonal_offsets(t.right)
+            for o1 in _diagonal_offsets(t.left):
+                u = t.coeff * _band(t.left, o1)
                 for o2 in right_offsets:
-                    shifts.add((o1, -o2))
-                    if len(shifts) * d * d > MAX_GATHER_ENTRIES:
+                    # right[j - o2, j] as a vector over j
+                    pieces.setdefault((o1, -o2), []).append((u, _band(t.right.T, -o2)))
+                    if len(pieces) * d * d > MAX_GATHER_ENTRIES:
                         raise DimensionMismatchError(
                             f"the gather form of this dim-{d} generator needs more than "
                             f"{MAX_GATHER_ENTRIES} entries; it is too dense to apply"
                         )
-        slot = {shift: s for s, shift in enumerate(sorted(shifts))}
-        weight = np.zeros((len(slot), d, d), dtype=complex)
-        for (coeff, left, right), (left_offsets, right_offsets) in zip(pieces, offsets):
-            for o1 in left_offsets:
-                u = coeff * _band(left, o1)
-                for o2 in right_offsets:
-                    # right[j - o2, j] as a vector over j
-                    weight[slot[o1, -o2]] += np.outer(u, _band(right.T, -o2))
-        index = np.empty((len(slot), d, d), dtype=np.int32)
+
+        def slot_weight(shift, out):
+            """The pieces of one shift summed into out, in term order."""
+            out.fill(0.0)
+            for u, v in pieces[shift]:
+                out += np.outer(u, v)
+            return out
+
+        # terms that cancel leave shifts of exact zeros, which get no slot;
+        # summing twice means no array is ever sized for the dropped slots
+        scratch = np.empty((d, d), dtype=complex)
+        shifts = [shift for shift in sorted(pieces) if slot_weight(shift, scratch).any()]
+        weight = np.empty((len(shifts), d, d), dtype=complex)
+        for s, shift in enumerate(shifts):
+            slot_weight(shift, weight[s])
+        index = np.empty((len(shifts), d, d), dtype=np.int32)
         k = np.arange(d)
-        for (di, dj), s in slot.items():
+        for s, (di, dj) in enumerate(shifts):
             # the weight is zero where i + di or j + dj leaves the matrix,
             # so those entries may read any in-range index
             rows = np.clip(k + di, 0, d - 1)
             cols = np.clip(k + dj, 0, d - 1)
             index[s] = rows[:, None] * d + cols
-        return index.reshape(len(slot), d * d), weight.reshape(len(slot), d * d)
+        return index.reshape(len(shifts), d * d), weight.reshape(len(shifts), d * d)
 
 
 def _diagonal_offsets(M: np.ndarray) -> list:
@@ -218,15 +201,15 @@ def build_H_ST(config: CouplingConfig, spec: FockSpec) -> Operator:
     a = embed(annihilation(spec), SOURCE, spec)
     b = embed(qubit_lowering(), TARGET, spec)
     g = np.sqrt(config.gamma_S * config.gamma_Tf)
-    return Operator(0.5j * g * (a.dag().mat @ b.mat - a.mat @ b.dag().mat), label="H_ST")
+    return Operator(0.5j * g * (a.dag().mat @ b.mat - a.mat @ b.dag().mat))
 
 
 def build_jump_ops(config: CouplingConfig, spec: FockSpec) -> tuple:
     """Forward and side jump operators f = sqrt(gS) a + sqrt(gTf) b, s = sqrt(gTs) b."""
     a = embed(annihilation(spec), SOURCE, spec)
     b = embed(qubit_lowering(), TARGET, spec)
-    f = Operator(np.sqrt(config.gamma_S) * a.mat + np.sqrt(config.gamma_Tf) * b.mat, label="f")
-    s = Operator(np.sqrt(config.gamma_Ts) * b.mat, label="s")
+    f = Operator(np.sqrt(config.gamma_S) * a.mat + np.sqrt(config.gamma_Tf) * b.mat)
+    s = Operator(np.sqrt(config.gamma_Ts) * b.mat)
     return f, s
 
 
@@ -234,14 +217,14 @@ def build_L_T(config: CouplingConfig, spec: FockSpec) -> Superoperator:
     """Target generator: -i[H_T, .] plus the side-channel dissipator."""
     _, s = build_jump_ops(config, spec)
     terms = commutator_terms(build_H_T(config, spec).mat) + dissipator_terms(s.mat)
-    return Superoperator(terms, spec.dim, label="L_T")
+    return Superoperator(terms, spec.dim)
 
 
 def build_L_ST(config: CouplingConfig, spec: FockSpec) -> Superoperator:
     """Coupling generator: -i[H_ST, .] plus the forward-channel dissipator."""
     f, _ = build_jump_ops(config, spec)
     terms = commutator_terms(build_H_ST(config, spec).mat) + dissipator_terms(f.mat)
-    return Superoperator(terms, spec.dim, label="L_ST")
+    return Superoperator(terms, spec.dim)
 
 
 def regroup(L_S: Superoperator, config: CouplingConfig) -> tuple:
@@ -257,13 +240,10 @@ def regroup(L_S: Superoperator, config: CouplingConfig) -> tuple:
     ad, bd = a.conj().T, b.conj().T
     eye = np.eye(spec.dim, dtype=complex)
 
-    Lp_S = Superoperator(
-        list(L_S.terms) + dissipator_terms(a, rate=config.gamma_S), spec.dim, label="L'_S"
-    )
+    Lp_S = Superoperator(list(L_S.terms) + dissipator_terms(a, rate=config.gamma_S), spec.dim)
     Lp_T = Superoperator(
         commutator_terms(build_H_T(config, spec).mat) + dissipator_terms(b, rate=config.gamma_T),
         spec.dim,
-        label="L'_T",
     )
     g = np.sqrt(config.gamma_S * config.gamma_Tf)
     Lp_ST = Superoperator(
@@ -274,7 +254,6 @@ def regroup(L_S: Superoperator, config: CouplingConfig) -> tuple:
             SuperoperatorTerm(eye, ad @ b, -g),
         ],
         spec.dim,
-        label="L'_ST",
     )
     return Lp_S, Lp_T, Lp_ST
 
@@ -294,7 +273,7 @@ def build_nonhermitian_H(config: CouplingConfig, spec: FockSpec) -> Operator:
         - 0.5j * config.gamma_S * (a.conj().T @ a)
         - 0.5j * config.gamma_T * (b.conj().T @ b)
     )
-    return Operator(H, label="H_nh")
+    return Operator(H)
 
 
 def apply(superop: Superoperator, rho) -> np.ndarray:
@@ -309,11 +288,11 @@ def apply(superop: Superoperator, rho) -> np.ndarray:
     return out.sum(axis=0).reshape(d, d)
 
 
-def to_matrix(superop: Superoperator, max_dim: int = 64) -> np.ndarray:
+def to_matrix(superop: Superoperator) -> np.ndarray:
     """Dense matrix on column-stacked density operators: sum coeff * kron(R^T, L)."""
-    if superop.dim > max_dim:
+    if superop.dim > MAX_DENSE_DIM:
         raise DimensionMismatchError(
-            f"dim {superop.dim} exceeds max_dim={max_dim} for the d^2 x d^2 form"
+            f"dim {superop.dim} exceeds {MAX_DENSE_DIM} for the d^2 x d^2 form"
         )
     d2 = superop.dim ** 2
     out = np.zeros((d2, d2), dtype=complex)

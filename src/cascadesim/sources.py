@@ -106,11 +106,11 @@ def steady_amplitude(model: CoherentDrive, config: CouplingConfig) -> complex:
 def build_L_S(model, spec: FockSpec) -> Superoperator:
     """Source contribution to the unregrouped master equation (no output damping)."""
     if isinstance(model, FreeDecayMixture):
-        return Superoperator([], spec.dim, label="L_S")
+        return Superoperator([], spec.dim)
     if isinstance(model, CoherentDrive):
         a = embed(annihilation(spec), SOURCE, spec).mat
         H_S = 1j * (model.epsilon * a.conj().T - np.conj(model.epsilon) * a)
-        return Superoperator(commutator_terms(H_S), spec.dim, label="L_S")
+        return Superoperator(commutator_terms(H_S), spec.dim)
     raise UnsupportedSourceError(
         f"{type(model).__name__} has no superoperator form; it is trajectory-only"
     )
@@ -138,17 +138,13 @@ def source_jump_channels(model, config: CouplingConfig, spec: FockSpec) -> list:
 
 
 def classical_paths(model, config: CouplingConfig, t_grid: np.ndarray,
-                    count: int = 1, seed: int | None = None,
                     alpha0: complex | None = None) -> list:
     """Deterministic classical amplitude paths of the model.
 
     FreeDecayMixture: alpha0 * exp(-gamma_S t / 2) per mixture component.
     CoherentDrive: the single solution of d alpha/dt = eps - (gamma_S/2) alpha
-    from alpha(0) = alpha0 (default: the steady amplitude).  count and seed
-    are accepted for interface uniformity and ignored for these
-    deterministic families.
+    from alpha(0) = alpha0 (default: the steady amplitude).
     """
-    del count, seed
     t = np.asarray(t_grid, dtype=float)
     decay = np.exp(-config.gamma_S * t / 2.0)
     if isinstance(model, FreeDecayMixture):

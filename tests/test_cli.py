@@ -139,6 +139,15 @@ class TestRunTrajectories:
         assert main(["run-trajectories", write_config(tmp_path, doc)]) == 3
         assert "reduce dt" in capsys.readouterr().err
 
+    def test_malformed_worker_count_exits_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("CASCADESIM_WORKERS", "abc")
+        doc = short_preset("coherent_drive.json")
+        doc["output_dir"] = str(tmp_path / "out")
+        assert main(["run-trajectories", write_config(tmp_path, doc)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "CASCADESIM_WORKERS" in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("rate", ["gamma_S", "gamma_Ts"])
     def test_nan_rate_exits_2(self, tmp_path, capsys, rate):
         doc = load_preset_doc("birth_death.json")
@@ -189,6 +198,9 @@ class TestConfigValidation:
         ("coherent_drive.json", "run-master", ("name",), float("nan")),
         ("birth_death.json", "run-trajectories", ("source", "N0"), float("nan")),
         ("bare_cavity.json", "run-master", ("source", "amplitudes", 0, 2), float("nan")),
+        ("bare_cavity.json", "run-master", ("initial", "n"), 1.5),
+        ("bare_cavity.json", "run-master", ("initial", "n"), True),
+        ("coherent_drive.json", "run-master", ("n_max",), True),
     ])
     def test_malformed_entry_exits_2(self, tmp_path, capsys, preset, command, path, value):
         doc = short_preset(preset)

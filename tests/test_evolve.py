@@ -530,6 +530,23 @@ class TestEnsemble:
             assert np.max(np.abs(a.mat - b.mat)) < 1e-14
         assert [r.events for r in one.records] == [r.events for r in two.records]
 
+        # an unsorted seed list on three workers, which deal out seeds[i::3]:
+        # every per-seed result comes back in the order of the seed list
+        model = BirthDeathLaser(1.0, 0.5, 0.3, N0=2, n0=1)
+        grid = TimeGrid(0.0, 0.5, 0.001)
+        seeds = [5, 2, 9, 0, 7]
+        one = run_ensemble(psi0, self.CFG, model, grid, seeds, store_every=50, workers=1)
+        three = run_ensemble(psi0, self.CFG, model, grid, seeds, store_every=50, workers=3)
+        for ens in (one, three):
+            assert [r.seed for r in ens.records] == seeds
+        assert [r.events for r in three.records] == [r.events for r in one.records]
+        # distinct per seed, so that the order shows
+        assert len({len(r.events) for r in one.records}) > 1
+        assert len(set(one.max_schmidt_entropies)) == len(seeds)
+        for field in ("max_schmidt_entropies", "max_span_residuals"):
+            a, b = getattr(one, field), getattr(three, field)
+            assert np.max(np.abs(np.subtract(a, b))) <= 1e-12
+
     def test_ensemble_converges_to_master(self):
         # driven cavity + qubit: 300-trajectory average vs deterministic
         # solution, statistical tolerance 5/sqrt(M)

@@ -262,7 +262,7 @@ class TestSuperoperatorForm:
 
 
 def literal_apply(superop, rho):
-    """Term-by-term sandwich sum: the reference for the folded apply."""
+    """Term-by-term sandwich sum: the reference for the compiled apply."""
     out = np.zeros_like(rho)
     for t in superop.terms:
         out += t.coeff * (t.left @ rho @ t.right)
@@ -270,6 +270,9 @@ def literal_apply(superop, rho):
 
 
 class TestFoldedGenerator:
+    """Generators whose terms share slots (identity sides, sums), against the
+    term-by-term sandwich sum."""
+
     def assert_matches_literal(self, L, rng, count=5):
         for _ in range(count):
             rho = random_density(L.dim, rng).mat
@@ -278,8 +281,6 @@ class TestFoldedGenerator:
     def test_full_generator(self, rng):
         cfg = CouplingConfig(1.2, 0.7, 0.3, delta=0.4)
         L = build_L_T(cfg, SPEC) + build_L_ST(cfg, SPEC)
-        _, _, sandwiches = L.folded
-        assert len(sandwiches) == 2  # the two jump sandwiches s.s^dag, f.f^dag
         self.assert_matches_literal(L, rng)
 
     def test_regrouped_generators(self, rng):
@@ -290,26 +291,24 @@ class TestFoldedGenerator:
 
     def test_empty(self, rng):
         L = Superoperator([], SPEC.dim)
-        assert L.folded[2] == []
         self.assert_matches_literal(L, rng, count=1)
 
     def test_identity_term(self, rng):
         eye = np.eye(SPEC.dim, dtype=complex)
         L = Superoperator([SuperoperatorTerm(eye, eye, 0.5 - 0.25j)], SPEC.dim)
-        assert L.folded[2] == []
         rho = random_density(SPEC.dim, rng).mat
         assert np.max(np.abs(apply(L, rho) - (0.5 - 0.25j) * rho)) <= 1e-15
         self.assert_matches_literal(L, rng, count=1)
 
-    def test_sum_folds_its_own_terms(self, rng):
+    def test_sum_compiles_its_own_terms(self, rng):
         cfg = CouplingConfig(1.0, 0.6, 0.4, delta=0.2)
         L_T, L_ST = build_L_T(cfg, SPEC), build_L_ST(cfg, SPEC)
         rho = random_density(SPEC.dim, rng).mat
-        apply(L_T, rho)  # folds L_T before the sum exists
+        apply(L_T, rho)  # compiles L_T before the sum exists
         apply(L_ST, rho)
         L = L_T + L_ST
-        assert L.folded is not L_T.folded and L.folded is not L_ST.folded
-        assert len(L.folded[2]) == len(L_T.folded[2]) + len(L_ST.folded[2])
+        assert L.compiled is not L_T.compiled and L.compiled is not L_ST.compiled
+        assert len(L.terms) == len(L_T.terms) + len(L_ST.terms)
         self.assert_matches_literal(L, rng)
 
 
@@ -377,3 +376,49 @@ class TestCompiledGenerator:
         L = build_L_T(CouplingConfig(), SPEC)
         with pytest.raises(DimensionMismatchError):
             apply(L, np.zeros((SPEC.dim, SPEC.dim + 1)))
+
+
+def width(L):
+    return L.compiled[0].shape[0]
+
+
+class TestCompiledWidth:
+    """Slots whose weights cancel exactly are dropped from the gather form."""
+
+    BENCH = CouplingConfig(1.0, 0.5, 0.5)
+
+    @pytest.mark.parametrize("n_max", [3, 25])
+    def test_cascade_cancels_its_cross_diagonal(self, n_max):
+        # -i H_ST - f^dag f / 2 keeps only a b^dag (and the mirror image on
+        # the right), so two of the nine shifts of L_T + L_ST vanish; at
+        # n_max 25 this is the generator of A6
+        spec = FockSpec(n_max)
+        L = build_L_T(self.BENCH, spec) + build_L_ST(self.BENCH, spec)
+        assert width(L) == 7
+        L_S = build_L_S(CoherentDrive(0.3), spec)
+        assert width(L_S + L) == 11
+
+    @pytest.mark.parametrize("rates, free, drive", [
+        ((1.0, 0.5, 0.5, 0.0), 7, 11),
+        ((1.2, 0.7, 0.3, 0.4), 9, 13),
+        ((1.0, 0.0, 0.0, 0.0), 2, 6),
+    ])
+    def test_widths_are_bounded(self, rates, free, drive):
+        # upper bounds on the width of each generator; the full one drops to
+        # 7 / 11 only where its a^dag b shifts cancel exactly (gamma_S = 1)
+        cfg = CouplingConfig(*rates)
+        spec = FockSpec(6)
+        for model, full, source in ((FreeDecayMixture(((0.5, 1.0),)), free, 2),
+                                    (CoherentDrive(0.6 - 0.3j), drive, 6)):
+            L_S = build_L_S(model, spec)
+            assert width(L_S + build_L_T(cfg, spec) + build_L_ST(cfg, spec)) <= full
+            Lp_S, Lp_T, Lp_ST = regroup(L_S, cfg)
+            assert width(Lp_S) <= source and width(Lp_T) <= 2 and width(Lp_ST) <= 4
+
+    def test_regroup_without_target_rates_is_empty(self, rng):
+        cfg = CouplingConfig(1.0, 0.0, 0.0)
+        _, Lp_T, Lp_ST = regroup(build_L_S(CoherentDrive(0.4), SPEC), cfg)
+        rho = random_density(SPEC.dim, rng).mat
+        for L in (Lp_T, Lp_ST):
+            assert width(L) == 0
+            assert np.array_equal(apply(L, rho), np.zeros_like(rho))
