@@ -14,7 +14,8 @@ with a header row, the time column first, and complex observables split into
 re/im columns; state dumps are JSON with row-major nested arrays of [re, im]
 pairs and an explicit basis-ordering field.  All files are written atomically
 (temp file + rename) and are byte-identical for identical (config, seed).
-The CASCADESIM_WORKERS environment variable sets the trajectory worker count.
+The CASCADESIM_WORKERS environment variable sets the trajectory worker count; it
+changes only the wall time, and evolve.ENSEMBLE_BLOCK seeds or fewer run in-process.
 """
 
 from __future__ import annotations
@@ -187,6 +188,8 @@ def load_config(path: str) -> ExperimentConfig:
         bad = [seed for seed in seeds if not (_is_int(seed) and seed >= 0)]
         if bad:
             raise ConfigError(f"seeds must be integers >= 0, got {bad[0]!r}")
+        if len(set(seeds)) < len(seeds):
+            raise ConfigError(f"seeds must be distinct; {max(seeds, key=seeds.count)!r} repeats")
         name = doc.get("name", os.path.splitext(os.path.basename(path))[0])
         output_dir = doc.get("output_dir", "out")
         for key, value in (("name", name), ("output_dir", output_dir)):

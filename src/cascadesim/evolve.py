@@ -22,7 +22,9 @@ import math
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -161,8 +163,7 @@ def mcwf_run(psi0: PureState, config: CouplingConfig, source_model, grid: TimeGr
     engine, which then also returns the stored states and carrier counts.
     """
     times, _, records, ents, spans, max_p, (states, carriers) = _ensemble_chunk(
-        (psi0.normalized().vec, config, source_model, grid, [seed], store_every,
-         diagnostics, True))
+        psi0.vec, config, source_model, grid, store_every, diagnostics, True, [seed])
     _warn_step_probability(max_p)
     return TrajectoryResult(
         record=records[0],
@@ -207,6 +208,8 @@ N_DELTA = {"forward_f": -1, "side_s": -1, "gain": +1, "pump": 0, "nonlasing": 0}
 # uniforms drawn per refill of a trajectory's block; Generator.random(n)
 # returns exactly the next n scalar draws of the stream
 UNIFORM_BLOCK = 32
+# seeds per engine call in run_ensemble; a constant, so the sum's order follows the seeds
+ENSEMBLE_BLOCK = 1024
 
 
 def _check_drift(H: np.ndarray, jump_ops):
@@ -229,21 +232,21 @@ def _check_drift(H: np.ndarray, jump_ops):
         )
 
 
-def _ensemble_chunk(args):
-    """Advance one chunk of trajectories in lockstep (vectorized over seeds).
+def _ensemble_chunk(psi0_vec, config, source_model, grid, store_every, diagnostics,
+                    keep, seeds):
+    """Advance the trajectories of seeds in lockstep from psi0_vec, normalized.
 
     Each trajectory owns the RNG stream of its seed and consumes one uniform
     per step plus one per jump, read in order from a fixed-width block that
     its own stream refills.  Besides the records and the summed projectors,
-    the largest step probability of the chunk is returned, so the caller can
-    warn about it.  With the trailing ``keep`` flag set, the stored states and
-    carrier counts of every trajectory are returned as well.
+    the largest step probability is returned, so the caller can warn about
+    it.  With ``keep`` set, the stored states and carrier counts of every
+    trajectory are returned as well.
     """
-    psi0_vec, config, source_model, grid, seeds, store_every, diagnostics, keep = args
     if store_every < 1 or grid.n_steps % store_every:
         raise ValueError("store_every must be a positive divisor of the number of steps")
-    M = len(seeds)
-    dim = len(psi0_vec)
+    psi = np.tile(PureState(psi0_vec).normalized().vec, (len(seeds), 1))
+    M, dim = psi.shape
     spec = FockSpec(dim // 2 - 1)
     fock_dim = spec.fock_dim
     dt = grid.dt
@@ -294,8 +297,6 @@ def _ensemble_chunk(args):
         cursor[idx] += 1
         return u
 
-    v0 = np.asarray(psi0_vec, dtype=complex)
-    psi = np.tile(v0 / np.linalg.norm(v0), (M, 1))
     psi_f = psi.view(float)
     carrier = np.full(M, source_model.N0 if birth_death else 0, dtype=int)
     n_pred = np.full(M, source_model.n0 if birth_death else 0, dtype=int)
@@ -469,34 +470,30 @@ def run_ensemble(psi0: PureState, config: CouplingConfig, source_model,
                  diagnostics: bool = True, workers: int | None = None) -> EnsembleResult:
     """Run trajectories for every seed and average their projectors online.
 
-    Each trajectory is bit-reproducible from its seed alone, and the result is
-    deterministic for a fixed worker count.  Changing the worker count
-    regroups the floating-point reduction, so averages can differ at the
-    rounding level (~1e-15) but nowhere beyond.
+    The seeds are cut into consecutive blocks of at most ENSEMBLE_BLOCK, one
+    engine call each, whose sums are added in block order.  So each trajectory
+    depends on its seed alone and the result on the arguments alone: the
+    worker count changes only the wall time.  At most ENSEMBLE_BLOCK seeds
+    make one block, which runs in-process.
     """
     seeds = list(seeds)
     if not seeds:
         raise ValueError("need at least one seed")
-    if workers is None:
-        workers = workers_from_env()
-    workers = max(1, min(workers, len(seeds)))
-    args = [(psi0.vec, config, source_model, grid, seeds[i::workers], store_every,
-             diagnostics, False) for i in range(workers)]
-    if workers == 1:
-        results = [_ensemble_chunk(args[0])]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_ensemble_chunk, args))
-
-    # the first chunk's sum is reused, so the reduction holds no second copy
-    times, acc = results[0][0], results[0][1]
-    for r in results[1:]:
-        acc += r[1]
-    # chunk i holds seeds[i::workers]; its per-seed lists go back to those places
-    records, entropies, residuals = ([None] * len(seeds) for _ in range(3))
-    for i, (_, _, recs, ents, ress, _, _) in enumerate(results):
-        records[i::workers], entropies[i::workers], residuals[i::workers] = recs, ents, ress
+    blocks = [seeds[i:i + ENSEMBLE_BLOCK] for i in range(0, len(seeds), ENSEMBLE_BLOCK)]
+    chunk = partial(_ensemble_chunk, psi0.vec, config, source_model, grid,
+                    store_every, diagnostics, False)
+    workers = min(workers_from_env() if workers is None else workers, len(blocks))
+    with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+        results = pool.map(chunk, blocks) if pool else map(chunk, blocks)
+        # the first block's sum and lists grow in place: no second copy of the sum
+        times, acc, records, entropies, residuals, max_p, _ = next(results)
+        for _, block_acc, recs, ents, ress, p, _ in results:
+            acc += block_acc
+            records += recs
+            entropies += ents
+            residuals += ress
+            max_p = max(max_p, p)
     acc /= len(seeds)
     rho_avg = [DensityOperator(acc[i], layout=COMPOSITE) for i in range(acc.shape[0])]
-    _warn_step_probability(max(r[5] for r in results))
+    _warn_step_probability(max_p)
     return EnsembleResult(times, rho_avg, records, entropies, residuals)

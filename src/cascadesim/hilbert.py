@@ -133,13 +133,13 @@ class DensityOperator:
     def check(self, trace_tol: float = 1e-10, herm_tol: float = 1e-12, eig_tol: float = 1e-10):
         """Raise InvariantViolationError if trace/hermiticity/positivity are off."""
         tr_err = abs(self.trace - 1.0)
-        if tr_err > trace_tol:
+        if not tr_err <= trace_tol:  # negated so that NaN fails too
             raise InvariantViolationError(f"trace deviates from 1 by {tr_err:.3e}")
         herm_err = float(np.max(np.abs(self.mat - self.mat.conj().T)))
-        if herm_err > herm_tol:
+        if not herm_err <= herm_tol:
             raise InvariantViolationError(f"hermiticity residual {herm_err:.3e}")
         min_eig = float(np.linalg.eigvalsh((self.mat + self.mat.conj().T) / 2.0).min())
-        if min_eig < -eig_tol:
+        if not min_eig >= -eig_tol:
             raise InvariantViolationError(f"negative eigenvalue {min_eig:.3e}")
         return self
 

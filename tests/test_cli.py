@@ -13,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import cascadesim.evolve as evolve
 from cascadesim.cli import OBSERVABLE_BLOCK, _observable_ops, _observable_rows, main
 from cascadesim.evolve import expectation
 from cascadesim.hilbert import FockSpec
@@ -107,6 +108,24 @@ class TestRunTrajectories:
         for f in files:
             assert (tmp_path / "out" / f).read_bytes() == first[f]
 
+    def test_worker_count_does_not_change_bytes(self, tmp_path, monkeypatch):
+        # ten seeds in blocks of three make four blocks, so the pool runs
+        monkeypatch.setattr(evolve, "ENSEMBLE_BLOCK", 3)
+        doc = load_preset_doc("birth_death.json")
+        doc["grid"]["t1"] = 0.5
+        assert doc["seeds"]["count"] == 10
+        outputs = []
+        for workers in (1, 2, 3):
+            monkeypatch.setenv("CASCADESIM_WORKERS", str(workers))
+            out = tmp_path / f"out{workers}"
+            doc["output_dir"] = str(out)
+            assert main(["run-trajectories", write_config(tmp_path, doc)]) == 0
+            names = ["observables.csv", "trajectories.csv", "ensemble_state.json"]
+            names += [os.path.join("records", f) for f in sorted(os.listdir(out / "records"))]
+            outputs.append({f: (out / f).read_bytes() for f in names})
+        assert len(outputs[0]) == 13
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
     @pytest.mark.filterwarnings("ignore:step probability")
     def test_coherent_drive_entropy_column(self, tmp_path):
         doc = load_preset_doc("coherent_drive.json")
@@ -169,6 +188,7 @@ class TestConfigValidation:
         ("run-trajectories", "seeds", {"start": -5, "count": 2}),
         ("run-trajectories", "seeds", {"start": 0, "count": 0}),
         ("run-trajectories", "seeds", []),
+        ("run-trajectories", "seeds", [3, 3]),
     ])
     def test_malformed_value_exits_2(self, tmp_path, capsys, command, key, value):
         doc = load_preset_doc("coherent_drive.json")

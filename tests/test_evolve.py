@@ -220,6 +220,13 @@ class TestSingleTrajectory:
         assert np.array_equal(r1.states, r2.states)
         assert r1.record.events == r2.record.events
 
+    def test_first_state_is_normalized_once(self):
+        spec = FockSpec(3)
+        psi0 = product_state(coherent_state(0.7, spec), qubit_state(GROUND))
+        r = mcwf_run(psi0, BARE, FreeDecayMixture(((0.0, 1.0),)), TimeGrid(0.0, 0.1, 0.01),
+                     seed=0)
+        assert np.array_equal(r.states[0], psi0.vec / np.linalg.norm(psi0.vec))
+
     @pytest.mark.filterwarnings("ignore:step probability")
     def test_quanta_bookkeeping(self):
         # frozen birth-death counters: every initial quantum must leave through
@@ -363,6 +370,13 @@ class TestEngineOracle:
         for seed in (0, 31, 59):
             alone = run_ensemble(psi0, self.CFG, model, grid, [seed], store_every=100)
             assert alone.records[0].events == batch.records[seed].events
+
+    def test_zero_initial_state_rejected(self):
+        model, psi0, grid = self.CASES["birth_death"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(InvariantViolationError, match="cannot normalize"):
+                run_ensemble(PureState(np.zeros(psi0.dim)), self.CFG, model, grid, [0])
 
     def test_empty_seed_list_rejected(self):
         model, psi0, grid = self.CASES["birth_death"]
@@ -530,7 +544,7 @@ class TestEnsemble:
             assert np.max(np.abs(a.mat - b.mat)) < 1e-14
         assert [r.events for r in one.records] == [r.events for r in two.records]
 
-        # an unsorted seed list on three workers, which deal out seeds[i::3]:
+        # an unsorted seed list on three workers:
         # every per-seed result comes back in the order of the seed list
         model = BirthDeathLaser(1.0, 0.5, 0.3, N0=2, n0=1)
         grid = TimeGrid(0.0, 0.5, 0.001)
@@ -546,6 +560,23 @@ class TestEnsemble:
         for field in ("max_schmidt_entropies", "max_span_residuals"):
             a, b = getattr(one, field), getattr(three, field)
             assert np.max(np.abs(np.subtract(a, b))) <= 1e-12
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_seed_blocks_give_one_result(self, monkeypatch, workers):
+        # five unsorted seeds in blocks of two: three blocks on any worker count
+        monkeypatch.setattr(evolve, "ENSEMBLE_BLOCK", 2)
+        psi0 = ket(1, GROUND, FockSpec(4))
+        model = BirthDeathLaser(1.0, 0.5, 0.3, N0=2, n0=1)
+        grid = TimeGrid(0.0, 0.5, 0.001)
+        seeds = [5, 2, 9, 0, 7]
+        one, many = (run_ensemble(psi0, self.CFG, model, grid, seeds, store_every=50,
+                                  workers=w) for w in (1, workers))
+        assert [r.seed for r in many.records] == seeds
+        for a, b in zip(one.rho_avg, many.rho_avg, strict=True):
+            assert np.array_equal(a.mat, b.mat)
+        assert [r.events for r in many.records] == [r.events for r in one.records]
+        assert many.max_schmidt_entropies == one.max_schmidt_entropies
+        assert many.max_span_residuals == one.max_span_residuals
 
     def test_ensemble_converges_to_master(self):
         # driven cavity + qubit: 300-trajectory average vs deterministic

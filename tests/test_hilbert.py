@@ -192,5 +192,18 @@ class TestStates:
         with pytest.raises(InvariantViolationError):
             DensityOperator(m).check()
 
+    @pytest.mark.filterwarnings("ignore:invalid value")
+    @pytest.mark.parametrize("entries, value", [
+        ([(1, 1)], np.nan),
+        ([(0, 1)], np.nan),
+        ([(0, 1), (1, 0)], np.inf),
+    ])
+    def test_density_check_flags_non_finite(self, entries, value):
+        m = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
+        for ij in entries:
+            m[ij] = value
+        with pytest.raises(InvariantViolationError):
+            DensityOperator(m).check()
+
     def test_valid_density_passes(self, rng):
         random_density(6, rng).check()
