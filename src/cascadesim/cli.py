@@ -26,6 +26,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -250,11 +251,18 @@ def state_dump(rho: DensityOperator, spec: FockSpec, t: float) -> dict:
     }
 
 
+@lru_cache(maxsize=4)
 def _observable_ops(spec: FockSpec):
+    """a, a^dag a, b and b^dag b on the composite space, read-only.
+
+    Cached, because a run builds observable rows once per block of states.
+    """
     a = embed(annihilation(spec), SOURCE, spec).mat
     n = a.conj().T @ a
     b = embed(qubit_lowering(), TARGET, spec).mat
     pe = b.conj().T @ b
+    for op in (a, n, b, pe):
+        op.flags.writeable = False
     return a, n, b, pe
 
 
@@ -263,7 +271,10 @@ def _observable_rows(times, rhos, spec: FockSpec):
 
     The states are stacked in blocks of OBSERVABLE_BLOCK, so the stacked copy
     stays small however many states were stored; each block takes one
-    product for the four expectations and one for the purities.
+    product for the four expectations and one for the purities.  The run
+    commands' observer (_Observables) receives each stored state from
+    evolve_master or run_ensemble as it is formed and calls this once per
+    OBSERVABLE_BLOCK of them, and once for the rest at the end.
     """
     # expectation(rho, op) = trace(op rho) = rho.ravel() . op.T.ravel()
     ops = np.stack([op.T.ravel() for op in _observable_ops(spec)], axis=1)
@@ -282,6 +293,38 @@ def _observable_rows(times, rhos, spec: FockSpec):
     return header, table.tolist()
 
 
+class _Observables:
+    """Observer of a run's stored states that holds one block of them.
+
+    Each OBSERVABLE_BLOCK states go through _observable_rows together, so its
+    products have the shapes of one call over every state and give the same
+    rows; of the states only the last is kept, for the state dump.
+    """
+
+    def __init__(self, times, spec: FockSpec):
+        self.times, self.spec = times, spec
+        self.block, self.rows, self.last = [], [], None
+
+    def __call__(self, rho: DensityOperator):
+        self.block.append(rho)
+        self.last = rho
+        if len(self.block) == OBSERVABLE_BLOCK:
+            self._flush()
+
+    def _flush(self):
+        start = len(self.rows)
+        self.header, rows = _observable_rows(
+            self.times[start:start + len(self.block)], self.block, self.spec)
+        self.rows += rows
+        self.block = []
+
+    def table(self):
+        """CSV header and rows of every state observed."""
+        if self.block:
+            self._flush()
+        return self.header, self.rows
+
+
 def cmd_run_master(cfg: ExperimentConfig) -> int:
     try:
         L = (build_L_S(cfg.source, cfg.spec)
@@ -290,16 +333,16 @@ def cmd_run_master(cfg: ExperimentConfig) -> int:
     except UnsupportedSourceError as e:
         raise ConfigError(str(e)) from e
     rho0 = DensityOperator(np.outer(cfg.initial_vec, cfg.initial_vec.conj()))
-    states = evolve_master(rho0, L, cfg.grid, store_every=cfg.store_every)
-    times = cfg.grid.times()[::cfg.store_every]
+    obs = _Observables(cfg.grid.times()[::cfg.store_every], cfg.spec)
+    evolve_master(rho0, L, cfg.grid, store_every=cfg.store_every, observe=obs)
 
     os.makedirs(cfg.output_dir, exist_ok=True)
     write_json(os.path.join(cfg.output_dir, "manifest.json"),
                {"command": "run-master", **cfg.resolved})
-    header, rows = _observable_rows(times, states, cfg.spec)
+    header, rows = obs.table()
     write_csv(os.path.join(cfg.output_dir, "observables.csv"), header, rows)
     write_json(os.path.join(cfg.output_dir, "final_state.json"),
-               state_dump(states[-1], cfg.spec, float(times[-1])))
+               state_dump(obs.last, cfg.spec, float(obs.times[-1])))
     return 0
 
 
@@ -308,15 +351,17 @@ def cmd_run_trajectories(cfg: ExperimentConfig) -> int:
         workers = workers_from_env()
     except ValueError as e:
         raise ConfigError(str(e)) from e
+    obs = _Observables(cfg.grid.stored_times(cfg.store_every), cfg.spec)
     ens = run_ensemble(PureState(cfg.initial_vec), cfg.coupling, cfg.source,
-                       cfg.grid, cfg.seeds, store_every=cfg.store_every, workers=workers)
+                       cfg.grid, cfg.seeds, store_every=cfg.store_every, workers=workers,
+                       observe=obs)
     os.makedirs(cfg.output_dir, exist_ok=True)
     rec_dir = os.path.join(cfg.output_dir, "records")
     os.makedirs(rec_dir, exist_ok=True)
     write_json(os.path.join(cfg.output_dir, "manifest.json"),
                {"command": "run-trajectories", **cfg.resolved})
 
-    header, rows = _observable_rows(ens.times, ens.rho_avg, cfg.spec)
+    header, rows = obs.table()
     write_csv(os.path.join(cfg.output_dir, "observables.csv"), header, rows)
 
     traj_rows = []
@@ -337,7 +382,7 @@ def cmd_run_trajectories(cfg: ExperimentConfig) -> int:
                "nonlasing", "max_schmidt_entropy", "max_span_residual"],
               traj_rows)
     write_json(os.path.join(cfg.output_dir, "ensemble_state.json"),
-               state_dump(ens.rho_avg[-1], cfg.spec, float(ens.times[-1])))
+               state_dump(obs.last, cfg.spec, float(obs.times[-1])))
     return 0
 
 

@@ -85,6 +85,10 @@ class TimeGrid:
     def times(self) -> np.ndarray:
         return self.t0 + self.dt * np.arange(self.n_steps + 1)
 
+    def stored_times(self, store_every: int) -> np.ndarray:
+        """Times of the trajectory states stored every store_every steps."""
+        return self.t0 + self.dt * store_every * np.arange(self.n_steps // store_every + 1)
+
 
 @dataclass
 class Record:
@@ -117,16 +121,22 @@ def expectation(rho, op) -> complex:
 
 
 def evolve_master(rho0: DensityOperator, L_total: Superoperator, grid: TimeGrid,
-                  store_every: int = 1) -> list:
+                  store_every: int = 1, observe=None) -> list | None:
     """Classical RK4 on d rho/dt = L rho; stored states are invariant-checked.
 
     Trace drift beyond 1e-8 or negativity below -1e-8 aborts with a diagnostic.
+    Every store_every steps, and at t0, the state goes to observe(rho) as a
+    DensityOperator of its own, once it has passed its check.  Without an
+    observer the stored states are returned as a list; with one, None is
+    returned and no state is kept here.
     """
     if store_every < 1 or grid.n_steps % store_every:
         raise ValueError("store_every must be a positive divisor of the number of steps")
+    out = [] if observe is None else None
+    observe = out.append if observe is None else observe
     m = np.array(rho0.mat, dtype=complex)
     dt = grid.dt
-    out = [DensityOperator(m.copy(), layout=rho0.layout)]
+    observe(DensityOperator(m.copy(), layout=rho0.layout))
     for step in range(grid.n_steps):
         # for a constant linear generator the classical RK4 step is the
         # degree-4 Taylor polynomial of exp(dt L), here in nested form
@@ -146,7 +156,7 @@ def evolve_master(rho0: DensityOperator, L_total: Superoperator, grid: TimeGrid,
                 raise InvariantViolationError(
                     f"master integration failed at t={grid.t0 + (step + 1) * dt:.6g}: {exc}"
                 ) from exc
-            out.append(rho)
+            observe(rho)
     return out
 
 
@@ -163,7 +173,7 @@ def mcwf_run(psi0: PureState, config: CouplingConfig, source_model, grid: TimeGr
     engine, which then also returns the stored states and carrier counts.
     """
     times, _, records, ents, spans, max_p, (states, carriers) = _ensemble_chunk(
-        psi0.vec, config, source_model, grid, store_every, diagnostics, True, [seed])
+        psi0.vec, config, source_model, grid, store_every, diagnostics, True, None, [seed])
     _warn_step_probability(max_p)
     return TrajectoryResult(
         record=records[0],
@@ -197,7 +207,7 @@ def ensemble_average(results: list, times: np.ndarray | None = None) -> list:
 @dataclass
 class EnsembleResult:
     times: np.ndarray
-    rho_avg: list                 # of DensityOperator
+    rho_avg: list | None          # of DensityOperator; None when observed instead
     records: list                 # of Record
     max_schmidt_entropies: list
     max_span_residuals: list
@@ -233,15 +243,17 @@ def _check_drift(H: np.ndarray, jump_ops):
 
 
 def _ensemble_chunk(psi0_vec, config, source_model, grid, store_every, diagnostics,
-                    keep, seeds):
+                    keep, observe, seeds):
     """Advance the trajectories of seeds in lockstep from psi0_vec, normalized.
 
     Each trajectory owns the RNG stream of its seed and consumes one uniform
     per step plus one per jump, read in order from a fixed-width block that
-    its own stream refills.  Besides the records and the summed projectors,
-    the largest step probability is returned, so the caller can warn about
-    it.  With ``keep`` set, the stored states and carrier counts of every
-    trajectory are returned as well.
+    its own stream refills.  Without an observer, the projectors summed over
+    the seeds come back as one (n_stored, d, d) array; with one, each stored
+    time's mean projector goes to observe(rho) as soon as it is formed, and
+    None comes back instead.  The largest step probability is returned too,
+    so the caller can warn about it.  With ``keep`` set, the stored states
+    and carrier counts of every trajectory are returned as well.
     """
     if store_every < 1 or grid.n_steps % store_every:
         raise ValueError("store_every must be a positive divisor of the number of steps")
@@ -325,13 +337,24 @@ def _ensemble_chunk(psi0_vec, config, source_model, grid, store_every, diagnosti
     max_span = np.zeros(M)
     max_p = 0.0
 
-    n_stored = grid.n_steps // store_every + 1
-    acc = np.empty((n_stored, dim, dim), dtype=complex)
-    np.matmul(psi.T, psi.conj(), out=acc[0])
+    times = grid.stored_times(store_every)
+    acc = None if observe is not None else np.empty((len(times), dim, dim), dtype=complex)
     if keep:
-        states = np.empty((n_stored, M, dim), dtype=complex)
-        carriers = np.empty((n_stored, M), dtype=int)
-        states[0], carriers[0] = psi, carrier
+        states = np.empty((len(times), M, dim), dtype=complex)
+        carriers = np.empty((len(times), M), dtype=int)
+
+    def store(idx):
+        """Sum or observe the projectors of stored time idx; keep the states."""
+        if observe is not None:
+            rho = psi.T @ psi.conj()
+            rho /= M
+            observe(DensityOperator(rho, layout=COMPOSITE))
+        else:
+            np.matmul(psi.T, psi.conj(), out=acc[idx])
+        if keep:
+            states[idx], carriers[idx] = psi, carrier
+
+    store(0)
 
     rows = np.arange(M)
     cols = np.arange(dim)
@@ -433,12 +456,8 @@ def _ensemble_chunk(psi0_vec, config, source_model, grid, store_every, diagnosti
         if diagnostics:
             update_diagnostics()
         if (step + 1) % store_every == 0:
-            idx = (step + 1) // store_every
-            np.matmul(psi.T, psi.conj(), out=acc[idx])
-            if keep:
-                states[idx], carriers[idx] = psi, carrier
+            store((step + 1) // store_every)
 
-    times = grid.t0 + grid.dt * store_every * np.arange(n_stored)
     records = [Record(events=e, seed=s) for e, s in zip(events, seeds)]
     ents = [float(e) for e in max_ent] if diagnostics else [None] * M
     spans = [float(s) for s in max_span] if (diagnostics and birth_death) else [None] * M
@@ -467,7 +486,8 @@ def workers_from_env() -> int:
 
 def run_ensemble(psi0: PureState, config: CouplingConfig, source_model,
                  grid: TimeGrid, seeds, store_every: int = 1,
-                 diagnostics: bool = True, workers: int | None = None) -> EnsembleResult:
+                 diagnostics: bool = True, workers: int | None = None,
+                 observe=None) -> EnsembleResult:
     """Run trajectories for every seed and average their projectors online.
 
     The seeds are cut into consecutive blocks of at most ENSEMBLE_BLOCK, one
@@ -475,25 +495,41 @@ def run_ensemble(psi0: PureState, config: CouplingConfig, source_model,
     depends on its seed alone and the result on the arguments alone: the
     worker count changes only the wall time.  At most ENSEMBLE_BLOCK seeds
     make one block, which runs in-process.
+
+    Each stored time's average goes to observe(rho) as a DensityOperator, in
+    time order.  With one block it is formed, passed on and dropped while the
+    trajectories run, so no array of every stored average is held; with more
+    blocks the observer is fed from the total once every block sum is in.
+    Without an observer the averages are collected into ``rho_avg``; with
+    one, ``rho_avg`` is None.
     """
     seeds = list(seeds)
     if not seeds:
         raise ValueError("need at least one seed")
+    if len(set(seeds)) < len(seeds):
+        raise ValueError(f"seeds must be distinct; {max(seeds, key=seeds.count)!r} repeats")
+    rho_avg = [] if observe is None else None
+    observe = rho_avg.append if observe is None else observe
     blocks = [seeds[i:i + ENSEMBLE_BLOCK] for i in range(0, len(seeds), ENSEMBLE_BLOCK)]
     chunk = partial(_ensemble_chunk, psi0.vec, config, source_model, grid,
                     store_every, diagnostics, False)
     workers = min(workers_from_env() if workers is None else workers, len(blocks))
-    with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
-        results = pool.map(chunk, blocks) if pool else map(chunk, blocks)
-        # the first block's sum and lists grow in place: no second copy of the sum
-        times, acc, records, entropies, residuals, max_p, _ = next(results)
-        for _, block_acc, recs, ents, ress, p, _ in results:
-            acc += block_acc
-            records += recs
-            entropies += ents
-            residuals += ress
-            max_p = max(max_p, p)
-    acc /= len(seeds)
-    rho_avg = [DensityOperator(acc[i], layout=COMPOSITE) for i in range(acc.shape[0])]
+    if len(blocks) == 1:
+        times, _, records, entropies, residuals, max_p, _ = chunk(observe, seeds)
+    else:
+        chunk = partial(chunk, None)
+        with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+            results = pool.map(chunk, blocks) if pool else map(chunk, blocks)
+            # the first block's sum and lists grow in place: no second copy of the sum
+            times, acc, records, entropies, residuals, max_p, _ = next(results)
+            for _, block_acc, recs, ents, ress, p, _ in results:
+                acc += block_acc
+                records += recs
+                entropies += ents
+                residuals += ress
+                max_p = max(max_p, p)
+        acc /= len(seeds)
+        for mat in acc:
+            observe(DensityOperator(mat, layout=COMPOSITE))
     _warn_step_probability(max_p)
     return EnsembleResult(times, rho_avg, records, entropies, residuals)

@@ -131,16 +131,30 @@ class DensityOperator:
         return complex(np.trace(self.mat))
 
     def check(self, trace_tol: float = 1e-10, herm_tol: float = 1e-12, eig_tol: float = 1e-10):
-        """Raise InvariantViolationError if trace/hermiticity/positivity are off."""
+        """Raise InvariantViolationError if trace/hermiticity/positivity are off.
+
+        Positivity is first tried as a Cholesky factorization of the
+        hermitized matrix plus (eig_tol / 2) I, which exists when the
+        smallest eigenvalue is above -eig_tol / 2.  Only when it does not
+        does eigvalsh decide, so the pass/fail boundary is that of the
+        smallest eigenvalue against -eig_tol.
+        """
+        if not np.isfinite(self.mat).all():
+            raise InvariantViolationError("non-finite entry in the density matrix")
         tr_err = abs(self.trace - 1.0)
-        if not tr_err <= trace_tol:  # negated so that NaN fails too
+        if not tr_err <= trace_tol:
             raise InvariantViolationError(f"trace deviates from 1 by {tr_err:.3e}")
-        herm_err = float(np.max(np.abs(self.mat - self.mat.conj().T)))
+        adj = self.mat.conj().T
+        herm_err = float(np.max(np.abs(self.mat - adj)))
         if not herm_err <= herm_tol:
             raise InvariantViolationError(f"hermiticity residual {herm_err:.3e}")
-        min_eig = float(np.linalg.eigvalsh((self.mat + self.mat.conj().T) / 2.0).min())
-        if not min_eig >= -eig_tol:
-            raise InvariantViolationError(f"negative eigenvalue {min_eig:.3e}")
+        h = (self.mat + adj) / 2.0
+        try:
+            np.linalg.cholesky(h + (eig_tol / 2.0) * np.eye(self.dim))
+        except np.linalg.LinAlgError:
+            min_eig = float(np.linalg.eigvalsh(h).min())
+            if not min_eig >= -eig_tol:
+                raise InvariantViolationError(f"negative eigenvalue {min_eig:.3e}") from None
         return self
 
 

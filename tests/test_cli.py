@@ -5,6 +5,7 @@ import json
 import math
 import os
 import tempfile
+import tracemalloc
 import warnings
 from importlib import resources
 
@@ -14,7 +15,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import cascadesim.evolve as evolve
-from cascadesim.cli import OBSERVABLE_BLOCK, _observable_ops, _observable_rows, main
+from cascadesim.cli import (
+    OBSERVABLE_BLOCK,
+    _Observables,
+    _observable_ops,
+    _observable_rows,
+    main,
+)
 from cascadesim.evolve import expectation
 from cascadesim.hilbert import FockSpec
 from conftest import random_density
@@ -255,6 +262,41 @@ class TestObservableRows:
                         expectation(rho, pe).real, np.trace(rho.mat @ rho.mat).real]
             assert all(type(v) is float for v in row)
             assert np.max(np.abs(np.array(row) - expected)) <= 1e-14
+
+    def test_observer_matches_one_call(self, rng):
+        spec = FockSpec(4)
+        rhos = [random_density(spec.dim, rng) for _ in range(2 * OBSERVABLE_BLOCK + 5)]
+        times = 0.1 * np.arange(len(rhos))
+        obs = _Observables(times, spec)
+        for rho in rhos:
+            obs(rho)
+            assert len(obs.block) < OBSERVABLE_BLOCK
+        assert obs.table() == _observable_rows(times, rhos, spec)
+        assert obs.last is rhos[-1]
+
+
+class TestStreamedStates:
+    # 601 stored states of dim 26: holding them all takes 601 * 26^2 * 16 bytes
+    HELD = 601 * 26 ** 2 * 16
+
+    @pytest.mark.filterwarnings("ignore:step probability")
+    @pytest.mark.parametrize("command", ["run-master", "run-trajectories"])
+    def test_run_holds_one_block_of_states(self, tmp_path, command):
+        doc = load_preset_doc("coherent_drive.json")
+        doc["store_every"] = 1
+        doc["seeds"] = {"start": 0, "count": 4}
+        doc["output_dir"] = str(tmp_path / "out")
+        assert (doc["n_max"], doc["grid"]["t1"] / doc["grid"]["dt"]) == (12, 600)
+        cfg = write_config(tmp_path, doc)
+        tracemalloc.start()
+        try:
+            assert main([command, cfg]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        _, rows = read_csv(tmp_path / "out" / "observables.csv")
+        assert len(rows) == 601
+        assert peak < self.HELD / 3
 
 
 class TestVerify:

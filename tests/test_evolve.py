@@ -197,6 +197,24 @@ class TestMasterEquation:
         for rho, ref in zip(states, expected):
             assert np.max(np.abs(rho.mat - ref)) <= 1e-14
 
+    def test_observer_receives_the_stored_states(self, rng):
+        from conftest import random_density
+
+        spec = FockSpec(3)
+        cfg = CouplingConfig(1.2, 0.7, 0.3, delta=0.4)
+        L = (build_L_S(CoherentDrive(0.5 - 0.2j), spec)
+             + build_L_T(cfg, spec) + build_L_ST(cfg, spec))
+        rho0 = random_density(spec.dim, rng)
+        grid = TimeGrid(0.0, 0.2, 0.01)
+        seen = []
+        assert evolve_master(rho0, L, grid, store_every=5, observe=seen.append) is None
+        states = evolve_master(rho0, L, grid, store_every=5)
+        assert len(seen) == len(states) == 5
+        for a, b in zip(seen, states):
+            assert np.array_equal(a.mat, b.mat) and a.layout == b.layout
+        # each observed state owns its matrix
+        assert len({id(rho.mat) for rho in seen}) == len(seen)
+
     def test_invariants_enforced(self):
         # an unnormalized initial state trips the trace check immediately
         from cascadesim.errors import InvariantViolationError
@@ -382,6 +400,12 @@ class TestEngineOracle:
         model, psi0, grid = self.CASES["birth_death"]
         with pytest.raises(ValueError, match="seed"):
             run_ensemble(psi0, self.CFG, model, grid, [])
+
+    def test_repeated_seed_rejected(self):
+        # a repeated seed would count one trajectory twice in the average
+        model, psi0, grid = self.CASES["birth_death"]
+        with pytest.raises(ValueError, match="3 repeats"):
+            run_ensemble(psi0, self.CFG, model, grid, [1, 3, 2, 3])
 
     @pytest.mark.parametrize("rate", ["pump_rate", "gain_per_carrier", "nonlasing_rate"])
     def test_non_finite_step_probability_is_invariant_violation(self, rate):
@@ -577,6 +601,29 @@ class TestEnsemble:
         assert [r.events for r in many.records] == [r.events for r in one.records]
         assert many.max_schmidt_entropies == one.max_schmidt_entropies
         assert many.max_span_residuals == one.max_span_residuals
+
+    @pytest.mark.parametrize("block", [None, 2])
+    def test_observer_receives_the_averages(self, monkeypatch, block):
+        # one block streams each average as it is formed; blocks of two make
+        # three, whose total feeds the observer
+        if block is not None:
+            monkeypatch.setattr(evolve, "ENSEMBLE_BLOCK", block)
+        psi0 = ket(1, GROUND, FockSpec(4))
+        model = BirthDeathLaser(1.0, 0.5, 0.3, N0=2, n0=1)
+        grid = TimeGrid(0.0, 0.5, 0.001)
+        seeds = [5, 2, 9, 0, 7]
+        seen = []
+        observed = run_ensemble(psi0, self.CFG, model, grid, seeds, store_every=50,
+                                observe=seen.append)
+        collected = run_ensemble(psi0, self.CFG, model, grid, seeds, store_every=50)
+        assert observed.rho_avg is None
+        assert len(seen) == len(collected.rho_avg) == len(collected.times) == 11
+        for a, b in zip(seen, collected.rho_avg):
+            assert np.array_equal(a.mat, b.mat) and a.layout == b.layout
+        assert np.array_equal(observed.times, collected.times)
+        assert [r.events for r in observed.records] == [r.events for r in collected.records]
+        assert observed.max_schmidt_entropies == collected.max_schmidt_entropies
+        assert observed.max_span_residuals == collected.max_span_residuals
 
     def test_ensemble_converges_to_master(self):
         # driven cavity + qubit: 300-trajectory average vs deterministic

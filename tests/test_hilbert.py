@@ -192,7 +192,6 @@ class TestStates:
         with pytest.raises(InvariantViolationError):
             DensityOperator(m).check()
 
-    @pytest.mark.filterwarnings("ignore:invalid value")
     @pytest.mark.parametrize("entries, value", [
         ([(1, 1)], np.nan),
         ([(0, 1)], np.nan),
@@ -207,3 +206,34 @@ class TestStates:
 
     def test_valid_density_passes(self, rng):
         random_density(6, rng).check()
+
+    @staticmethod
+    def _rotated(eigenvalues, rng):
+        """U diag(eigenvalues) U^dag for a random unitary U."""
+        q, _ = np.linalg.qr(rng.normal(size=(len(eigenvalues),) * 2)
+                            + 1j * rng.normal(size=(len(eigenvalues),) * 2))
+        return (q * np.asarray(eigenvalues)) @ q.conj().T
+
+    @pytest.mark.parametrize("scale", [0.4, 0.9])
+    def test_density_check_keeps_eigenvalue_boundary(self, rng, scale):
+        # the default eig_tol is 1e-10; the Cholesky shift of tol/2 passes
+        # 0.4 tol at once, and leaves 0.9 tol to eigvalsh, which passes it
+        tol = 1e-10
+        m = self._rotated([0.6 + scale * tol, 0.4, -scale * tol, 0.0], rng)
+        DensityOperator(m).check()
+
+    def test_density_check_names_negative_eigenvalue(self, rng):
+        tol = 1e-10
+        m = self._rotated([0.6 + 1.1 * tol, 0.4, -1.1 * tol, 0.0], rng)
+        with pytest.raises(InvariantViolationError, match=r"^negative eigenvalue -1\.100e-10$"):
+            DensityOperator(m).check()
+
+    def test_density_check_passes_projector_without_eigvalsh(self, rng, monkeypatch):
+        v = rng.normal(size=8) + 1j * rng.normal(size=8)
+        v /= np.linalg.norm(v)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("eigvalsh ran on a positive semidefinite state")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+        DensityOperator(np.outer(v, v.conj())).check()
