@@ -5,11 +5,15 @@ The trajectory scheme is fixed-step with at most one jump per step.  A step
 costs one d x d product per trajectory, Z = -i dt H psi, where H is the
 non-Hermitian drift Hamiltonian.  Its anti-Hermitian part is -(i/2) times the
 sum of C^dag C over the forward and side channels (checked once per run), so
-their total jump probability dt <psi|sum C^dag C|psi> is -2 Re<psi|Z>; the
-birth-death gain channel's back-action is folded into Z the same way, and the
-classical channels add their rates.  The no-jump state is psi + Z,
-renormalized.  Only the trajectories that jump compute the per-channel jump
-vectors C_k psi, from their pre-step state, to pick the channel.  One uniform
+their total jump probability dt <psi|sum C^dag C|psi> / |psi|^2 is
+-2 Re<psi|Z> / |psi|^2; the birth-death gain channel's back-action is folded
+into Z the same way, and the classical channels add their rates.  The no-jump
+state is psi + Z, not renormalized: each trajectory carries its squared norm
+|psi|^2 instead, the norm-decay view of the method (Molmer, Castin & Dalibard,
+JOSA B 10, 524 (1993)).  A state is normalized when it jumps, before it is
+stored or its diagnostics are taken, and every RENORMALIZE_EVERY steps.  Only
+the trajectories that jump compute the per-channel jump vectors C_k psi, from
+their pre-step state, to pick the channel.  One uniform
 variate is drawn per step, plus one per jump for the channel.  Each
 trajectory owns exactly one RNG stream, read in fixed-width blocks, so
 results are bit-reproducible given (config, seed).  There is one trajectory
@@ -217,7 +221,10 @@ class EnsembleResult:
 N_DELTA = {"forward_f": -1, "side_s": -1, "gain": +1, "pump": 0, "nonlasing": 0}
 # uniforms drawn per refill of a trajectory's block; Generator.random(n)
 # returns exactly the next n scalar draws of the stream
-UNIFORM_BLOCK = 32
+UNIFORM_BLOCK = 64
+# steps between renormalizations of every trajectory's state, which is
+# otherwise normalized only where a jump, a store or the diagnostics need it
+RENORMALIZE_EVERY = 64
 # seeds per engine call in run_ensemble; a constant, so the sum's order follows the seeds
 ENSEMBLE_BLOCK = 1024
 
@@ -246,14 +253,17 @@ def _ensemble_chunk(psi0_vec, config, source_model, grid, store_every, diagnosti
                     keep, observe, seeds):
     """Advance the trajectories of seeds in lockstep from psi0_vec, normalized.
 
-    Each trajectory owns the RNG stream of its seed and consumes one uniform
-    per step plus one per jump, read in order from a fixed-width block that
-    its own stream refills.  Without an observer, the projectors summed over
-    the seeds come back as one (n_stored, d, d) array; with one, each stored
-    time's mean projector goes to observe(rho) as soon as it is formed, and
-    None comes back instead.  The largest step probability is returned too,
-    so the caller can warn about it.  With ``keep`` set, the stored states
-    and carrier counts of every trajectory are returned as well.
+    Between jumps a row of psi is the unnormalized no-jump state, and its
+    squared norm is carried along; the rows are normalized before every store
+    and diagnostics update and every RENORMALIZE_EVERY steps.  Each trajectory
+    owns the RNG stream of its seed and consumes one uniform per step plus one
+    per jump, read in order from a fixed-width block that its own stream
+    refills.  With an observer, each stored time's mean projector goes to
+    observe(rho) as soon as it is formed.  With ``keep`` set, the stored
+    states and carrier counts of every trajectory are returned.  With
+    neither, the projectors summed over the seeds come back as one
+    (n_stored, d, d) array, and otherwise None in its place.  The largest
+    step probability is returned too, so the caller can warn about it.
     """
     if store_every < 1 or grid.n_steps % store_every:
         raise ValueError("store_every must be a positive divisor of the number of steps")
@@ -299,23 +309,40 @@ def _ensemble_chunk(psi0_vec, config, source_model, grid, store_every, diagnosti
     rngs = [np.random.default_rng(s) for s in seeds]
     uniforms = np.empty((M, UNIFORM_BLOCK))
     cursor = np.full(M, UNIFORM_BLOCK)
+    rows = np.arange(M)
+    # flat index of the first uniform of each row's block
+    starts = rows * UNIFORM_BLOCK
 
-    def draw(idx):
-        """Next uniform of each trajectory in idx, from its own stream."""
-        for m in idx[cursor[idx] == UNIFORM_BLOCK].tolist():
+    def refill(idx):
+        """Refill the block of each trajectory in idx from its own stream."""
+        for m in idx.tolist():
             rngs[m].random(out=uniforms[m])
             cursor[m] = 0
+
+    def draw(idx):
+        """Next uniform of each trajectory in idx."""
+        refill(idx[cursor[idx] == UNIFORM_BLOCK])
         u = uniforms[idx, cursor[idx]]
         cursor[idx] += 1
         return u
 
+    def draw_all():
+        """Next uniform of every trajectory: draw(rows) with less indexing."""
+        refill(rows[cursor == UNIFORM_BLOCK])
+        u = uniforms.take(starts + cursor)
+        np.add(cursor, 1, out=cursor)
+        return u
+
     psi_f = psi.view(float)
+    # squared norm of each row of psi: rows are normalized only when needed
+    sq = np.ones(M)
     carrier = np.full(M, source_model.N0 if birth_death else 0, dtype=int)
     n_pred = np.full(M, source_model.n0 if birth_death else 0, dtype=int)
     if birth_death:
-        # per-row factor of the gain back-action; changes only with the carrier
-        damp = np.outer(0.5 * dt * carrier, gain_damp_f)
-        work = np.empty_like(damp)
+        # per-row diagonal of the no-jump map without its drift part, one minus
+        # the gain back-action (dt/2) N g a a^dag; changes only with the carrier
+        diag_f = 1.0 - np.outer(0.5 * dt * carrier, gain_damp_f)
+        work = np.empty_like(diag_f)
     # summed rates of the classical channels, without and with the carrier factor
     rate_fixed = sum(channels[k].rate for k in classical if k not in scaled)
     rate_scaled = sum(channels[k].rate for k in classical if k in scaled)
@@ -325,7 +352,7 @@ def _ensemble_chunk(psi0_vec, config, source_model, grid, store_every, diagnosti
         Y = psi[idx] @ Fq
         Yq = Y.view(float).reshape(len(idx), len(quantum), 2 * dim)
         probs = np.empty((len(idx), n_ch))
-        probs[:, quantum] = np.einsum("mkd,mkd->mk", Yq, Yq)
+        probs[:, quantum] = np.einsum("mkd,mkd->mk", Yq, Yq) / sq[idx][:, None]
         probs[:, classical] = rates
         probs *= dt
         if scaled:
@@ -338,7 +365,10 @@ def _ensemble_chunk(psi0_vec, config, source_model, grid, store_every, diagnosti
     max_p = 0.0
 
     times = grid.stored_times(store_every)
-    acc = None if observe is not None else np.empty((len(times), dim, dim), dtype=complex)
+    # the projector sum is the result only without an observer and kept states
+    acc = None
+    if observe is None and not keep:
+        acc = np.empty((len(times), dim, dim), dtype=complex)
     if keep:
         states = np.empty((len(times), M, dim), dtype=complex)
         carriers = np.empty((len(times), M), dtype=int)
@@ -349,14 +379,13 @@ def _ensemble_chunk(psi0_vec, config, source_model, grid, store_every, diagnosti
             rho = psi.T @ psi.conj()
             rho /= M
             observe(DensityOperator(rho, layout=COMPOSITE))
-        else:
+        elif acc is not None:
             np.matmul(psi.T, psi.conj(), out=acc[idx])
         if keep:
             states[idx], carriers[idx] = psi, carrier
 
     store(0)
 
-    rows = np.arange(M)
     cols = np.arange(dim)
 
     def update_diagnostics():
@@ -388,15 +417,25 @@ def _ensemble_chunk(psi0_vec, config, source_model, grid, store_every, diagnosti
 
     for step in range(grid.n_steps):
         t_next = grid.t0 + (step + 1) * dt
-        # Z = -i dt H psi, minus the gain back-action (dt/2) N g a a^dag psi;
-        # then -2 Re<psi|Z> = dt <psi| sum C^dag C |psi> over every quantum
-        # channel, the Monte-Carlo wavefunction jump probability
+        # Z becomes the no-jump state psi - i dt H psi - (dt/2) N g a a^dag psi;
+        # dt <psi| sum C^dag C |psi> over every quantum channel is -2 Re<psi|Z>
+        # before psi is added, and 2 (|psi|^2 - Re<psi|Z>) after; divided by
+        # |psi|^2 it is the Monte-Carlo wavefunction jump probability
         np.matmul(psi, HT, out=Z)
         if birth_death:
-            np.multiply(psi_f, damp, out=work)
-            Z_f -= work
-        p_tot = np.einsum("md,md->m", psi_f, Z_f)
-        p_tot *= -2.0
+            # the back-action and psi in one pass, at the price of a
+            # cancellation that leaves p a few ulps of |psi|^2 off
+            np.multiply(psi_f, diag_f, out=work)
+            Z_f += work
+            p_tot = np.einsum("md,md->m", psi_f, Z_f)
+            np.subtract(sq, p_tot, out=p_tot)
+            p_tot *= 2.0
+        else:
+            # read before psi is added, so a p exactly at a bound stays there
+            p_tot = np.einsum("md,md->m", psi_f, Z_f)
+            p_tot *= -2.0
+            Z += psi
+        p_tot /= sq
         if classical:
             p_tot += dt * (rate_fixed + rate_scaled * carrier)
         worst = p_tot.max()
@@ -415,19 +454,19 @@ def _ensemble_chunk(psi0_vec, config, source_model, grid, store_every, diagnosti
             )
         max_p = max(max_p, float(worst))
 
-        jumpers = np.nonzero(draw(rows) < p_tot)[0]
+        jumpers = np.nonzero(draw_all() < p_tot)[0]
         if len(jumpers):
-            # from the pre-step states, before the drift overwrites psi
+            # from the pre-step states, before psi takes the no-jump state
             jump_vecs, probs = channel_probs(jumpers)
 
-        Z += psi  # the no-jump state, before renormalization
-        norm = np.sqrt(np.einsum("md,md->m", Z_f, Z_f))
-        if not np.isfinite(norm.sum()):  # any NaN or inf row makes the sum so
-            m = int(np.argmin(np.isfinite(norm)))
+        np.einsum("md,md->m", Z_f, Z_f, out=sq)
+        if not np.isfinite(sq.sum()):  # any NaN or inf row makes the sum so
+            m = int(np.argmin(np.isfinite(sq)))
             raise InvariantViolationError(
                 f"non-finite drift norm at t={t_next:.6g} (seed {seeds[m]})"
             )
-        np.divide(Z_f, norm[:, None], out=psi_f)
+        psi, Z = Z, psi
+        psi_f, Z_f = Z_f, psi_f
 
         if len(jumpers):
             # scaled by the per-channel sum, which p_tot equals only to
@@ -447,15 +486,24 @@ def _ensemble_chunk(psi0_vec, config, source_model, grid, store_every, diagnosti
                             f"(seed {seeds[m]})"
                         )
                     np.divide(v, nrm, out=psi[m])
+                    sq[m] = 1.0
                 events[m].append((t_next, ch.label))
             carrier[jumpers] += carrier_delta[ks]
             n_pred[jumpers] += n_delta[ks]
             if birth_death:
-                damp[jumpers] = np.outer(0.5 * dt * carrier[jumpers], gain_damp_f)
+                diag_f[jumpers] = 1.0 - np.outer(0.5 * dt * carrier[jumpers], gain_damp_f)
 
+        storing = (step + 1) % store_every == 0
+        # without a jump a row's squared norm shrinks by about 1 - p a step,
+        # and p <= HARD_STEP_PROBABILITY, so between renormalizations it stays
+        # above about 0.9 ** RENORMALIZE_EVERY
+        if diagnostics or storing or (step + 1) % RENORMALIZE_EVERY == 0:
+            np.sqrt(sq, out=sq)
+            np.divide(psi_f, sq[:, None], out=psi_f)
+            sq.fill(1.0)
         if diagnostics:
             update_diagnostics()
-        if (step + 1) % store_every == 0:
+        if storing:
             store((step + 1) // store_every)
 
     records = [Record(events=e, seed=s) for e, s in zip(events, seeds)]

@@ -1,9 +1,12 @@
+import hashlib
+import tracemalloc
 import warnings
 from collections import Counter
 
 import numpy as np
 import pytest
 
+from cascadesim.acceptance import load_preset
 from cascadesim.analysis import schmidt_entropy, trace_distance
 from cascadesim.errors import (
     GridMismatchError,
@@ -47,6 +50,7 @@ from cascadesim.sources import (
 )
 import cascadesim.evolve as evolve
 from cascadesim.evolve import (
+    RENORMALIZE_EVERY,
     UNIFORM_BLOCK,
     TimeGrid,
     ensemble_average,
@@ -309,6 +313,22 @@ class TestSingleTrajectory:
         assert f"step probability {0.004 * 5:.3g} " in str(soft[0].message)
 
     @pytest.mark.filterwarnings("ignore:step probability")
+    def test_kept_states_build_no_projector_sum(self):
+        # the states mcwf_run returns take 601 x 26 complex (0.25 MB); the
+        # unused (601, 26, 26) projector sum would take 6.5 MB more
+        spec = FockSpec(12)
+        psi0 = product_state(coherent_state(0.6, spec), qubit_state(GROUND))
+        tracemalloc.start()
+        try:
+            r = mcwf_run(psi0, CouplingConfig(1.0, 0.5, 0.5), CoherentDrive(0.3),
+                         TimeGrid(0.0, 6.0, 0.01), seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert r.states.shape == (601, spec.dim)
+        assert peak < 2e6
+
+    @pytest.mark.filterwarnings("ignore:step probability")
     def test_forward_count_matches_steady_flux(self):
         # long-run forward click rate == steady-state <f^dag f> from the
         # deterministic master equation (Poisson 3-sigma window)
@@ -338,7 +358,7 @@ class TestEngineOracle:
                         ket(2, GROUND, SPEC), TimeGrid(0.0, 2.0, 0.005)),
         "coherent_drive": (CoherentDrive(0.5),
                            product_state(coherent_state(1.0, SPEC), qubit_state(GROUND)),
-                           TimeGrid(0.0, 3.0, 0.01)),
+                           TimeGrid(0.0, 4.0, 0.01)),
     }
 
     @pytest.mark.filterwarnings("ignore:step probability")
@@ -351,6 +371,25 @@ class TestEngineOracle:
         events, states, carriers = scalar_mcwf(psi0, self.CFG, model, grid, seed,
                                                store_every=20)
         r = mcwf_run(psi0, self.CFG, model, grid, seed=seed, store_every=20)
+        assert len(events) > 0
+        assert r.record.events == events
+        assert np.max(np.abs(r.states - states)) < 1e-12
+        if r.carriers is not None:
+            assert np.array_equal(r.carriers, carriers)
+
+    @pytest.mark.filterwarnings("ignore:step probability")
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_scalar_oracle_between_renormalizations(self, case, seed):
+        # no diagnostics and one store at the end: the rows that do not jump
+        # go unnormalized for RENORMALIZE_EVERY steps at a time
+        model, psi0, grid = self.CASES[case]
+        assert grid.n_steps > RENORMALIZE_EVERY
+        assert grid.n_steps % RENORMALIZE_EVERY
+        events, states, carriers = scalar_mcwf(psi0, self.CFG, model, grid, seed,
+                                               store_every=grid.n_steps)
+        r = mcwf_run(psi0, self.CFG, model, grid, seed=seed, store_every=grid.n_steps,
+                     diagnostics=False)
         assert len(events) > 0
         assert r.record.events == events
         assert np.max(np.abs(r.states - states)) < 1e-12
@@ -423,6 +462,49 @@ class TestEngineOracle:
         model, psi0, grid = self.CASES["coherent_drive"]
         with pytest.raises(InvariantViolationError, match="non-finite drift"):
             run_ensemble(psi0, cfg, model, grid, range(3))
+
+
+class TestPinnedRecords:
+    """Every event of many seeds, pinned by a hash of the records.
+
+    A rewrite of the engine's arithmetic may move the states by rounding,
+    but a record moves only if a uniform falls within rounding of its step
+    probability.  The hashes come from the engine that renormalized every
+    row at every step.
+    """
+
+    @staticmethod
+    def digest(records):
+        return hashlib.sha256(repr([(r.seed, r.events) for r in records]).encode()).hexdigest()
+
+    @pytest.mark.filterwarnings("ignore:step probability")
+    def test_birth_death_at_a7_rates(self):
+        # the A7 preset's rates, sizes and seeds, 200 of its 2000 trajectories
+        p = load_preset("a7.json")
+        spec = FockSpec(p["n_max"])
+        model = BirthDeathLaser(**p["source"])
+        psi0 = product_state(fock_state(model.n0, spec), qubit_state(GROUND))
+        grid = TimeGrid(0.0, 4.0, 0.001)
+        seeds = range(p["seed_start"], p["seed_start"] + 200)
+        ens = run_ensemble(psi0, CouplingConfig(**p["coupling"]), model, grid, seeds,
+                           store_every=grid.n_steps, diagnostics=False)
+        assert sum(len(r.events) for r in ens.records) == 2453
+        assert self.digest(ens.records) == (
+            "1b839d8fbde0c6a307369bc3e9ef2501b78588335ee4b83b188b69aa835310a3")
+
+    @pytest.mark.filterwarnings("ignore:step probability")
+    def test_coherent_drive_preset(self):
+        p = load_preset("coherent_drive.json")
+        spec = FockSpec(p["n_max"])
+        psi0 = product_state(coherent_state(complex(*p["initial"]["alpha"]), spec),
+                             qubit_state(GROUND))
+        grid = TimeGrid(p["grid"]["t0"], p["grid"]["t1"], p["grid"]["dt"])
+        ens = run_ensemble(psi0, CouplingConfig(**p["coupling"]),
+                           CoherentDrive(complex(*p["source"]["epsilon"])), grid, range(50),
+                           store_every=grid.n_steps, diagnostics=False)
+        assert sum(len(r.events) for r in ens.records) == 103
+        assert self.digest(ens.records) == (
+            "6758745588e44da70852d4af863e8f7b994014e1978acf5de0df28c8acc050f3")
 
 
 class TestDriftIdentity:
@@ -523,6 +605,22 @@ class TestDiagnostics:
         ]
         assert max(residuals) > 0.1
         assert abs(r.max_span_residual - max(residuals)) <= 1e-12
+
+    @pytest.mark.filterwarnings("ignore:step probability")
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_do_not_depend_on_stores(self, case):
+        # with one store at the end, the rows are normalized for the
+        # diagnostics alone
+        model, start = self.CASES[case]
+        spec = FockSpec(8)
+        cfg = CouplingConfig(1.0, 0.5, 0.5)
+        grid = TimeGrid(0.0, 2.0, 0.005)
+        every, once = (mcwf_run(start(spec), cfg, model, grid, seed=11, store_every=k)
+                       for k in (1, grid.n_steps))
+        assert once.record.events == every.record.events
+        assert abs(once.max_schmidt_entropy - every.max_schmidt_entropy) <= 1e-12
+        if case == "birth_death":
+            assert abs(once.max_span_residual - every.max_span_residual) <= 1e-12
 
 
 class TestEnsemble:
