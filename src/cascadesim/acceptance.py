@@ -23,7 +23,7 @@ from .analysis import (
     support_pattern_check,
     trace_distance,
 )
-from .ansatz import build_ansatz_state, solve_separated_target
+from .ansatz import build_ansatz_state, drive_hamiltonian, solve_separated_target
 from .errors import TruncationWarning
 from .evolve import TimeGrid, evolve_master, expectation, run_ensemble
 from .hilbert import (
@@ -54,6 +54,7 @@ from .liouvillian import (
 )
 from .sources import (
     BirthDeathLaser,
+    ClassicalPath,
     CoherentDrive,
     FreeDecayMixture,
     build_L_S,
@@ -196,8 +197,6 @@ def criterion_a4() -> CriterionResult:
 
 def criterion_a5() -> CriterionResult:
     """Coupling generator on a coherent projector reduces to a classical drive."""
-    from .ansatz import drive_hamiltonian
-
     p = load_preset("a5.json")
 
     ident = p["identity"]
@@ -366,7 +365,7 @@ def criterion_a9() -> CriterionResult:
     worst_dec = max(
         abs(expectation(rho, n_op).real
             - cav["n0"] * np.exp(-cav["gamma_S"] * t))
-        for t, rho in zip(grid.times()[::store], states)
+        for t, rho in zip(grid.stored_times(store), states)
     )
 
     rich = cav["richardson"]
@@ -380,8 +379,6 @@ def criterion_a9() -> CriterionResult:
     bl = p["bloch"]
     cfg = _coupling(bl["coupling"])
     t = np.linspace(0.0, bl["t1"], bl["points"])
-    from .sources import ClassicalPath
-
     path = ClassicalPath(t, np.full(len(t), bl["alpha"], dtype=complex), weight=1.0)
     sol = solve_separated_target(path, cfg, GROUND_RHO)
     W = 2.0 * np.sqrt(cfg.gamma_S * cfg.gamma_Tf) * abs(bl["alpha"])

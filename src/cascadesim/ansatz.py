@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .analysis import trace_distance
 from .errors import DimensionMismatchError, GridMismatchError
 from .hilbert import COMPOSITE, DensityOperator, FockSpec, Operator, coherent_state, qubit_lowering
 from .liouvillian import CouplingConfig
@@ -139,8 +140,6 @@ def compare_to_full(ansatz_rhos: list, full_rhos: list) -> dict:
     """Per-time trace distance and max element deviation between the two solutions."""
     if len(ansatz_rhos) != len(full_rhos):
         raise GridMismatchError("state lists have different lengths")
-    from .analysis import trace_distance
-
     td, dev = [], []
     for ra, rf in zip(ansatz_rhos, full_rhos):
         if ra.dim != rf.dim:

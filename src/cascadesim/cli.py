@@ -171,17 +171,15 @@ def load_config(path: str) -> ExperimentConfig:
         source = _parse_source(_section(doc, "source", path))
         initial = _parse_initial(_section(doc, "initial", path), spec)
         store_every = doc.get("store_every", 1)
-        if not _is_int(store_every) or store_every < 1:
-            raise ConfigError(f"store_every must be an integer >= 1, got {store_every!r}")
-        if grid.n_steps % store_every:
-            raise ConfigError(
-                f"store_every={store_every} does not divide {grid.n_steps} steps"
-            )
+        grid.stored_times(store_every)  # raises ValueError on a bad store_every
         s = doc.get("seeds", {"start": 0, "count": 1})
         if isinstance(s, list):
             seeds = list(s)
         elif isinstance(s, dict):
-            seeds = list(range(s.get("start", 0), s.get("start", 0) + s["count"]))
+            start, count = s.get("start", 0), s["count"]
+            if not (_is_int(start) and _is_int(count)):
+                raise ConfigError(f"seeds start and count must be integers, got {s!r}")
+            seeds = list(range(start, start + count))
         else:
             raise ConfigError(f"seeds must be a list or an object, got {s!r}")
         if not seeds:
@@ -333,7 +331,7 @@ def cmd_run_master(cfg: ExperimentConfig) -> int:
     except UnsupportedSourceError as e:
         raise ConfigError(str(e)) from e
     rho0 = DensityOperator(np.outer(cfg.initial_vec, cfg.initial_vec.conj()))
-    obs = _Observables(cfg.grid.times()[::cfg.store_every], cfg.spec)
+    obs = _Observables(cfg.grid.stored_times(cfg.store_every), cfg.spec)
     evolve_master(rho0, L, cfg.grid, store_every=cfg.store_every, observe=obs)
 
     os.makedirs(cfg.output_dir, exist_ok=True)

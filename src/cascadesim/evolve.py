@@ -17,7 +17,8 @@ their pre-step state, to pick the channel.  One uniform
 variate is drawn per step, plus one per jump for the channel.  Each
 trajectory owns exactly one RNG stream, read in fixed-width blocks, so
 results are bit-reproducible given (config, seed).  There is one trajectory
-engine, vectorized over seeds; a single trajectory is its one-seed call.
+engine, vectorized over seeds; a single trajectory is its one-seed call.  It
+hands each stored time's rows to its caller's store callback and keeps none.
 """
 
 from __future__ import annotations
@@ -90,8 +91,13 @@ class TimeGrid:
         return self.t0 + self.dt * np.arange(self.n_steps + 1)
 
     def stored_times(self, store_every: int) -> np.ndarray:
-        """Times of the trajectory states stored every store_every steps."""
-        return self.t0 + self.dt * store_every * np.arange(self.n_steps // store_every + 1)
+        """Times of the states stored at t0 and every store_every steps, t0 + k dt
+        after step k as in the records; the one check of store_every."""
+        if (isinstance(store_every, bool) or not isinstance(store_every, (int, np.integer))
+                or store_every < 1 or self.n_steps % store_every):
+            raise ValueError(f"store_every must be an integer >= 1 dividing the "
+                             f"{self.n_steps} steps, got {store_every!r}")
+        return self.t0 + self.dt * np.arange(0, self.n_steps + 1, store_every)
 
 
 @dataclass
@@ -129,13 +135,12 @@ def evolve_master(rho0: DensityOperator, L_total: Superoperator, grid: TimeGrid,
     """Classical RK4 on d rho/dt = L rho; stored states are invariant-checked.
 
     Trace drift beyond 1e-8 or negativity below -1e-8 aborts with a diagnostic.
-    Every store_every steps, and at t0, the state goes to observe(rho) as a
-    DensityOperator of its own, once it has passed its check.  Without an
-    observer the stored states are returned as a list; with one, None is
+    At each of grid.stored_times(store_every) the state goes to observe(rho)
+    as a DensityOperator of its own, once it has passed its check.  Without
+    an observer the stored states are returned as a list; with one, None is
     returned and no state is kept here.
     """
-    if store_every < 1 or grid.n_steps % store_every:
-        raise ValueError("store_every must be a positive divisor of the number of steps")
+    times = grid.stored_times(store_every)
     out = [] if observe is None else None
     observe = out.append if observe is None else observe
     m = np.array(rho0.mat, dtype=complex)
@@ -157,9 +162,9 @@ def evolve_master(rho0: DensityOperator, L_total: Superoperator, grid: TimeGrid,
             try:
                 rho.check(trace_tol=1e-8, herm_tol=1e-8, eig_tol=1e-8)
             except InvariantViolationError as exc:
+                t = times[(step + 1) // store_every]
                 raise InvariantViolationError(
-                    f"master integration failed at t={grid.t0 + (step + 1) * dt:.6g}: {exc}"
-                ) from exc
+                    f"master integration failed at t={t:.6g}: {exc}") from exc
             observe(rho)
     return out
 
@@ -174,16 +179,23 @@ def mcwf_run(psi0: PureState, config: CouplingConfig, source_model, grid: TimeGr
     classical carrier counter.  The gain channel's no-jump back-action
     -(i/2) g N a a^dag is included in the drift so conditional amplitudes stay
     consistent with the record.  This is the single-seed call of the ensemble
-    engine, which then also returns the stored states and carrier counts.
+    engine; its store callback copies the stored states and carrier counts.
     """
-    times, _, records, ents, spans, max_p, (states, carriers) = _ensemble_chunk(
-        psi0.vec, config, source_model, grid, store_every, diagnostics, True, None, [seed])
+    times = grid.stored_times(store_every)
+    states = np.empty((len(times), len(psi0.vec)), dtype=complex)
+    carriers = np.empty(len(times), dtype=int)
+
+    def store(i, psi, carrier):
+        states[i], carriers[i] = psi[0], carrier[0]
+
+    records, ents, spans, max_p = _ensemble_chunk(
+        psi0.vec, config, source_model, grid, store_every, diagnostics, store, [seed])
     _warn_step_probability(max_p)
     return TrajectoryResult(
         record=records[0],
         times=times,
-        states=states[:, 0],
-        carriers=None if carriers is None else carriers[:, 0],
+        states=states,
+        carriers=carriers if isinstance(source_model, BirthDeathLaser) else None,
         max_schmidt_entropy=ents[0],
         max_span_residual=spans[0],
     )
@@ -250,7 +262,7 @@ def _check_drift(H: np.ndarray, jump_ops):
 
 
 def _ensemble_chunk(psi0_vec, config, source_model, grid, store_every, diagnostics,
-                    keep, observe, seeds):
+                    store, seeds):
     """Advance the trajectories of seeds in lockstep from psi0_vec, normalized.
 
     Between jumps a row of psi is the unnormalized no-jump state, and its
@@ -258,15 +270,12 @@ def _ensemble_chunk(psi0_vec, config, source_model, grid, store_every, diagnosti
     and diagnostics update and every RENORMALIZE_EVERY steps.  Each trajectory
     owns the RNG stream of its seed and consumes one uniform per step plus one
     per jump, read in order from a fixed-width block that its own stream
-    refills.  With an observer, each stored time's mean projector goes to
-    observe(rho) as soon as it is formed.  With ``keep`` set, the stored
-    states and carrier counts of every trajectory are returned.  With
-    neither, the projectors summed over the seeds come back as one
-    (n_stored, d, d) array, and otherwise None in its place.  The largest
-    step probability is returned too, so the caller can warn about it.
+    refills.  At stored time i of grid.stored_times(store_every) it calls
+    store(i, psi, carrier) with the normalized (M, d) rows and (M,) carrier
+    counts, its working arrays, which store copies from as needed.  Returns
+    the records, each trajectory's diagnostics, and the largest step
+    probability, so the caller can warn about it.
     """
-    if store_every < 1 or grid.n_steps % store_every:
-        raise ValueError("store_every must be a positive divisor of the number of steps")
     psi = np.tile(PureState(psi0_vec).normalized().vec, (len(seeds), 1))
     M, dim = psi.shape
     spec = FockSpec(dim // 2 - 1)
@@ -364,27 +373,7 @@ def _ensemble_chunk(psi0_vec, config, source_model, grid, store_every, diagnosti
     max_span = np.zeros(M)
     max_p = 0.0
 
-    times = grid.stored_times(store_every)
-    # the projector sum is the result only without an observer and kept states
-    acc = None
-    if observe is None and not keep:
-        acc = np.empty((len(times), dim, dim), dtype=complex)
-    if keep:
-        states = np.empty((len(times), M, dim), dtype=complex)
-        carriers = np.empty((len(times), M), dtype=int)
-
-    def store(idx):
-        """Sum or observe the projectors of stored time idx; keep the states."""
-        if observe is not None:
-            rho = psi.T @ psi.conj()
-            rho /= M
-            observe(DensityOperator(rho, layout=COMPOSITE))
-        elif acc is not None:
-            np.matmul(psi.T, psi.conj(), out=acc[idx])
-        if keep:
-            states[idx], carriers[idx] = psi, carrier
-
-    store(0)
+    store(0, psi, carrier)
 
     cols = np.arange(dim)
 
@@ -504,13 +493,12 @@ def _ensemble_chunk(psi0_vec, config, source_model, grid, store_every, diagnosti
         if diagnostics:
             update_diagnostics()
         if storing:
-            store((step + 1) // store_every)
+            store((step + 1) // store_every, psi, carrier)
 
     records = [Record(events=e, seed=s) for e, s in zip(events, seeds)]
     ents = [float(e) for e in max_ent] if diagnostics else [None] * M
     spans = [float(s) for s in max_span] if (diagnostics and birth_death) else [None] * M
-    stored = (states, carriers if birth_death else None) if keep else None
-    return times, acc, records, ents, spans, max_p, stored
+    return records, ents, spans, max_p
 
 
 def _warn_step_probability(p: float):
@@ -530,6 +518,19 @@ def workers_from_env() -> int:
         return int(value)
     except ValueError:
         raise ValueError(f"CASCADESIM_WORKERS must be an integer, got {value!r}") from None
+
+
+def _projector_sum(psi0_vec, config, source_model, grid, store_every, diagnostics, seeds):
+    """One seed block of run_ensemble: its (n_stored, d, d) projector sum, then
+    the engine's results."""
+    d = len(psi0_vec)
+    acc = np.empty((len(grid.stored_times(store_every)), d, d), dtype=complex)
+
+    def store(i, psi, carrier):
+        np.matmul(psi.T, psi.conj(), out=acc[i])
+
+    return acc, *_ensemble_chunk(psi0_vec, config, source_model, grid, store_every,
+                                 diagnostics, store, seeds)
 
 
 def run_ensemble(psi0: PureState, config: CouplingConfig, source_model,
@@ -556,21 +557,25 @@ def run_ensemble(psi0: PureState, config: CouplingConfig, source_model,
         raise ValueError("need at least one seed")
     if len(set(seeds)) < len(seeds):
         raise ValueError(f"seeds must be distinct; {max(seeds, key=seeds.count)!r} repeats")
+    times = grid.stored_times(store_every)
     rho_avg = [] if observe is None else None
     observe = rho_avg.append if observe is None else observe
     blocks = [seeds[i:i + ENSEMBLE_BLOCK] for i in range(0, len(seeds), ENSEMBLE_BLOCK)]
-    chunk = partial(_ensemble_chunk, psi0.vec, config, source_model, grid,
-                    store_every, diagnostics, False)
     workers = min(workers_from_env() if workers is None else workers, len(blocks))
     if len(blocks) == 1:
-        times, _, records, entropies, residuals, max_p, _ = chunk(observe, seeds)
+        def average(i, psi, carrier):
+            observe(DensityOperator(psi.T @ psi.conj() / len(seeds), layout=COMPOSITE))
+
+        records, entropies, residuals, max_p = _ensemble_chunk(
+            psi0.vec, config, source_model, grid, store_every, diagnostics, average, seeds)
     else:
-        chunk = partial(chunk, None)
+        chunk = partial(_projector_sum, psi0.vec, config, source_model, grid,
+                        store_every, diagnostics)
         with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
             results = pool.map(chunk, blocks) if pool else map(chunk, blocks)
             # the first block's sum and lists grow in place: no second copy of the sum
-            times, acc, records, entropies, residuals, max_p, _ = next(results)
-            for _, block_acc, recs, ents, ress, p, _ in results:
+            acc, records, entropies, residuals, max_p = next(results)
+            for block_acc, recs, ents, ress, p in results:
                 acc += block_acc
                 records += recs
                 entropies += ents

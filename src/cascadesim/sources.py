@@ -60,7 +60,8 @@ class BirthDeathLaser:
         if min(rates) < 0:
             raise ValueError("rates must be >= 0")
         counts = (self.N0, self.n0)
-        if not all(isinstance(c, numbers.Integral) and c >= 0 for c in counts):
+        if not all(isinstance(c, numbers.Integral) and not isinstance(c, bool) and c >= 0
+                   for c in counts):
             raise ValueError(f"initial counts must be integers >= 0, got {counts}")
 
 

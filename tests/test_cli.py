@@ -186,6 +186,22 @@ class TestRunTrajectories:
         assert not (tmp_path / "out").exists()
 
 
+class TestStoredTimes:
+    @pytest.mark.filterwarnings("ignore:step probability")
+    def test_run_commands_write_one_time_column(self, tmp_path):
+        doc = load_preset_doc("coherent_drive.json")
+        doc["seeds"] = {"start": 0, "count": 3}
+        columns = []
+        for command in ("run-master", "run-trajectories"):
+            doc["output_dir"] = str(tmp_path / command)
+            assert main([command, write_config(tmp_path, doc)]) == 0
+            columns.append(column(*read_csv(tmp_path / command / "observables.csv"), "time"))
+        assert columns[0] == columns[1]
+        g, k = doc["grid"], doc["store_every"]
+        steps = range(0, round((g["t1"] - g["t0"]) / g["dt"]) + 1, k)
+        assert k > 1 and columns[0] == [g["t0"] + step * g["dt"] for step in steps]
+
+
 class TestConfigValidation:
     @pytest.mark.parametrize("command, key, value", [
         ("run-master", "store_every", 0),
@@ -196,6 +212,8 @@ class TestConfigValidation:
         ("run-trajectories", "seeds", {"start": 0, "count": 0}),
         ("run-trajectories", "seeds", []),
         ("run-trajectories", "seeds", [3, 3]),
+        ("run-trajectories", "seeds", {"start": 0, "count": True}),
+        ("run-trajectories", "seeds", {"start": True, "count": 2}),
     ])
     def test_malformed_value_exits_2(self, tmp_path, capsys, command, key, value):
         doc = load_preset_doc("coherent_drive.json")
@@ -224,6 +242,8 @@ class TestConfigValidation:
         ("coherent_drive.json", "run-trajectories", ("output_dir",), None),
         ("coherent_drive.json", "run-master", ("name",), float("nan")),
         ("birth_death.json", "run-trajectories", ("source", "N0"), float("nan")),
+        ("birth_death.json", "run-trajectories", ("source", "N0"), True),
+        ("birth_death.json", "run-trajectories", ("source", "n0"), True),
         ("bare_cavity.json", "run-master", ("source", "amplitudes", 0, 2), float("nan")),
         ("bare_cavity.json", "run-master", ("initial", "n"), 1.5),
         ("bare_cavity.json", "run-master", ("initial", "n"), True),

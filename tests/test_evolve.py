@@ -143,6 +143,11 @@ class TestTimeGrid:
         with pytest.raises(ValueError):
             TimeGrid(0.0, 1.0, 0.3)
 
+    @pytest.mark.parametrize("store_every", [0, -2, 7, 2.0, True])
+    def test_stored_times_reject_bad_store_every(self, store_every):
+        with pytest.raises(ValueError, match="store_every"):
+            TimeGrid(0.0, 6.0, 0.01).stored_times(store_every)
+
 
 class TestMasterEquation:
     def test_zero_generator_is_constant(self, rng):

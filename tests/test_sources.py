@@ -53,6 +53,9 @@ class TestModels:
             BirthDeathLaser(-1.0, 1.0, 0.5, N0=1, n0=0)
         with pytest.raises(ValueError):
             BirthDeathLaser(1.0, 1.0, 0.5, N0=-1, n0=0)
+        for counts in ({"N0": True, "n0": 0}, {"N0": 1, "n0": True}):
+            with pytest.raises(ValueError, match="integers"):
+                BirthDeathLaser(1.0, 1.0, 0.5, **counts)
 
     @pytest.mark.parametrize("field", ["pump_rate", "gain_per_carrier", "nonlasing_rate"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
