@@ -3,8 +3,8 @@
 
 Runs an ensemble of jump trajectories for the carrier-counter laser source,
 then prints per-channel event counts, the conditional-state entanglement
-range, the sector-confinement residual, and the ensemble photon number over
-time.
+range, the sector-confinement residual of a dense replay of the records, and
+the ensemble photon number over time.
 """
 
 import argparse
@@ -23,6 +23,7 @@ from cascadesim import (
     qubit_state,
     run_ensemble,
 )
+from cascadesim.acceptance import sector_residuals
 from cascadesim.evolve import expectation
 from cascadesim.hilbert import EXCITED, GROUND, SOURCE, TARGET, embed, partial_trace
 
@@ -64,10 +65,12 @@ def main():
         print(f"  {label:10s} {counts[label] / args.trajectories:8.3f}")
 
     ents = np.array(ens.max_schmidt_entropies)
-    spans = np.array(ens.max_span_residuals)
+    # the engine keeps only each trajectory's sector, so the records are
+    # replayed densely to see whether any amplitude leaves it
+    spans = sector_residuals(psi0, cfg, model, grid, ens.records)
     print(f"peak conditional entanglement entropy: "
           f"min {ents.min():.3f} / median {np.median(ents):.3f} / max {ents.max():.3f}")
-    print(f"worst out-of-sector amplitude: {spans.max():.3e}")
+    print(f"worst out-of-sector amplitude (dense replay of the records): {spans.max():.3e}")
 
     n_op = embed(number_operator(spec), SOURCE, spec).mat
     print(f"{'time':>7} {'<n> source':>11} {'P(excited)':>11}")

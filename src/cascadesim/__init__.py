@@ -52,7 +52,6 @@ from .evolve import (
     Record,
     TimeGrid,
     TrajectoryResult,
-    ensemble_average,
     evolve_master,
     expectation,
     mcwf_run,

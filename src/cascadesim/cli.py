@@ -21,8 +21,8 @@ changes only the wall time, and evolve.ENSEMBLE_BLOCK seeds or fewer run in-proc
 from __future__ import annotations
 
 import argparse
-import cmath
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -37,7 +37,13 @@ from .errors import (
     StepProbabilityError,
     UnsupportedSourceError,
 )
-from .evolve import TimeGrid, evolve_master, run_ensemble, workers_from_env
+from .evolve import (
+    TimeGrid,
+    evolve_master,
+    run_ensemble,
+    sector_amplitudes,
+    workers_from_env,
+)
 from .hilbert import (
     EXCITED,
     GROUND,
@@ -95,12 +101,22 @@ def _section(doc: dict, key: str, context: str, required: bool = True) -> dict:
     return value
 
 
-def _complex(parts, context: str) -> complex:
-    """complex(*parts) for a JSON [re, im] pair, which must be finite."""
-    z = complex(*parts)
-    if not cmath.isfinite(z):
-        raise ConfigError(f"{context} must be finite, got {z}")
-    return z
+def _real(value, where: str):
+    """value, which must be a finite JSON number: an int or a float, not a bool."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            if math.isfinite(value):
+                return value
+        except OverflowError:  # an int too large for a float
+            pass
+    raise ConfigError(f"{where} must be a finite real number, got {value!r}")
+
+
+def _complex(parts, where: str) -> complex:
+    """The complex number of a JSON [re, im] pair of finite reals."""
+    if not (isinstance(parts, list) and len(parts) == 2):
+        raise ConfigError(f"{where} must be a [re, im] pair, got {parts!r}")
+    return complex(_real(parts[0], where), _real(parts[1], where))
 
 
 def _parse_source(doc: dict):
@@ -108,17 +124,14 @@ def _parse_source(doc: dict):
     if kind == "coherent_drive":
         return CoherentDrive(_complex(_require(doc, "epsilon", "source"), "source.epsilon"))
     if kind == "free_decay":
-        amps = tuple((_complex((re, im), "source.amplitudes"), w)
+        amps = tuple((_complex([re, im], "source.amplitudes"), _real(w, "source.amplitudes"))
                      for re, im, w in _require(doc, "amplitudes", "source"))
         return FreeDecayMixture(amps)
     if kind == "birth_death":
-        return BirthDeathLaser(
-            pump_rate=_require(doc, "pump_rate", "source"),
-            gain_per_carrier=_require(doc, "gain_per_carrier", "source"),
-            nonlasing_rate=_require(doc, "nonlasing_rate", "source"),
-            N0=_require(doc, "N0", "source"),
-            n0=_require(doc, "n0", "source"),
-        )
+        rates = {key: _real(_require(doc, key, "source"), f"source.{key}")
+                 for key in ("pump_rate", "gain_per_carrier", "nonlasing_rate")}
+        return BirthDeathLaser(N0=_require(doc, "N0", "source"),
+                               n0=_require(doc, "n0", "source"), **rates)
     raise ConfigError(f"unknown source kind {kind!r}")
 
 
@@ -155,21 +168,22 @@ def load_config(path: str) -> ExperimentConfig:
         if not isinstance(doc, dict):
             raise ConfigError(f"{path}: the config must be a JSON object")
         cpl = _section(doc, "coupling", path, required=False)
-        coupling = CouplingConfig(
-            gamma_S=cpl.get("gamma_S", 1.0),
-            gamma_Tf=cpl.get("gamma_Tf", 0.5),
-            gamma_Ts=cpl.get("gamma_Ts", 0.5),
-            delta=cpl.get("delta", 0.0),
-        )
+        coupling = CouplingConfig(**{
+            key: _real(cpl.get(key, default), f"coupling.{key}")
+            for key, default in (("gamma_S", 1.0), ("gamma_Tf", 0.5),
+                                 ("gamma_Ts", 0.5), ("delta", 0.0))})
         n_max = _require(doc, "n_max", path)
         if not _is_int(n_max):
             raise ConfigError(f"n_max must be an integer, got {n_max!r}")
         spec = FockSpec(n_max)
         g = _section(doc, "grid", path)
-        grid = TimeGrid(g.get("t0", 0.0), _require(g, "t1", "grid"),
-                        _require(g, "dt", "grid"))
+        grid = TimeGrid(_real(g.get("t0", 0.0), "grid.t0"),
+                        _real(_require(g, "t1", "grid"), "grid.t1"),
+                        _real(_require(g, "dt", "grid"), "grid.dt"))
         source = _parse_source(_section(doc, "source", path))
         initial = _parse_initial(_section(doc, "initial", path), spec)
+        if isinstance(source, BirthDeathLaser):
+            sector_amplitudes(initial.vec, source.n0)  # ValueError outside sector n0
         store_every = doc.get("store_every", 1)
         grid.stored_times(store_every)  # raises ValueError on a bad store_every
         s = doc.get("seeds", {"start": 0, "count": 1})

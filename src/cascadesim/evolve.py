@@ -1,24 +1,29 @@
 """Time evolution: deterministic master-equation integration and Monte-Carlo
 wavefunction trajectories with event records.
 
-The trajectory scheme is fixed-step with at most one jump per step.  A step
-costs one d x d product per trajectory, Z = -i dt H psi, where H is the
-non-Hermitian drift Hamiltonian.  Its anti-Hermitian part is -(i/2) times the
-sum of C^dag C over the forward and side channels (checked once per run), so
-their total jump probability dt <psi|sum C^dag C|psi> / |psi|^2 is
--2 Re<psi|Z> / |psi|^2; the birth-death gain channel's back-action is folded
-into Z the same way, and the classical channels add their rates.  The no-jump
-state is psi + Z, not renormalized: each trajectory carries its squared norm
-|psi|^2 instead, the norm-decay view of the method (Molmer, Castin & Dalibard,
-JOSA B 10, 524 (1993)).  A state is normalized when it jumps, before it is
-stored or its diagnostics are taken, and every RENORMALIZE_EVERY steps.  Only
-the trajectories that jump compute the per-channel jump vectors C_k psi, from
-their pre-step state, to pick the channel.  One uniform
-variate is drawn per step, plus one per jump for the channel.  Each
-trajectory owns exactly one RNG stream, read in fixed-width blocks, so
-results are bit-reproducible given (config, seed).  There is one trajectory
-engine, vectorized over seeds; a single trajectory is its one-seed call.  It
-hands each stored time's rows to its caller's store callback and keeps none.
+The trajectory scheme is fixed-step with at most one jump per step.  The
+no-jump step is Z = psi - i dt H psi, where H is the non-Hermitian drift
+Hamiltonian.  Its anti-Hermitian part is -(i/2) times the sum of C^dag C over
+the forward and side channels (checked once per run), so their total jump
+probability dt <psi|sum C^dag C|psi> / |psi|^2 is 2 (|psi|^2 - Re<psi|Z>) /
+|psi|^2; the birth-death gain channel's back-action is folded into Z the same
+way, and the classical channels add their rates.  For the coherent-drive and
+free-decay sources a trajectory is the dense state and a step one d x d
+product.  A birth-death trajectory stays in one total-quanta sector
+span{|n-1, excited>, |n, ground>} between jumps, and each jump moves n by the
+channel's N_DELTA, so it is two amplitudes and its sector n, and a step is one
+2 x 2 product (checked once per run by _check_sectors).  The no-jump state is
+not renormalized: each trajectory carries its squared norm |psi|^2 instead,
+the norm-decay view of the method (Molmer, Castin & Dalibard, JOSA B 10, 524
+(1993)).  A state is normalized when it jumps, before it is stored or its
+diagnostics are taken, and every RENORMALIZE_EVERY steps.  Only the
+trajectories that jump compute the per-channel jump vectors C_k psi, from
+their pre-step state, to pick the channel.  One uniform variate is drawn per
+step, plus one per jump for the channel.  Each trajectory owns exactly one RNG
+stream, read in fixed-width blocks, so results are bit-reproducible given
+(config, seed).  There is one trajectory engine, vectorized over seeds; a
+single trajectory is its one-seed call.  It hands each stored time's dense
+rows to its caller's store callback and keeps none.
 """
 
 from __future__ import annotations
@@ -118,6 +123,9 @@ class TrajectoryResult:
     states: np.ndarray           # (n_stored, dim) normalized state vectors
     carriers: np.ndarray | None  # (n_stored,) classical carrier counts, or None
     max_schmidt_entropy: float | None = None
+    # largest amplitude outside the predicted quanta sector: 0.0 for a
+    # birth-death run by construction, since the engine keeps only the sector's
+    # amplitudes once _check_sectors has passed; None for the other sources
     max_span_residual: float | None = None
 
 
@@ -178,8 +186,10 @@ def mcwf_run(psi0: PureState, config: CouplingConfig, source_model, grid: TimeGr
     birth-death source, the pump / gain / non-lasing channels acting on the
     classical carrier counter.  The gain channel's no-jump back-action
     -(i/2) g N a a^dag is included in the drift so conditional amplitudes stay
-    consistent with the record.  This is the single-seed call of the ensemble
-    engine; its store callback copies the stored states and carrier counts.
+    consistent with the record.  A birth-death psi0 must lie in the quanta
+    sector of source_model.n0 (sector_amplitudes); ValueError otherwise.  This
+    is the single-seed call of the ensemble engine; its store callback copies
+    the stored states and carrier counts.
     """
     times = grid.stored_times(store_every)
     states = np.empty((len(times), len(psi0.vec)), dtype=complex)
@@ -201,32 +211,13 @@ def mcwf_run(psi0: PureState, config: CouplingConfig, source_model, grid: TimeGr
     )
 
 
-def ensemble_average(results: list, times: np.ndarray | None = None) -> list:
-    """Mean projector over trajectories at each stored time."""
-    if not results:
-        raise ValueError("need at least one trajectory")
-    ref = results[0].times if times is None else np.asarray(times)
-    for r in results:
-        if r.times.shape != ref.shape or not np.allclose(r.times, ref):
-            raise GridMismatchError("trajectories stored on different time grids")
-    dim = results[0].states.shape[1]
-    out = []
-    for i in range(len(ref)):
-        acc = np.zeros((dim, dim), dtype=complex)
-        for r in results:
-            v = r.states[i]
-            acc += np.outer(v, v.conj())
-        out.append(DensityOperator(acc / len(results), layout=COMPOSITE))
-    return out
-
-
 @dataclass
 class EnsembleResult:
     times: np.ndarray
     rho_avg: list | None          # of DensityOperator; None when observed instead
     records: list                 # of Record
     max_schmidt_entropies: list
-    max_span_residuals: list
+    max_span_residuals: list      # as TrajectoryResult.max_span_residual
 
 
 # n shifts per event label
@@ -261,25 +252,85 @@ def _check_drift(H: np.ndarray, jump_ops):
         )
 
 
+def sector_amplitudes(vec, n: int) -> np.ndarray:
+    """The two amplitudes of vec in quanta sector n, span{|n-1, excited>, |n, ground>}.
+
+    They sit in the dense columns 2n - 1 and 2n, so the sector of column c is
+    (c + 1) // 2.  Padded with one zero column at each end, every one of the
+    n_max + 2 sectors is two columns wide: the first amplitude of sector 0 and
+    the second of sector n_max + 1 are that padding.  Raises ValueError
+    unless vec is zero outside sector n.
+    """
+    sectors = np.pad(np.asarray(vec, dtype=complex), 1).reshape(-1, 2)
+    if not 0 <= n < len(sectors) or np.delete(sectors, n, axis=0).any():
+        raise ValueError(f"a birth-death initial state must lie in the quanta sector of "
+                         f"n0 = {n}, span{{|n0-1, excited>, |n0, ground>}}")
+    return sectors[n]
+
+
+def _sector_blocks(op: np.ndarray, shift: int) -> np.ndarray:
+    """The (n_max + 2, 2, 2) blocks of op that map quanta sector n to n + shift,
+    in the padded two-column layout of sector_amplitudes; zero where n + shift
+    falls outside the sectors."""
+    S = len(op) // 2 + 1
+    blocks = np.pad(op, 1).reshape(S, 2, S, 2)
+    n = np.arange(S)
+    inside = (n + shift >= 0) & (n + shift < S)
+    out = np.zeros((S, 2, 2), dtype=complex)
+    out[inside] = blocks[n[inside] + shift, :, n[inside], :]
+    return out
+
+
+def _check_sectors(H: np.ndarray, channels):
+    """Raise InvariantViolationError unless H maps every quanta sector into
+    itself and each quantum channel maps sector n into n + N_DELTA[label].
+
+    The birth-death engine keeps only the two amplitudes of one sector per
+    trajectory, so an entry outside this pattern would be dropped unseen.
+    """
+    sector = (np.arange(len(H)) + 1) // 2
+    shift = sector[:, None] - sector[None, :]
+    ops = [("drift Hamiltonian", H, 0)] + [
+        (f"jump operator {ch.label}", ch.operator, N_DELTA[ch.label])
+        for ch in channels if ch.operator is not None]
+    for name, op, delta in ops:
+        # a NaN entry is left to the step's non-finite guards
+        outside = np.abs(op[shift != delta])
+        if (outside > 0).any():
+            raise InvariantViolationError(
+                f"{name} does not keep the quanta sectors: largest entry outside "
+                f"them {np.nanmax(outside):.3g}")
+
+
 def _ensemble_chunk(psi0_vec, config, source_model, grid, store_every, diagnostics,
                     store, seeds):
     """Advance the trajectories of seeds in lockstep from psi0_vec, normalized.
 
-    Between jumps a row of psi is the unnormalized no-jump state, and its
-    squared norm is carried along; the rows are normalized before every store
-    and diagnostics update and every RENORMALIZE_EVERY steps.  Each trajectory
+    A row of psi holds one trajectory.  For the coherent-drive and free-decay
+    sources it is the dense state, and a no-jump step is one d x d product.
+    For the birth-death source it is the two amplitudes of the row's quanta
+    sector n_pred (sector_amplitudes), which H keeps and each jump moves by
+    N_DELTA: a no-jump step applies the row's 2 x 2 block of
+    I - i dt H - (dt/2) N g a a^dag, rewritten only when the row has an
+    event, and a jump applies its channel's block from sector n_pred.
+    _check_sectors makes sure that no amplitude is lost this way, so the
+    out-of-sector residual of every birth-death row is 0.
+
+    Between jumps a row is the unnormalized no-jump state, and its squared
+    norm is carried along; the rows are normalized before every store and
+    diagnostics update and every RENORMALIZE_EVERY steps.  Each trajectory
     owns the RNG stream of its seed and consumes one uniform per step plus one
     per jump, read in order from a fixed-width block that its own stream
     refills.  At stored time i of grid.stored_times(store_every) it calls
-    store(i, psi, carrier) with the normalized (M, d) rows and (M,) carrier
-    counts, its working arrays, which store copies from as needed.  Returns
-    the records, each trajectory's diagnostics, and the largest step
+    store(i, psi, carrier) with the normalized dense (M, d) rows and (M,)
+    carrier counts, its working arrays, which store copies from as needed;
+    birth-death rows are scattered into one reused dense buffer first.
+    Returns the records, each trajectory's diagnostics, and the largest step
     probability, so the caller can warn about it.
     """
-    psi = np.tile(PureState(psi0_vec).normalized().vec, (len(seeds), 1))
-    M, dim = psi.shape
+    psi0 = PureState(psi0_vec).normalized().vec
+    M, dim = len(seeds), len(psi0)
     spec = FockSpec(dim // 2 - 1)
-    fock_dim = spec.fock_dim
     dt = grid.dt
     f_op, s_op = build_jump_ops(config, spec)
     H = build_nonhermitian_H(config, spec).mat.copy()
@@ -296,10 +347,7 @@ def _ensemble_chunk(psi0_vec, config, source_model, grid, store_every, diagnosti
     ]
     if birth_death:
         channels += source_jump_channels(source_model, config, spec)
-        gain_op = next(c.operator for c in channels if c.label == "gain")
-        # diagonal of C^dag C for the gain channel (a a^dag is diagonal),
-        # repeated for the real and imaginary parts of a real view
-        gain_damp_f = np.repeat(np.real(np.diag(gain_op.conj().T @ gain_op)), 2)
+        _check_sectors(H, channels)
     n_ch = len(channels)
     quantum = [k for k, ch in enumerate(channels) if ch.operator is not None]
     classical = [k for k, ch in enumerate(channels) if ch.operator is None]
@@ -307,18 +355,53 @@ def _ensemble_chunk(psi0_vec, config, source_model, grid, store_every, diagnosti
     scaled = [k for k, ch in enumerate(channels) if ch.scales_with_carrier]
     carrier_delta = np.array([ch.carrier_delta for ch in channels])
     n_delta = np.array([N_DELTA[ch.label] for ch in channels])
+    # position of each quantum channel among a row's jump vectors
+    slot = {k: j for j, k in enumerate(quantum)}
 
-    HT = (-1j * dt * H).T
-    # every C_k^T side by side: jump vectors of the rows that jump
-    Fq = np.concatenate([channels[k].operator.T for k in quantum], axis=1)
-    block = {k: slice(j * dim, (j + 1) * dim) for j, k in enumerate(quantum)}
-    Z = np.empty((M, dim), dtype=complex)
-    Z_f = Z.view(float)
+    rows = np.arange(M)
+    carrier = np.full(M, source_model.N0 if birth_death else 0, dtype=int)
+    if birth_death:
+        # summed rates of the classical channels, without and with the carrier factor
+        rate_fixed = sum(channels[k].rate for k in classical if k not in scaled)
+        rate_scaled = sum(channels[k].rate for k in classical if k in scaled)
+        n_pred = np.full(M, source_model.n0)
+        psi = np.tile(sector_amplitudes(psi0, source_model.n0), (M, 1))
+        # per sector: the block of I - i dt H, of the gain back-action
+        # (dt/2) g a a^dag without its carrier factor, and of every C_k
+        drift = np.eye(2) - 1j * dt * _sector_blocks(H, 0)
+        gain_op = next(ch.operator for ch in channels if ch.label == "gain")
+        damp = 0.5 * dt * _sector_blocks(gain_op.conj().T @ gain_op, 0)
+        jumps = np.stack([_sector_blocks(channels[k].operator, n_delta[k])
+                          for k in quantum], axis=1)
+        # the no-jump map of each row, column by column: row m's no-jump state
+        # is K[0, m] psi[m, 0] + K[1, m] psi[m, 1]; and the classical channels'
+        # step probability of each row
+        K = np.empty((2, M, 2), dtype=complex)
+        p_classical = np.empty(M)
+
+        def set_no_jump(idx):
+            n = n_pred[idx]
+            blocks = drift[n] - carrier[idx][:, None, None] * damp[n]
+            K[:, idx] = blocks.transpose(2, 0, 1)
+            p_classical[idx] = dt * (rate_fixed + rate_scaled * carrier[idx])
+
+        part = np.empty_like(psi)
+        # stored rows, scattered into their sectors' columns; the middle d
+        # columns of the padded buffer are the dense rows
+        padded = np.zeros((M, dim + 2), dtype=complex)
+        dense = padded[:, 1:-1]
+        set_no_jump(rows)
+    else:
+        psi = np.tile(psi0, (M, 1))
+        HT = (-1j * dt * H).T
+        # every C_k^T side by side: jump vectors of the rows that jump
+        Fq = np.concatenate([channels[k].operator.T for k in quantum], axis=1)
+    Z = np.empty_like(psi)
+    psi_f, Z_f = psi.view(float), Z.view(float)
 
     rngs = [np.random.default_rng(s) for s in seeds]
     uniforms = np.empty((M, UNIFORM_BLOCK))
     cursor = np.full(M, UNIFORM_BLOCK)
-    rows = np.arange(M)
     # flat index of the first uniform of each row's block
     starts = rows * UNIFORM_BLOCK
 
@@ -342,24 +425,18 @@ def _ensemble_chunk(psi0_vec, config, source_model, grid, store_every, diagnosti
         np.add(cursor, 1, out=cursor)
         return u
 
-    psi_f = psi.view(float)
     # squared norm of each row of psi: rows are normalized only when needed
     sq = np.ones(M)
-    carrier = np.full(M, source_model.N0 if birth_death else 0, dtype=int)
-    n_pred = np.full(M, source_model.n0 if birth_death else 0, dtype=int)
-    if birth_death:
-        # per-row diagonal of the no-jump map without its drift part, one minus
-        # the gain back-action (dt/2) N g a a^dag; changes only with the carrier
-        diag_f = 1.0 - np.outer(0.5 * dt * carrier, gain_damp_f)
-        work = np.empty_like(diag_f)
-    # summed rates of the classical channels, without and with the carrier factor
-    rate_fixed = sum(channels[k].rate for k in classical if k not in scaled)
-    rate_scaled = sum(channels[k].rate for k in classical if k in scaled)
 
     def channel_probs(idx):
-        """Jump vectors C_k psi and per-channel step probabilities of rows idx."""
-        Y = psi[idx] @ Fq
-        Yq = Y.view(float).reshape(len(idx), len(quantum), 2 * dim)
+        """Jump vectors C_k psi, (len(idx), quantum channels, row width), and
+        per-channel step probabilities of rows idx."""
+        if birth_death:
+            Y = np.matmul(jumps[n_pred[idx]], psi[idx][:, None, :, None])
+        else:
+            Y = psi[idx] @ Fq
+        Y = Y.reshape(len(idx), len(quantum), -1)
+        Yq = Y.view(float)
         probs = np.empty((len(idx), n_ch))
         probs[:, quantum] = np.einsum("mkd,mkd->mk", Yq, Yq) / sq[idx][:, None]
         probs[:, classical] = rates
@@ -368,20 +445,15 @@ def _ensemble_chunk(psi0_vec, config, source_model, grid, store_every, diagnosti
             probs[:, scaled] *= carrier[idx][:, None]
         return Y, probs
 
-    events = [[] for _ in range(M)]
-    max_ent = np.zeros(M)
-    max_span = np.zeros(M)
-    max_p = 0.0
-
-    store(0, psi, carrier)
-
-    cols = np.arange(dim)
-
-    def update_diagnostics():
+    def schmidt_weights():
+        """Squared Schmidt coefficients of the normalized rows, (2, M)."""
+        if birth_death:
+            # a|n-1, excited> + b|n, ground> is in Schmidt form already
+            return np.square(psi_f).reshape(M, 2, 2).sum(axis=2).T
         # Gram matrix A^dag A of each row's Fock x qubit amplitude matrix A,
         # in one batched product; its eigenvalues are the squared Schmidt
         # coefficients
-        At = psi.reshape(M, fock_dim, 2).transpose(0, 2, 1)
+        At = psi.reshape(M, spec.fock_dim, 2).transpose(0, 2, 1)
         G = np.vecdot(At[:, :, None, :], At[:, None, :, :])
         g00, g11 = G[:, 0, 0].real, G[:, 1, 1].real
         tr = g00 + g11
@@ -389,18 +461,28 @@ def _ensemble_chunk(psi0_vec, config, source_model, grid, store_every, diagnosti
         disc = np.sqrt(np.maximum(tr * tr - 4.0 * det, 0.0))
         lam = np.array((tr + disc, tr - disc))
         lam *= 0.5
+        return lam
+
+    max_ent = np.zeros(M)
+
+    def update_diagnostics():
+        lam = schmidt_weights()
         log_lam = np.log2(lam, out=np.zeros_like(lam), where=lam > 1e-300)
         lam *= log_lam
         # max_ent starts at 0, so this also clips a negative rounding residue
         np.maximum(max_ent, -(lam[0] + lam[1]), out=max_ent)
-        if birth_death:
-            # weight outside the predicted sector: every column but 2n - 1
-            # (|n-1, excited>) and 2n (|n, ground>)
-            off = cols - 2 * n_pred[:, None]
-            out = np.abs(psi) ** 2
-            np.copyto(out, 0.0, where=(off == 0) | (off == -1))
-            np.maximum(max_span, np.sqrt(out.sum(axis=1)), out=max_span)
 
+    def store_rows(i):
+        if birth_death:
+            padded.fill(0.0)
+            padded.reshape(M, -1, 2)[rows, n_pred] = psi
+            store(i, dense, carrier)
+        else:
+            store(i, psi, carrier)
+
+    events = [[] for _ in range(M)]
+    max_p = 0.0
+    store_rows(0)
     if diagnostics:
         update_diagnostics()
 
@@ -410,23 +492,24 @@ def _ensemble_chunk(psi0_vec, config, source_model, grid, store_every, diagnosti
         # dt <psi| sum C^dag C |psi> over every quantum channel is -2 Re<psi|Z>
         # before psi is added, and 2 (|psi|^2 - Re<psi|Z>) after; divided by
         # |psi|^2 it is the Monte-Carlo wavefunction jump probability
-        np.matmul(psi, HT, out=Z)
         if birth_death:
-            # the back-action and psi in one pass, at the price of a
-            # cancellation that leaves p a few ulps of |psi|^2 off
-            np.multiply(psi_f, diag_f, out=work)
-            Z_f += work
+            # psi is part of K, at the price of a cancellation that leaves p
+            # a few ulps of |psi|^2 off
+            np.multiply(K[0], psi[:, :1], out=Z)
+            np.multiply(K[1], psi[:, 1:], out=part)
+            Z += part
             p_tot = np.einsum("md,md->m", psi_f, Z_f)
             np.subtract(sq, p_tot, out=p_tot)
             p_tot *= 2.0
+            p_tot /= sq
+            p_tot += p_classical
         else:
+            np.matmul(psi, HT, out=Z)
             # read before psi is added, so a p exactly at a bound stays there
             p_tot = np.einsum("md,md->m", psi_f, Z_f)
             p_tot *= -2.0
             Z += psi
-        p_tot /= sq
-        if classical:
-            p_tot += dt * (rate_fixed + rate_scaled * carrier)
+            p_tot /= sq
         worst = p_tot.max()
         # negated so that NaN fails the bound too
         if not worst <= HARD_STEP_PROBABILITY:
@@ -464,10 +547,10 @@ def _ensemble_chunk(psi0_vec, config, source_model, grid, store_every, diagnosti
             r = draw(jumpers) * probs.sum(axis=1)
             passed = np.cumsum(probs, axis=1) <= r[:, None]
             ks = np.minimum(passed.sum(axis=1), n_ch - 1)
-            for v, m, k in zip(jump_vecs, jumpers.tolist(), ks.tolist()):
+            for vecs, m, k in zip(jump_vecs, jumpers.tolist(), ks.tolist()):
                 ch = channels[k]
                 if ch.operator is not None:
-                    v = v[block[k]]
+                    v = vecs[slot[k]]
                     nrm = np.linalg.norm(v)
                     if nrm == 0.0:
                         raise InvariantViolationError(
@@ -478,9 +561,9 @@ def _ensemble_chunk(psi0_vec, config, source_model, grid, store_every, diagnosti
                     sq[m] = 1.0
                 events[m].append((t_next, ch.label))
             carrier[jumpers] += carrier_delta[ks]
-            n_pred[jumpers] += n_delta[ks]
             if birth_death:
-                diag_f[jumpers] = 1.0 - np.outer(0.5 * dt * carrier[jumpers], gain_damp_f)
+                n_pred[jumpers] += n_delta[ks]
+                set_no_jump(jumpers)
 
         storing = (step + 1) % store_every == 0
         # without a jump a row's squared norm shrinks by about 1 - p a step,
@@ -493,11 +576,11 @@ def _ensemble_chunk(psi0_vec, config, source_model, grid, store_every, diagnosti
         if diagnostics:
             update_diagnostics()
         if storing:
-            store((step + 1) // store_every, psi, carrier)
+            store_rows((step + 1) // store_every)
 
     records = [Record(events=e, seed=s) for e, s in zip(events, seeds)]
     ents = [float(e) for e in max_ent] if diagnostics else [None] * M
-    spans = [float(s) for s in max_span] if (diagnostics and birth_death) else [None] * M
+    spans = [0.0 if (diagnostics and birth_death) else None] * M
     return records, ents, spans, max_p
 
 
@@ -550,7 +633,8 @@ def run_ensemble(psi0: PureState, config: CouplingConfig, source_model,
     trajectories run, so no array of every stored average is held; with more
     blocks the observer is fed from the total once every block sum is in.
     Without an observer the averages are collected into ``rho_avg``; with
-    one, ``rho_avg`` is None.
+    one, ``rho_avg`` is None.  A birth-death psi0 must lie in the quanta
+    sector of source_model.n0, as for mcwf_run.
     """
     seeds = list(seeds)
     if not seeds:

@@ -12,7 +12,7 @@ with a weight that depends on (i, j); an identity side is the offset-0
 diagonal with weight 1.  Terms with the same shift share a slot, and slots
 whose weights cancel to exact zeros are dropped: of its cross terms,
 -i H_ST - f^dag f / 2 keeps only a b^dag, the one-way coupling of the
-cascade, so L_T + L_ST has width 7, not 9, when gamma_S = 1.  The width is
+cascade, so L_T + L_ST has width 7, not 9.  The width is
 at most 13 for any bundled generator.  A form with more than
 MAX_GATHER_ENTRIES entries (a dense generator has up to (2d - 1)^2 slots)
 raises DimensionMismatchError instead of exhausting memory.
@@ -196,21 +196,29 @@ def build_H_T(config: CouplingConfig, spec: FockSpec) -> Operator:
     return embed(config.delta * (b.dag() @ b), TARGET, spec)
 
 
+def _scaled_ops(config: CouplingConfig, spec: FockSpec) -> tuple:
+    """A = sqrt(gS) a and B = sqrt(gTf) b, the factors of every cross term.
+
+    Building the cross terms and f from these same two matrices makes each
+    product A^dag B come out bit for bit the same wherever it appears, so
+    -i H_ST - f^dag f / 2 cancels its A^dag B part exactly at any rates.
+    """
+    a = embed(annihilation(spec), SOURCE, spec).mat
+    b = embed(qubit_lowering(), TARGET, spec).mat
+    return np.sqrt(config.gamma_S) * a, np.sqrt(config.gamma_Tf) * b
+
+
 def build_H_ST(config: CouplingConfig, spec: FockSpec) -> Operator:
-    """One-way coupling Hamiltonian (i/2) sqrt(gS gTf) (a^dag b - a b^dag)."""
-    a = embed(annihilation(spec), SOURCE, spec)
-    b = embed(qubit_lowering(), TARGET, spec)
-    g = np.sqrt(config.gamma_S * config.gamma_Tf)
-    return Operator(0.5j * g * (a.dag().mat @ b.mat - a.mat @ b.dag().mat))
+    """One-way coupling Hamiltonian (i/2) (A^dag B - A B^dag) = (i/2) sqrt(gS gTf) (a^dag b - a b^dag)."""
+    A, B = _scaled_ops(config, spec)
+    return Operator(0.5j * (A.conj().T @ B - A @ B.conj().T))
 
 
 def build_jump_ops(config: CouplingConfig, spec: FockSpec) -> tuple:
-    """Forward and side jump operators f = sqrt(gS) a + sqrt(gTf) b, s = sqrt(gTs) b."""
-    a = embed(annihilation(spec), SOURCE, spec)
+    """Forward and side jump operators f = A + B = sqrt(gS) a + sqrt(gTf) b, s = sqrt(gTs) b."""
+    A, B = _scaled_ops(config, spec)
     b = embed(qubit_lowering(), TARGET, spec)
-    f = Operator(np.sqrt(config.gamma_S) * a.mat + np.sqrt(config.gamma_Tf) * b.mat)
-    s = Operator(np.sqrt(config.gamma_Ts) * b.mat)
-    return f, s
+    return Operator(A + B), Operator(np.sqrt(config.gamma_Ts) * b.mat)
 
 
 def build_L_T(config: CouplingConfig, spec: FockSpec) -> Superoperator:
@@ -232,12 +240,14 @@ def regroup(L_S: Superoperator, config: CouplingConfig) -> tuple:
 
     L'_S adds the output damping of the source mode to L_S, L'_T damps the
     qubit at the total rate gamma_T, and L'_ST is the pure cross piece
-    sqrt(gS gTf) (a . b^dag + b . a^dag - b^dag a . - . a^dag b).
+    A . B^dag + B . A^dag - B^dag A . - . A^dag B = sqrt(gS gTf) (a . b^dag +
+    b . a^dag - b^dag a . - . a^dag b), with A and B as in _scaled_ops.
     """
     spec = FockSpec(L_S.dim // 2 - 1)
     a = embed(annihilation(spec), SOURCE, spec).mat
     b = embed(qubit_lowering(), TARGET, spec).mat
-    ad, bd = a.conj().T, b.conj().T
+    A, B = _scaled_ops(config, spec)
+    Ad, Bd = A.conj().T, B.conj().T
     eye = np.eye(spec.dim, dtype=complex)
 
     Lp_S = Superoperator(list(L_S.terms) + dissipator_terms(a, rate=config.gamma_S), spec.dim)
@@ -245,13 +255,12 @@ def regroup(L_S: Superoperator, config: CouplingConfig) -> tuple:
         commutator_terms(build_H_T(config, spec).mat) + dissipator_terms(b, rate=config.gamma_T),
         spec.dim,
     )
-    g = np.sqrt(config.gamma_S * config.gamma_Tf)
     Lp_ST = Superoperator(
         [
-            SuperoperatorTerm(a, bd, g),
-            SuperoperatorTerm(b, ad, g),
-            SuperoperatorTerm(bd @ a, eye, -g),
-            SuperoperatorTerm(eye, ad @ b, -g),
+            SuperoperatorTerm(A, Bd, 1.0),
+            SuperoperatorTerm(B, Ad, 1.0),
+            SuperoperatorTerm(Bd @ A, eye, -1.0),
+            SuperoperatorTerm(eye, Ad @ B, -1.0),
         ],
         spec.dim,
     )
@@ -261,16 +270,16 @@ def regroup(L_S: Superoperator, config: CouplingConfig) -> tuple:
 def build_nonhermitian_H(config: CouplingConfig, spec: FockSpec) -> Operator:
     """Drift Hamiltonian of the trajectory unraveling.
 
-    Equals H_T - i sqrt(gS gTf) a b^dag - (i/2) gS a^dag a - (i/2) gT b^dag b;
-    the non-Hermitian part coincides with H_ST - (i/2) s^dag s - (i/2) f^dag f.
+    Equals H_T - i A B^dag - (i/2) A^dag A - (i/2) gT b^dag b, with A and B
+    as in _scaled_ops; the non-Hermitian part coincides with
+    H_ST - (i/2) s^dag s - (i/2) f^dag f.
     """
-    a = embed(annihilation(spec), SOURCE, spec).mat
+    A, B = _scaled_ops(config, spec)
     b = embed(qubit_lowering(), TARGET, spec).mat
-    g = np.sqrt(config.gamma_S * config.gamma_Tf)
     H = (
         build_H_T(config, spec).mat
-        - 1j * g * (a @ b.conj().T)
-        - 0.5j * config.gamma_S * (a.conj().T @ a)
+        - 1j * (A @ B.conj().T)
+        - 0.5j * (A.conj().T @ A)
         - 0.5j * config.gamma_T * (b.conj().T @ b)
     )
     return Operator(H)

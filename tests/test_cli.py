@@ -214,6 +214,11 @@ class TestConfigValidation:
         ("run-trajectories", "seeds", [3, 3]),
         ("run-trajectories", "seeds", {"start": 0, "count": True}),
         ("run-trajectories", "seeds", {"start": True, "count": 2}),
+        # a bool is not a real number, though Python counts True as 1
+        ("run-master", "coupling", {"gamma_S": True, "gamma_Tf": 0.5, "gamma_Ts": 0.5}),
+        ("run-master", "coupling", {"delta": True}),
+        ("run-master", "grid", {"t0": 0.0, "t1": True, "dt": 0.01}),
+        ("run-master", "grid", {"t0": False, "t1": 0.1, "dt": 0.01}),
     ])
     def test_malformed_value_exits_2(self, tmp_path, capsys, command, key, value):
         doc = load_preset_doc("coherent_drive.json")
@@ -248,6 +253,15 @@ class TestConfigValidation:
         ("bare_cavity.json", "run-master", ("initial", "n"), 1.5),
         ("bare_cavity.json", "run-master", ("initial", "n"), True),
         ("coherent_drive.json", "run-master", ("n_max",), True),
+        ("coherent_drive.json", "run-master", ("coupling", "gamma_Ts"), True),
+        ("coherent_drive.json", "run-master", ("source", "epsilon", 0), True),
+        ("coherent_drive.json", "run-master", ("source", "epsilon"), ["0.3"]),
+        ("coherent_drive.json", "run-trajectories", ("initial", "alpha", 1), True),
+        pytest.param("coherent_drive.json", "run-master", ("coupling", "gamma_S"), 10 ** 400,
+                     id="gamma_S-int-beyond-float"),
+        ("bare_cavity.json", "run-master", ("source", "amplitudes", 0, 0), True),
+        ("bare_cavity.json", "run-master", ("source", "amplitudes", 0, 2), True),
+        ("birth_death.json", "run-trajectories", ("source", "pump_rate"), True),
     ])
     def test_malformed_entry_exits_2(self, tmp_path, capsys, preset, command, path, value):
         doc = short_preset(preset)
@@ -256,6 +270,29 @@ class TestConfigValidation:
         assert main([command, write_config(tmp_path, doc)]) == 2
         assert capsys.readouterr().err.startswith("config error:")
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("path, value", [
+        (("initial",), {"kind": "coherent", "alpha": [0.5, 0.0]}),
+        (("initial", "n"), 2),
+        (("initial", "qubit"), "excited"),
+        (("source", "n0"), 2),
+    ])
+    def test_birth_death_initial_outside_sector_exits_2(self, tmp_path, capsys, path, value):
+        # the preset starts in |1, ground>, in the sector of n0 = 1
+        doc = short_preset("birth_death.json")
+        doc["output_dir"] = str(tmp_path / "out")
+        mutate(doc, path, value)
+        assert main(["run-trajectories", write_config(tmp_path, doc)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "quanta sector" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_birth_death_initial_in_sector_runs(self, tmp_path):
+        # |0, excited> is the other basis state of the sector of n0 = 1
+        doc = short_preset("birth_death.json")
+        doc["output_dir"] = str(tmp_path / "out")
+        doc["initial"] = {"kind": "fock", "n": 0, "qubit": "excited"}
+        assert main(["run-trajectories", write_config(tmp_path, doc)]) == 0
 
     def test_non_object_config_exits_2(self, tmp_path, capsys):
         path = tmp_path / "config.json"

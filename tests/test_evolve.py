@@ -6,7 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from cascadesim.acceptance import load_preset
+from cascadesim.acceptance import load_preset, sector_residuals
 from cascadesim.analysis import schmidt_entropy, trace_distance
 from cascadesim.errors import (
     GridMismatchError,
@@ -14,6 +14,7 @@ from cascadesim.errors import (
     StepProbabilityError,
 )
 from cascadesim.hilbert import (
+    COMPOSITE,
     EXCITED,
     GROUND,
     TARGET,
@@ -53,7 +54,6 @@ from cascadesim.evolve import (
     RENORMALIZE_EVERY,
     UNIFORM_BLOCK,
     TimeGrid,
-    ensemble_average,
     evolve_master,
     expectation,
     mcwf_run,
@@ -65,6 +65,25 @@ BARE = CouplingConfig(1.0, 0.0, 0.0)  # cavity only, qubit decoupled
 
 def ket(n, q, spec):
     return product_state(fock_state(n, spec), qubit_state(q))
+
+
+def ensemble_average(results: list) -> list:
+    """Mean projector over trajectories at each stored time."""
+    if not results:
+        raise ValueError("need at least one trajectory")
+    ref = results[0].times
+    for r in results:
+        if r.times.shape != ref.shape or not np.allclose(r.times, ref):
+            raise GridMismatchError("trajectories stored on different time grids")
+    dim = results[0].states.shape[1]
+    out = []
+    for i in range(len(ref)):
+        acc = np.zeros((dim, dim), dtype=complex)
+        for r in results:
+            v = r.states[i]
+            acc += np.outer(v, v.conj())
+        out.append(DensityOperator(acc / len(results), layout=COMPOSITE))
+    return out
 
 
 def scalar_mcwf(psi0, config, model, grid, seed, store_every):
@@ -127,6 +146,14 @@ def scalar_mcwf(psi0, config, model, grid, seed, store_every):
             states.append(psi)
             carriers.append(carrier)
     return events, np.array(states), np.array(carriers)
+
+
+def predicted_sectors(record, model, times):
+    """The quanta sector n that the record predicts at each of times."""
+    n = np.full(len(times), model.n0)
+    for t, label in record.events:
+        n[times >= t - 1e-9] += evolve.N_DELTA[label]
+    return n
 
 
 class TestTimeGrid:
@@ -425,6 +452,88 @@ class TestEngineOracle:
         assert np.array_equal(r.carriers, carriers)
 
     @pytest.mark.filterwarnings("ignore:step probability")
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_scalar_oracle_down_to_sector_0(self, seed):
+        # rows lose every quantum to |0, ground>, the one state of sector 0,
+        # and the gain takes them back out
+        model = BirthDeathLaser(0.5, 0.5, 0.5, N0=1, n0=1)
+        psi0 = ket(1, GROUND, self.SPEC)
+        grid = TimeGrid(0.0, 10.0, 0.005)
+        r = mcwf_run(psi0, self.CFG, model, grid, seed=seed, store_every=20)
+        events, states, carriers = scalar_mcwf(psi0, self.CFG, model, grid, seed,
+                                               store_every=20)
+        n = predicted_sectors(r.record, model, r.times)
+        assert n.min() == 0 and r.record.count("gain") > 0
+        assert r.record.events == events
+        assert np.max(np.abs(r.states - states)) < 1e-12
+        assert np.array_equal(r.carriers, carriers)
+
+    @pytest.mark.filterwarnings("ignore:step probability")
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_scalar_oracle_up_to_the_top_sector(self, seed):
+        # at n_max = 1 the gain takes |0, excited> to |1, excited>, the one
+        # state of the top sector n_max + 1
+        spec = FockSpec(1)
+        model = BirthDeathLaser(1.0, 2.0, 0.5, N0=2, n0=1)
+        psi0 = ket(1, GROUND, spec)
+        grid = TimeGrid(0.0, 10.0, 0.005)
+        r = mcwf_run(psi0, self.CFG, model, grid, seed=seed, store_every=5)
+        events, states, carriers = scalar_mcwf(psi0, self.CFG, model, grid, seed,
+                                               store_every=5)
+        n = predicted_sectors(r.record, model, r.times)
+        assert n.max() == spec.n_max + 1
+        assert r.record.events == events
+        assert np.max(np.abs(r.states - states)) < 1e-12
+        assert np.array_equal(r.carriers, carriers)
+
+    def test_gain_beyond_the_top_sector_is_invariant_violation(self, monkeypatch):
+        # a jump of zero probability never fires, so the channel choice is
+        # forced to gain: the first takes |1, excited> (sector n_max = 2) to
+        # |2, excited> (sector 3), which the next annihilates
+        spec = FockSpec(2)
+        model = BirthDeathLaser(0.0, 1.0, 0.0, N0=5, n0=2)
+        labels = ["forward_f", "side_s"] + [
+            ch.label for ch in source_jump_channels(model, self.CFG, spec)]
+        cumsum = np.cumsum
+
+        def all_on_gain(probs, axis):
+            # r = u * probs.sum(axis=1) < 1, so gain's cumulative 1 exceeds it first
+            only = np.zeros_like(probs)
+            only[:, labels.index("gain")] = 1.0
+            return cumsum(only, axis=axis)
+
+        monkeypatch.setattr(np, "cumsum", all_on_gain)
+        with pytest.raises(InvariantViolationError,
+                           match=r"jump gain annihilated the state at t=\S+ \(seed 0\)"):
+            mcwf_run(ket(1, EXCITED, spec), self.CFG, model, TimeGrid(0.0, 5.0, 0.005), seed=0)
+
+    @pytest.mark.filterwarnings("ignore:step probability")
+    def test_in_sector_superposition_matches_scalar_oracle(self):
+        # both amplitudes of the sector of n0 = 2 set at the start
+        model, _, grid = self.CASES["birth_death"]
+        psi0 = PureState((ket(2, GROUND, self.SPEC).vec + 1j * ket(1, EXCITED, self.SPEC).vec)
+                         / np.sqrt(2.0))
+        r = mcwf_run(psi0, self.CFG, model, grid, seed=4, store_every=20)
+        events, states, _ = scalar_mcwf(psi0, self.CFG, model, grid, 4, store_every=20)
+        assert r.record.events == events
+        assert np.max(np.abs(r.states - states)) < 1e-12
+
+    @pytest.mark.parametrize("start", ["coherent", "fock_in_sector_1", "excited_in_sector_3"])
+    def test_initial_state_outside_sector_rejected(self, start):
+        # the birth-death case starts in the sector of n0 = 2
+        model, _, grid = self.CASES["birth_death"]
+        psi0 = {
+            "coherent": product_state(coherent_state(0.8, self.SPEC, warn=False),
+                                      qubit_state(GROUND)),
+            "fock_in_sector_1": ket(1, GROUND, self.SPEC),
+            "excited_in_sector_3": ket(2, EXCITED, self.SPEC),
+        }[start]
+        with pytest.raises(ValueError, match="quanta sector of n0 = 2"):
+            mcwf_run(psi0, self.CFG, model, grid, seed=0)
+        with pytest.raises(ValueError, match="quanta sector of n0 = 2"):
+            run_ensemble(psi0, self.CFG, model, grid, range(3))
+
+    @pytest.mark.filterwarnings("ignore:step probability")
     def test_seed_alone_matches_batch(self):
         model, psi0, grid = self.CASES["birth_death"]
         batch = run_ensemble(psi0, self.CFG, model, grid, range(60), store_every=100)
@@ -571,17 +680,63 @@ class TestDriftIdentity:
         assert "does not match the jump operators" in capsys.readouterr().err
 
 
+class TestSectorCheck:
+    """The birth-death engine keeps two amplitudes per trajectory only if H
+    keeps the quanta sectors and each jump moves them by N_DELTA."""
+
+    SPEC = FockSpec(4)
+
+    @staticmethod
+    def with_a_drive(config, spec):
+        """build_nonhermitian_H plus the Hermitian a + a^dag, which mixes the
+        sectors but leaves the drift identity alone."""
+        a = embed(annihilation(spec), SOURCE, spec).mat
+        return Operator(build_nonhermitian_H(config, spec).mat + 0.1 * (a + a.conj().T))
+
+    def test_out_of_sector_drift_is_invariant_violation(self, monkeypatch):
+        monkeypatch.setattr(evolve, "build_nonhermitian_H", self.with_a_drive)
+        model = BirthDeathLaser(1.0, 0.5, 0.3, N0=2, n0=1)
+        with pytest.raises(InvariantViolationError,
+                           match="drift Hamiltonian does not keep the quanta sectors"):
+            mcwf_run(ket(1, GROUND, self.SPEC), CouplingConfig(), model,
+                     TimeGrid(0.0, 0.1, 0.01), seed=0)
+
+    def test_out_of_sector_drift_exits_3(self, monkeypatch, tmp_path, capsys):
+        import json
+        from importlib import resources
+
+        from cascadesim.cli import main
+
+        monkeypatch.setattr(evolve, "build_nonhermitian_H", self.with_a_drive)
+        with resources.files("cascadesim.presets").joinpath("birth_death.json").open() as f:
+            doc = json.load(f)
+        doc["seeds"] = {"start": 0, "count": 2}
+        doc["output_dir"] = str(tmp_path / "out")
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        assert main(["run-trajectories", str(path)]) == 3
+        assert "does not keep the quanta sectors" in capsys.readouterr().err
+
+    def test_jump_operators_must_move_by_their_shift(self):
+        cfg = CouplingConfig()
+        H = build_nonhermitian_H(cfg, self.SPEC).mat
+        f_op, _ = build_jump_ops(cfg, self.SPEC)
+        evolve._check_sectors(H, [JumpChannel("forward_f", operator=f_op.mat)])
+        # f lowers the quanta by one; its adjoint raises them
+        with pytest.raises(InvariantViolationError, match="jump operator forward_f"):
+            evolve._check_sectors(H, [JumpChannel("forward_f", operator=f_op.mat.conj().T)])
+
+
 class TestDiagnostics:
     """The engine's per-step diagnostics against their definitions, evaluated
     on the states mcwf_run stores at every step."""
 
     CASES = {
-        # an entangling start for the coherent drive; a start outside the
-        # predicted sector for the birth-death source
+        # an entangling start for the coherent drive; the birth-death source
+        # starts in the quanta sector of n0, where it stays
         "coherent": (CoherentDrive(0.4 - 0.2j), lambda spec: ket(2, EXCITED, spec)),
         "birth_death": (BirthDeathLaser(1.0, 0.5, 0.5, N0=2, n0=1),
-                        lambda spec: product_state(coherent_state(0.8, spec, warn=False),
-                                                   qubit_state(GROUND))),
+                        lambda spec: ket(1, GROUND, spec)),
     }
 
     @pytest.mark.filterwarnings("ignore:step probability")
@@ -599,17 +754,12 @@ class TestDiagnostics:
         if case != "birth_death":
             assert r.max_span_residual is None
             return
-        # predicted photon number n after each step, from the record; the
-        # sector of n holds |n, ground> (column 2n) and |n-1, excited> (2n - 1)
-        n = np.full(len(r.times), model.n0)
-        for t, label in r.record.events:
-            n[int(round(t / dt)):] += evolve.N_DELTA[label]
-        residuals = [
-            np.sqrt(sum(abs(v[c]) ** 2 for c in range(spec.dim) if c not in (2 * k - 1, 2 * k)))
-            for v, k in zip(r.states, n)
-        ]
-        assert max(residuals) > 0.1
-        assert abs(r.max_span_residual - max(residuals)) <= 1e-12
+        # the engine keeps only the sector's two amplitudes; TestSectorReplay
+        # measures the out-of-sector amplitude on the dense replay instead
+        assert r.max_span_residual == 0.0
+        n = predicted_sectors(r.record, model, r.times)
+        assert all(np.count_nonzero(v) <= 2 for v in r.states)
+        assert all(not np.delete(v, [2 * k - 1, 2 * k]).any() for v, k in zip(r.states, n))
 
     @pytest.mark.filterwarnings("ignore:step probability")
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -626,6 +776,72 @@ class TestDiagnostics:
         assert abs(once.max_schmidt_entropy - every.max_schmidt_entropy) <= 1e-12
         if case == "birth_death":
             assert abs(once.max_span_residual - every.max_span_residual) <= 1e-12
+
+
+class TestSectorReplay:
+    """A2's out-of-sector amplitude, read off a dense replay of the records,
+    against its definition on a literal one-record replay."""
+
+    CFG = CouplingConfig(1.0, 0.5, 0.5)
+    MODEL = BirthDeathLaser(1.0, 0.5, 0.5, N0=2, n0=1)
+    SPEC = FockSpec(8)
+    GRID = TimeGrid(0.0, 2.0, 0.005)
+
+    def records(self):
+        ens = run_ensemble(ket(1, GROUND, self.SPEC), self.CFG, self.MODEL, self.GRID,
+                           range(11, 14), store_every=self.GRID.n_steps)
+        assert all(r.events for r in ens.records)
+        return ens.records
+
+    def literal(self, psi0, record):
+        """The largest out-of-sector amplitude of one record, replayed step by step."""
+        spec, dt, model = self.SPEC, self.GRID.dt, self.MODEL
+        f_op, s_op = build_jump_ops(self.CFG, spec)
+        channels = {ch.label: ch for ch in
+                    [JumpChannel("forward_f", operator=f_op.mat),
+                     JumpChannel("side_s", operator=s_op.mat)]
+                    + source_jump_channels(model, self.CFG, spec)}
+        gain = channels["gain"].operator
+        H = build_nonhermitian_H(self.CFG, spec).mat
+        labels = {int(round(t / dt)): label for t, label in record.events}
+
+        def residual(v, n):
+            # the sector of n holds |n, ground> (column 2n) and |n-1, excited> (2n - 1)
+            return np.sqrt(sum(abs(v[c]) ** 2 for c in range(spec.dim)
+                               if c not in (2 * n - 1, 2 * n)))
+
+        psi = psi0.vec / np.linalg.norm(psi0.vec)
+        carrier, n = model.N0, model.n0
+        worst = residual(psi, n)
+        for step in range(1, self.GRID.n_steps + 1):
+            ch = channels.get(labels.get(step))
+            if ch is not None and ch.operator is not None:
+                v = ch.operator @ psi
+            else:
+                v = psi - 1j * dt * (H @ psi) - 0.5 * dt * carrier * (gain.conj().T @ gain @ psi)
+            if ch is not None:
+                carrier += ch.carrier_delta
+                n += evolve.N_DELTA[ch.label]
+            psi = v / np.linalg.norm(v)
+            worst = max(worst, residual(psi, n))
+        return worst
+
+    @pytest.mark.filterwarnings("ignore:step probability")
+    def test_in_sector_start_stays_in_sector(self):
+        psi0 = ket(1, GROUND, self.SPEC)
+        replayed = sector_residuals(psi0, self.CFG, self.MODEL, self.GRID, self.records())
+        assert np.array_equal(replayed, np.zeros(3))
+
+    @pytest.mark.filterwarnings("ignore:step probability")
+    def test_out_of_sector_start_matches_definition(self):
+        # the records replayed from a coherent start, which spans every sector:
+        # the replay must see that amplitude
+        psi0 = product_state(coherent_state(0.8, self.SPEC, warn=False), qubit_state(GROUND))
+        records = self.records()
+        replayed = sector_residuals(psi0, self.CFG, self.MODEL, self.GRID, records)
+        expected = [self.literal(psi0, r) for r in records]
+        assert min(expected) > 0.1
+        assert np.max(np.abs(replayed - expected)) <= 1e-12
 
 
 class TestEnsemble:

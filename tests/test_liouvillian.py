@@ -398,14 +398,24 @@ class TestCompiledWidth:
         L_S = build_L_S(CoherentDrive(0.3), spec)
         assert width(L_S + L) == 11
 
+    def test_cancellation_holds_at_any_gamma_S(self):
+        # H_ST, f and the drift share the products of A = sqrt(gS) a and
+        # B = sqrt(gTf) b, so the a^dag b shifts cancel to exact zeros at
+        # gamma_S != 1 too
+        cfg = CouplingConfig(1.2, 0.7, 0.3, delta=0.4)
+        spec = FockSpec(6)
+        assert width(build_L_T(cfg, spec) + build_L_ST(cfg, spec)) == 7
+        assert width(build_L_S(CoherentDrive(0.6 - 0.3j), spec)
+                     + build_L_T(cfg, spec) + build_L_ST(cfg, spec)) == 11
+
     @pytest.mark.parametrize("rates, free, drive", [
         ((1.0, 0.5, 0.5, 0.0), 7, 11),
-        ((1.2, 0.7, 0.3, 0.4), 9, 13),
+        ((1.2, 0.7, 0.3, 0.4), 7, 11),
         ((1.0, 0.0, 0.0, 0.0), 2, 6),
     ])
     def test_widths_are_bounded(self, rates, free, drive):
-        # upper bounds on the width of each generator; the full one drops to
-        # 7 / 11 only where its a^dag b shifts cancel exactly (gamma_S = 1)
+        # upper bounds on the width of each generator; the full one is 7 / 11
+        # because its a^dag b shifts cancel exactly
         cfg = CouplingConfig(*rates)
         spec = FockSpec(6)
         for model, full, source in ((FreeDecayMixture(((0.5, 1.0),)), free, 2),
