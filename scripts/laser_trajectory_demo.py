@@ -38,7 +38,7 @@ def main():
     ap.add_argument("--photons", type=int, default=1)
     ap.add_argument("--n-max", type=int, default=14)
     ap.add_argument("--t1", type=float, default=4.0)
-    ap.add_argument("--dt", type=float, default=0.001)
+    ap.add_argument("--dt", type=float, default=0.0005)
     ap.add_argument("--seed-start", type=int, default=0)
     args = ap.parse_args()
 

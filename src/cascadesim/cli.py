@@ -31,7 +31,6 @@ from functools import lru_cache
 import numpy as np
 
 from .acceptance import CRITERIA, run_suite
-from .analysis import schmidt_entropy
 from .errors import (
     InvariantViolationError,
     StepProbabilityError,
@@ -337,6 +336,18 @@ class _Observables:
         return self.header, self.rows
 
 
+def _write_run(cfg: ExperimentConfig, command: str, obs: _Observables, dump_name: str):
+    """Write the files of every run command into cfg.output_dir: manifest.json,
+    observables.csv and dump_name, the state dump of the last stored state."""
+    os.makedirs(cfg.output_dir, exist_ok=True)
+    write_json(os.path.join(cfg.output_dir, "manifest.json"),
+               {"command": command, **cfg.resolved})
+    header, rows = obs.table()
+    write_csv(os.path.join(cfg.output_dir, "observables.csv"), header, rows)
+    write_json(os.path.join(cfg.output_dir, dump_name),
+               state_dump(obs.last, cfg.spec, float(obs.times[-1])))
+
+
 def cmd_run_master(cfg: ExperimentConfig) -> int:
     try:
         L = (build_L_S(cfg.source, cfg.spec)
@@ -347,14 +358,7 @@ def cmd_run_master(cfg: ExperimentConfig) -> int:
     rho0 = DensityOperator(np.outer(cfg.initial_vec, cfg.initial_vec.conj()))
     obs = _Observables(cfg.grid.stored_times(cfg.store_every), cfg.spec)
     evolve_master(rho0, L, cfg.grid, store_every=cfg.store_every, observe=obs)
-
-    os.makedirs(cfg.output_dir, exist_ok=True)
-    write_json(os.path.join(cfg.output_dir, "manifest.json"),
-               {"command": "run-master", **cfg.resolved})
-    header, rows = obs.table()
-    write_csv(os.path.join(cfg.output_dir, "observables.csv"), header, rows)
-    write_json(os.path.join(cfg.output_dir, "final_state.json"),
-               state_dump(obs.last, cfg.spec, float(obs.times[-1])))
+    _write_run(cfg, "run-master", obs, "final_state.json")
     return 0
 
 
@@ -367,18 +371,11 @@ def cmd_run_trajectories(cfg: ExperimentConfig) -> int:
     ens = run_ensemble(PureState(cfg.initial_vec), cfg.coupling, cfg.source,
                        cfg.grid, cfg.seeds, store_every=cfg.store_every, workers=workers,
                        observe=obs)
-    os.makedirs(cfg.output_dir, exist_ok=True)
+    _write_run(cfg, "run-trajectories", obs, "ensemble_state.json")
     rec_dir = os.path.join(cfg.output_dir, "records")
     os.makedirs(rec_dir, exist_ok=True)
-    write_json(os.path.join(cfg.output_dir, "manifest.json"),
-               {"command": "run-trajectories", **cfg.resolved})
-
-    header, rows = obs.table()
-    write_csv(os.path.join(cfg.output_dir, "observables.csv"), header, rows)
-
     traj_rows = []
-    for rec, ent, res in zip(ens.records, ens.max_schmidt_entropies,
-                             ens.max_span_residuals):
+    for rec, ent in zip(ens.records, ens.max_schmidt_entropies):
         write_csv(os.path.join(rec_dir, f"record_{rec.seed}.csv"),
                   ["time", "channel"],
                   [[float(t), lab] for t, lab in rec.events])
@@ -387,14 +384,11 @@ def cmd_run_trajectories(cfg: ExperimentConfig) -> int:
             rec.count("forward_f"), rec.count("side_s"),
             rec.count("pump"), rec.count("gain"), rec.count("nonlasing"),
             float(ent),
-            float(res) if res is not None else "",
         ])
     write_csv(os.path.join(cfg.output_dir, "trajectories.csv"),
               ["seed", "events", "forward_f", "side_s", "pump", "gain",
-               "nonlasing", "max_schmidt_entropy", "max_span_residual"],
+               "nonlasing", "max_schmidt_entropy"],
               traj_rows)
-    write_json(os.path.join(cfg.output_dir, "ensemble_state.json"),
-               state_dump(obs.last, cfg.spec, float(obs.times[-1])))
     return 0
 
 

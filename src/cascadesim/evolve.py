@@ -123,10 +123,6 @@ class TrajectoryResult:
     states: np.ndarray           # (n_stored, dim) normalized state vectors
     carriers: np.ndarray | None  # (n_stored,) classical carrier counts, or None
     max_schmidt_entropy: float | None = None
-    # largest amplitude outside the predicted quanta sector: 0.0 for a
-    # birth-death run by construction, since the engine keeps only the sector's
-    # amplitudes once _check_sectors has passed; None for the other sources
-    max_span_residual: float | None = None
 
 
 def expectation(rho, op) -> complex:
@@ -198,7 +194,7 @@ def mcwf_run(psi0: PureState, config: CouplingConfig, source_model, grid: TimeGr
     def store(i, psi, carrier):
         states[i], carriers[i] = psi[0], carrier[0]
 
-    records, ents, spans, max_p = _ensemble_chunk(
+    records, ents, max_p = _ensemble_chunk(
         psi0.vec, config, source_model, grid, store_every, diagnostics, store, [seed])
     _warn_step_probability(max_p)
     return TrajectoryResult(
@@ -207,7 +203,6 @@ def mcwf_run(psi0: PureState, config: CouplingConfig, source_model, grid: TimeGr
         states=states,
         carriers=carriers if isinstance(source_model, BirthDeathLaser) else None,
         max_schmidt_entropy=ents[0],
-        max_span_residual=spans[0],
     )
 
 
@@ -217,7 +212,6 @@ class EnsembleResult:
     rho_avg: list | None          # of DensityOperator; None when observed instead
     records: list                 # of Record
     max_schmidt_entropies: list
-    max_span_residuals: list      # as TrajectoryResult.max_span_residual
 
 
 # n shifts per event label
@@ -313,8 +307,7 @@ def _ensemble_chunk(psi0_vec, config, source_model, grid, store_every, diagnosti
     N_DELTA: a no-jump step applies the row's 2 x 2 block of
     I - i dt H - (dt/2) N g a a^dag, rewritten only when the row has an
     event, and a jump applies its channel's block from sector n_pred.
-    _check_sectors makes sure that no amplitude is lost this way, so the
-    out-of-sector residual of every birth-death row is 0.
+    _check_sectors makes sure that no amplitude is lost this way.
 
     Between jumps a row is the unnormalized no-jump state, and its squared
     norm is carried along; the rows are normalized before every store and
@@ -325,8 +318,9 @@ def _ensemble_chunk(psi0_vec, config, source_model, grid, store_every, diagnosti
     store(i, psi, carrier) with the normalized dense (M, d) rows and (M,)
     carrier counts, its working arrays, which store copies from as needed;
     birth-death rows are scattered into one reused dense buffer first.
-    Returns the records, each trajectory's diagnostics, and the largest step
-    probability, so the caller can warn about it.
+    Returns the records, each trajectory's largest Schmidt entropy (None
+    without diagnostics), and the largest step probability, so the caller can
+    warn about it.
     """
     psi0 = PureState(psi0_vec).normalized().vec
     M, dim = len(seeds), len(psi0)
@@ -580,8 +574,7 @@ def _ensemble_chunk(psi0_vec, config, source_model, grid, store_every, diagnosti
 
     records = [Record(events=e, seed=s) for e, s in zip(events, seeds)]
     ents = [float(e) for e in max_ent] if diagnostics else [None] * M
-    spans = [0.0 if (diagnostics and birth_death) else None] * M
-    return records, ents, spans, max_p
+    return records, ents, max_p
 
 
 def _warn_step_probability(p: float):
@@ -650,7 +643,7 @@ def run_ensemble(psi0: PureState, config: CouplingConfig, source_model,
         def average(i, psi, carrier):
             observe(DensityOperator(psi.T @ psi.conj() / len(seeds), layout=COMPOSITE))
 
-        records, entropies, residuals, max_p = _ensemble_chunk(
+        records, entropies, max_p = _ensemble_chunk(
             psi0.vec, config, source_model, grid, store_every, diagnostics, average, seeds)
     else:
         chunk = partial(_projector_sum, psi0.vec, config, source_model, grid,
@@ -658,15 +651,14 @@ def run_ensemble(psi0: PureState, config: CouplingConfig, source_model,
         with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
             results = pool.map(chunk, blocks) if pool else map(chunk, blocks)
             # the first block's sum and lists grow in place: no second copy of the sum
-            acc, records, entropies, residuals, max_p = next(results)
-            for block_acc, recs, ents, ress, p in results:
+            acc, records, entropies, max_p = next(results)
+            for block_acc, recs, ents, p in results:
                 acc += block_acc
                 records += recs
                 entropies += ents
-                residuals += ress
                 max_p = max(max_p, p)
         acc /= len(seeds)
         for mat in acc:
             observe(DensityOperator(mat, layout=COMPOSITE))
     _warn_step_probability(max_p)
-    return EnsembleResult(times, rho_avg, records, entropies, residuals)
+    return EnsembleResult(times, rho_avg, records, entropies)

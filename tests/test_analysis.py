@@ -13,7 +13,6 @@ from cascadesim.analysis import (
 )
 from cascadesim.errors import DimensionMismatchError, InvariantViolationError
 from cascadesim.hilbert import (
-    COMPOSITE,
     EXCITED,
     GROUND,
     SOURCE,

@@ -144,13 +144,17 @@ class TestRunTrajectories:
         for seed in range(4):
             assert (tmp_path / "out" / "records" / f"record_{seed}.csv").exists()
 
-    def test_birth_death_span_column(self, tmp_path):
-        doc = load_preset_doc("birth_death.json")
+    @pytest.mark.filterwarnings("ignore:step probability")
+    @pytest.mark.parametrize("preset", ["birth_death.json", "coherent_drive.json"])
+    def test_trajectories_columns(self, tmp_path, preset):
+        doc = load_preset_doc(preset)
         doc["seeds"] = {"start": 0, "count": 5}
         doc["output_dir"] = str(tmp_path / "out")
         assert main(["run-trajectories", write_config(tmp_path, doc)]) == 0
         header, rows = read_csv(tmp_path / "out" / "trajectories.csv")
-        assert max(column(header, rows, "max_span_residual")) < 1e-10
+        assert header == ["seed", "events", "forward_f", "side_s", "pump", "gain",
+                          "nonlasing", "max_schmidt_entropy"]
+        assert [len(row) for row in rows] == [8] * 5
 
     def test_step_probability_violation_exits_3(self, tmp_path, capsys):
         doc = {

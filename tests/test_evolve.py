@@ -296,7 +296,6 @@ class TestSingleTrajectory:
         assert n_f + n_s == 3
         assert r.record.count("pump") == r.record.count("gain") == 0
         assert np.all(r.carriers == 0)
-        assert r.max_span_residual == 0.0
         assert abs(abs(r.states[-1][0]) - 1.0) < 1e-12
 
     @pytest.mark.filterwarnings("ignore:step probability")
@@ -752,11 +751,9 @@ class TestDiagnostics:
         assert max(entropies) > 0.1
         assert abs(r.max_schmidt_entropy - max(entropies)) <= 1e-12
         if case != "birth_death":
-            assert r.max_span_residual is None
             return
         # the engine keeps only the sector's two amplitudes; TestSectorReplay
         # measures the out-of-sector amplitude on the dense replay instead
-        assert r.max_span_residual == 0.0
         n = predicted_sectors(r.record, model, r.times)
         assert all(np.count_nonzero(v) <= 2 for v in r.states)
         assert all(not np.delete(v, [2 * k - 1, 2 * k]).any() for v, k in zip(r.states, n))
@@ -774,8 +771,6 @@ class TestDiagnostics:
                        for k in (1, grid.n_steps))
         assert once.record.events == every.record.events
         assert abs(once.max_schmidt_entropy - every.max_schmidt_entropy) <= 1e-12
-        if case == "birth_death":
-            assert abs(once.max_span_residual - every.max_span_residual) <= 1e-12
 
 
 class TestSectorReplay:
@@ -900,9 +895,8 @@ class TestEnsemble:
         # distinct per seed, so that the order shows
         assert len({len(r.events) for r in one.records}) > 1
         assert len(set(one.max_schmidt_entropies)) == len(seeds)
-        for field in ("max_schmidt_entropies", "max_span_residuals"):
-            a, b = getattr(one, field), getattr(three, field)
-            assert np.max(np.abs(np.subtract(a, b))) <= 1e-12
+        a, b = one.max_schmidt_entropies, three.max_schmidt_entropies
+        assert np.max(np.abs(np.subtract(a, b))) <= 1e-12
 
     @pytest.mark.parametrize("workers", [2, 3])
     def test_seed_blocks_give_one_result(self, monkeypatch, workers):
@@ -919,7 +913,6 @@ class TestEnsemble:
             assert np.array_equal(a.mat, b.mat)
         assert [r.events for r in many.records] == [r.events for r in one.records]
         assert many.max_schmidt_entropies == one.max_schmidt_entropies
-        assert many.max_span_residuals == one.max_span_residuals
 
     @pytest.mark.parametrize("block", [None, 2])
     def test_observer_receives_the_averages(self, monkeypatch, block):
@@ -942,7 +935,6 @@ class TestEnsemble:
         assert np.array_equal(observed.times, collected.times)
         assert [r.events for r in observed.records] == [r.events for r in collected.records]
         assert observed.max_schmidt_entropies == collected.max_schmidt_entropies
-        assert observed.max_span_residuals == collected.max_span_residuals
 
     def test_ensemble_converges_to_master(self):
         # driven cavity + qubit: 300-trajectory average vs deterministic

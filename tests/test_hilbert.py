@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from cascadesim.errors import DimensionMismatchError, InvariantViolationError, TruncationWarning
 from cascadesim.hilbert import (
-    COMPOSITE,
     EXCITED,
     GROUND,
     SOURCE,

@@ -5,7 +5,6 @@ from cascadesim.errors import DimensionMismatchError
 from cascadesim.hilbert import (
     EXCITED,
     GROUND,
-    DensityOperator,
     FockSpec,
     coherent_state,
     fock_state,

@@ -10,15 +10,24 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
+def run_script(script, args, python_flags=()):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, *python_flags, str(ROOT / "scripts" / script), *args],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip()
+
+
 @pytest.mark.parametrize("script, args", [
     ("laser_trajectory_demo.py", ["--trajectories", "8", "--t1", "0.05"]),
     ("disentanglement_sweep.py", ["--radii", "0.5", "--t1", "0.02", "--store-every", "5"]),
 ])
 def test_script_runs(script, args):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / script), *args],
-                          env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip()
+    run_script(script, args)
+
+
+def test_laser_demo_defaults_do_not_warn():
+    # the default dt keeps every step probability under the recommended bound
+    run_script("laser_trajectory_demo.py", [], python_flags=["-W", "error::UserWarning"])
