@@ -25,7 +25,7 @@ from .analysis import (
 )
 from .ansatz import build_ansatz_state, drive_hamiltonian, solve_separated_target
 from .errors import TruncationWarning
-from .evolve import N_DELTA, TimeGrid, evolve_master, expectation, run_ensemble
+from .evolve import TimeGrid, evolve_master, expectation, run_ensemble
 from .hilbert import (
     GROUND,
     SOURCE,
@@ -39,6 +39,7 @@ from .hilbert import (
     partial_trace,
     product_state,
     qubit_state,
+    total_quanta,
 )
 from .liouvillian import (
     CouplingConfig,
@@ -57,10 +58,9 @@ from .sources import (
     ClassicalPath,
     CoherentDrive,
     FreeDecayMixture,
-    JumpChannel,
     build_L_S,
     classical_paths,
-    source_jump_channels,
+    unraveling,
 )
 
 GROUND_RHO = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
@@ -152,14 +152,11 @@ def sector_residuals(psi0, config: CouplingConfig, model: BirthDeathLaser,
     sector n, span{|n-1, excited>, |n, ground>}, is measured.
     """
     spec = FockSpec(psi0.dim // 2 - 1)
-    f_op, s_op = build_jump_ops(config, spec)
-    channels = {ch.label: ch for ch in
-                [JumpChannel("forward_f", operator=f_op.mat),
-                 JumpChannel("side_s", operator=s_op.mat)]
-                + source_jump_channels(model, config, spec)}
+    H, channels = unraveling(model, config, spec)
+    channels = {ch.label: ch for ch in channels}
     gain = channels["gain"].operator
     damp = 0.5 * grid.dt * np.real(np.diag(gain.conj().T @ gain))
-    no_jump = (np.eye(spec.dim) - 1j * grid.dt * build_nonhermitian_H(config, spec).mat).T
+    no_jump = (np.eye(spec.dim) - 1j * grid.dt * H).T
     # the (row, label) events of each step; a record's time of step k is t0 + (k + 1) dt
     at_step = {}
     for row, rec in enumerate(records):
@@ -169,7 +166,7 @@ def sector_residuals(psi0, config: CouplingConfig, model: BirthDeathLaser,
     psi = np.tile(psi0.normalized().vec, (len(records), 1))
     carrier = np.full(len(records), model.N0)
     n = np.full(len(records), model.n0)
-    sector = (np.arange(spec.dim) + 1) // 2
+    sector = total_quanta(spec.dim)
     worst = np.zeros(len(records))
 
     def measure():
@@ -184,7 +181,7 @@ def sector_residuals(psi0, config: CouplingConfig, model: BirthDeathLaser,
             if ch.operator is not None:
                 nxt[row] = ch.operator @ psi[row]
             carrier[row] += ch.carrier_delta
-            n[row] += N_DELTA[label]
+            n[row] += ch.quanta_delta
         psi = nxt / np.linalg.norm(nxt, axis=1)[:, None]
         measure()
     return worst

@@ -16,6 +16,7 @@ from .hilbert import (
     FockSpec,
     PureState,
     coherent_state,
+    total_quanta,
 )
 
 
@@ -60,10 +61,7 @@ def support_pattern_check(rho: DensityOperator, tol: float) -> tuple:
     """
     if rho.layout != COMPOSITE:
         raise DimensionMismatchError("support check needs a composite state")
-    fock_dim = rho.dim // QUBIT_DIM
-    n = np.repeat(np.arange(fock_dim), QUBIT_DIM)
-    q = np.tile(np.arange(QUBIT_DIM), fock_dim)
-    quanta = n + q
+    quanta = total_quanta(rho.dim)
     allowed = quanta[:, None] == quanta[None, :]
     bad = (~allowed) & (np.abs(rho.mat) >= tol)
     offending = [(int(i), int(j), float(abs(rho.mat[i, j])))

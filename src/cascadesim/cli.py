@@ -38,6 +38,7 @@ from .errors import (
 )
 from .evolve import (
     TimeGrid,
+    check_seeds,
     evolve_master,
     run_ensemble,
     sector_amplitudes,
@@ -195,13 +196,7 @@ def load_config(path: str) -> ExperimentConfig:
             seeds = list(range(start, start + count))
         else:
             raise ConfigError(f"seeds must be a list or an object, got {s!r}")
-        if not seeds:
-            raise ConfigError("seeds must name at least one seed")
-        bad = [seed for seed in seeds if not (_is_int(seed) and seed >= 0)]
-        if bad:
-            raise ConfigError(f"seeds must be integers >= 0, got {bad[0]!r}")
-        if len(set(seeds)) < len(seeds):
-            raise ConfigError(f"seeds must be distinct; {max(seeds, key=seeds.count)!r} repeats")
+        check_seeds(seeds)
         name = doc.get("name", os.path.splitext(os.path.basename(path))[0])
         output_dir = doc.get("output_dir", "out")
         for key, value in (("name", name), ("output_dir", output_dir)):

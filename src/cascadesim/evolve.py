@@ -11,8 +11,8 @@ way, and the classical channels add their rates.  For the coherent-drive and
 free-decay sources a trajectory is the dense state and a step one d x d
 product.  A birth-death trajectory stays in one total-quanta sector
 span{|n-1, excited>, |n, ground>} between jumps, and each jump moves n by the
-channel's N_DELTA, so it is two amplitudes and its sector n, and a step is one
-2 x 2 product (checked once per run by _check_sectors).  The no-jump state is
+channel's quanta_delta, so it is two amplitudes and its sector n, and a step is
+one 2 x 2 product (checked once per run by _sector_blocks).  The no-jump state is
 not renormalized: each trajectory carries its squared norm |psi|^2 instead,
 the norm-decay view of the method (Molmer, Castin & Dalibard, JOSA B 10, 524
 (1993)).  A state is normalized when it jumps, before it is stored or its
@@ -43,29 +43,9 @@ from .errors import (
     InvariantViolationError,
     StepProbabilityError,
 )
-from .hilbert import (
-    COMPOSITE,
-    SOURCE,
-    DensityOperator,
-    FockSpec,
-    Operator,
-    PureState,
-    annihilation,
-    embed,
-)
-from .liouvillian import (
-    CouplingConfig,
-    Superoperator,
-    apply,
-    build_jump_ops,
-    build_nonhermitian_H,
-)
-from .sources import (
-    BirthDeathLaser,
-    CoherentDrive,
-    JumpChannel,
-    source_jump_channels,
-)
+from .hilbert import COMPOSITE, DensityOperator, FockSpec, Operator, PureState
+from .liouvillian import CouplingConfig, Superoperator, apply
+from .sources import BirthDeathLaser, unraveling
 
 SOFT_STEP_PROBABILITY = 0.01
 HARD_STEP_PROBABILITY = 0.1
@@ -103,6 +83,21 @@ class TimeGrid:
             raise ValueError(f"store_every must be an integer >= 1 dividing the "
                              f"{self.n_steps} steps, got {store_every!r}")
         return self.t0 + self.dt * np.arange(0, self.n_steps + 1, store_every)
+
+
+def check_seeds(seeds) -> list:
+    """seeds as a list; ValueError unless there is one or more and they are
+    distinct integers >= 0, numpy integers included and bools not."""
+    seeds = list(seeds)
+    if not seeds:
+        raise ValueError("seeds must name at least one seed")
+    bad = [s for s in seeds if isinstance(s, bool)
+           or not isinstance(s, (int, np.integer)) or s < 0]
+    if bad:
+        raise ValueError(f"seeds must be integers >= 0, got {bad[0]!r}")
+    if len(set(seeds)) < len(seeds):
+        raise ValueError(f"seeds must be distinct; {max(seeds, key=seeds.count)!r} repeats")
+    return seeds
 
 
 @dataclass
@@ -187,6 +182,7 @@ def mcwf_run(psi0: PureState, config: CouplingConfig, source_model, grid: TimeGr
     is the single-seed call of the ensemble engine; its store callback copies
     the stored states and carrier counts.
     """
+    seeds = check_seeds([seed])
     times = grid.stored_times(store_every)
     states = np.empty((len(times), len(psi0.vec)), dtype=complex)
     carriers = np.empty(len(times), dtype=int)
@@ -195,7 +191,7 @@ def mcwf_run(psi0: PureState, config: CouplingConfig, source_model, grid: TimeGr
         states[i], carriers[i] = psi[0], carrier[0]
 
     records, ents, max_p = _ensemble_chunk(
-        psi0.vec, config, source_model, grid, store_every, diagnostics, store, [seed])
+        psi0.vec, config, source_model, grid, store_every, diagnostics, store, seeds)
     _warn_step_probability(max_p)
     return TrajectoryResult(
         record=records[0],
@@ -214,8 +210,6 @@ class EnsembleResult:
     max_schmidt_entropies: list
 
 
-# n shifts per event label
-N_DELTA = {"forward_f": -1, "side_s": -1, "gain": +1, "pump": 0, "nonlasing": 0}
 # uniforms drawn per refill of a trajectory's block; Generator.random(n)
 # returns exactly the next n scalar draws of the stream
 UNIFORM_BLOCK = 64
@@ -226,9 +220,9 @@ RENORMALIZE_EVERY = 64
 ENSEMBLE_BLOCK = 1024
 
 
-def _check_drift(H: np.ndarray, jump_ops):
+def _check_drift(H: np.ndarray, channels):
     """Raise InvariantViolationError unless i(H - H^dag) equals the sum of
-    C^dag C over jump_ops, the quantum channels not scaled by the carrier.
+    C^dag C over the quantum channels not scaled by the carrier.
 
     The engine reads those channels' summed jump probability off the drift,
     so the identity must hold for the records to be right.
@@ -236,8 +230,9 @@ def _check_drift(H: np.ndarray, jump_ops):
     if not np.all(np.isfinite(H)):
         raise InvariantViolationError("non-finite drift Hamiltonian; check rates and detuning")
     K = 1j * (H - H.conj().T)
-    for C in jump_ops:
-        K -= C.conj().T @ C
+    for ch in channels:
+        if ch.operator is not None and not ch.scales_with_carrier:
+            K -= ch.operator.conj().T @ ch.operator
     residual = np.abs(K).max()
     if not residual <= 1e-12 * max(1.0, np.abs(H).max()):
         raise InvariantViolationError(
@@ -262,38 +257,27 @@ def sector_amplitudes(vec, n: int) -> np.ndarray:
     return sectors[n]
 
 
-def _sector_blocks(op: np.ndarray, shift: int) -> np.ndarray:
+def _sector_blocks(op: np.ndarray, shift: int, name: str) -> np.ndarray:
     """The (n_max + 2, 2, 2) blocks of op that map quanta sector n to n + shift,
     in the padded two-column layout of sector_amplitudes; zero where n + shift
-    falls outside the sectors."""
+    falls outside the sectors.
+
+    The birth-death engine keeps only these blocks, so an entry of op outside
+    them would be dropped unseen: InvariantViolationError, naming op as name.
+    """
     S = len(op) // 2 + 1
-    blocks = np.pad(op, 1).reshape(S, 2, S, 2)
+    blocks = np.pad(op, 1).reshape(S, 2, S, 2).transpose(0, 2, 1, 3)
     n = np.arange(S)
+    # a NaN entry is left to the step's non-finite guards
+    outside = np.abs(blocks[n[:, None] - n[None, :] != shift])
+    if (outside > 0).any():
+        raise InvariantViolationError(
+            f"{name} does not keep the quanta sectors: largest entry outside "
+            f"them {np.nanmax(outside):.3g}")
     inside = (n + shift >= 0) & (n + shift < S)
     out = np.zeros((S, 2, 2), dtype=complex)
-    out[inside] = blocks[n[inside] + shift, :, n[inside], :]
+    out[inside] = blocks[n[inside] + shift, n[inside]]
     return out
-
-
-def _check_sectors(H: np.ndarray, channels):
-    """Raise InvariantViolationError unless H maps every quanta sector into
-    itself and each quantum channel maps sector n into n + N_DELTA[label].
-
-    The birth-death engine keeps only the two amplitudes of one sector per
-    trajectory, so an entry outside this pattern would be dropped unseen.
-    """
-    sector = (np.arange(len(H)) + 1) // 2
-    shift = sector[:, None] - sector[None, :]
-    ops = [("drift Hamiltonian", H, 0)] + [
-        (f"jump operator {ch.label}", ch.operator, N_DELTA[ch.label])
-        for ch in channels if ch.operator is not None]
-    for name, op, delta in ops:
-        # a NaN entry is left to the step's non-finite guards
-        outside = np.abs(op[shift != delta])
-        if (outside > 0).any():
-            raise InvariantViolationError(
-                f"{name} does not keep the quanta sectors: largest entry outside "
-                f"them {np.nanmax(outside):.3g}")
 
 
 def _ensemble_chunk(psi0_vec, config, source_model, grid, store_every, diagnostics,
@@ -304,10 +288,10 @@ def _ensemble_chunk(psi0_vec, config, source_model, grid, store_every, diagnosti
     sources it is the dense state, and a no-jump step is one d x d product.
     For the birth-death source it is the two amplitudes of the row's quanta
     sector n_pred (sector_amplitudes), which H keeps and each jump moves by
-    N_DELTA: a no-jump step applies the row's 2 x 2 block of
-    I - i dt H - (dt/2) N g a a^dag, rewritten only when the row has an
+    its channel's quanta_delta: a no-jump step applies the row's 2 x 2 block
+    of I - i dt H - (dt/2) N g a a^dag, rewritten only when the row has an
     event, and a jump applies its channel's block from sector n_pred.
-    _check_sectors makes sure that no amplitude is lost this way.
+    _sector_blocks makes sure that no amplitude is lost this way.
 
     Between jumps a row is the unnormalized no-jump state, and its squared
     norm is carried along; the rows are normalized before every store and
@@ -326,29 +310,16 @@ def _ensemble_chunk(psi0_vec, config, source_model, grid, store_every, diagnosti
     M, dim = len(seeds), len(psi0)
     spec = FockSpec(dim // 2 - 1)
     dt = grid.dt
-    f_op, s_op = build_jump_ops(config, spec)
-    H = build_nonhermitian_H(config, spec).mat.copy()
-    if isinstance(source_model, CoherentDrive):
-        a = embed(annihilation(spec), SOURCE, spec).mat
-        H += 1j * (source_model.epsilon * a.conj().T
-                   - np.conj(source_model.epsilon) * a)
-    _check_drift(H, (f_op.mat, s_op.mat))
-
+    H, channels = unraveling(source_model, config, spec)
+    _check_drift(H, channels)
     birth_death = isinstance(source_model, BirthDeathLaser)
-    channels = [
-        JumpChannel("forward_f", operator=f_op.mat),
-        JumpChannel("side_s", operator=s_op.mat),
-    ]
-    if birth_death:
-        channels += source_jump_channels(source_model, config, spec)
-        _check_sectors(H, channels)
     n_ch = len(channels)
     quantum = [k for k, ch in enumerate(channels) if ch.operator is not None]
     classical = [k for k, ch in enumerate(channels) if ch.operator is None]
     rates = np.array([channels[k].rate for k in classical])
     scaled = [k for k, ch in enumerate(channels) if ch.scales_with_carrier]
     carrier_delta = np.array([ch.carrier_delta for ch in channels])
-    n_delta = np.array([N_DELTA[ch.label] for ch in channels])
+    quanta_delta = np.array([ch.quanta_delta for ch in channels])
     # position of each quantum channel among a row's jump vectors
     slot = {k: j for j, k in enumerate(quantum)}
 
@@ -358,15 +329,16 @@ def _ensemble_chunk(psi0_vec, config, source_model, grid, store_every, diagnosti
         # summed rates of the classical channels, without and with the carrier factor
         rate_fixed = sum(channels[k].rate for k in classical if k not in scaled)
         rate_scaled = sum(channels[k].rate for k in classical if k in scaled)
+        # per sector: the block of I - i dt H, of every C_k, and of the gain
+        # back-action (dt/2) g a a^dag without its carrier factor
+        drift = np.eye(2) - 1j * dt * _sector_blocks(H, 0, "drift Hamiltonian")
+        jumps = np.stack([_sector_blocks(channels[k].operator, quanta_delta[k],
+                                         f"jump operator {channels[k].label}")
+                          for k in quantum], axis=1)
+        gain_op = next(ch.operator for ch in channels if ch.label == "gain")
+        damp = 0.5 * dt * _sector_blocks(gain_op.conj().T @ gain_op, 0, "gain back-action")
         n_pred = np.full(M, source_model.n0)
         psi = np.tile(sector_amplitudes(psi0, source_model.n0), (M, 1))
-        # per sector: the block of I - i dt H, of the gain back-action
-        # (dt/2) g a a^dag without its carrier factor, and of every C_k
-        drift = np.eye(2) - 1j * dt * _sector_blocks(H, 0)
-        gain_op = next(ch.operator for ch in channels if ch.label == "gain")
-        damp = 0.5 * dt * _sector_blocks(gain_op.conj().T @ gain_op, 0)
-        jumps = np.stack([_sector_blocks(channels[k].operator, n_delta[k])
-                          for k in quantum], axis=1)
         # the no-jump map of each row, column by column: row m's no-jump state
         # is K[0, m] psi[m, 0] + K[1, m] psi[m, 1]; and the classical channels'
         # step probability of each row
@@ -556,7 +528,7 @@ def _ensemble_chunk(psi0_vec, config, source_model, grid, store_every, diagnosti
                 events[m].append((t_next, ch.label))
             carrier[jumpers] += carrier_delta[ks]
             if birth_death:
-                n_pred[jumpers] += n_delta[ks]
+                n_pred[jumpers] += quanta_delta[ks]
                 set_no_jump(jumpers)
 
         storing = (step + 1) % store_every == 0
@@ -629,11 +601,7 @@ def run_ensemble(psi0: PureState, config: CouplingConfig, source_model,
     one, ``rho_avg`` is None.  A birth-death psi0 must lie in the quanta
     sector of source_model.n0, as for mcwf_run.
     """
-    seeds = list(seeds)
-    if not seeds:
-        raise ValueError("need at least one seed")
-    if len(set(seeds)) < len(seeds):
-        raise ValueError(f"seeds must be distinct; {max(seeds, key=seeds.count)!r} repeats")
+    seeds = check_seeds(seeds)
     times = grid.stored_times(store_every)
     rho_avg = [] if observe is None else None
     observe = rho_avg.append if observe is None else observe

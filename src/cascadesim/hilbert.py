@@ -158,6 +158,11 @@ class DensityOperator:
         return self
 
 
+def total_quanta(dim: int) -> np.ndarray:
+    """n + q of each composite basis index 2n + q: (index + 1) // 2."""
+    return (np.arange(dim) + 1) // 2
+
+
 def annihilation(spec: FockSpec) -> Operator:
     """Photon annihilation: <n-1| a |n> = sqrt(n), truncated at n_max."""
     d = spec.fock_dim

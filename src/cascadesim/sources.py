@@ -17,7 +17,13 @@ import numpy as np
 
 from .errors import UnsupportedSourceError
 from .hilbert import SOURCE, FockSpec, annihilation, embed
-from .liouvillian import CouplingConfig, Superoperator, commutator_terms
+from .liouvillian import (
+    CouplingConfig,
+    Superoperator,
+    build_jump_ops,
+    build_nonhermitian_H,
+    commutator_terms,
+)
 
 
 @dataclass(frozen=True)
@@ -89,7 +95,8 @@ class JumpChannel:
     Quantum channels carry an operator (probability dt * <C^dag C>, scaled by
     the carrier count when scales_with_carrier); classical channels carry a
     bare rate and never touch the quantum state.  carrier_delta is the update
-    applied to the carrier counter on firing.
+    applied to the carrier counter on firing, quanta_delta the channel's shift
+    of the total quanta n + q of the photon mode and the qubit.
     """
 
     label: str
@@ -97,6 +104,7 @@ class JumpChannel:
     rate: float = 0.0
     scales_with_carrier: bool = False
     carrier_delta: int = 0
+    quanta_delta: int = 0
 
 
 def steady_amplitude(model: CoherentDrive, config: CouplingConfig) -> complex:
@@ -104,14 +112,18 @@ def steady_amplitude(model: CoherentDrive, config: CouplingConfig) -> complex:
     return 2.0 * model.epsilon / config.gamma_S
 
 
+def _drive(model: CoherentDrive, spec: FockSpec) -> np.ndarray:
+    """H_S = i (eps a^dag - eps* a) on the composite space."""
+    a = embed(annihilation(spec), SOURCE, spec).mat
+    return 1j * (model.epsilon * a.conj().T - np.conj(model.epsilon) * a)
+
+
 def build_L_S(model, spec: FockSpec) -> Superoperator:
     """Source contribution to the unregrouped master equation (no output damping)."""
     if isinstance(model, FreeDecayMixture):
         return Superoperator([], spec.dim)
     if isinstance(model, CoherentDrive):
-        a = embed(annihilation(spec), SOURCE, spec).mat
-        H_S = 1j * (model.epsilon * a.conj().T - np.conj(model.epsilon) * a)
-        return Superoperator(commutator_terms(H_S), spec.dim)
+        return Superoperator(commutator_terms(_drive(model, spec)), spec.dim)
     raise UnsupportedSourceError(
         f"{type(model).__name__} has no superoperator form; it is trajectory-only"
     )
@@ -131,11 +143,28 @@ def source_jump_channels(model, config: CouplingConfig, spec: FockSpec) -> list:
             operator=np.sqrt(model.gain_per_carrier) * a_dag,
             scales_with_carrier=True,
             carrier_delta=-1,
+            quanta_delta=+1,
         ),
         JumpChannel(
             "nonlasing", rate=model.nonlasing_rate, scales_with_carrier=True, carrier_delta=-1
         ),
     ]
+
+
+def unraveling(model, config: CouplingConfig, spec: FockSpec) -> tuple:
+    """(H, channels) of the trajectories: the non-Hermitian drift, plus H_S for
+    a CoherentDrive, and the forward and side detections, then a
+    BirthDeathLaser's channels.  A jump picks its channel in this order, so
+    the order fixes the records."""
+    H = build_nonhermitian_H(config, spec).mat.copy()
+    if isinstance(model, CoherentDrive):
+        H += _drive(model, spec)
+    f, s = build_jump_ops(config, spec)
+    channels = [JumpChannel("forward_f", operator=f.mat, quanta_delta=-1),
+                JumpChannel("side_s", operator=s.mat, quanta_delta=-1)]
+    if isinstance(model, BirthDeathLaser):
+        channels += source_jump_channels(model, config, spec)
+    return H, channels
 
 
 def classical_paths(model, config: CouplingConfig, t_grid: np.ndarray,

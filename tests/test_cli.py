@@ -216,6 +216,7 @@ class TestConfigValidation:
         ("run-trajectories", "seeds", {"start": 0, "count": 0}),
         ("run-trajectories", "seeds", []),
         ("run-trajectories", "seeds", [3, 3]),
+        ("run-trajectories", "seeds", [0, True]),
         ("run-trajectories", "seeds", {"start": 0, "count": True}),
         ("run-trajectories", "seeds", {"start": True, "count": 2}),
         # a bool is not a real number, though Python counts True as 1

@@ -45,11 +45,12 @@ from cascadesim.sources import (
     BirthDeathLaser,
     CoherentDrive,
     FreeDecayMixture,
-    JumpChannel,
     build_L_S,
     source_jump_channels,
+    unraveling,
 )
 import cascadesim.evolve as evolve
+import cascadesim.sources as sources
 from cascadesim.evolve import (
     RENORMALIZE_EVERY,
     UNIFORM_BLOCK,
@@ -94,20 +95,13 @@ def scalar_mcwf(psi0, config, model, grid, seed, store_every):
     events, the stored states and the stored carrier counts.
     """
     spec = FockSpec(psi0.dim // 2 - 1)
-    f_op, s_op = build_jump_ops(config, spec)
-    H = build_nonhermitian_H(config, spec).mat.copy()
-    channels = [JumpChannel("forward_f", operator=f_op.mat),
-                JumpChannel("side_s", operator=s_op.mat)]
+    H, channels = unraveling(model, config, spec)
     damp = np.zeros(psi0.dim)
     carrier = 0
     if isinstance(model, BirthDeathLaser):
         carrier = model.N0
-        channels += source_jump_channels(model, config, spec)
         gain = next(ch.operator for ch in channels if ch.label == "gain")
         damp = np.real(np.diag(gain.conj().T @ gain))
-    elif isinstance(model, CoherentDrive):
-        a = embed(annihilation(spec), SOURCE, spec).mat
-        H += 1j * (model.epsilon * a.conj().T - np.conj(model.epsilon) * a)
     rng = np.random.default_rng(seed)
     dt = grid.dt
     psi = psi0.vec / np.linalg.norm(psi0.vec)
@@ -150,9 +144,10 @@ def scalar_mcwf(psi0, config, model, grid, seed, store_every):
 
 def predicted_sectors(record, model, times):
     """The quanta sector n that the record predicts at each of times."""
+    shift = {"forward_f": -1, "side_s": -1, "gain": +1, "pump": 0, "nonlasing": 0}
     n = np.full(len(times), model.n0)
     for t, label in record.events:
-        n[times >= t - 1e-9] += evolve.N_DELTA[label]
+        n[times >= t - 1e-9] += shift[label]
     return n
 
 
@@ -559,6 +554,26 @@ class TestEngineOracle:
         with pytest.raises(ValueError, match="3 repeats"):
             run_ensemble(psi0, self.CFG, model, grid, [1, 3, 2, 3])
 
+    @pytest.mark.parametrize("seed", [True, np.True_, 1.5, -1, "3", None])
+    def test_non_integer_or_negative_seed_rejected(self, seed):
+        # the one seed rule of both entry points; a bool is not a seed,
+        # though Python counts True as 1
+        model, psi0, grid = self.CASES["birth_death"]
+        with pytest.raises(ValueError, match="seeds must be integers >= 0"):
+            run_ensemble(psi0, self.CFG, model, grid, [0, seed])
+        with pytest.raises(ValueError, match="seeds must be integers >= 0"):
+            mcwf_run(psi0, self.CFG, model, grid, seed=seed)
+
+    @pytest.mark.filterwarnings("ignore:step probability")
+    def test_numpy_integer_seeds_accepted(self):
+        model, psi0, grid = self.CASES["birth_death"]
+        seeds = np.arange(3, dtype=np.int64)
+        ens = run_ensemble(psi0, self.CFG, model, grid, seeds, store_every=grid.n_steps)
+        ref = run_ensemble(psi0, self.CFG, model, grid, range(3), store_every=grid.n_steps)
+        assert [r.events for r in ens.records] == [r.events for r in ref.records]
+        r = mcwf_run(psi0, self.CFG, model, grid, seed=np.uint8(2), store_every=grid.n_steps)
+        assert r.record.events == ref.records[2].events
+
     @pytest.mark.parametrize("rate", ["pump_rate", "gain_per_carrier", "nonlasing_rate"])
     def test_non_finite_step_probability_is_invariant_violation(self, rate):
         # bypasses the model's own validation to reach the engine's guard
@@ -637,13 +652,10 @@ class TestDriftIdentity:
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_identity(self, case):
         cfg, model = self.CASES[case]
-        H = build_nonhermitian_H(cfg, self.SPEC).mat
-        if isinstance(model, CoherentDrive):
-            # the drive is Hermitian, so it leaves the identity alone
-            a = embed(annihilation(self.SPEC), SOURCE, self.SPEC).mat
-            H = H + 1j * (model.epsilon * a.conj().T - np.conj(model.epsilon) * a)
-        f, s = build_jump_ops(cfg, self.SPEC)
-        decay = (f.dag() @ f).mat + (s.dag() @ s).mat
+        # the drift the engine uses; a coherent drive adds a Hermitian term
+        H, channels = unraveling(model, cfg, self.SPEC)
+        f, s = (ch.operator for ch in channels[:2])
+        decay = f.conj().T @ f + s.conj().T @ s
         assert np.max(np.abs(1j * (H - H.conj().T) - decay)) < 1e-14
         # and the engine's own set-up check accepts it
         psi0 = ket(1, GROUND, self.SPEC)
@@ -657,7 +669,7 @@ class TestDriftIdentity:
         return Operator(H + 0.5j * config.gamma_T * (b.conj().T @ b))
 
     def test_broken_drift_is_invariant_violation(self, monkeypatch):
-        monkeypatch.setattr(evolve, "build_nonhermitian_H", self.without_gamma_T)
+        monkeypatch.setattr(sources, "build_nonhermitian_H", self.without_gamma_T)
         cfg, model = self.CASES["coherent_drive"]
         with pytest.raises(InvariantViolationError, match="does not match the jump operators"):
             mcwf_run(ket(1, GROUND, self.SPEC), cfg, model, TimeGrid(0.0, 0.1, 0.01), seed=0)
@@ -668,7 +680,7 @@ class TestDriftIdentity:
 
         from cascadesim.cli import main
 
-        monkeypatch.setattr(evolve, "build_nonhermitian_H", self.without_gamma_T)
+        monkeypatch.setattr(sources, "build_nonhermitian_H", self.without_gamma_T)
         with resources.files("cascadesim.presets").joinpath("coherent_drive.json").open() as f:
             doc = json.load(f)
         doc["seeds"] = {"start": 0, "count": 2}
@@ -681,7 +693,7 @@ class TestDriftIdentity:
 
 class TestSectorCheck:
     """The birth-death engine keeps two amplitudes per trajectory only if H
-    keeps the quanta sectors and each jump moves them by N_DELTA."""
+    keeps the quanta sectors and each jump moves them by its quanta_delta."""
 
     SPEC = FockSpec(4)
 
@@ -693,7 +705,7 @@ class TestSectorCheck:
         return Operator(build_nonhermitian_H(config, spec).mat + 0.1 * (a + a.conj().T))
 
     def test_out_of_sector_drift_is_invariant_violation(self, monkeypatch):
-        monkeypatch.setattr(evolve, "build_nonhermitian_H", self.with_a_drive)
+        monkeypatch.setattr(sources, "build_nonhermitian_H", self.with_a_drive)
         model = BirthDeathLaser(1.0, 0.5, 0.3, N0=2, n0=1)
         with pytest.raises(InvariantViolationError,
                            match="drift Hamiltonian does not keep the quanta sectors"):
@@ -706,7 +718,7 @@ class TestSectorCheck:
 
         from cascadesim.cli import main
 
-        monkeypatch.setattr(evolve, "build_nonhermitian_H", self.with_a_drive)
+        monkeypatch.setattr(sources, "build_nonhermitian_H", self.with_a_drive)
         with resources.files("cascadesim.presets").joinpath("birth_death.json").open() as f:
             doc = json.load(f)
         doc["seeds"] = {"start": 0, "count": 2}
@@ -717,13 +729,11 @@ class TestSectorCheck:
         assert "does not keep the quanta sectors" in capsys.readouterr().err
 
     def test_jump_operators_must_move_by_their_shift(self):
-        cfg = CouplingConfig()
-        H = build_nonhermitian_H(cfg, self.SPEC).mat
-        f_op, _ = build_jump_ops(cfg, self.SPEC)
-        evolve._check_sectors(H, [JumpChannel("forward_f", operator=f_op.mat)])
+        f_op, _ = build_jump_ops(CouplingConfig(), self.SPEC)
+        evolve._sector_blocks(f_op.mat, -1, "jump operator forward_f")
         # f lowers the quanta by one; its adjoint raises them
         with pytest.raises(InvariantViolationError, match="jump operator forward_f"):
-            evolve._check_sectors(H, [JumpChannel("forward_f", operator=f_op.mat.conj().T)])
+            evolve._sector_blocks(f_op.mat.conj().T, -1, "jump operator forward_f")
 
 
 class TestDiagnostics:
@@ -791,13 +801,9 @@ class TestSectorReplay:
     def literal(self, psi0, record):
         """The largest out-of-sector amplitude of one record, replayed step by step."""
         spec, dt, model = self.SPEC, self.GRID.dt, self.MODEL
-        f_op, s_op = build_jump_ops(self.CFG, spec)
-        channels = {ch.label: ch for ch in
-                    [JumpChannel("forward_f", operator=f_op.mat),
-                     JumpChannel("side_s", operator=s_op.mat)]
-                    + source_jump_channels(model, self.CFG, spec)}
+        H, channels = unraveling(model, self.CFG, spec)
+        channels = {ch.label: ch for ch in channels}
         gain = channels["gain"].operator
-        H = build_nonhermitian_H(self.CFG, spec).mat
         labels = {int(round(t / dt)): label for t, label in record.events}
 
         def residual(v, n):
@@ -816,7 +822,7 @@ class TestSectorReplay:
                 v = psi - 1j * dt * (H @ psi) - 0.5 * dt * carrier * (gain.conj().T @ gain @ psi)
             if ch is not None:
                 carrier += ch.carrier_delta
-                n += evolve.N_DELTA[ch.label]
+                n += ch.quanta_delta
             psi = v / np.linalg.norm(v)
             worst = max(worst, residual(psi, n))
         return worst

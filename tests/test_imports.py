@@ -1,7 +1,8 @@
-"""Every module of the package uses each name it imports.
+"""Every module of the package, every test file and every script uses each
+name it imports.
 
 No linter is a dependency, so the check is made here on the syntax tree.
-__init__.py is exempt: its imports are the package's re-exports.
+The package's __init__.py is exempt: its imports are the package's re-exports.
 """
 
 import ast
@@ -9,8 +10,11 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "cascadesim"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "cascadesim"
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TESTS_AND_SCRIPTS = sorted(str(p.relative_to(ROOT)) for p in
+                           [*ROOT.glob("tests/*.py"), *ROOT.glob("scripts/*.py")])
 
 
 def unused_imports(source: str) -> list:
@@ -37,3 +41,8 @@ def test_checker_finds_an_unused_import():
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unused_imports(module):
     assert unused_imports((PACKAGE / module).read_text()) == []
+
+
+@pytest.mark.parametrize("path", TESTS_AND_SCRIPTS)
+def test_no_unused_imports_in_tests_and_scripts(path):
+    assert unused_imports((ROOT / path).read_text()) == []

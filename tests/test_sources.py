@@ -23,6 +23,7 @@ from cascadesim.liouvillian import (
     apply,
     build_L_ST,
     build_L_T,
+    build_nonhermitian_H,
     regroup,
 )
 from cascadesim.sources import (
@@ -34,6 +35,7 @@ from cascadesim.sources import (
     ring_paths,
     source_jump_channels,
     steady_amplitude,
+    unraveling,
 )
 from cascadesim.evolve import TimeGrid, evolve_master, expectation
 
@@ -122,6 +124,22 @@ class TestJumpChannels:
         assert channels["pump"].rate == 2.0
         assert channels["pump"].carrier_delta == 1
         assert channels["nonlasing"].scales_with_carrier
+
+    @pytest.mark.parametrize("model", [CoherentDrive(0.3), FreeDecayMixture(((1.0, 1.0),)), BD])
+    def test_unraveling_channels(self, model):
+        # a jump picks the first channel in this order whose cumulative
+        # probability exceeds its draw, so the order fixes the records
+        expected = [("forward_f", 0, -1, False), ("side_s", 0, -1, False)]
+        if isinstance(model, BirthDeathLaser):
+            expected += [("pump", +1, 0, False), ("gain", -1, +1, True),
+                         ("nonlasing", -1, 0, True)]
+        H, channels = unraveling(model, CFG, SPEC)
+        assert [(ch.label, ch.carrier_delta, ch.quanta_delta, ch.scales_with_carrier)
+                for ch in channels] == expected
+        # only a coherent drive adds to the drift, and what it adds is Hermitian
+        drive = H - build_nonhermitian_H(CFG, SPEC).mat
+        assert drive.any() == isinstance(model, CoherentDrive)
+        assert np.array_equal(drive, drive.conj().T)
 
 
 class TestClassicalPaths:
