@@ -44,7 +44,7 @@ from .errors import (
     StepProbabilityError,
 )
 from .hilbert import COMPOSITE, DensityOperator, FockSpec, Operator, PureState
-from .liouvillian import CouplingConfig, Superoperator, apply
+from .liouvillian import CouplingConfig, Superoperator, block_gather, gather
 from .sources import BirthDeathLaser, unraveling
 
 SOFT_STEP_PROBABILITY = 0.01
@@ -135,36 +135,45 @@ def evolve_master(rho0: DensityOperator, L_total: Superoperator, grid: TimeGrid,
 
     Trace drift beyond 1e-8 or negativity below -1e-8 aborts with a diagnostic.
     At each of grid.stored_times(store_every) the state goes to observe(rho)
-    as a DensityOperator of its own, once it has passed its check.  Without
-    an observer the stored states are returned as a list; with one, None is
-    returned and no state is kept here.
+    as a DensityOperator of its own, once it has passed its check; the first
+    is rho0 itself.  Without an observer the stored states are returned as a
+    list; with one, None is returned and no state is kept here.  RK4 runs on
+    the entries of the k-blocks rho0 occupies (liouvillian.block_gather), and
+    each later stored state holds zeros outside them.
     """
     times = grid.stored_times(store_every)
     out = [] if observe is None else None
     observe = out.append if observe is None else observe
+    d = L_total.dim
+
+    def checked(m, t):
+        rho = DensityOperator(m, layout=rho0.layout)
+        try:
+            return rho.check(trace_tol=1e-8, herm_tol=1e-8, eig_tol=1e-8)
+        except InvariantViolationError as exc:
+            raise InvariantViolationError(
+                f"master integration failed at t={t:.6g}: {exc}") from exc
+
     m = np.array(rho0.mat, dtype=complex)
+    keep, index, weight = block_gather(L_total, m)
+    observe(checked(m.copy(), times[0]))
+    v = m.ravel()[keep]
     dt = grid.dt
-    observe(DensityOperator(m.copy(), layout=rho0.layout))
     for step in range(grid.n_steps):
         # for a constant linear generator the classical RK4 step is the
         # degree-4 Taylor polynomial of exp(dt L), here in nested form
-        # m + dt L(m + dt/2 L(m + dt/3 L(m + dt/4 L m)))
-        k = apply(L_total, m)
+        # v + dt L(v + dt/2 L(v + dt/3 L(v + dt/4 L v)))
+        k = gather(index, weight, v)
         for c in (dt / 4.0, dt / 3.0, dt / 2.0):
             k *= c
-            k += m
-            k = apply(L_total, k)
+            k += v
+            k = gather(index, weight, k)
         k *= dt
-        m += k
+        v += k
         if (step + 1) % store_every == 0:
-            rho = DensityOperator(m.copy(), layout=rho0.layout)
-            try:
-                rho.check(trace_tol=1e-8, herm_tol=1e-8, eig_tol=1e-8)
-            except InvariantViolationError as exc:
-                t = times[(step + 1) // store_every]
-                raise InvariantViolationError(
-                    f"master integration failed at t={t:.6g}: {exc}") from exc
-            observe(rho)
+            m = np.zeros((d, d), dtype=complex)
+            m.ravel()[keep] = v
+            observe(checked(m, times[(step + 1) // store_every]))
     return out
 
 

@@ -16,6 +16,13 @@ cascade, so L_T + L_ST has width 7, not 9.  The width is
 at most 13 for any bundled generator.  A form with more than
 MAX_GATHER_ENTRIES entries (a dense generator has up to (2d - 1)^2 slots)
 raises DimensionMismatchError instead of exhausting memory.
+
+``block_gather`` restricts that form to the coherence-order blocks of a
+state.  An entry (i, j) of rho has excitation difference k = N_i - N_j, with
+N = n + q the total quanta of a basis index.  Without a coherent drive every
+term maps the block of each k into itself (a weak U(1) symmetry; Buca &
+Prosen, New J. Phys. 14, 073007 (2012)), so only the blocks the initial state
+occupies ever become nonzero.
 """
 
 from __future__ import annotations
@@ -36,12 +43,16 @@ from .hilbert import (
     annihilation,
     embed,
     qubit_lowering,
+    total_quanta,
 )
 
 # the largest dim to_matrix builds a dense d^2 x d^2 form for
 MAX_DENSE_DIM = 64
 # the most entries a compiled generator may hold: those of that dense form
 MAX_GATHER_ENTRIES = MAX_DENSE_DIM ** 4
+# a k-block of an initial state is left out of block_gather when its largest
+# |entry| is at most this fraction of the state's largest |entry|
+BLOCK_TOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -291,10 +302,46 @@ def apply(superop: Superoperator, rho) -> np.ndarray:
     d = superop.dim
     if m.shape != (d, d):
         raise DimensionMismatchError(f"rho shape {m.shape} != superoperator dim {d}")
-    index, weight = superop.compiled
-    out = np.take(m.ravel(), index)
+    return gather(*superop.compiled, m.ravel()).reshape(d, d)
+
+
+def gather(index: np.ndarray, weight: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Output p = sum over slots s of weight[s, p] * x[index[s, p]], as a new flat array."""
+    out = np.take(x, index)
     out *= weight
-    return out.sum(axis=0).reshape(d, d)
+    return out.sum(axis=0)
+
+
+def block_gather(superop: Superoperator, m: np.ndarray) -> tuple:
+    """(keep, index, weight): the gather form on the k-blocks that m occupies.
+
+    If every read of ``compiled`` with a nonzero weight stays inside the
+    k-block of its output entry, a block of m is dropped when its largest
+    |entry| is at most BLOCK_TOL times m's largest (a NaN block never is).
+    keep then holds the flat positions of the kept entries in row-major order,
+    and index reads the vector m.ravel()[keep]; its zero-weight reads go to
+    position 0.  If any read crosses a block (a coherent drive), every entry
+    is kept: keep is slice(None) and (index, weight) is ``compiled`` itself.
+    """
+    if m.shape != (superop.dim, superop.dim):
+        raise DimensionMismatchError(f"rho shape {m.shape} != superoperator dim {superop.dim}")
+    index, weight = superop.compiled
+    N = total_quanta(superop.dim)
+    # |k| <= d / 2 fits int16 at any dim within MAX_GATHER_ENTRIES, and keeps
+    # the (width, d^2) read of k below small
+    k = np.subtract.outer(N, N).ravel().astype(np.int16)
+    if np.any((np.take(k, index) != k) & (weight != 0)):
+        return slice(None), index, weight
+    # the largest |entry| of each block, k = -N[-1] .. N[-1] in order
+    order = np.argsort(k, kind="stable")
+    size = np.abs(m).ravel()[order]
+    starts = np.searchsorted(k[order], np.arange(-N[-1], N[-1] + 1))
+    block_max = np.maximum.reduceat(size, starts)
+    kept = ~(block_max <= BLOCK_TOL * size.max())
+    keep = np.flatnonzero(kept[k + N[-1]])
+    position = np.zeros(len(k), dtype=index.dtype)
+    position[keep] = np.arange(len(keep))
+    return keep, position[index[:, keep]], weight[:, keep]
 
 
 def to_matrix(superop: Superoperator) -> np.ndarray:

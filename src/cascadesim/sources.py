@@ -155,7 +155,9 @@ def unraveling(model, config: CouplingConfig, spec: FockSpec) -> tuple:
     """(H, channels) of the trajectories: the non-Hermitian drift, plus H_S for
     a CoherentDrive, and the forward and side detections, then a
     BirthDeathLaser's channels.  A jump picks its channel in this order, so
-    the order fixes the records."""
+    the order fixes the records.  Any other model raises UnsupportedSourceError."""
+    if not isinstance(model, (CoherentDrive, FreeDecayMixture, BirthDeathLaser)):
+        raise UnsupportedSourceError(f"{type(model).__name__} has no trajectory unraveling")
     H = build_nonhermitian_H(config, spec).mat.copy()
     if isinstance(model, CoherentDrive):
         H += _drive(model, spec)

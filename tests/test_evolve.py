@@ -33,9 +33,11 @@ from cascadesim.hilbert import (
     SOURCE,
 )
 from cascadesim.liouvillian import (
+    BLOCK_TOL,
     CouplingConfig,
     Superoperator,
     apply,
+    block_gather,
     build_jump_ops,
     build_L_ST,
     build_L_T,
@@ -254,6 +256,100 @@ class TestMasterEquation:
         bad = DensityOperator(2.0 * ket(0, GROUND, spec).projector())
         with pytest.raises(InvariantViolationError):
             evolve_master(bad, Superoperator([], spec.dim), TimeGrid(0, 0.1, 0.1))
+
+
+def nested_rk4(rho0, L, grid, store_every):
+    """The stored states of the nested RK4 step on every entry, through apply."""
+    m = np.array(rho0.mat, dtype=complex)
+    out = [m.copy()]
+    dt = grid.dt
+    for step in range(grid.n_steps):
+        k = apply(L, m)
+        for c in (dt / 4.0, dt / 3.0, dt / 2.0):
+            k = apply(L, m + c * k)
+        m = m + dt * k
+        if (step + 1) % store_every == 0:
+            out.append(m.copy())
+    return out
+
+
+def excitation_difference(dim):
+    """k = N_row - N_col of every entry, N = n + q of basis index 2n + q."""
+    N = np.arange(dim) // 2 + np.arange(dim) % 2
+    return N[:, None] - N[None, :]
+
+
+class TestCoherenceBlocks:
+    CFG = CouplingConfig(1.0, 0.6, 0.4, delta=0.3)
+    GRID = TimeGrid(0.0, 0.4, 0.01)
+
+    def undriven(self, spec):
+        return build_L_T(self.CFG, spec) + build_L_ST(self.CFG, spec)
+
+    def test_ring_keeps_its_blocks_bit_for_bit(self):
+        # 8 coherent amplitudes on a ring occupy k = 0 mod 8; every other
+        # block of rho0 holds rounding residue only
+        spec = FockSpec(12)
+        g = qubit_state(GROUND).projector()
+        rho0 = sum(np.kron(coherent_state(1.5 * np.exp(2j * np.pi * j / 8), spec).projector(), g)
+                   for j in range(8)) / 8
+        on_ring = excitation_difference(spec.dim) % 8 == 0
+        top = np.abs(rho0).max()
+        assert np.abs(rho0[~on_ring]).max() > 0.0
+        assert np.abs(rho0[~on_ring]).max() <= BLOCK_TOL * top
+
+        L = self.undriven(spec)
+        states = evolve_master(DensityOperator(rho0), L, self.GRID, store_every=10)
+        reference = nested_rk4(DensityOperator(rho0), L, self.GRID, 10)
+        assert len(states) == len(reference) == 5
+        assert np.array_equal(states[0].mat, rho0)
+        for rho, ref in zip(states[1:], reference[1:]):
+            assert np.array_equal(rho.mat[on_ring], ref[on_ring])
+            assert not rho.mat[~on_ring].any()
+            assert np.abs(ref[~on_ring]).max() <= BLOCK_TOL * top
+
+    def test_fock_decay_is_byte_identical(self):
+        spec = FockSpec(6)
+        rho0 = DensityOperator(ket(4, EXCITED, spec).projector())
+        L = self.undriven(spec)
+        keep, _, _ = block_gather(L, rho0.mat)
+        assert len(keep) < spec.dim ** 2
+        states = evolve_master(rho0, L, self.GRID, store_every=5)
+        reference = nested_rk4(rho0, L, self.GRID, 5)
+        assert [rho.mat.tobytes() for rho in states] == [m.tobytes() for m in reference]
+
+    def test_drive_keeps_every_entry(self):
+        spec = FockSpec(6)
+        rho0 = DensityOperator(ket(2, GROUND, spec).projector())
+        L = build_L_S(CoherentDrive(0.4 - 0.1j), spec) + self.undriven(spec)
+        keep, index, weight = block_gather(L, rho0.mat)
+        assert keep == slice(None)
+        assert index is L.compiled[0] and weight is L.compiled[1]
+        states = evolve_master(rho0, L, self.GRID, store_every=5)
+        reference = nested_rk4(rho0, L, self.GRID, 5)
+        assert [rho.mat.tobytes() for rho in states] == [m.tobytes() for m in reference]
+
+    def test_small_genuine_coherence_is_kept(self):
+        spec = FockSpec(4)
+        g0, g1 = ket(0, GROUND, spec).vec, ket(1, GROUND, spec).vec
+        c = 0.5e-10
+        rho0 = (0.5 * np.outer(g0, g0) + 0.5 * np.outer(g1, g1)
+                + c * (np.outer(g0, g1) + np.outer(g1, g0)))
+        L = self.undriven(spec)
+        states = evolve_master(DensityOperator(rho0), L, self.GRID, store_every=10)
+        reference = nested_rk4(DensityOperator(rho0), L, self.GRID, 10)
+        for rho, ref in zip(states, reference):
+            assert g0 @ rho.mat @ g1 != 0.0
+            assert np.array_equal(rho.mat, ref)
+
+    @pytest.mark.parametrize("fill", [0.0, np.nan])
+    def test_bad_rho0_raises_before_it_is_observed(self, fill):
+        spec = FockSpec(3)
+        rho0 = DensityOperator(np.full((spec.dim, spec.dim), fill, dtype=complex))
+        seen = []
+        with pytest.raises(InvariantViolationError, match="t=0:"):
+            evolve_master(rho0, self.undriven(spec), self.GRID, observe=seen.append)
+        assert seen == []
 
 
 class TestSingleTrajectory:

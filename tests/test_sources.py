@@ -37,7 +37,7 @@ from cascadesim.sources import (
     steady_amplitude,
     unraveling,
 )
-from cascadesim.evolve import TimeGrid, evolve_master, expectation
+from cascadesim.evolve import TimeGrid, evolve_master, expectation, mcwf_run
 
 SPEC = FockSpec(6)
 CFG = CouplingConfig(1.0, 0.5, 0.5)
@@ -99,6 +99,14 @@ class TestJumpChannels:
     def test_only_birth_death_supported(self):
         with pytest.raises(UnsupportedSourceError):
             source_jump_channels(CoherentDrive(0.1), CFG, SPEC)
+
+    def test_unknown_model_has_no_unraveling(self):
+        # an unknown model once ran as an undriven free decay
+        with pytest.raises(UnsupportedSourceError, match="object"):
+            unraveling(object(), CFG, SPEC)
+        psi0 = product_state(fock_state(0, SPEC), qubit_state(GROUND))
+        with pytest.raises(UnsupportedSourceError):
+            mcwf_run(psi0, CouplingConfig(), object(), TimeGrid(0, 0.1, 0.01), seed=0)
 
     def test_gain_jump_adds_photon(self):
         channels = {c.label: c for c in source_jump_channels(self.BD, CFG, SPEC)}
