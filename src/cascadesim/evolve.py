@@ -44,7 +44,7 @@ from .errors import (
     StepProbabilityError,
 )
 from .hilbert import COMPOSITE, DensityOperator, FockSpec, Operator, PureState
-from .liouvillian import CouplingConfig, Superoperator, block_gather, gather
+from .liouvillian import CouplingConfig, Superoperator, apply, block_gather, gather
 from .sources import BirthDeathLaser, unraveling
 
 SOFT_STEP_PROBABILITY = 0.01
@@ -137,9 +137,10 @@ def evolve_master(rho0: DensityOperator, L_total: Superoperator, grid: TimeGrid,
     At each of grid.stored_times(store_every) the state goes to observe(rho)
     as a DensityOperator of its own, once it has passed its check; the first
     is rho0 itself.  Without an observer the stored states are returned as a
-    list; with one, None is returned and no state is kept here.  RK4 runs on
-    the entries of the k-blocks rho0 occupies (liouvillian.block_gather), and
-    each later stored state holds zeros outside them.
+    list; with one, None is returned and no state is kept here.  If L_total
+    keeps the k-blocks (liouvillian.block_gather), RK4 runs on the entries of
+    the blocks rho0 occupies, and each later stored state holds zeros outside
+    them; otherwise it runs on every entry through apply.
     """
     times = grid.stored_times(store_every)
     out = [] if observe is None else None
@@ -155,24 +156,28 @@ def evolve_master(rho0: DensityOperator, L_total: Superoperator, grid: TimeGrid,
                 f"master integration failed at t={t:.6g}: {exc}") from exc
 
     m = np.array(rho0.mat, dtype=complex)
-    keep, index, weight = block_gather(L_total, m)
     observe(checked(m.copy(), times[0]))
-    v = m.ravel()[keep]
+    blocks = block_gather(L_total, m)
+    if blocks is None:
+        keep, v, derivative = slice(None), m, partial(apply, L_total)
+    else:
+        keep, index, weight = blocks
+        v, derivative = m.ravel()[keep], partial(gather, index, weight)
     dt = grid.dt
     for step in range(grid.n_steps):
         # for a constant linear generator the classical RK4 step is the
         # degree-4 Taylor polynomial of exp(dt L), here in nested form
         # v + dt L(v + dt/2 L(v + dt/3 L(v + dt/4 L v)))
-        k = gather(index, weight, v)
+        k = derivative(v)
         for c in (dt / 4.0, dt / 3.0, dt / 2.0):
             k *= c
             k += v
-            k = gather(index, weight, k)
+            k = derivative(k)
         k *= dt
         v += k
         if (step + 1) % store_every == 0:
             m = np.zeros((d, d), dtype=complex)
-            m.ravel()[keep] = v
+            m.ravel()[keep] = v.ravel()
             observe(checked(m, times[(step + 1) // store_every]))
     return out
 

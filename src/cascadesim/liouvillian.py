@@ -312,16 +312,16 @@ def gather(index: np.ndarray, weight: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out.sum(axis=0)
 
 
-def block_gather(superop: Superoperator, m: np.ndarray) -> tuple:
+def block_gather(superop: Superoperator, m: np.ndarray) -> tuple | None:
     """(keep, index, weight): the gather form on the k-blocks that m occupies.
 
     If every read of ``compiled`` with a nonzero weight stays inside the
     k-block of its output entry, a block of m is dropped when its largest
-    |entry| is at most BLOCK_TOL times m's largest (a NaN block never is).
-    keep then holds the flat positions of the kept entries in row-major order,
-    and index reads the vector m.ravel()[keep]; its zero-weight reads go to
-    position 0.  If any read crosses a block (a coherent drive), every entry
-    is kept: keep is slice(None) and (index, weight) is ``compiled`` itself.
+    |entry| is at most BLOCK_TOL times m's largest.  keep then holds the flat
+    positions of the kept entries in row-major order, and index reads the
+    vector m.ravel()[keep]; its zero-weight reads go to position 0.  If any
+    read crosses a block (a coherent drive), returns None: every entry is
+    needed.  m is a checked state, finite and nonzero.
     """
     if m.shape != (superop.dim, superop.dim):
         raise DimensionMismatchError(f"rho shape {m.shape} != superoperator dim {superop.dim}")
@@ -331,17 +331,15 @@ def block_gather(superop: Superoperator, m: np.ndarray) -> tuple:
     # the (width, d^2) read of k below small
     k = np.subtract.outer(N, N).ravel().astype(np.int16)
     if np.any((np.take(k, index) != k) & (weight != 0)):
-        return slice(None), index, weight
-    # the largest |entry| of each block, k = -N[-1] .. N[-1] in order
-    order = np.argsort(k, kind="stable")
-    size = np.abs(m).ravel()[order]
-    starts = np.searchsorted(k[order], np.arange(-N[-1], N[-1] + 1))
-    block_max = np.maximum.reduceat(size, starts)
-    kept = ~(block_max <= BLOCK_TOL * size.max())
+        return None
+    # a block is kept if any of its entries is above the cut, k = -N[-1] .. N[-1]
+    size = np.abs(m).ravel()
+    kept = np.zeros(2 * N[-1] + 1, dtype=bool)
+    kept[k[size > BLOCK_TOL * size.max()] + N[-1]] = True
     keep = np.flatnonzero(kept[k + N[-1]])
     position = np.zeros(len(k), dtype=index.dtype)
     position[keep] = np.arange(len(keep))
-    return keep, position[index[:, keep]], weight[:, keep]
+    return keep, position[index.take(keep, axis=1)], weight.take(keep, axis=1)
 
 
 def to_matrix(superop: Superoperator) -> np.ndarray:
