@@ -14,8 +14,9 @@ with a header row, the time column first, and complex observables split into
 re/im columns; state dumps are JSON with row-major nested arrays of [re, im]
 pairs and an explicit basis-ordering field.  All files are written atomically
 (temp file + rename) and are byte-identical for identical (config, seed).
-The CASCADESIM_WORKERS environment variable sets the trajectory worker count; it
-changes only the wall time, and evolve.ENSEMBLE_BLOCK seeds or fewer run in-process.
+The CASCADESIM_WORKERS environment variable, an integer >= 1, sets the trajectory
+worker count; it changes only the wall time, and evolve.ENSEMBLE_BLOCK seeds or
+fewer run in-process.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .acceptance import CRITERIA, run_suite
 from .errors import (
     InvariantViolationError,
     StepProbabilityError,
@@ -357,11 +357,16 @@ def cmd_run_master(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def cmd_run_trajectories(cfg: ExperimentConfig) -> int:
+def _workers() -> int:
+    """CASCADESIM_WORKERS; a configuration error unless it is an integer >= 1."""
     try:
-        workers = workers_from_env()
+        return workers_from_env()
     except ValueError as e:
         raise ConfigError(str(e)) from e
+
+
+def cmd_run_trajectories(cfg: ExperimentConfig) -> int:
+    workers = _workers()
     obs = _Observables(cfg.grid.stored_times(cfg.store_every), cfg.spec)
     ens = run_ensemble(PureState(cfg.initial_vec), cfg.coupling, cfg.source,
                        cfg.grid, cfg.seeds, store_every=cfg.store_every, workers=workers,
@@ -388,6 +393,9 @@ def cmd_run_trajectories(cfg: ExperimentConfig) -> int:
 
 
 def cmd_verify(suite: str, out_dir: str) -> int:
+    # the suite is loaded by the one command that runs it, not by every run
+    from .acceptance import CRITERIA, run_suite
+
     if suite == "all":
         names = None  # run_suite's default: every criterion, in order
     elif suite.upper() in CRITERIA:
@@ -396,6 +404,7 @@ def cmd_verify(suite: str, out_dir: str) -> int:
         print(f"error: unknown suite {suite!r}; choose 'all' or one of "
               f"{', '.join(sorted(CRITERIA))}", file=sys.stderr)
         return 2
+    _workers()  # the suite's ensembles read it; refuse a bad value before they run
     results = run_suite(names)
     os.makedirs(out_dir, exist_ok=True)
     verdict = []

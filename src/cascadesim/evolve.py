@@ -31,7 +31,6 @@ from __future__ import annotations
 import math
 import os
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
@@ -95,8 +94,11 @@ def check_seeds(seeds) -> list:
            or not isinstance(s, (int, np.integer)) or s < 0]
     if bad:
         raise ValueError(f"seeds must be integers >= 0, got {bad[0]!r}")
-    if len(set(seeds)) < len(seeds):
-        raise ValueError(f"seeds must be distinct; {max(seeds, key=seeds.count)!r} repeats")
+    seen = set()
+    for s in seeds:
+        if s in seen:
+            raise ValueError(f"seeds must be distinct; {s!r} repeats")
+        seen.add(s)
     return seeds
 
 
@@ -574,12 +576,15 @@ def _warn_step_probability(p: float):
 
 
 def workers_from_env() -> int:
-    """CASCADESIM_WORKERS as an int (default 1); a ValueError naming it otherwise."""
+    """CASCADESIM_WORKERS as an int >= 1 (default 1); a ValueError naming it otherwise."""
     value = os.environ.get("CASCADESIM_WORKERS", "1")
     try:
-        return int(value)
+        workers = int(value)
     except ValueError:
-        raise ValueError(f"CASCADESIM_WORKERS must be an integer, got {value!r}") from None
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"CASCADESIM_WORKERS must be an integer >= 1, got {value!r}")
+    return workers
 
 
 def _projector_sum(psi0_vec, config, source_model, grid, store_every, diagnostics, seeds):
@@ -604,8 +609,10 @@ def run_ensemble(psi0: PureState, config: CouplingConfig, source_model,
     The seeds are cut into consecutive blocks of at most ENSEMBLE_BLOCK, one
     engine call each, whose sums are added in block order.  So each trajectory
     depends on its seed alone and the result on the arguments alone: the
-    worker count changes only the wall time.  At most ENSEMBLE_BLOCK seeds
-    make one block, which runs in-process.
+    worker count changes only the wall time.  workers is an integer >= 1 and
+    defaults to CASCADESIM_WORKERS; a process pool starts only for more than
+    one worker and more than one block.  At most ENSEMBLE_BLOCK seeds make one
+    block, which runs in-process.
 
     Each stored time's average goes to observe(rho) as a DensityOperator, in
     time order.  With one block it is formed, passed on and dropped while the
@@ -619,8 +626,12 @@ def run_ensemble(psi0: PureState, config: CouplingConfig, source_model,
     times = grid.stored_times(store_every)
     rho_avg = [] if observe is None else None
     observe = rho_avg.append if observe is None else observe
+    if workers is None:
+        workers = workers_from_env()
+    elif isinstance(workers, bool) or not isinstance(workers, (int, np.integer)) or workers < 1:
+        raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
     blocks = [seeds[i:i + ENSEMBLE_BLOCK] for i in range(0, len(seeds), ENSEMBLE_BLOCK)]
-    workers = min(workers_from_env() if workers is None else workers, len(blocks))
+    workers = min(workers, len(blocks))
     if len(blocks) == 1:
         def average(i, psi, carrier):
             observe(DensityOperator(psi.T @ psi.conj() / len(seeds), layout=COMPOSITE))
@@ -630,6 +641,9 @@ def run_ensemble(psi0: PureState, config: CouplingConfig, source_model,
     else:
         chunk = partial(_projector_sum, psi0.vec, config, source_model, grid,
                         store_every, diagnostics)
+        if workers > 1:
+            # the pool pulls in multiprocessing, so only a run that uses one loads it
+            from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
             results = pool.map(chunk, blocks) if pool else map(chunk, blocks)
             # the first block's sum and lists grow in place: no second copy of the sum

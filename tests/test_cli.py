@@ -169,8 +169,10 @@ class TestRunTrajectories:
         assert main(["run-trajectories", write_config(tmp_path, doc)]) == 3
         assert "reduce dt" in capsys.readouterr().err
 
-    def test_malformed_worker_count_exits_2(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("CASCADESIM_WORKERS", "abc")
+    # a count below one is refused too, not run in-process
+    @pytest.mark.parametrize("value", ["abc", "0", "-2"])
+    def test_malformed_worker_count_exits_2(self, tmp_path, capsys, monkeypatch, value):
+        monkeypatch.setenv("CASCADESIM_WORKERS", value)
         doc = short_preset("coherent_drive.json")
         doc["output_dir"] = str(tmp_path / "out")
         assert main(["run-trajectories", write_config(tmp_path, doc)]) == 2
@@ -383,6 +385,13 @@ class TestVerify:
     def test_unknown_suite_exits_2(self, tmp_path, capsys):
         assert main(["verify", "--suite", "A17", "--out", str(tmp_path)]) == 2
         assert "unknown suite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["0", "abc"])
+    def test_bad_worker_count_exits_2(self, tmp_path, capsys, monkeypatch, value):
+        monkeypatch.setenv("CASCADESIM_WORKERS", value)
+        assert main(["verify", "--suite", "A3", "--out", str(tmp_path / "v")]) == 2
+        assert capsys.readouterr().err.startswith("config error: CASCADESIM_WORKERS")
+        assert not (tmp_path / "v").exists()
 
 
 class TestInternalError:

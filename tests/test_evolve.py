@@ -1,4 +1,5 @@
 import hashlib
+import time
 import tracemalloc
 import warnings
 from collections import Counter
@@ -57,10 +58,12 @@ from cascadesim.evolve import (
     RENORMALIZE_EVERY,
     UNIFORM_BLOCK,
     TimeGrid,
+    check_seeds,
     evolve_master,
     expectation,
     mcwf_run,
     run_ensemble,
+    workers_from_env,
 )
 
 BARE = CouplingConfig(1.0, 0.0, 0.0)  # cavity only, qubit decoupled
@@ -647,10 +650,19 @@ class TestEngineOracle:
             run_ensemble(psi0, self.CFG, model, grid, [])
 
     def test_repeated_seed_rejected(self):
-        # a repeated seed would count one trajectory twice in the average
+        # a repeated seed would count one trajectory twice in the average;
+        # 2 is named, the first seed seen twice, though 3 repeats as often
         model, psi0, grid = self.CASES["birth_death"]
-        with pytest.raises(ValueError, match="3 repeats"):
-            run_ensemble(psi0, self.CFG, model, grid, [1, 3, 2, 3])
+        with pytest.raises(ValueError, match="; 2 repeats"):
+            run_ensemble(psi0, self.CFG, model, grid, [1, 3, 2, 2, 3])
+
+    def test_repeat_among_many_seeds_found_in_one_pass(self):
+        # counting each seed's occurrences would take minutes here
+        seeds = [*range(100_000), 50_000]
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="; 50000 repeats"):
+            check_seeds(seeds)
+        assert time.perf_counter() - start < 2.0
 
     @pytest.mark.parametrize("seed", [True, np.True_, 1.5, -1, "3", None])
     def test_non_integer_or_negative_seed_rejected(self, seed):
@@ -1001,6 +1013,20 @@ class TestEnsemble:
         assert len(set(one.max_schmidt_entropies)) == len(seeds)
         a, b = one.max_schmidt_entropies, three.max_schmidt_entropies
         assert np.max(np.abs(np.subtract(a, b))) <= 1e-12
+
+    @pytest.mark.parametrize("workers", [0, -2, True, 2.0])
+    def test_worker_count_below_one_or_not_an_integer_rejected(self, workers):
+        psi0 = ket(1, GROUND, FockSpec(4))
+        model = BirthDeathLaser(1.0, 0.5, 0.3, N0=2, n0=1)
+        with pytest.raises(ValueError, match="workers must be an integer >= 1"):
+            run_ensemble(psi0, self.CFG, model, TimeGrid(0.0, 0.01, 0.001), [0],
+                         workers=workers)
+
+    @pytest.mark.parametrize("value", ["0", "-2", "1.5"])
+    def test_worker_env_below_one_or_not_an_integer_rejected(self, monkeypatch, value):
+        monkeypatch.setenv("CASCADESIM_WORKERS", value)
+        with pytest.raises(ValueError, match="CASCADESIM_WORKERS must be an integer >= 1"):
+            workers_from_env()
 
     @pytest.mark.parametrize("workers", [2, 3])
     def test_seed_blocks_give_one_result(self, monkeypatch, workers):
