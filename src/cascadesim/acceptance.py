@@ -32,6 +32,7 @@ from .hilbert import (
     TARGET,
     DensityOperator,
     FockSpec,
+    add_product,
     coherent_state,
     embed,
     fock_state,
@@ -310,7 +311,7 @@ def criterion_a6() -> CriterionResult:
     rho0 = np.zeros((spec.dim, spec.dim), dtype=complex)
     g_rho = np.outer(qubit_state(GROUND).vec, qubit_state(GROUND).vec)
     for a0, w in amps:
-        rho0 += w * np.kron(coherent_state(a0, spec).projector(), g_rho)
+        add_product(rho0, w, coherent_state(a0, spec).vec, g_rho)
     L = build_L_T(cfg, spec) + build_L_ST(cfg, spec)
     full = evolve_master(DensityOperator(rho0), L, grid, store_every=store)
 

@@ -15,6 +15,7 @@ from .hilbert import (
     DensityOperator,
     FockSpec,
     PureState,
+    add_product,
     coherent_state,
     total_quanta,
 )
@@ -103,16 +104,15 @@ def phase_averaged_state(spec: PhaseAveragedSpec, fock: FockSpec) -> DensityOper
             "phase quadrature would alias"
         )
     K = spec.phase_points
-    dim = fock.dim
-    acc = np.zeros((dim, dim), dtype=complex)
+    acc = np.zeros((fock.dim, fock.dim), dtype=complex)
     for r, w in spec.radial_weights:
         if w == 0.0:
             continue
         for k in range(K):
             phi = 2.0 * np.pi * k / K
-            src = coherent_state(r * np.exp(1j * phi), fock).projector()
+            src = coherent_state(r * np.exp(1j * phi), fock).vec
             t = np.zeros(QUBIT_DIM, dtype=complex)
             t[GROUND] = spec.a_prime * np.exp(-0.5j * phi)
             t[EXCITED] = spec.b_prime * np.exp(0.5j * phi)
-            acc += (w / K) * np.kron(src, np.outer(t, t.conj()))
+            add_product(acc, w / K, src, np.outer(t, t.conj()))
     return DensityOperator(acc, layout=COMPOSITE)

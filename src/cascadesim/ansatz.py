@@ -23,7 +23,8 @@ import numpy as np
 
 from .analysis import trace_distance
 from .errors import DimensionMismatchError, GridMismatchError
-from .hilbert import COMPOSITE, DensityOperator, FockSpec, Operator, coherent_state, qubit_lowering
+from .hilbert import (COMPOSITE, DensityOperator, FockSpec, Operator, add_product, coherent_state,
+                      qubit_lowering)
 from .liouvillian import CouplingConfig
 from .sources import ClassicalPath
 
@@ -54,14 +55,12 @@ class ConditionalTargetState:
             raise DimensionMismatchError(f"rhos shape {self.rhos.shape}")
 
 
-def _left(A: np.ndarray) -> np.ndarray:
-    """rho -> A rho on row-major 4-vectors."""
-    return np.kron(A, np.eye(2))
-
-
-def _right(A: np.ndarray) -> np.ndarray:
-    """rho -> rho A on row-major 4-vectors."""
-    return np.kron(np.eye(2), A.T)
+_I2 = np.eye(2)
+# the config-free 4x4 parts of the generator on row-major 4-vectors, built
+# once: rho -> A rho is kron(A, I) and rho -> rho A is kron(I, A^T)
+_COMMUTE_N, _COMMUTE_BD, _COMMUTE_B = (np.kron(A, _I2) - np.kron(_I2, A.T) for A in (_NB, _BD, _B))
+_ANTI_N = np.kron(_NB, _I2) + np.kron(_I2, _NB.T)
+_JUMP = np.kron(_B, _BD.T)
 
 
 def _target_generator(config: CouplingConfig) -> tuple:
@@ -72,11 +71,8 @@ def _target_generator(config: CouplingConfig) -> tuple:
     """
     g = np.sqrt(config.gamma_S * config.gamma_Tf)
     gt = config.gamma_T
-    A0 = (-1j * config.delta * (_left(_NB) - _right(_NB))
-          + gt * np.kron(_B, _BD.T) - 0.5 * gt * (_left(_NB) + _right(_NB)))
-    A1 = -g * (_left(_BD) - _right(_BD))
-    A2 = g * (_left(_B) - _right(_B))
-    return A0, A1, A2
+    A0 = -1j * config.delta * _COMMUTE_N + gt * _JUMP - 0.5 * gt * _ANTI_N
+    return A0, -g * _COMMUTE_BD, g * _COMMUTE_B
 
 
 def solve_separated_target(path: ClassicalPath, config: CouplingConfig,
@@ -105,16 +101,16 @@ def solve_separated_target(path: ClassicalPath, config: CouplingConfig,
     for start in range(0, len(t) - 1, _BLOCK_STEPS):
         seg = slice(start, start + _BLOCK_STEPS + 1)
         dt = np.diff(t[seg])[:, None, None]
-        a0, a1 = path.alphas[seg][:-1], path.alphas[seg][1:]
-        m_mid = generator(0.5 * (a0 + a1))
-        k1 = generator(a0)
+        a = path.alphas[seg]
+        m = generator(a)  # M(alpha_n) for every sample of the block
+        k1, m_end = m[:-1], m[1:]
+        m_mid = generator(0.5 * (a[:-1] + a[1:]))
         k2 = m_mid + 0.5 * dt * (m_mid @ k1)
         k3 = m_mid + 0.5 * dt * (m_mid @ k2)
-        m_end = generator(a1)
         k4 = m_end + dt * (m_end @ k3)
         props = np.eye(4) + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         for i, P in enumerate(props, start=start + 1):
-            v = out[i] = P @ v
+            v = out[i] = P.dot(v)
     return ConditionalTargetState(times=t, rhos=out.reshape(len(t), 2, 2))
 
 
@@ -126,13 +122,15 @@ def build_ansatz_state(paths: list, conditionals: list, t_index: int,
     total_w = sum(p.weight for p in paths)
     if abs(total_w - 1.0) > 1e-10:
         raise ValueError(f"path weights must sum to 1, got {total_w}")
-    dim = fock.dim
-    acc = np.zeros((dim, dim), dtype=complex)
+    acc = np.zeros((fock.dim, fock.dim), dtype=complex)
     for path, cond in zip(paths, conditionals):
-        if path.times.shape != cond.times.shape or not np.allclose(path.times, cond.times):
+        t = path.times  # solve_separated_target hands back this (finite) array
+        if cond.times is not t and (t.shape != cond.times.shape or not np.allclose(t, cond.times)):
             raise GridMismatchError("path and conditional grids differ")
-        src = coherent_state(path.alphas[t_index], fock).projector()
-        acc += path.weight * np.kron(src, cond.rhos[t_index])
+        if not 0 <= t_index < len(t):
+            raise IndexError(f"t_index {t_index} outside 0..{len(t) - 1}")
+        add_product(acc, path.weight, coherent_state(path.alphas[t_index], fock).vec,
+                    cond.rhos[t_index])
     return DensityOperator(acc, layout=COMPOSITE)
 
 

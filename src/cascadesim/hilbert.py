@@ -9,6 +9,7 @@ follow this ordering.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -215,6 +216,15 @@ def product_state(source: PureState, target: PureState) -> PureState:
     return PureState(np.kron(source.vec, target.vec))
 
 
+@functools.lru_cache(maxsize=32)
+def _log_factorials(fock_dim: int) -> tuple:
+    """Read-only (n, log n!) for n < fock_dim; log space stays finite for large n."""
+    n = np.arange(fock_dim)
+    log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, fock_dim)))))
+    n.flags.writeable = log_fact.flags.writeable = False
+    return n, log_fact
+
+
 def coherent_state(alpha: complex, spec: FockSpec, warn: bool = True) -> PureState:
     """Truncated coherent state, renormalized after the cutoff.
 
@@ -229,15 +239,19 @@ def coherent_state(alpha: complex, spec: FockSpec, warn: bool = True) -> PureSta
             stacklevel=2,
         )
     if alpha == 0:
-        v = np.zeros(spec.fock_dim, dtype=complex)
-        v[0] = 1.0
-        return PureState(v)
-    n = np.arange(spec.fock_dim)
-    # log-space to stay finite for larger n_max
-    log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, spec.fock_dim)))))
+        return fock_state(0, spec)
+    n, log_fact = _log_factorials(spec.fock_dim)
     mag = np.exp(-abs(alpha) ** 2 / 2.0 + n * np.log(abs(alpha)) - log_fact / 2.0)
     phase = np.exp(1j * n * np.angle(alpha))
     return PureState(mag * phase).normalized()
+
+
+def add_product(acc: np.ndarray, weight: float, source: np.ndarray, target: np.ndarray) -> None:
+    """In place acc += weight * kron(outer(source, source*), target), elementwise as
+    the kron; acc must be C-contiguous, so that its 4-index reshape is a view."""
+    src = source[:, None] * source.conj()
+    view = acc.reshape(len(source), QUBIT_DIM, len(source), QUBIT_DIM)
+    view += weight * (src[:, None, :, None] * target[None, :, None, :])
 
 
 def partial_trace(rho: DensityOperator, keep: str) -> DensityOperator:

@@ -307,9 +307,9 @@ def apply(superop: Superoperator, rho) -> np.ndarray:
 
 def gather(index: np.ndarray, weight: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Output p = sum over slots s of weight[s, p] * x[index[s, p]], as a new flat array."""
-    out = np.take(x, index)
+    out = x.take(index)
     out *= weight
-    return out.sum(axis=0)
+    return np.add.reduce(out, 0)
 
 
 def block_gather(superop: Superoperator, m: np.ndarray) -> tuple | None:

@@ -84,7 +84,9 @@ class ClassicalPath:
         self.alphas = np.asarray(self.alphas, dtype=complex)
         if self.times.shape != self.alphas.shape:
             raise ValueError("times and alphas must have equal length")
-        if self.weight < 0:
+        if not (np.isfinite(self.times).all() and np.isfinite(self.alphas).all()):
+            raise ValueError("times and alphas must be finite")
+        if not self.weight >= 0:  # NaN too
             raise ValueError("weight must be >= 0")
 
 

@@ -193,6 +193,22 @@ class TestPhaseAveraged:
         ok, offending = support_pattern_check(rho, tol=1e-10)
         assert ok, offending
 
+    def test_bit_identical_to_kron_sum(self):
+        # the straightforward form: sum of (w / K) kron(|alpha><alpha|, |t><t|)
+        fock = FockSpec(6)
+        spec = PhaseAveragedSpec(((0.0, 0.2), (0.6, 0.5), (1.1, 0.3)), np.sqrt(0.7),
+                                 np.sqrt(0.3), 4 * fock.n_max + 3)
+        K = spec.phase_points
+        expect = np.zeros((fock.dim, fock.dim), dtype=complex)
+        for r, w in spec.radial_weights:
+            for k in range(K):
+                phi = 2.0 * np.pi * k / K
+                src = coherent_state(r * np.exp(1j * phi), fock).projector()
+                t = np.array([spec.a_prime * np.exp(-0.5j * phi),
+                              spec.b_prime * np.exp(0.5j * phi)])
+                expect += (w / K) * np.kron(src, np.outer(t, t.conj()))
+        assert np.array_equal(phase_averaged_state(spec, fock).mat, expect)
+
     def test_unit_trace_and_positivity(self):
         fock = FockSpec(5)
         spec = PhaseAveragedSpec(((0.5, 1.0),), np.sqrt(0.5), np.sqrt(0.5),

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cascadesim.ansatz import (
     ConditionalTargetState,
@@ -16,10 +18,11 @@ from cascadesim.hilbert import (
     FockSpec,
     coherent_state,
     product_state,
+    qubit_lowering,
     qubit_state,
 )
 from cascadesim.liouvillian import CouplingConfig, build_L_ST, build_L_T
-from cascadesim.sources import ClassicalPath, FreeDecayMixture, classical_paths
+from cascadesim.sources import ClassicalPath, FreeDecayMixture, classical_paths, ring_paths
 from cascadesim.evolve import TimeGrid, evolve_master
 
 GROUND_RHO = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
@@ -53,6 +56,67 @@ def literal_target_rk4(path, cfg, rho0):
         rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         out.append(rho)
     return np.array(out)
+
+
+# The straightforward forms of the separated-target solve and the mixture
+# build, kept literally: the kron-built generator, three generator calls per
+# block, the `@` step and the kron sum.  The package's versions must agree
+# with them bit for bit, not only to a tolerance.
+_B = qubit_lowering().mat
+_BD = _B.conj().T
+_NB = _BD @ _B
+
+
+def _left(A):
+    return np.kron(A, np.eye(2))
+
+
+def _right(A):
+    return np.kron(np.eye(2), A.T)
+
+
+def kron_target_generator(config):
+    g = np.sqrt(config.gamma_S * config.gamma_Tf)
+    gt = config.gamma_T
+    A0 = (-1j * config.delta * (_left(_NB) - _right(_NB))
+          + gt * np.kron(_B, _BD.T) - 0.5 * gt * (_left(_NB) + _right(_NB)))
+    A1 = -g * (_left(_BD) - _right(_BD))
+    A2 = g * (_left(_B) - _right(_B))
+    return A0, A1, A2
+
+
+def stepwise_separated_target(path, config, rhoT0, block_steps=64):
+    t = path.times
+    A0, A1, A2 = kron_target_generator(config)
+
+    def generator(alpha):
+        a = alpha[:, None, None]
+        return A0 + a * A1 + a.conj() * A2
+
+    out = np.empty((len(t), 4), dtype=complex)
+    v = out[0] = np.asarray(rhoT0, dtype=complex).reshape(4)
+    for start in range(0, len(t) - 1, block_steps):
+        seg = slice(start, start + block_steps + 1)
+        dt = np.diff(t[seg])[:, None, None]
+        a0, a1 = path.alphas[seg][:-1], path.alphas[seg][1:]
+        m_mid = generator(0.5 * (a0 + a1))
+        k1 = generator(a0)
+        k2 = m_mid + 0.5 * dt * (m_mid @ k1)
+        k3 = m_mid + 0.5 * dt * (m_mid @ k2)
+        m_end = generator(a1)
+        k4 = m_end + dt * (m_end @ k3)
+        props = np.eye(4) + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        for i, P in enumerate(props, start=start + 1):
+            v = out[i] = P @ v
+    return out.reshape(len(t), 2, 2)
+
+
+def kron_mixture(paths, conditionals, t_index, fock):
+    acc = np.zeros((fock.dim, fock.dim), dtype=complex)
+    for path, cond in zip(paths, conditionals):
+        src = coherent_state(path.alphas[t_index], fock).projector()
+        acc += path.weight * np.kron(src, cond.rhos[t_index])
+    return acc
 
 
 class TestDriveHamiltonian:
@@ -135,6 +199,23 @@ class TestSeparatedTarget:
         err = [np.max(np.abs(final_state(n) - exact)) for n in (20, 40)]
         assert err[0] / err[1] >= 12.0
 
+    def test_bit_identical_to_stepwise_form_on_a_detuned_ring_path(self):
+        # A6 rates and half step, a phase-diffusing ring, 300 steps: four
+        # full propagator blocks and a partial one
+        cfg = CouplingConfig(1.0, 0.5, 0.5, delta=0.7)
+        t = np.arange(301) * 0.0005
+        (path,) = ring_paths(1.5, 0.4, cfg.gamma_S, t, count=1, seed=3)
+        rho0 = np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]], dtype=complex)
+        sol = solve_separated_target(path, cfg, rho0)
+        assert np.array_equal(sol.rhos, stepwise_separated_target(path, cfg, rho0))
+
+    def test_bit_identical_to_stepwise_form_on_a_non_uniform_grid(self):
+        cfg = CouplingConfig(1.3, 0.7, 0.2, delta=-0.4)
+        t = np.cumsum(np.concatenate(([0.0], 0.002 + 0.003 * np.sin(np.arange(150)) ** 2)))
+        path = ClassicalPath(t, (0.9 - 0.4j) * np.exp((-0.5 + 2.0j) * t), weight=1.0)
+        sol = solve_separated_target(path, cfg, GROUND_RHO)
+        assert np.array_equal(sol.rhos, stepwise_separated_target(path, cfg, GROUND_RHO))
+
     def test_rejects_bad_initial_state(self):
         t = np.linspace(0, 1, 11)
         with pytest.raises(ValueError):
@@ -166,6 +247,60 @@ class TestAnsatzAssembly:
         cond = ConditionalTargetState(np.linspace(0, 2, 3), np.tile(GROUND_RHO, (3, 1, 1)))
         with pytest.raises(GridMismatchError):
             build_ansatz_state([path], [cond], 0, fock)
+
+    def test_equal_grid_held_in_another_array_accepted(self):
+        fock = FockSpec(4)
+        t = np.linspace(0, 1, 3)
+        path = constant_path(0.5, t)
+        cond = ConditionalTargetState(t.copy(), np.tile(GROUND_RHO, (3, 1, 1)))
+        assert cond.times is not path.times
+        rho = build_ansatz_state([path], [cond], 2, fock)
+        assert np.array_equal(rho.mat, kron_mixture([path], [cond], 2, fock))
+
+    @pytest.mark.parametrize("t_index", [-1, -3, 3, 10])
+    def test_time_index_outside_grid_rejected(self, t_index):
+        # a negative index would silently wrap round to the end of the grid
+        fock = FockSpec(4)
+        t = np.linspace(0, 1, 3)
+        path = constant_path(0.5, t)
+        cond = ConditionalTargetState(t, np.tile(GROUND_RHO, (3, 1, 1)))
+        with pytest.raises(IndexError):
+            build_ansatz_state([path], [cond], t_index, fock)
+
+    def test_bit_identical_to_kron_sum_on_solved_conditionals(self):
+        cfg = CouplingConfig(1.0, 0.5, 0.5, delta=0.7)
+        fock = FockSpec(25)
+        t = np.arange(301) * 0.0005
+        # seven paths, so the weight 1/7 rounds and the product order shows
+        paths = ring_paths(1.5, 0.4, cfg.gamma_S, t, count=7, seed=5)
+        conds = [solve_separated_target(p, cfg, GROUND_RHO) for p in paths]
+        for j in (0, 1, 150, 300):
+            rho = build_ansatz_state(paths, conds, j, fock)
+            assert np.array_equal(rho.mat, kron_mixture(paths, conds, j, fock))
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(data=st.data(), K=st.integers(1, 5), n_max=st.integers(2, 8))
+    def test_bit_identical_to_kron_sum(self, data, K, n_max):
+        t = np.linspace(0.0, 1.0, 3)
+
+        def floats(lo, hi, size):
+            return np.array(data.draw(st.lists(st.floats(lo, hi), min_size=size, max_size=size)))
+
+        weights = floats(0.01, 1.0, K)
+        weights /= weights.sum()
+        paths, conds = [], []
+        for w in weights:
+            re_im = floats(-2.0, 2.0, 2 * len(t))
+            paths.append(ClassicalPath(t, re_im[::2] + 1j * re_im[1::2], weight=float(w)))
+            re_im = floats(-1.0, 1.0, 8 * len(t)).reshape(len(t), 2, 2, 2)
+            M = re_im[..., 0] + 1j * re_im[..., 1]
+            rhos = M @ M.conj().transpose(0, 2, 1) + 1e-3 * np.eye(2)
+            rhos /= np.trace(rhos, axis1=1, axis2=2)[:, None, None]
+            conds.append(ConditionalTargetState(t, rhos))
+        fock = FockSpec(n_max)
+        j = data.draw(st.integers(0, len(t) - 1))
+        rho = build_ansatz_state(paths, conds, j, fock)
+        assert np.array_equal(rho.mat, kron_mixture(paths, conds, j, fock))
 
 
 class TestAgainstFullSolution:

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cascadesim import hilbert
 from cascadesim.errors import DimensionMismatchError, InvariantViolationError, TruncationWarning
 from cascadesim.hilbert import (
     EXCITED,
@@ -141,6 +142,14 @@ class TestCoherentState:
         psi = coherent_state(alpha, spec)
         a = annihilation(spec).mat
         assert np.linalg.norm(a @ psi.vec - alpha * psi.vec) < 1e-10
+
+    def test_shared_tables_are_read_only(self):
+        # the (n, log n!) tables are cached per fock_dim and shared by every
+        # call, so no caller may write into them
+        coherent_state(0.9 - 0.4j, FockSpec(12))
+        for table in hilbert._log_factorials(13):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 1.0
 
 
 class TestPartialTrace:

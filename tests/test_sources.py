@@ -28,6 +28,7 @@ from cascadesim.liouvillian import (
 )
 from cascadesim.sources import (
     BirthDeathLaser,
+    ClassicalPath,
     CoherentDrive,
     FreeDecayMixture,
     build_L_S,
@@ -172,6 +173,25 @@ class TestClassicalPaths:
     def test_birth_death_unsupported(self):
         with pytest.raises(UnsupportedSourceError):
             classical_paths(BirthDeathLaser(1, 1, 1, 1, 1), CFG, np.linspace(0, 1, 3))
+
+    @pytest.mark.parametrize("field, value", [
+        ("alphas", np.nan), ("alphas", complex(0.3, np.inf)), ("alphas", -np.inf),
+        ("times", np.nan), ("times", np.inf),
+    ])
+    def test_non_finite_samples_rejected(self, field, value):
+        # a NaN amplitude would otherwise run through the separated-target
+        # solve and come back as NaN conditional states
+        samples = {"times": np.linspace(0.0, 1.0, 4), "alphas": np.full(4, 0.5 + 0.1j)}
+        samples[field] = samples[field].astype(complex if field == "alphas" else float)
+        samples[field][2] = value
+        with pytest.raises(ValueError, match="finite"):
+            ClassicalPath(samples["times"], samples["alphas"], weight=1.0)
+
+    def test_nan_weight_rejected(self):
+        # a NaN weight would pass the mixture's weight-sum check, whose
+        # comparison with NaN is False
+        with pytest.raises(ValueError, match="weight"):
+            ClassicalPath(np.linspace(0.0, 1.0, 3), np.zeros(3), weight=np.nan)
 
 
 class TestRingPaths:
