@@ -65,6 +65,10 @@ def main():
     ap.add_argument("--dt", type=float, default=0.002)
     ap.add_argument("--store-every", type=int, default=200)
     args = ap.parse_args()
+    try:
+        TimeGrid(0.0, args.t1, args.dt).stored_times(args.store_every)
+    except ValueError as exc:
+        ap.error(f"--t1, --dt and --store-every: {exc}")
 
     cfg = CouplingConfig(gamma_S=1.0, gamma_Tf=0.5, gamma_Ts=0.5)
     print(f"{'radius':>7} {'n_max':>6} {'max trace dist':>15} {'max negativity':>15}")

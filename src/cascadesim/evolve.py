@@ -20,10 +20,10 @@ diagnostics are taken, and every RENORMALIZE_EVERY steps.  Only the
 trajectories that jump compute the per-channel jump vectors C_k psi, from
 their pre-step state, to pick the channel.  One uniform variate is drawn per
 step, plus one per jump for the channel.  Each trajectory owns exactly one RNG
-stream, read in fixed-width blocks, so results are bit-reproducible given
-(config, seed).  There is one trajectory engine, vectorized over seeds; a
-single trajectory is its one-seed call.  It hands each stored time's dense
-rows to its caller's store callback and keeps none.
+stream, default_rng(seed)'s, read in fixed-width blocks, so results are
+bit-reproducible given (config, seed).  There is one trajectory engine,
+vectorized over seeds; a single trajectory is its one-seed call.  It hands
+each stored time's dense rows to its caller's store callback and keeps none.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import os
 import warnings
 from contextlib import nullcontext
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -296,6 +296,66 @@ def _sector_blocks(op: np.ndarray, shift: int, name: str) -> np.ndarray:
     return out
 
 
+@cache
+def _hash_consts(start: int, mult: int, n: int) -> np.ndarray:
+    """start * mult**k mod 2**32 for k = 0..n, as an (n + 1, 1) uint32 column."""
+    return np.array([start * mult**k % 2**32 for k in range(n + 1)], np.uint32)[:, None]
+
+
+def _hashmix(v, c, j, n, into=None):
+    """numpy SeedSequence's hashmix of v's n rows by c[j:]; mix(into, that), given into."""
+    v = v ^ c[j:j + n]
+    v *= c[j + 1:j + n + 1]
+    v ^= v >> 16
+    if into is not None:
+        v = into * 0xCA01F9DD - v * 0x4973F715
+        v ^= v >> 16
+    return v
+
+
+def seed_words(seeds) -> np.ndarray:
+    """np.random.SeedSequence(s).generate_state(4, np.uint64) of each seed s
+    >= 0, as (len(seeds), 4) rows: numpy's hash (numpy.random.bit_generator)
+    of every seed's 32-bit words at once, in uint32 arithmetic."""
+    try:
+        s = np.array(seeds, dtype=np.uint64)
+        words, n = np.stack([s, s >> 32, 0 * s, 0 * s]).astype(np.uint32), 4
+    except OverflowError:  # a seed of 2**64 or more
+        ints = [int(x) for x in seeds]
+        counts = np.array([(x.bit_length() + 31) // 32 for x in ints])
+        n = max(4, counts.max())
+        words = np.array([[x >> 32 * k & 0xFFFFFFFF for x in ints] for k in range(n)], np.uint32)
+    a = _hash_consts(0x43B0D7E5, 0x931E8875, 4 * n)
+    # a pool of four takes a seed's first words (zeros past its last, as in numpy) and
+    # mixes them into each other, then the words past four of the seeds that have them
+    pool = _hashmix(words[:4], a, 0, 4)
+    for src, dst in enumerate([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]]):
+        pool[dst] = _hashmix(pool[src], a, 4 + 3 * src, 3, into=pool[dst])
+    for src in range(4, n):
+        live = counts > src
+        pool[:, live] = _hashmix(words[src, live], a, 4 * src, 4, into=pool[:, live])
+    out = _hashmix(np.tile(pool, (2, 1)), _hash_consts(0x8B51F9DD, 0x58F38DED, 8), 0, 8)
+    return out.T.astype("<u4", order="C").view("<u8").astype(np.uint64, copy=False)
+
+
+@cache
+def _stream():
+    """default_rng's stream of a row of seed_words; numpy.random loads here, not on import."""
+    from numpy.random import PCG64, Generator
+    from numpy.random.bit_generator import ISeedSequence
+
+    @dataclass
+    class Words(ISeedSequence):
+        words: np.ndarray
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if (n_words, dtype) != (4, np.uint64):  # PCG64's one request
+                raise NotImplementedError(f"generate_state({n_words}, {dtype}): numpy changed")
+            return self.words
+
+    return lambda words: Generator(PCG64(Words(words)))
+
+
 def _ensemble_chunk(psi0_vec, config, source_model, grid, store_every, diagnostics,
                     store, seeds):
     """Advance the trajectories of seeds in lockstep from psi0_vec, normalized.
@@ -381,7 +441,7 @@ def _ensemble_chunk(psi0_vec, config, source_model, grid, store_every, diagnosti
     Z = np.empty_like(psi)
     psi_f, Z_f = psi.view(float), Z.view(float)
 
-    rngs = [np.random.default_rng(s) for s in seeds]
+    rngs = list(map(_stream(), seed_words(seeds)))
     uniforms = np.empty((M, UNIFORM_BLOCK))
     cursor = np.full(M, UNIFORM_BLOCK)
     # flat index of the first uniform of each row's block

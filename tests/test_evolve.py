@@ -6,6 +6,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cascadesim.acceptance import load_preset, sector_residuals
 from cascadesim.analysis import schmidt_entropy, trace_distance
@@ -63,6 +65,7 @@ from cascadesim.evolve import (
     expectation,
     mcwf_run,
     run_ensemble,
+    seed_words,
     workers_from_env,
 )
 
@@ -523,6 +526,19 @@ class TestEngineOracle:
         if r.carriers is not None:
             assert np.array_equal(r.carriers, carriers)
 
+    @pytest.mark.filterwarnings("ignore:step probability")
+    def test_multi_word_seeds_match_scalar_oracle(self):
+        # seeds of 1, 2, 3 and 5 32-bit words in one call; only the last has
+        # entropy past the four words of the hash pool
+        model, psi0, grid = self.CASES["birth_death"]
+        seeds = [7, 2**40 + 3, 2**70 + 11, 2**140 + 5]
+        ens = run_ensemble(psi0, self.CFG, model, grid, seeds, store_every=grid.n_steps)
+        for seed, record in zip(seeds, ens.records):
+            events, _, _ = scalar_mcwf(psi0, self.CFG, model, grid, seed,
+                                       store_every=grid.n_steps)
+            assert len(events) > 0
+            assert record.seed == seed and record.events == events
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_scalar_oracle_at_large_step_probability(self, seed):
         # birth-death with pump and non-lasing loss: the step probability
@@ -700,6 +716,46 @@ class TestEngineOracle:
         model, psi0, grid = self.CASES["coherent_drive"]
         with pytest.raises(InvariantViolationError, match="non-finite drift"):
             run_ensemble(psi0, cfg, model, grid, range(3))
+
+
+def seed_sequence_words(seeds):
+    return np.array([np.random.SeedSequence(int(s)).generate_state(4, np.uint64)
+                     for s in seeds])
+
+
+class TestSeedWords:
+    """seed_words is numpy's SeedSequence hash, checked against numpy itself."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.lists(st.one_of(st.integers(0, 2**64), st.integers(0, 2**200 - 1)),
+                    min_size=1, max_size=12))
+    def test_matches_seed_sequence(self, seeds):
+        assert np.array_equal(seed_words(seeds), seed_sequence_words(seeds))
+
+    @pytest.mark.parametrize("seeds", [
+        # below 2**64: split into words by numpy
+        [0, 2**32 - 1, 2**32, 2**64 - 1],
+        # 2**64 and up: split by Python, entropy of up to 5 words
+        [0, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**128 - 1, 2**128],
+        [np.uint8(7), np.int64(9), np.uint64(2**63 + 5)],
+        [np.uint8(7), np.int64(9), np.uint64(2**64 - 1), 2**64 + 5, 10**50],
+    ])
+    def test_word_boundaries_and_numpy_integers(self, seeds):
+        words = seed_words(seeds)
+        assert words.dtype == np.uint64 and words.shape == (len(seeds), 4)
+        assert np.array_equal(words, seed_sequence_words(seeds))
+
+    @pytest.mark.parametrize("seed", [0, 5, 2**64 + 5, 2**129 + 77])
+    def test_stream_is_default_rng(self, seed):
+        stream = evolve._stream()(seed_words([seed])[0])
+        assert np.array_equal(stream.random(200), np.random.default_rng(seed).random(200))
+
+    def test_any_other_state_request_raises(self):
+        # PCG64 asks for (4, uint64); another request means numpy's seeding changed
+        seed_seq = evolve._stream()(seed_words([3])[0]).bit_generator.seed_seq
+        assert np.array_equal(seed_seq.generate_state(4, np.uint64), seed_sequence_words([3])[0])
+        with pytest.raises(NotImplementedError):
+            seed_seq.generate_state(8, np.uint32)
 
 
 class TestPinnedRecords:

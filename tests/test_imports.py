@@ -1,6 +1,7 @@
 """Every module of the package, every test file and every script uses each
-name it imports, and a run loads neither the process pool nor the
-verification suite unless it uses them.
+name it imports, a run loads neither the process pool nor the verification
+suite unless it uses them, and numpy.random loads at the first trajectory
+solve and not before.
 
 No linter is a dependency, so the check is made here on the syntax tree.
 The package's __init__.py is exempt: its imports are the package's re-exports.
@@ -72,11 +73,43 @@ print(sorted(m for m in ("multiprocessing", "concurrent.futures", "cascadesim.ac
 """
 
 
-def test_a_one_worker_run_loads_neither_pool_nor_suite():
+def run_cold(code: str) -> str:
+    """Run code in a fresh interpreter on the package's source; its stdout."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    proc = subprocess.run([sys.executable, "-c", COLD_RUN], env=env,
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip()
+
+
+def test_a_one_worker_run_loads_neither_pool_nor_suite():
+    assert run_cold(COLD_RUN) == "[]"
+
+
+# An undriven master-equation run, as the ansatz-mixture benchmark makes,
+# then a trajectory ensemble.
+RANDOM_ON_FIRST_TRAJECTORIES = """
+import sys
+import cascadesim
+import cascadesim.cli
+from cascadesim import evolve
+from cascadesim.hilbert import GROUND, DensityOperator, FockSpec, fock_state, product_state, qubit_state
+
+spec = FockSpec(4)
+psi0 = product_state(fock_state(1, spec), qubit_state(GROUND))
+cfg = cascadesim.CouplingConfig(1.0, 0.5, 0.5)
+grid = evolve.TimeGrid(0.0, 0.05, 0.001)
+L = cascadesim.build_L_T(cfg, spec) + cascadesim.build_L_ST(cfg, spec)
+states = evolve.evolve_master(DensityOperator(psi0.projector()), L, grid, store_every=10)
+assert len(states) == 6
+print("numpy.random" in sys.modules)
+evolve.run_ensemble(psi0, cfg, cascadesim.BirthDeathLaser(1.0, 0.5, 0.3, N0=2, n0=1),
+                    grid, range(4), store_every=10, workers=1)
+print("numpy.random" in sys.modules)
+"""
+
+
+def test_numpy_random_loads_at_the_first_trajectory_solve():
+    assert run_cold(RANDOM_ON_FIRST_TRAJECTORIES).split() == ["False", "True"]
