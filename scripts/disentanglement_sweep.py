@@ -65,6 +65,8 @@ def main():
     ap.add_argument("--dt", type=float, default=0.002)
     ap.add_argument("--store-every", type=int, default=200)
     args = ap.parse_args()
+    if args.amplitudes < 1:
+        ap.error(f"--amplitudes must be >= 1, got {args.amplitudes}")
     try:
         TimeGrid(0.0, args.t1, args.dt).stored_times(args.store_every)
     except ValueError as exc:

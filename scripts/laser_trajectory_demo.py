@@ -24,7 +24,7 @@ from cascadesim import (
     run_ensemble,
 )
 from cascadesim.acceptance import sector_residuals
-from cascadesim.evolve import expectation
+from cascadesim.evolve import check_seeds, expectation
 from cascadesim.hilbert import EXCITED, GROUND, SOURCE, TARGET, embed, partial_trace
 
 
@@ -43,16 +43,20 @@ def main():
     args = ap.parse_args()
 
     cfg = CouplingConfig(gamma_S=1.0, gamma_Tf=0.5, gamma_Ts=0.5)
-    model = BirthDeathLaser(args.pump_rate, args.gain, args.nonlasing_rate,
-                            N0=args.carriers, n0=args.photons)
-    spec = FockSpec(args.n_max)
-    psi0 = product_state(fock_state(args.photons, spec), qubit_state(GROUND))
-    grid = TimeGrid(0.0, args.t1, args.dt)
+    # every argument is checked before any trajectory runs
+    try:
+        model = BirthDeathLaser(args.pump_rate, args.gain, args.nonlasing_rate,
+                                N0=args.carriers, n0=args.photons)
+        spec = FockSpec(args.n_max)
+        psi0 = product_state(fock_state(args.photons, spec), qubit_state(GROUND))
+        grid = TimeGrid(0.0, args.t1, args.dt)
+        seeds = check_seeds(range(args.seed_start, args.seed_start + args.trajectories))
+    except ValueError as exc:
+        ap.error(str(exc))
     store = max(1, grid.n_steps // 20)
     while grid.n_steps % store:
         store -= 1
 
-    seeds = range(args.seed_start, args.seed_start + args.trajectories)
     ens = run_ensemble(psi0, cfg, model, grid, seeds, store_every=store)
 
     counts = Counter()

@@ -132,31 +132,61 @@ class DensityOperator:
         return complex(np.trace(self.mat))
 
     def check(self, trace_tol: float = 1e-10, herm_tol: float = 1e-12, eig_tol: float = 1e-10):
-        """Raise InvariantViolationError if trace/hermiticity/positivity are off.
-
-        Positivity is first tried as a Cholesky factorization of the
-        hermitized matrix plus (eig_tol / 2) I, which exists when the
-        smallest eigenvalue is above -eig_tol / 2.  Only when it does not
-        does eigvalsh decide, so the pass/fail boundary is that of the
-        smallest eigenvalue against -eig_tol.
-        """
-        if not np.isfinite(self.mat).all():
-            raise InvariantViolationError("non-finite entry in the density matrix")
-        tr_err = abs(self.trace - 1.0)
-        if not tr_err <= trace_tol:
-            raise InvariantViolationError(f"trace deviates from 1 by {tr_err:.3e}")
-        adj = self.mat.conj().T
-        herm_err = float(np.max(np.abs(self.mat - adj)))
-        if not herm_err <= herm_tol:
-            raise InvariantViolationError(f"hermiticity residual {herm_err:.3e}")
-        h = (self.mat + adj) / 2.0
-        try:
-            np.linalg.cholesky(h + (eig_tol / 2.0) * np.eye(self.dim))
-        except np.linalg.LinAlgError:
-            min_eig = float(np.linalg.eigvalsh(h).min())
-            if not min_eig >= -eig_tol:
-                raise InvariantViolationError(f"negative eigenvalue {min_eig:.3e}") from None
+        """Raise InvariantViolationError if trace/hermiticity/positivity are off;
+        the one-state call of check_states."""
+        failure = check_states(self.mat[None], trace_tol, herm_tol, eig_tol)
+        if failure is not None:
+            raise InvariantViolationError(failure[1])
         return self
+
+
+def check_states(mats: np.ndarray, trace_tol: float = 1e-10, herm_tol: float = 1e-12,
+                 eig_tol: float = 1e-10) -> tuple | None:
+    """(index, message) of the first matrix of a (B, d, d) stack that is not a
+    valid density matrix, or None if every one is.
+
+    Each matrix is checked for finiteness, then trace, hermiticity and
+    positivity, each only on the matrices that passed the checks before it,
+    so no arithmetic touches a non-finite entry.  Positivity is first tried
+    as one Cholesky factorization of the stack of hermitized matrices plus
+    (eig_tol / 2) I, which exists when each smallest eigenvalue is above
+    -eig_tol / 2.  Only when it does not does the stack go matrix by matrix,
+    and eigvalsh decides where a Cholesky fails, so the pass/fail boundary
+    is that of the smallest eigenvalue against -eig_tol.
+    """
+    finite = np.isfinite(mats).all(axis=(1, 2))
+    # n: the matrices before the first non-finite one; n_herm: those before
+    # the first of them that fails the trace or the hermiticity check
+    n = len(mats) if finite.all() else int(finite.argmin())
+    ok = mats[:n]
+    tr_err = np.abs(np.trace(ok, axis1=1, axis2=2) - 1.0)
+    adj = ok.conj().swapaxes(1, 2)
+    herm_err = np.abs(ok - adj).max(axis=(1, 2))
+    bad = ~(tr_err <= trace_tol) | ~(herm_err <= herm_tol)
+    n_herm = int(bad.argmax()) if bad.any() else n
+    # (rho + rho^dag) / 2 + (eig_tol / 2) I; * 0.5 gives the bits of / 2
+    # without a complex division
+    shifted = ok[:n_herm] + adj[:n_herm]
+    shifted *= 0.5
+    d = mats.shape[-1]
+    shifted.reshape(n_herm, d * d)[:, ::d + 1] += eig_tol / 2.0
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        for i in range(n_herm):
+            try:
+                np.linalg.cholesky(shifted[i])
+            except np.linalg.LinAlgError:
+                min_eig = float(np.linalg.eigvalsh((ok[i] + adj[i]) * 0.5).min())
+                if not min_eig >= -eig_tol:
+                    return i, f"negative eigenvalue {min_eig:.3e}"
+    if n_herm < n:
+        if not tr_err[n_herm] <= trace_tol:
+            return n_herm, f"trace deviates from 1 by {tr_err[n_herm]:.3e}"
+        return n_herm, f"hermiticity residual {herm_err[n_herm]:.3e}"
+    if n < len(mats):
+        return n, "non-finite entry in the density matrix"
+    return None
 
 
 def total_quanta(dim: int) -> np.ndarray:

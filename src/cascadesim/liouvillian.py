@@ -155,7 +155,7 @@ class Superoperator:
         weight = np.empty((len(shifts), d, d), dtype=complex)
         for s, shift in enumerate(shifts):
             slot_weight(shift, weight[s])
-        index = np.empty((len(shifts), d, d), dtype=np.int32)
+        index = np.empty((len(shifts), d, d), dtype=np.intp)
         k = np.arange(d)
         for s, (di, dj) in enumerate(shifts):
             # the weight is zero where i + di or j + dj leaves the matrix,

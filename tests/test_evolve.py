@@ -39,12 +39,15 @@ from cascadesim.liouvillian import (
     BLOCK_TOL,
     CouplingConfig,
     Superoperator,
+    SuperoperatorTerm,
     apply,
     block_gather,
     build_jump_ops,
     build_L_ST,
     build_L_T,
     build_nonhermitian_H,
+    dissipator_terms,
+    gather,
 )
 from cascadesim.sources import (
     BirthDeathLaser,
@@ -58,6 +61,7 @@ import cascadesim.evolve as evolve
 import cascadesim.sources as sources
 from cascadesim.evolve import (
     RENORMALIZE_EVERY,
+    STORE_BLOCK,
     UNIFORM_BLOCK,
     TimeGrid,
     check_seeds,
@@ -358,6 +362,104 @@ class TestCoherenceBlocks:
         with pytest.raises(InvariantViolationError, match="t=0:"):
             evolve_master(rho0, self.undriven(spec), self.GRID, observe=seen.append)
         assert seen == []
+
+
+class TestStoredStateChecks:
+    """evolve_master checks its stored states STORE_BLOCK at a time, yet fails
+    as a check of each state in turn would."""
+    DT = 0.01
+    STORED = 20  # stored states after rho0: two full blocks and a part
+
+    def drifting(self, kind, spec, rate):
+        """A generator whose trace (L = rate * identity) or smallest eigenvalue
+        (the reversed cavity decay -rate D[a], from |1><1|) drifts like rate * t."""
+        if kind == "trace":
+            eye = np.eye(spec.dim, dtype=complex)
+            return Superoperator([SuperoperatorTerm(eye, eye, rate)], spec.dim)
+        a = embed(annihilation(spec), SOURCE, spec).mat
+        return Superoperator(dissipator_terms(a, rate=-rate), spec.dim)
+
+    @pytest.mark.parametrize("kind", ["trace", "negativity"])
+    @pytest.mark.parametrize("store_every", [1, 3])
+    @pytest.mark.parametrize("where", [STORE_BLOCK + 1, STORE_BLOCK + STORE_BLOCK // 2,
+                                       2 * STORE_BLOCK, STORED])
+    def test_mid_run_failure_is_raised_at_its_own_time(self, monkeypatch, kind, store_every,
+                                                        where):
+        # block start, middle and end, and the final stored time
+        spec = FockSpec(3)
+        rho0 = DensityOperator(ket(1, GROUND, spec).projector())
+        grid = TimeGrid(0.0, self.STORED * store_every * self.DT, self.DT)
+        # the drift crosses 1e-8 halfway between stored states where - 1 and where
+        L = self.drifting(kind, spec, 1e-8 / ((where - 0.5) * store_every * self.DT))
+        reference = nested_rk4(rho0, L, grid, store_every)
+        first_bad = next(i for i, m in enumerate(reference) if check_failure(m))
+        assert first_bad == where
+        seen, failure, steps = self.run_to_failure(monkeypatch, rho0, L, grid, store_every)
+        t = grid.stored_times(store_every)[where]
+        assert failure == (f"master integration failed at t={t:.6g}: "
+                           f"{check_failure(reference[where])}")
+        assert len(seen) == where
+        for rho, ref in zip(seen, reference):
+            assert np.array_equal(rho.mat, ref)
+        # a trace failure stops the run at once; the others are found when
+        # their block is full
+        block_end = min(-(-where // STORE_BLOCK) * STORE_BLOCK, self.STORED)
+        assert steps == (where if kind == "trace" else block_end) * store_every
+
+    @pytest.mark.parametrize("store_every", [1, 3])
+    def test_non_finite_state_stops_the_run(self, monkeypatch, store_every):
+        # a NaN generator makes the first stored state NaN with no warning;
+        # stepping on from it is never tried
+        spec = FockSpec(3)
+        rho0 = DensityOperator(ket(1, GROUND, spec).projector())
+        eye = np.eye(spec.dim, dtype=complex)
+        L = Superoperator([SuperoperatorTerm(eye, eye, np.nan)], spec.dim)
+        grid = TimeGrid(0.0, self.STORED * store_every * self.DT, self.DT)
+        seen, failure, steps = self.run_to_failure(monkeypatch, rho0, L, grid, store_every)
+        t = grid.stored_times(store_every)[1]
+        assert failure == (f"master integration failed at t={t:.6g}: "
+                           "non-finite entry in the density matrix")
+        assert len(seen) == 1 and steps == store_every
+
+    @staticmethod
+    def run_to_failure(monkeypatch, rho0, L, grid, store_every):
+        """(observed states, failure message, RK4 steps taken) of a run that
+        must fail with no RuntimeWarning."""
+        calls = []
+        monkeypatch.setattr(evolve, "gather", lambda *args: calls.append(1) or gather(*args))
+        seen = []
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(InvariantViolationError) as failure:
+                evolve_master(rho0, L, grid, store_every=store_every, observe=seen.append)
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        return seen, str(failure.value), len(calls) // 4
+
+    @pytest.mark.parametrize("store_every", [1, 7])
+    def test_driven_states_match_nested_rk4_bit_for_bit(self, store_every):
+        spec = FockSpec(6)
+        cfg = CouplingConfig(1.0, 0.6, 0.4, delta=0.3)
+        L = (build_L_S(CoherentDrive(0.4 - 0.1j), spec)
+             + build_L_T(cfg, spec) + build_L_ST(cfg, spec))
+        rho0 = DensityOperator(product_state(coherent_state(0.5, spec), qubit_state(GROUND))
+                               .projector())
+        assert block_gather(L, rho0.mat) is None
+        # 63 steps: at store_every 1 seven full blocks and a part, at 7 one and a part
+        grid = TimeGrid(0.0, 0.63, 0.01)
+        states = evolve_master(rho0, L, grid, store_every=store_every)
+        reference = nested_rk4(rho0, L, grid, store_every)
+        assert len(states) == len(reference) == 63 // store_every + 1
+        for rho, ref in zip(states, reference):
+            assert np.array_equal(rho.mat, ref)
+
+
+def check_failure(m):
+    """The message of a one-state check at evolve_master's tolerances, or None."""
+    try:
+        DensityOperator(m).check(1e-8, 1e-8, 1e-8)
+    except InvariantViolationError as exc:
+        return str(exc)
+    return None
 
 
 class TestSingleTrajectory:

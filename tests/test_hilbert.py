@@ -15,6 +15,7 @@ from cascadesim.hilbert import (
     PureState,
     adequate_n_max,
     annihilation,
+    check_states,
     coherent_state,
     embed,
     fock_state,
@@ -245,3 +246,71 @@ class TestStates:
 
         monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
         DensityOperator(np.outer(v, v.conj())).check()
+
+
+def rotated(eigenvalues, rng):
+    """U diag(eigenvalues) U^dag for a random unitary U."""
+    q, _ = np.linalg.qr(rng.normal(size=(len(eigenvalues),) * 2)
+                        + 1j * rng.normal(size=(len(eigenvalues),) * 2))
+    return (q * np.asarray(eigenvalues)) @ q.conj().T
+
+
+def plant(kind, m, rng):
+    """m, or a state of its dim that fails (or just passes) one check at the
+    default tolerances (trace 1e-10, hermiticity 1e-12, eigenvalue 1e-10)."""
+    d, tol = len(m), 1e-10
+    if kind in ("nan", "inf"):
+        m = m.copy()
+        m[tuple(rng.integers(d, size=2))] = np.nan if kind == "nan" else np.inf
+    elif kind == "trace":
+        m = m.copy()
+        m[0, 0] += 1e-9
+    elif kind == "hermiticity":
+        m = m.copy()
+        m[0, 1] += 1e-9
+    elif kind in ("eig_above", "eig_below"):
+        # the smallest eigenvalue at 0.9 or 1.1 of -tol: past the Cholesky
+        # shift of tol/2 either way, so eigvalsh decides
+        x = (0.9 if kind == "eig_above" else 1.1) * tol
+        m = rotated([0.6 + x, 0.4, -x] + [0.0] * (d - 3), rng)
+    return m
+
+
+class TestCheckStates:
+    KINDS = ["nan", "inf", "trace", "hermiticity", "eig_above", "eig_below"]
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        size=st.integers(1, 9),
+        dim=st.sampled_from([4, 6]),
+        plants=st.lists(st.tuples(st.sampled_from(["first", "middle", "last"]),
+                                  st.sampled_from(KINDS)), max_size=3),
+        seed=st.integers(0, 2 ** 16),
+    )
+    def test_finds_the_first_failure_of_a_check_loop(self, size, dim, plants, seed):
+        rng = np.random.default_rng(seed)
+        mats = np.stack([random_density(dim, rng).mat for _ in range(size)])
+        for where, kind in plants:
+            i = {"first": 0, "middle": size // 2, "last": size - 1}[where]
+            mats[i] = plant(kind, mats[i], rng)
+        expected = None
+        for i, m in enumerate(mats):
+            try:
+                DensityOperator(m).check()
+            except InvariantViolationError as exc:
+                expected = (i, str(exc))
+                break
+        assert check_states(mats) == expected
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_each_planted_kind_is_named(self, rng, kind):
+        mats = np.stack([random_density(4, rng).mat for _ in range(5)])
+        mats[2] = plant(kind, mats[2], rng)
+        found = check_states(mats)
+        if kind == "eig_above":
+            assert found is None
+        else:
+            word = {"nan": "non-finite", "inf": "non-finite", "trace": "trace",
+                    "hermiticity": "hermiticity", "eig_below": "negative eigenvalue"}[kind]
+            assert found[0] == 2 and found[1].startswith(word)
+

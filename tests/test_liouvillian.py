@@ -16,6 +16,7 @@ from cascadesim.liouvillian import (
     Superoperator,
     SuperoperatorTerm,
     apply,
+    block_gather,
     build_H_ST,
     build_H_T,
     build_jump_ops,
@@ -334,10 +335,13 @@ class TestCompiledGenerator:
     def test_full_coherent_generator(self, rng, n_max):
         spec = FockSpec(n_max)
         cfg = CouplingConfig(1.2, 0.7, 0.3, delta=0.4)
-        L = (build_L_S(CoherentDrive(0.6 - 0.3j), spec)
-             + build_L_T(cfg, spec) + build_L_ST(cfg, spec))
+        undriven = build_L_T(cfg, spec) + build_L_ST(cfg, spec)
+        L = build_L_S(CoherentDrive(0.6 - 0.3j), spec) + undriven
         index, weight = L.compiled
-        assert index.dtype == np.int32
+        # take reads an intp index as it is, with no per-call conversion
+        assert index.dtype == np.intp
+        fock = product_state(fock_state(1, spec), qubit_state(EXCITED)).projector()
+        assert block_gather(undriven, fock)[1].dtype == np.intp
         assert index.shape == weight.shape == (index.shape[0], spec.dim ** 2)
         assert index.shape[0] <= 13
         self.assert_matches_literal(L, rng)

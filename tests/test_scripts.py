@@ -44,8 +44,22 @@ def test_laser_demo_defaults_do_not_warn():
     (["--store-every", "0"], "store_every must be"),
 ])
 def test_sweep_rejects_a_bad_grid_with_usage(args, why):
-    # checked before any radius runs: the usage line and exit 2, no traceback
-    proc = script_process("disentanglement_sweep.py", args)
+    # checked before any radius runs
+    assert_usage_error("disentanglement_sweep.py", args, why)
+
+
+@pytest.mark.parametrize("script, args, why", [
+    ("disentanglement_sweep.py", ["--amplitudes", "0"], "--amplitudes must be >= 1, got 0"),
+    ("laser_trajectory_demo.py", ["--trajectories", "0"], "seeds must name at least one seed"),
+    ("laser_trajectory_demo.py", ["--t1", "0.0501"], "is not integral"),
+])
+def test_bad_argument_exits_with_usage(script, args, why):
+    assert_usage_error(script, args, why)
+
+
+def assert_usage_error(script, args, why):
+    """The usage line, the reason and exit 2, with no traceback and no output."""
+    proc = script_process(script, args)
     assert proc.returncode == 2
     assert proc.stderr.startswith("usage:")
     assert why in proc.stderr and "Traceback" not in proc.stderr
