@@ -64,9 +64,10 @@ def support_pattern_check(rho: DensityOperator, tol: float) -> tuple:
         raise DimensionMismatchError("support check needs a composite state")
     quanta = total_quanta(rho.dim)
     allowed = quanta[:, None] == quanta[None, :]
-    bad = (~allowed) & (np.abs(rho.mat) >= tol)
-    offending = [(int(i), int(j), float(abs(rho.mat[i, j])))
-                 for i, j in zip(*np.nonzero(bad))]
+    i, j = np.nonzero((~allowed) & (np.abs(rho.mat) >= tol))
+    v = rho.mat[i, j]
+    # hypot gives the bits of the scalar abs(); np.abs on an array may differ by an ulp
+    offending = list(zip(i.tolist(), j.tolist(), np.hypot(v.real, v.imag).tolist()))
     return len(offending) == 0, offending
 
 

@@ -15,8 +15,8 @@ re/im columns; state dumps are JSON with row-major nested arrays of [re, im]
 pairs and an explicit basis-ordering field.  All files are written atomically
 (temp file + rename) and are byte-identical for identical (config, seed).
 The CASCADESIM_WORKERS environment variable, an integer >= 1, sets the trajectory
-worker count; it changes only the wall time, and evolve.ENSEMBLE_BLOCK seeds or
-fewer run in-process.
+worker count; it changes only the wall time, and one worker, or evolve.ENSEMBLE_BLOCK
+seeds or fewer, run in-process.
 """
 
 from __future__ import annotations

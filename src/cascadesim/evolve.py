@@ -23,7 +23,8 @@ step, plus one per jump for the channel.  Each trajectory owns exactly one RNG
 stream, default_rng(seed)'s, read in fixed-width blocks, so results are
 bit-reproducible given (config, seed).  There is one trajectory engine,
 vectorized over seeds; a single trajectory is its one-seed call.  It hands
-each stored time's dense rows to its caller's store callback and keeps none.
+each stored time's dense rows to its caller's store callback, one seed block
+at a time, and keeps none.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from __future__ import annotations
 import math
 import os
 import warnings
-from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cache, partial
 
@@ -231,11 +231,12 @@ def mcwf_run(psi0: PureState, config: CouplingConfig, source_model, grid: TimeGr
     states = np.empty((len(times), len(psi0.vec)), dtype=complex)
     carriers = np.empty(len(times), dtype=int)
 
-    def store(i, psi, carrier):
+    def store(i, parts):
+        (psi, carrier), = parts
         states[i], carriers[i] = psi[0], carrier[0]
 
     records, ents, max_p = _ensemble_chunk(
-        psi0.vec, config, source_model, grid, store_every, diagnostics, store, seeds)
+        psi0.vec, config, source_model, grid, store_every, diagnostics, store, seeds, 1)
     _warn_step_probability(max_p)
     return TrajectoryResult(
         record=records[0],
@@ -260,7 +261,8 @@ UNIFORM_BLOCK = 64
 # steps between renormalizations of every trajectory's state, which is
 # otherwise normalized only where a jump, a store or the diagnostics need it
 RENORMALIZE_EVERY = 64
-# seeds per engine call in run_ensemble; a constant, so the sum's order follows the seeds
+# seeds per block of run_ensemble: the unit of its reduction, of a pool task and of
+# a dense row's BLAS products; a constant, so the sum's order follows the seeds
 ENSEMBLE_BLOCK = 1024
 
 
@@ -385,7 +387,7 @@ def _stream():
 
 
 def _ensemble_chunk(psi0_vec, config, source_model, grid, store_every, diagnostics,
-                    store, seeds):
+                    store, seeds, block):
     """Advance the trajectories of seeds in lockstep from psi0_vec, normalized.
 
     A row of psi holds one trajectory.  For the coherent-drive and free-decay
@@ -402,13 +404,23 @@ def _ensemble_chunk(psi0_vec, config, source_model, grid, store_every, diagnosti
     diagnostics update and every RENORMALIZE_EVERY steps.  Each trajectory
     owns the RNG stream of its seed and consumes one uniform per step plus one
     per jump, read in order from a fixed-width block that its own stream
-    refills.  At stored time i of grid.stored_times(store_every) it calls
-    store(i, psi, carrier) with the normalized dense (M, d) rows and (M,)
-    carrier counts, its working arrays, which store copies from as needed;
-    birth-death rows are scattered into one reused dense buffer first.
-    Returns the records, each trajectory's largest Schmidt entropy (None
-    without diagnostics), and the largest step probability, so the caller can
-    warn about it.
+    refills.
+
+    The seeds are cut into consecutive blocks of at most block rows.  Every
+    row steps in lockstep, but a dense row's BLAS products (the no-jump
+    psi @ HT and the jumpers' C_k psi) are taken block by block: a gemm row's
+    rounding depends on how many rows the call has, so each row gets the bits
+    of a call on its block alone.  Sector rows need no such split, as their
+    work is elementwise or stacked 2 x 2 products.  At stored time i of
+    grid.stored_times(store_every) it calls store(i, parts), where parts
+    yields one (psi, carrier) pair per block, in block order: the block's
+    normalized dense (rows, d) states and (rows,) carrier counts.  These are
+    working arrays, and birth-death rows are scattered into one reused dense
+    buffer of at most block rows, so store consumes parts during the call and
+    copies what it keeps.  Returns the records, each trajectory's largest
+    Schmidt entropy (None without diagnostics), and the largest step
+    probability, so the caller can warn about it.  A failure is raised at the
+    earliest step where any row fails.
     """
     psi0 = PureState(psi0_vec).normalized().vec
     M, dim = len(seeds), len(psi0)
@@ -428,6 +440,7 @@ def _ensemble_chunk(psi0_vec, config, source_model, grid, store_every, diagnosti
     slot = {k: j for j, k in enumerate(quantum)}
 
     rows = np.arange(M)
+    blocks = [slice(lo, lo + block) for lo in range(0, M, block)]
     carrier = np.full(M, source_model.N0 if birth_death else 0, dtype=int)
     if birth_death:
         # summed rates of the classical channels, without and with the carrier factor
@@ -451,21 +464,32 @@ def _ensemble_chunk(psi0_vec, config, source_model, grid, store_every, diagnosti
 
         def set_no_jump(idx):
             n = n_pred[idx]
-            blocks = drift[n] - carrier[idx][:, None, None] * damp[n]
-            K[:, idx] = blocks.transpose(2, 0, 1)
+            maps = drift[n] - carrier[idx][:, None, None] * damp[n]
+            K[:, idx] = maps.transpose(2, 0, 1)
             p_classical[idx] = dt * (rate_fixed + rate_scaled * carrier[idx])
 
         part = np.empty_like(psi)
-        # stored rows, scattered into their sectors' columns; the middle d
-        # columns of the padded buffer are the dense rows
-        padded = np.zeros((M, dim + 2), dtype=complex)
+        # a block's stored rows, scattered into their sectors' columns; the
+        # middle d columns of the padded buffer are the dense rows
+        padded = np.zeros((min(M, block), dim + 2), dtype=complex)
         dense = padded[:, 1:-1]
         set_no_jump(rows)
+
+        def block_rows(b):
+            n = len(carrier[b])
+            padded[:n].fill(0.0)
+            padded[:n].reshape(n, -1, 2)[rows[:n], n_pred[b]] = psi[b]
+            return dense[:n], carrier[b]
     else:
         psi = np.tile(psi0, (M, 1))
         HT = (-1j * dt * H).T
         # every C_k^T side by side: jump vectors of the rows that jump
         Fq = np.concatenate([channels[k].operator.T for k in quantum], axis=1)
+        # first row of every block after the first
+        cuts = rows[block::block]
+
+        def block_rows(b):
+            return psi[b], carrier[b]
     Z = np.empty_like(psi)
     psi_f, Z_f = psi.view(float), Z.view(float)
 
@@ -504,7 +528,12 @@ def _ensemble_chunk(psi0_vec, config, source_model, grid, store_every, diagnosti
         if birth_death:
             Y = np.matmul(jumps[n_pred[idx]], psi[idx][:, None, :, None])
         else:
-            Y = psi[idx] @ Fq
+            # one product per block: idx is sorted, so each block's jumpers are a run
+            Y = np.empty((len(idx), Fq.shape[1]), dtype=complex)
+            ends = np.searchsorted(idx, cuts).tolist()
+            for lo, hi in zip([0, *ends], [*ends, len(idx)]):
+                if hi > lo:
+                    np.matmul(psi[idx[lo:hi]], Fq, out=Y[lo:hi])
         Y = Y.reshape(len(idx), len(quantum), -1)
         Yq = Y.view(float)
         probs = np.empty((len(idx), n_ch))
@@ -543,12 +572,7 @@ def _ensemble_chunk(psi0_vec, config, source_model, grid, store_every, diagnosti
         np.maximum(max_ent, -(lam[0] + lam[1]), out=max_ent)
 
     def store_rows(i):
-        if birth_death:
-            padded.fill(0.0)
-            padded.reshape(M, -1, 2)[rows, n_pred] = psi
-            store(i, dense, carrier)
-        else:
-            store(i, psi, carrier)
+        store(i, map(block_rows, blocks))
 
     events = [[] for _ in range(M)]
     max_p = 0.0
@@ -574,7 +598,8 @@ def _ensemble_chunk(psi0_vec, config, source_model, grid, store_every, diagnosti
             p_tot /= sq
             p_tot += p_classical
         else:
-            np.matmul(psi, HT, out=Z)
+            for b in blocks:
+                np.matmul(psi[b], HT, out=Z[b])
             # read before psi is added, so a p exactly at a bound stays there
             p_tot = np.einsum("md,md->m", psi_f, Z_f)
             p_tot *= -2.0
@@ -602,7 +627,8 @@ def _ensemble_chunk(psi0_vec, config, source_model, grid, store_every, diagnosti
             jump_vecs, probs = channel_probs(jumpers)
 
         np.einsum("md,md->m", Z_f, Z_f, out=sq)
-        if not np.isfinite(sq.sum()):  # any NaN or inf row makes the sum so
+        # any NaN or inf row makes the sum so, and so may an overflow of finite rows
+        if not np.isfinite(sq.sum()) and not np.isfinite(sq).all():
             m = int(np.argmin(np.isfinite(sq)))
             raise InvariantViolationError(
                 f"non-finite drift norm at t={t_next:.6g} (seed {seeds[m]})"
@@ -676,16 +702,17 @@ def workers_from_env() -> int:
 
 
 def _projector_sum(psi0_vec, config, source_model, grid, store_every, diagnostics, seeds):
-    """One seed block of run_ensemble: its (n_stored, d, d) projector sum, then
-    the engine's results."""
+    """One seed block of run_ensemble, as a pool task: its (n_stored, d, d)
+    projector sum, then the engine's results."""
     d = len(psi0_vec)
     acc = np.empty((len(grid.stored_times(store_every)), d, d), dtype=complex)
 
-    def store(i, psi, carrier):
+    def store(i, parts):
+        (psi, _), = parts
         np.matmul(psi.T, psi.conj(), out=acc[i])
 
     return acc, *_ensemble_chunk(psi0_vec, config, source_model, grid, store_every,
-                                 diagnostics, store, seeds)
+                                 diagnostics, store, seeds, len(seeds))
 
 
 def run_ensemble(psi0: PureState, config: CouplingConfig, source_model,
@@ -694,21 +721,25 @@ def run_ensemble(psi0: PureState, config: CouplingConfig, source_model,
                  observe=None) -> EnsembleResult:
     """Run trajectories for every seed and average their projectors online.
 
-    The seeds are cut into consecutive blocks of at most ENSEMBLE_BLOCK, one
-    engine call each, whose sums are added in block order.  So each trajectory
-    depends on its seed alone and the result on the arguments alone: the
-    worker count changes only the wall time.  workers is an integer >= 1 and
-    defaults to CASCADESIM_WORKERS; a process pool starts only for more than
-    one worker and more than one block.  At most ENSEMBLE_BLOCK seeds make one
-    block, which runs in-process.
+    The seeds are cut into consecutive blocks of at most ENSEMBLE_BLOCK.  A
+    block is the unit of the reduction: each stored time's average is the
+    first block's projector sum, plus each later block's in block order,
+    divided by the seed count.  So each trajectory depends on its seed alone
+    and the result on the arguments alone: the worker count changes only the
+    wall time.  workers is an integer >= 1 and defaults to CASCADESIM_WORKERS.
+    With one worker, or one block, a single lockstep engine call runs every
+    block in-process and hands over each stored time block by block, whose
+    average is formed, passed on and dropped while the trajectories run, so
+    no array of every stored average is held.  With more workers a process
+    pool runs one block a task, each of which returns its (n_stored, d, d)
+    sum, and the observer is fed from the total once every block sum is in.
 
     Each stored time's average goes to observe(rho) as a DensityOperator, in
-    time order.  With one block it is formed, passed on and dropped while the
-    trajectories run, so no array of every stored average is held; with more
-    blocks the observer is fed from the total once every block sum is in.
-    Without an observer the averages are collected into ``rho_avg``; with
-    one, ``rho_avg`` is None.  A birth-death psi0 must lie in the quanta
-    sector of source_model.n0, as for mcwf_run.
+    time order.  Without an observer the averages are collected into
+    ``rho_avg``; with one, ``rho_avg`` is None.  A birth-death psi0 must lie
+    in the quanta sector of source_model.n0, as for mcwf_run.  In-process, a
+    failure is raised at the earliest failing step over all blocks; on a pool,
+    at the first failing block's.
     """
     seeds = check_seeds(seeds)
     times = grid.stored_times(store_every)
@@ -720,20 +751,26 @@ def run_ensemble(psi0: PureState, config: CouplingConfig, source_model,
         raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
     blocks = [seeds[i:i + ENSEMBLE_BLOCK] for i in range(0, len(seeds), ENSEMBLE_BLOCK)]
     workers = min(workers, len(blocks))
-    if len(blocks) == 1:
-        def average(i, psi, carrier):
-            observe(DensityOperator(psi.T @ psi.conj() / len(seeds), layout=COMPOSITE))
+    if workers == 1:
+        def average(i, parts):
+            psi, _ = next(parts)
+            total = psi.T @ psi.conj()
+            for psi, _ in parts:
+                total += psi.T @ psi.conj()
+            total /= len(seeds)
+            observe(DensityOperator(total, layout=COMPOSITE))
 
         records, entropies, max_p = _ensemble_chunk(
-            psi0.vec, config, source_model, grid, store_every, diagnostics, average, seeds)
+            psi0.vec, config, source_model, grid, store_every, diagnostics, average, seeds,
+            ENSEMBLE_BLOCK)
     else:
+        # the pool pulls in multiprocessing, so only a run that uses one loads it
+        from concurrent.futures import ProcessPoolExecutor
+
         chunk = partial(_projector_sum, psi0.vec, config, source_model, grid,
                         store_every, diagnostics)
-        if workers > 1:
-            # the pool pulls in multiprocessing, so only a run that uses one loads it
-            from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
-            results = pool.map(chunk, blocks) if pool else map(chunk, blocks)
+        with ProcessPoolExecutor(workers) as pool:
+            results = pool.map(chunk, blocks)
             # the first block's sum and lists grow in place: no second copy of the sum
             acc, records, entropies, max_p = next(results)
             for block_acc, recs, ents, p in results:

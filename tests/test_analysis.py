@@ -145,6 +145,34 @@ class TestSupportPattern:
         ok, offending = support_pattern_check(rho, tol=1e-6)
         assert not ok and len(offending) > 0
 
+    @staticmethod
+    def literal_check(rho, tol):
+        """The support check as a loop over entries, with the scalar abs();
+        the total quanta of |n, q> counted from the basis order n, q."""
+        quanta = [i // 2 + (i % 2 == EXCITED) for i in range(rho.dim)]
+        above = np.abs(rho.mat) >= tol
+        offending = [(i, j, float(abs(rho.mat[i, j])))
+                     for i in range(rho.dim) for j in range(rho.dim)
+                     if quanta[i] != quanta[j] and above[i, j]]
+        return len(offending) == 0, offending
+
+    @pytest.mark.parametrize("tol", [0.0, 0.25, 2.0])
+    def test_matches_literal_loop(self, rng, tol):
+        # d 30 of random entries, NaN and infinite ones among them, one
+        # exactly at tol and one just below; repr compares the types and bits
+        d = 30
+        mat = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        mat[0, 3] = mat[5, 2] = complex(np.nan, 1.0)
+        mat[7, 0] = complex(np.inf, np.nan)
+        mat[4, 9] = -np.inf
+        mat[1, 10] = tol
+        mat[2, 11] = np.nextafter(tol, 0.0) * 1j
+        rho = DensityOperator(mat)
+        got = support_pattern_check(rho, tol)
+        assert repr(got) == repr(self.literal_check(rho, tol))
+        assert (1, 10, tol) in got[1]
+        assert any((i, j) == (2, 11) for i, j, _ in got[1]) == (tol == 0.0)
+
 
 class TestPhaseAveraged:
     def test_spec_validation(self):

@@ -115,12 +115,10 @@ class TestRunTrajectories:
         for f in files:
             assert (tmp_path / "out" / f).read_bytes() == first[f]
 
-    def test_worker_count_does_not_change_bytes(self, tmp_path, monkeypatch):
-        # ten seeds in blocks of three make four blocks, so the pool runs
+    @staticmethod
+    def outputs_at_worker_counts(tmp_path, monkeypatch, doc):
+        """Each output file's bytes at 1, 2 and 3 workers, in blocks of three seeds."""
         monkeypatch.setattr(evolve, "ENSEMBLE_BLOCK", 3)
-        doc = load_preset_doc("birth_death.json")
-        doc["grid"]["t1"] = 0.5
-        assert doc["seeds"]["count"] == 10
         outputs = []
         for workers in (1, 2, 3):
             monkeypatch.setenv("CASCADESIM_WORKERS", str(workers))
@@ -130,6 +128,25 @@ class TestRunTrajectories:
             names = ["observables.csv", "trajectories.csv", "ensemble_state.json"]
             names += [os.path.join("records", f) for f in sorted(os.listdir(out / "records"))]
             outputs.append({f: (out / f).read_bytes() for f in names})
+        return outputs
+
+    def test_worker_count_does_not_change_bytes(self, tmp_path, monkeypatch):
+        # ten seeds in blocks of three make four blocks, so the pool runs
+        doc = load_preset_doc("birth_death.json")
+        doc["grid"]["t1"] = 0.5
+        assert doc["seeds"]["count"] == 10
+        outputs = self.outputs_at_worker_counts(tmp_path, monkeypatch, doc)
+        assert len(outputs[0]) == 13
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+    @pytest.mark.filterwarnings("ignore:step probability")
+    def test_worker_count_does_not_change_dense_row_bytes(self, tmp_path, monkeypatch):
+        # ten seeds make blocks of 3, 3, 3 and 1.  In-process, a dense row's
+        # BLAS products are taken per block, as on the pool: a one-row
+        # product rounds unlike the same row in a larger one
+        doc = load_preset_doc("coherent_drive.json")
+        doc["seeds"]["count"] = 10
+        outputs = self.outputs_at_worker_counts(tmp_path, monkeypatch, doc)
         assert len(outputs[0]) == 13
         assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
@@ -168,6 +185,47 @@ class TestRunTrajectories:
         }
         assert main(["run-trajectories", write_config(tmp_path, doc)]) == 3
         assert "reduce dt" in capsys.readouterr().err
+
+    FAILING = {
+        # the cavity fills until its emission crosses the hard step bound
+        "dense_bound": {"source": {"kind": "coherent_drive", "epsilon": [1.5, 0.0]},
+                        "n_max": 8, "grid": {"t0": 0.0, "t1": 4.0, "dt": 0.02}},
+        # the carrier grows until pump and gain cross it
+        "sector_bound": {"source": {"kind": "birth_death", "pump_rate": 5.0,
+                                    "gain_per_carrier": 0.5, "nonlasing_rate": 0.0,
+                                    "N0": 2, "n0": 1},
+                         "grid": {"t0": 0.0, "t1": 4.0, "dt": 0.01}},
+        # a detuning of 1e160 overflows the squared norm within a few steps
+        "dense_non_finite": {"source": {"kind": "coherent_drive", "epsilon": [0.3, 0.0]},
+                             "delta": 1e160},
+        "sector_non_finite": {"source": {"kind": "birth_death", "pump_rate": 1.0,
+                                         "gain_per_carrier": 0.5, "nonlasing_rate": 0.3,
+                                         "N0": 2, "n0": 1},
+                              "delta": 1e160},
+    }
+
+    @pytest.mark.filterwarnings("ignore:step probability", "ignore:overflow", "ignore:invalid value")
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("case", sorted(FAILING))
+    def test_failure_across_blocks_exits_3(self, tmp_path, capsys, monkeypatch, case, workers):
+        # five seeds in blocks of two: three blocks, in-process or on a pool
+        monkeypatch.setattr(evolve, "ENSEMBLE_BLOCK", 2)
+        monkeypatch.setenv("CASCADESIM_WORKERS", str(workers))
+        doc = {
+            "coupling": {"gamma_S": 1.0, "gamma_Tf": 0.5, "gamma_Ts": 0.5},
+            "initial": {"kind": "fock", "n": 1, "qubit": "ground"},
+            "n_max": 4,
+            "grid": {"t0": 0.0, "t1": 0.1, "dt": 0.001},
+            "seeds": {"start": 0, "count": 5},
+            "output_dir": str(tmp_path / "out"),
+        }
+        spec = copy.deepcopy(self.FAILING[case])
+        doc["coupling"]["delta"] = spec.pop("delta", 0.0)
+        doc.update(spec)
+        assert main(["run-trajectories", write_config(tmp_path, doc)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("invariant violation:")
+        assert ("reduce dt" if case.endswith("bound") else "non-finite drift norm") in err
 
     # a count below one is refused too, not run in-process
     @pytest.mark.parametrize("value", ["abc", "0", "-2"])

@@ -1,8 +1,10 @@
 import hashlib
+import re
 import time
 import tracemalloc
 import warnings
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -1239,3 +1241,99 @@ class TestEnsemble:
         exact = evolve_master(DensityOperator(psi0.projector()), L, grid, store_every=50)
         for a, b in zip(ens.rho_avg, exact):
             assert trace_distance(a, b) < 5.0 / np.sqrt(M)
+
+
+def per_block_reference(psi0, config, model, grid, seeds, store_every, diagnostics, block):
+    """run_ensemble's results built literally: one engine call per block of
+    seeds, the blocks' projector sums added in block order, then divided."""
+    total, records, entropies = None, [], []
+    for lo in range(0, len(seeds), block):
+        part = seeds[lo:lo + block]
+        sums = []
+
+        def store(i, parts):
+            (psi, _), = parts
+            sums.append(psi.T @ psi.conj())
+
+        recs, ents, _ = evolve._ensemble_chunk(psi0.vec, config, model, grid, store_every,
+                                               diagnostics, store, part, len(part))
+        if total is None:
+            total = sums
+        else:
+            for acc, s in zip(total, sums, strict=True):
+                acc += s
+        records += recs
+        entropies += ents
+    for acc in total:
+        acc /= len(seeds)
+    return total, records, entropies
+
+
+def failure_time(error) -> float:
+    return float(re.search(r"at t=(\S+)", str(error)).group(1))
+
+
+class TestLockstepBlocks:
+    """One in-process engine call runs every seed block in lockstep and gives
+    the bits of one call per block."""
+
+    CFG = CouplingConfig(1.0, 0.5, 0.5)
+    SPEC = FockSpec(4)
+    ROWS = {
+        "birth_death": (BirthDeathLaser(1.0, 0.5, 0.3, N0=2, n0=1), ket(1, GROUND, SPEC)),
+        "coherent_drive": (CoherentDrive(0.6), product_state(
+            coherent_state(1.5, SPEC, warn=False), qubit_state(GROUND))),
+        "free_decay": (FreeDecayMixture(((0.0, 1.0),)), ket(3, GROUND, SPEC)),
+    }
+
+    @pytest.mark.filterwarnings("ignore:step probability")
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(kind=st.sampled_from(sorted(ROWS)), block=st.integers(1, 4),
+           seeds=st.lists(st.integers(0, 10**6), min_size=1, max_size=9, unique=True),
+           store_every=st.sampled_from([1, 7, 20, 140]), diagnostics=st.booleans())
+    def test_matches_one_call_per_block(self, kind, block, seeds, store_every, diagnostics):
+        model, psi0 = self.ROWS[kind]
+        grid = TimeGrid(0.0, 0.7, 0.005)
+        with mock.patch.object(evolve, "ENSEMBLE_BLOCK", block):
+            ens = run_ensemble(psi0, self.CFG, model, grid, seeds, store_every=store_every,
+                               diagnostics=diagnostics, workers=1)
+        avgs, records, entropies = per_block_reference(
+            psi0, self.CFG, model, grid, seeds, store_every, diagnostics, block)
+        for a, b in zip(ens.rho_avg, avgs, strict=True):
+            assert np.array_equal(a.mat, b)
+        assert [(r.seed, r.events) for r in ens.records] == [(r.seed, r.events) for r in records]
+        assert ens.max_schmidt_entropies == entropies
+
+    FAILING = {
+        # the cavity fills until its emission crosses the hard step bound
+        "dense_bound": (CFG, CoherentDrive(1.5), ket(0, GROUND, FockSpec(8)),
+                        TimeGrid(0.0, 4.0, 0.02), StepProbabilityError),
+        # the carrier grows until pump and gain cross it
+        "sector_bound": (CFG, BirthDeathLaser(5.0, 0.5, 0.0, N0=2, n0=1), ket(1, GROUND, SPEC),
+                         TimeGrid(0.0, 4.0, 0.01), StepProbabilityError),
+        # a detuning of 1e160 overflows the squared norm within a few steps
+        "dense_non_finite": (CouplingConfig(1.0, 0.5, 0.5, delta=1e160), CoherentDrive(0.3),
+                             ket(1, GROUND, SPEC), TimeGrid(0.0, 0.1, 0.001),
+                             InvariantViolationError),
+        "sector_non_finite": (CouplingConfig(1.0, 0.5, 0.5, delta=1e160),
+                              BirthDeathLaser(1.0, 0.5, 0.3, N0=2, n0=1), ket(1, GROUND, SPEC),
+                              TimeGrid(0.0, 0.1, 0.001), InvariantViolationError),
+    }
+
+    @pytest.mark.filterwarnings("ignore:step probability", "ignore:overflow", "ignore:invalid value")
+    @pytest.mark.parametrize("case", sorted(FAILING))
+    def test_failure_across_blocks(self, monkeypatch, case):
+        # in-process the failure is the earliest of any block's, on a pool the
+        # first block's; the error class is the same
+        cfg, model, psi0, grid, error = self.FAILING[case]
+        monkeypatch.setattr(evolve, "ENSEMBLE_BLOCK", 2)
+        seeds = [5, 2, 9, 0, 7]
+        raised = []
+        for workers, part in [(1, seeds), (2, seeds), (1, seeds[:2]), (1, seeds[2:4]),
+                              (1, seeds[4:])]:
+            with pytest.raises(Exception) as info:
+                run_ensemble(psi0, cfg, model, grid, part, workers=workers)
+            assert type(info.value) is error
+            raised.append(failure_time(info.value))
+        lockstep, pool, *alone = raised
+        assert lockstep == min(alone) and pool == alone[0]
