@@ -19,12 +19,14 @@ the norm-decay view of the method (Molmer, Castin & Dalibard, JOSA B 10, 524
 diagnostics are taken, and every RENORMALIZE_EVERY steps.  Only the
 trajectories that jump compute the per-channel jump vectors C_k psi, from
 their pre-step state, to pick the channel.  One uniform variate is drawn per
-step, plus one per jump for the channel.  Each trajectory owns exactly one RNG
-stream, default_rng(seed)'s, read in fixed-width blocks, so results are
-bit-reproducible given (config, seed).  There is one trajectory engine,
-vectorized over seeds; a single trajectory is its one-seed call.  It hands
-each stored time's dense rows to its caller's store callback, one seed block
-at a time, and keeps none.
+step, plus one per jump for the channel.  Each trajectory owns exactly one
+stream of uniforms, default_rng(seed)'s, so results are bit-reproducible given
+(config, seed); the engine computes every stream's PCG64 states itself, in
+numpy integer arithmetic over all rows at once, and never imports
+numpy.random (the tests check each stream against numpy's own).  There is one
+trajectory engine, vectorized over seeds; a single trajectory is its one-seed
+call.  It hands each stored time's dense rows to its caller's store callback,
+one seed block at a time, and keeps none.
 """
 
 from __future__ import annotations
@@ -255,8 +257,10 @@ class EnsembleResult:
     max_schmidt_entropies: list
 
 
-# uniforms drawn per refill of a trajectory's block; Generator.random(n)
-# returns exactly the next n scalar draws of the stream
+# uniforms a refill adds to a trajectory's stream, a power of two: a row reads
+# its uniforms from a ring of two such blocks, and a block goes to every row
+# with room for it at once; default_rng(seed).random(n) is exactly the first n
+# of the stream
 UNIFORM_BLOCK = 64
 # steps between renormalizations of every trajectory's state, which is
 # otherwise normalized only where a jump, a store or the diagnostics need it
@@ -368,22 +372,113 @@ def seed_words(seeds) -> np.ndarray:
     return out.T.astype("<u4", order="C").view("<u8").astype(np.uint64, copy=False)
 
 
+# PCG64 (O'Neill, HMC-CS-2014-0905), default_rng's bit generator: a 128-bit
+# state that steps to state MULT + inc, held here as (high, low) uint64 words
+PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+# each row keeps S consecutive states, S the largest power of two that keeps a
+# kernel call over every row within this many lanes; at 2000 rows wider calls
+# fell out of cache and narrower ones paid more call overhead
+PCG64_LANES = 16384
+
+
 @cache
-def _stream():
-    """default_rng's stream of a row of seed_words; numpy.random loads here, not on import."""
-    from numpy.random import PCG64, Generator
-    from numpy.random.bit_generator import ISeedSequence
+def _pcg64_jumps(n: int) -> np.ndarray:
+    """Constants that take a state s k steps on, to A_k s + G_k inc mod 2**128,
+    for k = 1..n: A_k = MULT**k and G_k = 1 + MULT + ... + MULT**(k - 1).  A
+    (2, 4, n, 1) uint64 array: for A and G, the 32-bit halves of the low word,
+    then the low and the high word."""
+    consts, a, g = [], 1, 0
+    for _ in range(n):
+        a, g = a * PCG64_MULT % 2**128, (g * PCG64_MULT + 1) % 2**128
+        consts.append([[x & 0xFFFFFFFF, x >> 32 & 0xFFFFFFFF, x % 2**64, x >> 64] for x in (a, g)])
+    return np.array(consts, np.uint64).transpose(1, 2, 0)[..., None]
 
-    @dataclass
-    class Words(ISeedSequence):
-        words: np.ndarray
 
-        def generate_state(self, n_words, dtype=np.uint32):
-            if (n_words, dtype) != (4, np.uint64):  # PCG64's one request
-                raise NotImplementedError(f"generate_state({n_words}, {dtype}): numpy changed")
-            return self.words
+def _mul128(h, l, c, t):
+    """(h, l) *= c mod 2**128 in place, c a multiplier's words as in
+    _pcg64_jumps; t is four scratch arrays shaped like h.  The high word of
+    l times c's low word comes from 32-bit half-products."""
+    l0, l1, mid, x = t
+    np.bitwise_and(l, 0xFFFFFFFF, out=l0)
+    np.right_shift(l, 32, out=l1)
+    np.multiply(l0, c[0], out=x)
+    x >>= 32
+    np.multiply(l1, c[0], out=mid)
+    mid += x
+    np.bitwise_and(mid, 0xFFFFFFFF, out=x)
+    l0 *= c[1]
+    x += l0
+    x >>= 32
+    mid >>= 32
+    l1 *= c[1]
+    l1 += mid
+    l1 += x
+    h *= c[2]
+    h += l1
+    np.multiply(l, c[3], out=x)
+    h += x
+    l *= c[2]
 
-    return lambda words: Generator(PCG64(Words(words)))
+
+def _add128(h, l, dh, dl, carry):
+    """(h, l) += (dh, dl) mod 2**128 in place; carry is scratch shaped like h."""
+    l += dl
+    np.less(l, dl, out=carry)
+    h += dh
+    h += carry
+
+
+def _pcg64_seed(words, width: int) -> np.ndarray:
+    """The PCG64 streams of seed_words rows (w0, w1, w2, w3), seeded as
+    numpy's PCG64 seeds itself: inc = (w2 w3) << 1 | 1, and the state before
+    the first draw is x MULT + inc, x = (w0 w1) + inc.
+
+    Returns a (2, S + 1, rows) uint64 array of high and low words: its first
+    S rows are the states of each stream's next S draws, its last is G_S inc,
+    which with A_S takes them S steps on.  S is a power of two, at most width
+    and at most PCG64_LANES / rows unless that is below one."""
+    rows = len(words)
+    S = min(width, 1 << max(0, (PCG64_LANES // rows).bit_length() - 1))
+    w0, w1, w2, w3 = words.T
+    # row k of x becomes A_{k+1} x + G_{k+1} inc, x stepped k + 1 times: the
+    # state before the first draw, then the states of draws 1..S
+    x, inc = np.empty((2, 2, S + 1, rows), np.uint64)
+    x[0], x[1], inc[0], inc[1] = w0, w1, w2 << 1 | w3 >> 63, w3 << 1 | 1
+    t = np.empty((4, S + 1, rows), np.uint64)
+    A, G = _pcg64_jumps(S + 1)
+    _add128(*x, *inc, t[0])
+    _mul128(*x, A, t)
+    _mul128(*inc, G, t)
+    _add128(*x, *inc, t[0])
+    return np.concatenate([x[:, 1:], inc[:, S - 1:S]], axis=1)
+
+
+def _pcg64_fill(pcg, out, scratch):
+    """Write the next n uniforms of the streams of pcg (_pcg64_seed's form,
+    advanced in place) into out, (R, n), n a multiple of S.
+
+    A uniform is default_rng's random(): the state steps, and the top 53 bits
+    of its XSL-RR output rotr64(high ^ low, high >> 58) are scaled by 2**-53.
+    All the work is done in place in scratch, four uint64 rows of at least
+    S R lanes."""
+    (sh, sl), (dh, dl) = pcg[:, :-1], pcg[:, -1]
+    S, R = sh.shape
+    A = _pcg64_jumps(S)[0, :, -1:]
+    t = [row[:S * R].reshape(S, R) for row in scratch]
+    x, r, y = t[:3]
+    for j in range(0, out.shape[1], S):
+        np.bitwise_xor(sh, sl, out=x)
+        np.right_shift(sh, 58, out=r)
+        np.right_shift(x, r, out=y)
+        # x << (64 - r) as two shifts below 64, so r = 0 gives 0
+        r ^= 63
+        x <<= 1
+        x <<= r
+        x |= y
+        x >>= 11
+        np.multiply(x.view(np.int64), 2.0**-53, out=out[:, j:j + S].T)
+        _mul128(sh, sl, A, t)
+        _add128(sh, sl, dh, dl, t[0])
 
 
 def _ensemble_chunk(psi0_vec, config, source_model, grid, store_every, diagnostics,
@@ -402,9 +497,11 @@ def _ensemble_chunk(psi0_vec, config, source_model, grid, store_every, diagnosti
     Between jumps a row is the unnormalized no-jump state, and its squared
     norm is carried along; the rows are normalized before every store and
     diagnostics update and every RENORMALIZE_EVERY steps.  Each trajectory
-    owns the RNG stream of its seed and consumes one uniform per step plus one
-    per jump, read in order from a fixed-width block that its own stream
-    refills.
+    owns default_rng(seed)'s stream of uniforms and consumes one per step
+    plus one per jump, read in order from a ring of two UNIFORM_BLOCK blocks.
+    Once some row has fewer than two unread, every row with a block's room
+    gets one more block, from one _pcg64_fill call over those rows; a scalar
+    countdown, which can only understate the fewest unread, says when to look.
 
     The seeds are cut into consecutive blocks of at most block rows.  Every
     row steps in lockstep, but a dense row's BLAS products (the no-jump
@@ -493,30 +590,55 @@ def _ensemble_chunk(psi0_vec, config, source_model, grid, store_every, diagnosti
     Z = np.empty_like(psi)
     psi_f, Z_f = psi.view(float), Z.view(float)
 
-    rngs = list(map(_stream(), seed_words(seeds)))
-    uniforms = np.empty((M, UNIFORM_BLOCK))
-    cursor = np.full(M, UNIFORM_BLOCK)
-    # flat index of the first uniform of each row's block
-    starts = rows * UNIFORM_BLOCK
+    # each row's stream, read from a ring of two blocks at cursor mod its width;
+    # every row that has room for a block gets one at once, in one kernel call
+    pcg = _pcg64_seed(seed_words(seeds), UNIFORM_BLOCK)
+    ring = np.empty((M, 2 * UNIFORM_BLOCK))
+    halves = ring.reshape(M, 2, UNIFORM_BLOCK)
+    scratch = np.empty((4, (pcg.shape[1] - 1) * M), np.uint64)
+    cursor = np.zeros(M, dtype=np.int64)  # uniforms read from each stream
+    filled = np.zeros(M, dtype=np.int64)  # uniforms written, whole blocks
+    # flat index of the first uniform of each row's ring, and cursor & wrap is
+    # cursor mod the ring's width
+    starts, wrap = rows * 2 * UNIFORM_BLOCK, 2 * UNIFORM_BLOCK - 1
+    # never more than the fewest unread uniforms of any row: each draw_all
+    # lowers that by exactly one and each draw by at most one
+    countdown = 0
 
-    def refill(idx):
-        """Refill the block of each trajectory in idx from its own stream."""
-        for m in idx.tolist():
-            rngs[m].random(out=uniforms[m])
-            cursor[m] = 0
-
-    def draw(idx):
-        """Next uniform of each trajectory in idx."""
-        refill(idx[cursor[idx] == UNIFORM_BLOCK])
-        u = uniforms[idx, cursor[idx]]
-        cursor[idx] += 1
-        return u
+    def refill():
+        """Once some row has fewer than two unread uniforms, a block more for
+        every row with room; the fewest unread of any row after."""
+        unread = filled - cursor
+        if unread.min() < 2:
+            idx = np.nonzero(unread <= UNIFORM_BLOCK)[0]
+            half = filled[idx] // UNIFORM_BLOCK % 2
+            if len(idx) == M and half.min() == half.max():
+                # every row, in step: straight into the ring
+                _pcg64_fill(pcg, halves[:, half[0]], scratch)
+            else:
+                streams, block = pcg[..., idx], np.empty((len(idx), UNIFORM_BLOCK))
+                _pcg64_fill(streams, block, scratch)
+                pcg[..., idx], halves[idx, half] = streams, block
+            filled[idx] += UNIFORM_BLOCK
+            unread[idx] += UNIFORM_BLOCK
+        return int(unread.min())
 
     def draw_all():
-        """Next uniform of every trajectory: draw(rows) with less indexing."""
-        refill(rows[cursor == UNIFORM_BLOCK])
-        u = uniforms.take(starts + cursor)
+        """Next uniform of every trajectory, once a step, first in the step."""
+        nonlocal countdown
+        if countdown < 2:
+            countdown = refill()
+        countdown -= 1
+        u = ring.take(starts + (cursor & wrap))
         np.add(cursor, 1, out=cursor)
+        return u
+
+    def draw(idx):
+        """Next uniform of each trajectory in idx, after draw_all in its step."""
+        nonlocal countdown
+        countdown -= 1
+        u = ring[idx, cursor[idx] & wrap]
+        cursor[idx] += 1
         return u
 
     # squared norm of each row of psi: rows are normalized only when needed

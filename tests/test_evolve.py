@@ -849,17 +849,56 @@ class TestSeedWords:
         assert words.dtype == np.uint64 and words.shape == (len(seeds), 4)
         assert np.array_equal(words, seed_sequence_words(seeds))
 
-    @pytest.mark.parametrize("seed", [0, 5, 2**64 + 5, 2**129 + 77])
-    def test_stream_is_default_rng(self, seed):
-        stream = evolve._stream()(seed_words([seed])[0])
-        assert np.array_equal(stream.random(200), np.random.default_rng(seed).random(200))
 
-    def test_any_other_state_request_raises(self):
-        # PCG64 asks for (4, uint64); another request means numpy's seeding changed
-        seed_seq = evolve._stream()(seed_words([3])[0]).bit_generator.seed_seq
-        assert np.array_equal(seed_seq.generate_state(4, np.uint64), seed_sequence_words([3])[0])
-        with pytest.raises(NotImplementedError):
-            seed_seq.generate_state(8, np.uint32)
+# seeds at the edges of numpy's 32-bit word split and of PCG64's two 64-bit words
+BOUNDARY_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1, 2**64, 2**64 + 3, 2**128 - 1,
+                  2**128, 10**40, 2**200]
+
+
+class TestStreams:
+    """The engine's PCG64 kernel gives each row default_rng(seed)'s uniforms,
+    checked against numpy itself on whatever numpy runs the tests."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(seeds=st.lists(st.one_of(st.sampled_from(BOUNDARY_SEEDS), st.integers(0, 2**200)),
+                          min_size=1, max_size=40, unique=True),
+           width=st.sampled_from([1, 2, 8, 64]), lanes=st.sampled_from([1, 8, 64, 16384]),
+           data=st.data())
+    def test_lockstep_refills_draw_default_rng(self, seeds, width, lanes, data):
+        # each refill gives one to three kernel chunks of S draws to a subset
+        # of the rows, S set by the block width and the lane budget
+        with mock.patch.object(evolve, "PCG64_LANES", lanes):
+            pcg = evolve._pcg64_seed(seed_words(seeds), width)
+        S = pcg.shape[1] - 1
+        assert S <= width and (S == 1 or S * len(seeds) <= lanes)
+        refills = data.draw(st.lists(st.tuples(
+            st.sets(st.integers(0, len(seeds) - 1), min_size=1), st.integers(1, 3)),
+            min_size=1, max_size=6))
+        scratch = np.empty((4, S * len(seeds)), np.uint64)
+        drawn = [[np.empty(0)] for _ in seeds]
+        for rows, chunks in refills:
+            idx = np.array(sorted(rows))
+            streams, block = pcg[..., idx], np.empty((len(idx), chunks * S))
+            evolve._pcg64_fill(streams, block, scratch)
+            pcg[..., idx] = streams
+            for m, u in zip(idx, block):
+                drawn[m].append(u)
+        for seed, parts in zip(seeds, drawn):
+            u = np.concatenate(parts)
+            assert np.array_equal(u, np.random.default_rng(seed).random(len(u)))
+
+    @pytest.mark.parametrize("rows", [1, 2000])
+    def test_engine_sized_refills(self, rows):
+        # two blocks of A7's row count at the kernel's own lane budget
+        seeds = [3 + 7919 * m for m in range(rows)]
+        pcg = evolve._pcg64_seed(seed_words(seeds), UNIFORM_BLOCK)
+        scratch = np.empty((4, (pcg.shape[1] - 1) * rows), np.uint64)
+        u = np.empty((rows, 2, UNIFORM_BLOCK))
+        for half in range(2):
+            evolve._pcg64_fill(pcg, u[:, half], scratch)
+        for m in sorted({0, rows // 2, rows - 1}):
+            assert np.array_equal(u[m].ravel(),
+                                  np.random.default_rng(seeds[m]).random(2 * UNIFORM_BLOCK))
 
 
 class TestPinnedRecords:
@@ -1337,3 +1376,83 @@ class TestLockstepBlocks:
             raised.append(failure_time(info.value))
         lockstep, pool, *alone = raised
         assert lockstep == min(alone) and pool == alone[0]
+
+
+class TestUniformRing:
+    """Each row reads its stream from a ring of two uniform blocks, and one
+    kernel call refills every row with room; the records are the scalar
+    oracle's and each seed's own, however far the rows' draws drift apart.
+    A ring of two-uniform blocks refills on nearly every step and often
+    skips rows."""
+
+    CFG = CouplingConfig(1.0, 0.5, 0.5)
+    # step probabilities up to about 0.097: rows jump on consecutive steps,
+    # and so draw two uniforms on each of them
+    NEAR_BOUND = {
+        "birth_death": (BirthDeathLaser(1.0, 0.3, 1.0, N0=1, n0=1), ket(1, GROUND, FockSpec(5)),
+                        TimeGrid(0.0, 8.4, 0.012), range(16)),
+        "coherent_drive": (CoherentDrive(1.0), product_state(
+            coherent_state(1.5, FockSpec(8), warn=False), qubit_state(GROUND)),
+                           TimeGrid(0.0, 9.0, 0.015), range(8)),
+    }
+
+    def check_records(self, model, psi0, grid, seeds):
+        """Assert that a lockstep run's records, and each seed's mcwf_run, are
+        the scalar oracle's; return the records."""
+        ens = run_ensemble(psi0, self.CFG, model, grid, seeds, store_every=grid.n_steps,
+                           diagnostics=False)
+        for seed, record in zip(seeds, ens.records):
+            events, states, carriers = scalar_mcwf(psi0, self.CFG, model, grid, seed,
+                                                   store_every=20)
+            r = mcwf_run(psi0, self.CFG, model, grid, seed=seed, store_every=20)
+            assert len(events) > 0
+            assert record.seed == seed and record.events == events
+            assert r.record.events == events
+            assert np.max(np.abs(r.states - states)) < 1e-12
+            if r.carriers is not None:
+                assert np.array_equal(r.carriers, carriers)
+        return ens.records
+
+    @pytest.mark.parametrize("block", [2, UNIFORM_BLOCK])
+    @pytest.mark.parametrize("case", sorted(NEAR_BOUND))
+    def test_jumps_on_consecutive_steps(self, monkeypatch, case, block):
+        monkeypatch.setattr(evolve, "UNIFORM_BLOCK", block)
+        model, psi0, grid, seeds = self.NEAR_BOUND[case]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            records = self.check_records(model, psi0, grid, seeds)
+        largest = max(float(str(w.message).split()[2]) for w in caught
+                      if "step probability" in str(w.message))
+        assert 0.085 < largest <= evolve.HARD_STEP_PROBABILITY
+        consecutive = sum(1 for r in records for (t0, _), (t1, _) in zip(r.events, r.events[1:])
+                          if t1 - t0 < 1.5 * grid.dt)
+        assert consecutive >= 8
+
+    @pytest.mark.filterwarnings("ignore:step probability")
+    def test_more_than_five_ring_turns(self):
+        model, psi0, _ = TestEngineOracle.CASES["birth_death"]
+        grid = TimeGrid(0.0, 4.0, 0.005)
+        assert grid.n_steps > 5 * 2 * UNIFORM_BLOCK
+        self.check_records(model, psi0, grid, range(6))
+
+    @pytest.mark.parametrize("block", [2, UNIFORM_BLOCK])
+    def test_step_probability_error_mid_run(self, monkeypatch, block):
+        # seed 5's carrier grows until the pump and the non-lasing loss cross
+        # the bound, after its ring has turned; the message is pinned from a
+        # run on numpy's own Generator streams
+        monkeypatch.setattr(evolve, "UNIFORM_BLOCK", block)
+        model = BirthDeathLaser(1.5, 0.3, 1.5, N0=1, n0=1)
+        psi0, grid = ket(1, GROUND, FockSpec(5)), TimeGrid(0.0, 7.0, 0.01)
+        message = "step probability 0.105 > 0.1 at t=1.48 (largest channel: nonlasing); reduce dt"
+        assert 1.48 / grid.dt > 2 * UNIFORM_BLOCK
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(StepProbabilityError) as info:
+                run_ensemble(psi0, self.CFG, model, grid, range(16))
+            assert str(info.value) == message
+            with pytest.raises(StepProbabilityError) as info:
+                mcwf_run(psi0, self.CFG, model, grid, seed=5)
+            assert str(info.value) == message
+            for seed in [*range(5), *range(6, 16)]:
+                mcwf_run(psi0, self.CFG, model, grid, seed=seed, store_every=grid.n_steps,
+                         diagnostics=False)

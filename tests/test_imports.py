@@ -1,7 +1,7 @@
 """Every module of the package, every test file and every script uses each
 name it imports, a run loads neither the process pool nor the verification
-suite unless it uses them, and numpy.random loads at the first trajectory
-solve and not before.
+suite unless it uses them, and numpy.random never loads: the trajectory
+engine computes its PCG64 streams itself.
 
 No linter is a dependency, so the check is made here on the syntax tree.
 The package's __init__.py is exempt: its imports are the package's re-exports.
@@ -73,12 +73,12 @@ print(sorted(m for m in ("multiprocessing", "concurrent.futures", "cascadesim.ac
 """
 
 
-def run_cold(code: str) -> str:
-    """Run code in a fresh interpreter on the package's source; its stdout."""
+def run_cold(code: str, cwd=None) -> str:
+    """Run code in a fresh interpreter on the package's source, in cwd; its stdout."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
+    proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=cwd,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.strip()
@@ -88,9 +88,10 @@ def test_a_one_worker_run_loads_neither_pool_nor_suite():
     assert run_cold(COLD_RUN) == "[]"
 
 
-# An undriven master-equation run, as the ansatz-mixture benchmark makes,
-# then a trajectory ensemble.
-RANDOM_ON_FIRST_TRAJECTORIES = """
+# An undriven master-equation run, as the ansatz-mixture benchmark makes, a
+# trajectory ensemble, then the run-trajectories command on a bundled preset
+# at one worker, writing into the working directory.
+NO_NUMPY_RANDOM = """
 import sys
 import cascadesim
 import cascadesim.cli
@@ -108,8 +109,13 @@ print("numpy.random" in sys.modules)
 evolve.run_ensemble(psi0, cfg, cascadesim.BirthDeathLaser(1.0, 0.5, 0.3, N0=2, n0=1),
                     grid, range(4), store_every=10, workers=1)
 print("numpy.random" in sys.modules)
+assert cascadesim.cli.main(["run-trajectories", {preset!r}]) == 0
+print("numpy.random" in sys.modules)
 """
 
 
-def test_numpy_random_loads_at_the_first_trajectory_solve():
-    assert run_cold(RANDOM_ON_FIRST_TRAJECTORIES).split() == ["False", "True"]
+def test_numpy_random_never_loads(tmp_path, monkeypatch):
+    monkeypatch.setenv("CASCADESIM_WORKERS", "1")
+    code = NO_NUMPY_RANDOM.format(preset=str(PACKAGE / "presets" / "birth_death.json"))
+    assert run_cold(code, cwd=tmp_path).split() == ["False", "False", "False"]
+    assert (tmp_path / "out" / "birth-death" / "records" / "record_0.csv").is_file()
