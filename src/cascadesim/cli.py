@@ -239,22 +239,42 @@ def write_json(path: str, doc):
 
 
 def write_csv(path: str, header: list, rows: list):
+    """header, then each row's values joined by commas: a float (numpy's
+    included) as %.17g, anything else as str.  Each row is one % format,
+    made once for every tuple of value types."""
+    formats = {}
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(f"{v:.17g}" if isinstance(v, float) else str(v)
-                              for v in row))
+        types = tuple(map(type, row))
+        fmt = formats.get(types)
+        if fmt is None:
+            fmt = formats[types] = ",".join(
+                "%.17g" if issubclass(t, float) else "%s" for t in types)
+        lines.append(fmt % tuple(row))
     atomic_write(path, "\n".join(lines) + "\n")
 
 
-def state_dump(rho: DensityOperator, spec: FockSpec, t: float) -> dict:
-    return {
-        "time": t,
-        "n_max": spec.n_max,
-        "dim": rho.dim,
-        "basis_ordering": BASIS_ORDERING,
-        "matrix": [[[float(v.real), float(v.imag)] for v in row]
-                   for row in rho.mat],
-    }
+@lru_cache(maxsize=4)
+def _matrix_format(dim: int) -> str:
+    """The text json.dumps(indent=2) gives a top-level key's dim x dim
+    nested list of [re, im] pairs, with %r in place of each number."""
+    pair = "[\n        %r,\n        %r\n      ]"
+    row = "[\n      " + ",\n      ".join([pair] * dim) + "\n    ]"
+    return "[\n    " + ",\n    ".join([row] * dim) + "\n  ]"
+
+
+def state_dump(rho: DensityOperator, spec: FockSpec, t: float) -> str:
+    """The state dump's text: json.dumps(doc, indent=2, sort_keys=True) and a
+    newline.  A finite matrix is formatted in one pass, as repr of each
+    float, which is what json writes for a finite float."""
+    doc = {"time": t, "n_max": spec.n_max, "dim": rho.dim, "basis_ordering": BASIS_ORDERING}
+    if not np.isfinite(rho.mat).all():
+        doc["matrix"] = [[[float(v.real), float(v.imag)] for v in row] for row in rho.mat]
+        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    head, tail = json.dumps({**doc, "matrix": None}, indent=2,
+                            sort_keys=True).split('"matrix": null')
+    values = tuple(np.ascontiguousarray(rho.mat, dtype=complex).view(float).ravel().tolist())
+    return f'{head}"matrix": {_matrix_format(rho.dim) % values}{tail}\n'
 
 
 @lru_cache(maxsize=4)
@@ -339,8 +359,8 @@ def _write_run(cfg: ExperimentConfig, command: str, obs: _Observables, dump_name
                {"command": command, **cfg.resolved})
     header, rows = obs.table()
     write_csv(os.path.join(cfg.output_dir, "observables.csv"), header, rows)
-    write_json(os.path.join(cfg.output_dir, dump_name),
-               state_dump(obs.last, cfg.spec, float(obs.times[-1])))
+    atomic_write(os.path.join(cfg.output_dir, dump_name),
+                 state_dump(obs.last, cfg.spec, float(obs.times[-1])))
 
 
 def cmd_run_master(cfg: ExperimentConfig) -> int:

@@ -16,7 +16,10 @@ one 2 x 2 product (checked once per run by _sector_blocks).  The no-jump state i
 not renormalized: each trajectory carries its squared norm |psi|^2 instead,
 the norm-decay view of the method (Molmer, Castin & Dalibard, JOSA B 10, 524
 (1993)).  A state is normalized when it jumps, before it is stored or its
-diagnostics are taken, and every RENORMALIZE_EVERY steps.  Only the
+diagnostics are taken, and every RENORMALIZE_EVERY steps.  The diagnostics
+copy each step's normalized rows into a history of steps, sized by
+DIAGNOSTIC_LANES, and take the Schmidt entropies of all of its rows in one
+pass when it is full and after the last step.  Only the
 trajectories that jump compute the per-channel jump vectors C_k psi, from
 their pre-step state, to pick the channel.  One uniform variate is drawn per
 step, plus one per jump for the channel.  Each trajectory owns exactly one
@@ -45,7 +48,7 @@ from .errors import (
     StepProbabilityError,
 )
 from .hilbert import COMPOSITE, DensityOperator, FockSpec, Operator, PureState, check_states
-from .liouvillian import CouplingConfig, Superoperator, apply, block_gather, gather
+from .liouvillian import CouplingConfig, Superoperator, block_gather, gather
 from .sources import BirthDeathLaser, unraveling
 
 SOFT_STEP_PROBABILITY = 0.01
@@ -167,9 +170,11 @@ def evolve_master(rho0: DensityOperator, L_total: Superoperator, grid: TimeGrid,
     tested as each state is stored, so the run never steps on from a state
     that fails them.  Without an observer the stored states are returned as
     a list; with one, None is returned and no state is kept here.  If
-    L_total keeps the k-blocks (liouvillian.block_gather), RK4 runs on the
-    entries of the blocks rho0 occupies, and each later stored state holds
-    zeros outside them; otherwise it runs on every entry through apply.
+    L_total keeps the k-blocks and rho0 leaves some of them empty
+    (liouvillian.block_gather), RK4 runs on the entries of the blocks rho0
+    occupies, and each later stored state holds zeros outside them;
+    otherwise it runs on every entry.  Either way each derivative is one
+    liouvillian.gather call on the compiled form.
     """
     times = grid.stored_times(store_every)
     out = [] if observe is None else None
@@ -180,10 +185,11 @@ def evolve_master(rho0: DensityOperator, L_total: Superoperator, grid: TimeGrid,
     _observe_checked(m.copy()[None], times, rho0.layout, observe)
     blocks = block_gather(L_total, m)
     if blocks is None:
-        keep, v, derivative = slice(None), m, partial(apply, L_total)
+        keep, v, (index, weight) = slice(None), m.ravel(), L_total.compiled
     else:
         keep, index, weight = blocks
-        v, derivative = m.ravel()[keep], partial(gather, index, weight)
+        v = m.ravel()[keep]
+    derivative = partial(gather, index, weight)
     dt = grid.dt
     filled = 0  # states in the current block
     for step in range(grid.n_steps):
@@ -202,7 +208,7 @@ def evolve_master(rho0: DensityOperator, L_total: Superoperator, grid: TimeGrid,
         if filled == 0:
             block = np.zeros((STORE_BLOCK, d, d), dtype=complex)
         state = block[filled]
-        state.ravel()[keep] = v.ravel()
+        state.ravel()[keep] = v
         filled += 1
         s = (step + 1) // store_every
         # a state that is not finite or has lost its trace ends the run here;
@@ -268,6 +274,10 @@ RENORMALIZE_EVERY = 64
 # seeds per block of run_ensemble: the unit of its reduction, of a pool task and of
 # a dense row's BLAS products; a constant, so the sum's order follows the seeds
 ENSEMBLE_BLOCK = 1024
+# amplitudes of the normalized rows that the diagnostics hold, a step's rows
+# at a time, before their Schmidt entropies are taken in one pass: at most 64
+# steps and 512 KB, and per step when fewer than two steps fit
+DIAGNOSTIC_LANES = 32768
 
 
 def _check_drift(H: np.ndarray, channels):
@@ -495,8 +505,10 @@ def _ensemble_chunk(psi0_vec, config, source_model, grid, store_every, diagnosti
     _sector_blocks makes sure that no amplitude is lost this way.
 
     Between jumps a row is the unnormalized no-jump state, and its squared
-    norm is carried along; the rows are normalized before every store and
-    diagnostics update and every RENORMALIZE_EVERY steps.  Each trajectory
+    norm is carried along; the rows are normalized before every store, at
+    every step when diagnostics are on, and every RENORMALIZE_EVERY steps.
+    The diagnosed rows wait in a history of min(64, DIAGNOSTIC_LANES // psi
+    size) steps, or none when that is below two.  Each trajectory
     owns default_rng(seed)'s stream of uniforms and consumes one per step
     plus one per jump, read in order from a ring of two UNIFORM_BLOCK blocks.
     Once some row has fewer than two unread, every row with a block's room
@@ -666,19 +678,20 @@ def _ensemble_chunk(psi0_vec, config, source_model, grid, store_every, diagnosti
             probs[:, scaled] *= carrier[idx][:, None]
         return Y, probs
 
-    def schmidt_weights():
-        """Squared Schmidt coefficients of the normalized rows, (2, M)."""
+    def schmidt_weights(states):
+        """Squared Schmidt coefficients of normalized rows, (2, rows)."""
+        R = len(states)
         if birth_death:
             # a|n-1, excited> + b|n, ground> is in Schmidt form already
-            return np.square(psi_f).reshape(M, 2, 2).sum(axis=2).T
+            return np.square(states.view(float)).reshape(R, 2, 2).sum(axis=2).T
         # Gram matrix A^dag A of each row's Fock x qubit amplitude matrix A,
-        # in one batched product; its eigenvalues are the squared Schmidt
-        # coefficients
-        At = psi.reshape(M, spec.fock_dim, 2).transpose(0, 2, 1)
-        G = np.vecdot(At[:, :, None, :], At[:, None, :, :])
-        g00, g11 = G[:, 0, 0].real, G[:, 1, 1].real
+        # whose eigenvalues are the squared Schmidt coefficients: its two
+        # diagonal entries and g01, each in one batched product
+        At = states.reshape(R, spec.fock_dim, 2).transpose(0, 2, 1)
+        g00, g11 = (np.vecdot(At[:, q], At[:, q]).real for q in (0, 1))
+        g01 = np.vecdot(At[:, 0], At[:, 1])
         tr = g00 + g11
-        det = g00 * g11 - np.abs(G[:, 0, 1]) ** 2
+        det = g00 * g11 - np.abs(g01) ** 2
         disc = np.sqrt(np.maximum(tr * tr - 4.0 * det, 0.0))
         lam = np.array((tr + disc, tr - disc))
         lam *= 0.5
@@ -686,12 +699,34 @@ def _ensemble_chunk(psi0_vec, config, source_model, grid, store_every, diagnosti
 
     max_ent = np.zeros(M)
 
-    def update_diagnostics():
-        lam = schmidt_weights()
+    def update_diagnostics(rows):
+        """Fold the Schmidt entropies of a (steps, M, width) stack of
+        normalized rows into max_ent; each row's arithmetic is elementwise
+        and max is exact, so the stack's size changes no bit."""
+        lam = schmidt_weights(rows.reshape(-1, psi.shape[1]))
         log_lam = np.log2(lam, out=np.zeros_like(lam), where=lam > 1e-300)
         lam *= log_lam
+        ent = -(lam[0] + lam[1])
         # max_ent starts at 0, so this also clips a negative rounding residue
-        np.maximum(max_ent, -(lam[0] + lam[1]), out=max_ent)
+        np.maximum(max_ent, ent.reshape(len(rows), M).max(axis=0), out=max_ent)
+
+    # the rows of each diagnosed step are copied into history, whose
+    # entropies are taken once it is full and after the last step
+    held, history = 0, None
+    steps = min(64, DIAGNOSTIC_LANES // psi.size)
+    if diagnostics and steps >= 2:
+        history = np.empty((steps, *psi.shape), dtype=complex)
+
+    def diagnose():
+        nonlocal held
+        if history is None:
+            update_diagnostics(psi[None])
+            return
+        history[held] = psi
+        held += 1
+        if held == len(history):
+            update_diagnostics(history)
+            held = 0
 
     def store_rows(i):
         store(i, map(block_rows, blocks))
@@ -700,7 +735,7 @@ def _ensemble_chunk(psi0_vec, config, source_model, grid, store_every, diagnosti
     max_p = 0.0
     store_rows(0)
     if diagnostics:
-        update_diagnostics()
+        diagnose()
 
     for step in range(grid.n_steps):
         t_next = grid.t0 + (step + 1) * dt
@@ -792,10 +827,12 @@ def _ensemble_chunk(psi0_vec, config, source_model, grid, store_every, diagnosti
             np.divide(psi_f, sq[:, None], out=psi_f)
             sq.fill(1.0)
         if diagnostics:
-            update_diagnostics()
+            diagnose()
         if storing:
             store_rows((step + 1) // store_every)
 
+    if held:
+        update_diagnostics(history[:held])
     records = [Record(events=e, seed=s) for e, s in zip(events, seeds)]
     ents = [float(e) for e in max_ent] if diagnostics else [None] * M
     return records, ents, max_p

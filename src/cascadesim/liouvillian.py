@@ -22,7 +22,8 @@ state.  An entry (i, j) of rho has excitation difference k = N_i - N_j, with
 N = n + q the total quanta of a basis index.  Without a coherent drive every
 term maps the block of each k into itself (a weak U(1) symmetry; Buca &
 Prosen, New J. Phys. 14, 073007 (2012)), so only the blocks the initial state
-occupies ever become nonzero.
+occupies ever become nonzero.  A state that occupies every block, or a
+driven generator, keeps the full form.
 """
 
 from __future__ import annotations
@@ -313,29 +314,32 @@ def gather(index: np.ndarray, weight: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def block_gather(superop: Superoperator, m: np.ndarray) -> tuple | None:
-    """(keep, index, weight): the gather form on the k-blocks that m occupies.
+    """(keep, index, weight): the gather form on the k-blocks that m occupies,
+    or None when every entry is needed.
 
-    If every read of ``compiled`` with a nonzero weight stays inside the
-    k-block of its output entry, a block of m is dropped when its largest
-    |entry| is at most BLOCK_TOL times m's largest.  keep then holds the flat
-    positions of the kept entries in row-major order, and index reads the
-    vector m.ravel()[keep]; its zero-weight reads go to position 0.  If any
-    read crosses a block (a coherent drive), returns None: every entry is
-    needed.  m is a checked state, finite and nonzero.
+    A block of m is dropped when its largest |entry| is at most BLOCK_TOL
+    times m's largest.  If none is dropped, or if some read of ``compiled``
+    with a nonzero weight leaves the k-block of its output entry (a coherent
+    drive), returns None: the caller steps ``compiled`` on every entry.
+    Otherwise keep holds the flat positions of the kept entries in row-major
+    order, and index reads the vector m.ravel()[keep]; its zero-weight reads
+    go to position 0.  m is a checked state, finite and nonzero.
     """
     if m.shape != (superop.dim, superop.dim):
         raise DimensionMismatchError(f"rho shape {m.shape} != superoperator dim {superop.dim}")
-    index, weight = superop.compiled
     N = total_quanta(superop.dim)
     # |k| <= d / 2 fits int16 at any dim within MAX_GATHER_ENTRIES, and keeps
     # the (width, d^2) read of k below small
     k = np.subtract.outer(N, N).ravel().astype(np.int16)
-    if np.any((np.take(k, index) != k) & (weight != 0)):
-        return None
     # a block is kept if any of its entries is above the cut, k = -N[-1] .. N[-1]
     size = np.abs(m).ravel()
     kept = np.zeros(2 * N[-1] + 1, dtype=bool)
     kept[k[size > BLOCK_TOL * size.max()] + N[-1]] = True
+    if kept.all():
+        return None
+    index, weight = superop.compiled
+    if np.any((np.take(k, index) != k) & (weight != 0)):
+        return None
     keep = np.flatnonzero(kept[k + N[-1]])
     position = np.zeros(len(k), dtype=index.dtype)
     position[keep] = np.arange(len(keep))

@@ -16,14 +16,17 @@ from hypothesis import strategies as st
 
 import cascadesim.evolve as evolve
 from cascadesim.cli import (
+    BASIS_ORDERING,
     OBSERVABLE_BLOCK,
     _Observables,
     _observable_ops,
     _observable_rows,
     main,
+    state_dump,
+    write_csv,
 )
 from cascadesim.evolve import expectation
-from cascadesim.hilbert import FockSpec
+from cascadesim.hilbert import DensityOperator, FockSpec
 from conftest import random_density
 
 
@@ -395,6 +398,58 @@ class TestObservableRows:
             assert len(obs.block) < OBSERVABLE_BLOCK
         assert obs.table() == _observable_rows(times, rhos, spec)
         assert obs.last is rhos[-1]
+
+
+def per_value_csv(header, rows):
+    """write_csv's text formatted one value at a time: the writer's oracle."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+# edge values of a float's text: signed zero, the smallest subnormal, the
+# largest magnitudes, integral floats, and the non-finite ones
+EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 1.0, -3.0, 2.0**53, 1e16,
+               math.nan, math.inf, -math.inf]
+
+
+class TestWriters:
+    """The run commands' writers give the bytes of the plain formatting."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(d=st.integers(2, 30), seed=st.integers(0, 2**32 - 1),
+           edges=st.lists(st.tuples(st.integers(0, 2 * 30 * 30 - 1), st.sampled_from(EDGE_FLOATS)),
+                          max_size=6),
+           t=st.floats())
+    def test_state_dump_is_json_dumps(self, d, seed, edges, t):
+        rng = np.random.default_rng(seed)
+        # mantissas at every scale, and some integral values
+        parts = rng.normal(size=2 * d * d) * 10.0 ** rng.integers(-320, 300, size=2 * d * d)
+        integral = rng.random(2 * d * d) < 0.1
+        parts[integral] = rng.integers(-1000, 1000, size=integral.sum())
+        for i, v in edges:
+            parts[i % len(parts)] = v
+        mat = parts.view(complex).reshape(d, d)
+        spec = FockSpec(max(1, d // 2 - 1))
+        doc = {"time": t, "n_max": spec.n_max, "dim": d, "basis_ordering": BASIS_ORDERING,
+               "matrix": [[[float(v.real), float(v.imag)] for v in row] for row in mat]}
+        text = state_dump(DensityOperator(mat), spec, t)
+        assert text == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+    VALUES = st.one_of(st.floats(), st.sampled_from(EDGE_FLOATS), st.floats().map(np.float64),
+                       st.integers(-2**70, 2**70), st.booleans(),
+                       st.text("ab_-.", max_size=6))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(header=st.lists(st.text("ab_", max_size=6), min_size=1, max_size=8),
+           rows=st.lists(st.lists(VALUES, max_size=8), max_size=12))
+    def test_write_csv_is_the_per_value_format(self, header, rows):
+        with tempfile.TemporaryDirectory() as work:
+            path = os.path.join(work, "table.csv")
+            write_csv(path, header, rows)
+            with open(path, newline="") as f:
+                assert f.read() == per_value_csv(header, rows)
 
 
 class TestStreamedStates:

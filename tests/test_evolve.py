@@ -335,13 +335,40 @@ class TestCoherenceBlocks:
         rho0 = DensityOperator(ket(2, GROUND, spec).projector())
         L = build_L_S(CoherentDrive(0.4 - 0.1j), spec) + self.undriven(spec)
         assert block_gather(L, rho0.mat) is None
-        # every entry is advanced through apply, four calls a step
+        # every entry is advanced through gather on the compiled form, four
+        # calls a step
         calls = []
-        monkeypatch.setattr(evolve, "apply", lambda *args: calls.append(1) or apply(*args))
+        monkeypatch.setattr(evolve, "gather", lambda *args: calls.append(1) or gather(*args))
         states = evolve_master(rho0, L, self.GRID, store_every=5)
         assert len(calls) == 4 * self.GRID.n_steps
         reference = nested_rk4(rho0, L, self.GRID, 5)
         assert [rho.mat.tobytes() for rho in states] == [m.tobytes() for m in reference]
+
+    def test_full_state_keeps_the_compiled_form(self, monkeypatch):
+        # a coherent source and a qubit superposition fill every k-block, so
+        # the full form runs, on every entry, with no remap
+        spec = FockSpec(25)
+        qubit = PureState(np.array([1.0, 1.0j]) / np.sqrt(2.0))
+        rho0 = DensityOperator(product_state(coherent_state(1.2, spec), qubit).projector())
+        L = self.undriven(spec)
+        assert block_gather(L, rho0.mat) is None
+        index, weight = L.compiled
+        calls = []
+
+        def spy(*args):
+            calls.append(args[0] is index and args[1] is weight)
+            return gather(*args)
+        monkeypatch.setattr(evolve, "gather", spy)
+        states = evolve_master(rho0, L, self.GRID, store_every=10)
+        assert calls == [True] * 4 * self.GRID.n_steps
+        reference = nested_rk4(rho0, L, self.GRID, 10)
+        assert [rho.mat.tobytes() for rho in states] == [m.tobytes() for m in reference]
+        # the qubit's ground state alone leaves the two one-entry blocks
+        # |0, g><n_max, e| and its adjoint empty
+        ground = DensityOperator(product_state(coherent_state(1.2, spec),
+                                               qubit_state(GROUND)).projector())
+        keep, _, _ = block_gather(L, ground.mat)
+        assert len(keep) == spec.dim ** 2 - 2
 
     def test_small_genuine_coherence_is_kept(self):
         spec = FockSpec(4)
@@ -1090,6 +1117,113 @@ class TestDiagnostics:
                        for k in (1, grid.n_steps))
         assert once.record.events == every.record.events
         assert abs(once.max_schmidt_entropy - every.max_schmidt_entropy) <= 1e-12
+
+
+class TestDiagnosticBlocks:
+    """The engine takes the Schmidt entropies of DIAGNOSTIC_LANES // (M width)
+    steps' rows in one pass, at most 64, and step by step when fewer than
+    two fit; every history length gives the bits of one step at a time."""
+
+    CFG = CouplingConfig(1.0, 0.5, 0.5)
+    SPEC = FockSpec(4)
+    ROWS = {
+        # |1, ground> entangles at once, and lies in the sector of n0 = 1
+        "coherent": (CoherentDrive(0.4 - 0.2j), ket(1, GROUND, SPEC), SPEC.dim),
+        "birth_death": (BirthDeathLaser(1.0, 0.5, 0.5, N0=2, n0=1), ket(1, GROUND, SPEC), 2),
+    }
+    GRIDS = {
+        # 424 steps and t0: 425 diagnosed states, a multiple of none of 2, 3 and 7
+        "long": TimeGrid(0.0, 2.12, 0.005),
+        # 4 states whose entropies rise: the last, which a history of 2, 3
+        # or 7 holds when the run ends, has the largest
+        "short": TimeGrid(0.0, 0.015, 0.005),
+    }
+
+    def check(self, monkeypatch, kind, run, rows):
+        """run(model, psi0), an engine call on rows trajectories, gives the
+        entropies and records of one step at a time with lanes for 2, 3 and
+        7 steps; the step-by-step entropies."""
+        model, psi0, width = self.ROWS[kind]
+        results = []
+        for held in (1, 2, 3, 7):
+            monkeypatch.setattr(evolve, "DIAGNOSTIC_LANES", held * rows * width)
+            ents, records = run(model, psi0)
+            results.append((np.array(ents), records))
+        (step_ents, step_records), *held = results
+        for ents, records in held:
+            assert np.array_equal(ents, step_ents)
+            # the signs of zero entropies too
+            assert ents.tobytes() == step_ents.tobytes()
+            assert records == step_records
+        return step_ents
+
+    @pytest.mark.filterwarnings("ignore:step probability")
+    @pytest.mark.parametrize("grid", sorted(GRIDS))
+    @pytest.mark.parametrize("kind", sorted(ROWS))
+    def test_mcwf_run(self, monkeypatch, kind, grid):
+        grid = self.GRIDS[grid]
+
+        def run(model, psi0):
+            r = mcwf_run(psi0, self.CFG, model, grid, seed=11)
+            if grid.n_steps == 3:
+                entropies = [schmidt_entropy(PureState(v)) for v in r.states]
+                assert np.argmax(entropies) == 3
+            return [r.max_schmidt_entropy], r.record.events
+        assert self.check(monkeypatch, kind, run, rows=1).min() > 0.0
+
+    @pytest.mark.filterwarnings("ignore:step probability")
+    @pytest.mark.parametrize("grid", sorted(GRIDS))
+    @pytest.mark.parametrize("kind", sorted(ROWS))
+    def test_ensemble_of_several_blocks(self, monkeypatch, kind, grid):
+        # three seed blocks, one lockstep engine call
+        monkeypatch.setattr(evolve, "ENSEMBLE_BLOCK", 2)
+
+        def run(model, psi0):
+            ens = run_ensemble(psi0, self.CFG, model, self.GRIDS[grid], [5, 2, 9, 0, 7],
+                               workers=1)
+            return ens.max_schmidt_entropies, [r.events for r in ens.records]
+        assert self.check(monkeypatch, kind, run, rows=5).min() > 0.0
+
+    @pytest.mark.filterwarnings("ignore:step probability")
+    @pytest.mark.parametrize("rows", [1, 5])
+    def test_zero_entropies_keep_their_sign(self, monkeypatch, rows):
+        # |2, excited> stays a product until a jump, so every entropy is a
+        # zero, computed as -0.0, and every history length keeps its sign
+        def run(model, psi0):
+            ens = run_ensemble(ket(2, EXCITED, self.SPEC), self.CFG, model, self.GRIDS["short"],
+                               range(rows), workers=1)
+            assert not any(r.events for r in ens.records)
+            return ens.max_schmidt_entropies, None
+        assert not self.check(monkeypatch, "coherent", run, rows).any()
+
+    @pytest.mark.filterwarnings("ignore:step probability")
+    def test_no_history_when_two_steps_do_not_fit(self, monkeypatch):
+        # 400 dense rows of d 42 take more than half of the lanes, so the
+        # entropies are taken step by step and no history is held; the same
+        # run with two steps' lanes holds one of 2 x 269 KB
+        spec = FockSpec(20)
+        psi0 = product_state(coherent_state(1.0, spec), qubit_state(GROUND))
+        M, width = 400, spec.dim
+        assert 2 * M * width > evolve.DIAGNOSTIC_LANES
+
+        def extra_peak(lanes):
+            """Traced peak with diagnostics, less the peak without them."""
+            monkeypatch.setattr(evolve, "DIAGNOSTIC_LANES", lanes)
+            peaks = []
+            for diagnostics in (True, False):
+                tracemalloc.start()
+                try:
+                    run_ensemble(psi0, self.CFG, CoherentDrive(0.3), TimeGrid(0.0, 0.03, 0.01),
+                                 range(M), store_every=3, diagnostics=diagnostics, workers=1)
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+            return peaks[0] - peaks[1]
+
+        step_rows = M * width * 16
+        assert extra_peak(2 * M * width) >= 2 * step_rows
+        monkeypatch.undo()
+        assert extra_peak(evolve.DIAGNOSTIC_LANES) < step_rows
 
 
 class TestSectorReplay:
