@@ -93,6 +93,9 @@ def check_seeds(seeds) -> list:
     """seeds as a list; ValueError unless there is one or more and they are
     distinct integers >= 0, numpy integers included and bools not."""
     seeds = list(seeds)
+    # the common case in one pass: plain ints, none negative and none repeated
+    if set(map(type, seeds)) == {int} and min(seeds) >= 0 and len(set(seeds)) == len(seeds):
+        return seeds
     if not seeds:
         raise ValueError("seeds must name at least one seed")
     bad = [s for s in seeds if isinstance(s, bool)
@@ -491,6 +494,27 @@ def _pcg64_fill(pcg, out, scratch):
         _add128(sh, sl, dh, dl, t[0])
 
 
+def _pair_dots(rows: int):
+    """A function dots(a, b, out) that writes the row dots of (rows, 4) float
+    arrays a and b into out, (rows,), as (q0 + q2) + (q1 + q3) of q = a * b.
+
+    That is the order of np.einsum("md,md->m") over two-lane vectors without
+    fused multiply-add, so the bits are einsum's, but for the sign of a zero:
+    four -0.0 products sum to -0.0 here and to +0.0 there.  A sum of squares
+    has no -0.0 product, and a dot read as s - dot loses the zero's sign."""
+    prod, lanes = np.empty((rows, 4)), np.empty((2, rows))
+    # the pairs are added into rows-last scratch, so that numpy's inner loop
+    # runs over the rows, not over a row's two lanes
+    lo, hi = prod.T[:2], prod.T[2:]
+    lane0, lane1 = lanes
+
+    def dots(a, b, out):
+        np.multiply(a, b, out=prod)
+        np.add(lo, hi, out=lanes)
+        return np.add(lane0, lane1, out=out)
+    return dots
+
+
 def _ensemble_chunk(psi0_vec, config, source_model, grid, store_every, diagnostics,
                     store, seeds, block):
     """Advance the trajectories of seeds in lockstep from psi0_vec, normalized.
@@ -502,7 +526,9 @@ def _ensemble_chunk(psi0_vec, config, source_model, grid, store_every, diagnosti
     its channel's quanta_delta: a no-jump step applies the row's 2 x 2 block
     of I - i dt H - (dt/2) N g a a^dag, rewritten only when the row has an
     event, and a jump applies its channel's block from sector n_pred.
-    _sector_blocks makes sure that no amplitude is lost this way.
+    _sector_blocks makes sure that no amplitude is lost this way.  The
+    no-jump maps are held with rows last, so a step is two multiplies over
+    every row's lanes, and the rows' dots are _pair_dots.
 
     Between jumps a row is the unnormalized no-jump state, and its squared
     norm is carried along; the rows are normalized before every store, at
@@ -510,7 +536,9 @@ def _ensemble_chunk(psi0_vec, config, source_model, grid, store_every, diagnosti
     The diagnosed rows wait in a history of min(64, DIAGNOSTIC_LANES // psi
     size) steps, or none when that is below two.  Each trajectory
     owns default_rng(seed)'s stream of uniforms and consumes one per step
-    plus one per jump, read in order from a ring of two UNIFORM_BLOCK blocks.
+    plus one per jump, read in order from a ring of two UNIFORM_BLOCK blocks,
+    lane-major: a (2 UNIFORM_BLOCK, rows) array, so that a step's draws and a
+    refill of every row each touch contiguous lanes.
     Once some row has fewer than two unread, every row with a block's room
     gets one more block, from one _pcg64_fill call over those rows; a scalar
     countdown, which can only understate the fewest unread, says when to look.
@@ -565,19 +593,20 @@ def _ensemble_chunk(psi0_vec, config, source_model, grid, store_every, diagnosti
         damp = 0.5 * dt * _sector_blocks(gain_op.conj().T @ gain_op, 0, "gain back-action")
         n_pred = np.full(M, source_model.n0)
         psi = np.tile(sector_amplitudes(psi0, source_model.n0), (M, 1))
-        # the no-jump map of each row, column by column: row m's no-jump state
-        # is K[0, m] psi[m, 0] + K[1, m] psi[m, 1]; and the classical channels'
-        # step probability of each row
-        K = np.empty((2, M, 2), dtype=complex)
+        # the no-jump map of every row, column by column and rows last: row
+        # m's no-jump state is K[0, :, m] psi[m, 0] + K[1, :, m] psi[m, 1];
+        # and the classical channels' step probability of each row
+        K = np.empty((2, 2, M), dtype=complex)
         p_classical = np.empty(M)
 
         def set_no_jump(idx):
             n = n_pred[idx]
             maps = drift[n] - carrier[idx][:, None, None] * damp[n]
-            K[:, idx] = maps.transpose(2, 0, 1)
+            K[:, :, idx] = maps.transpose(2, 1, 0)
             p_classical[idx] = dt * (rate_fixed + rate_scaled * carrier[idx])
 
         part = np.empty_like(psi)
+        dots = _pair_dots(M)
         # a block's stored rows, scattered into their sectors' columns; the
         # middle d columns of the padded buffer are the dense rows
         padded = np.zeros((min(M, block), dim + 2), dtype=complex)
@@ -599,20 +628,26 @@ def _ensemble_chunk(psi0_vec, config, source_model, grid, store_every, diagnosti
 
         def block_rows(b):
             return psi[b], carrier[b]
+
+        def dots(a, b, out):
+            return np.einsum("md,md->m", a, b, out=out)
     Z = np.empty_like(psi)
     psi_f, Z_f = psi.view(float), Z.view(float)
 
-    # each row's stream, read from a ring of two blocks at cursor mod its width;
-    # every row that has room for a block gets one at once, in one kernel call
+    # each row's stream, read in order from a ring of two blocks, ring position
+    # first and row last; every row that has room for a block gets one at
+    # once, in one kernel call
     pcg = _pcg64_seed(seed_words(seeds), UNIFORM_BLOCK)
-    ring = np.empty((M, 2 * UNIFORM_BLOCK))
-    halves = ring.reshape(M, 2, UNIFORM_BLOCK)
+    ring = np.empty((2 * UNIFORM_BLOCK, M))
+    halves = ring.reshape(2, UNIFORM_BLOCK, M)
     scratch = np.empty((4, (pcg.shape[1] - 1) * M), np.uint64)
     cursor = np.zeros(M, dtype=np.int64)  # uniforms read from each stream
     filled = np.zeros(M, dtype=np.int64)  # uniforms written, whole blocks
-    # flat index of the first uniform of each row's ring, and cursor & wrap is
-    # cursor mod the ring's width
-    starts, wrap = rows * 2 * UNIFORM_BLOCK, 2 * UNIFORM_BLOCK - 1
+    # each row's next uniform is at flat ring index cursor M + row modulo the
+    # ring's size; pos holds that index, reduced at every refill call, and as
+    # no row reads more than the ring holds in between, it stays below twice
+    # the size, which take's wrap mode undoes with one subtraction
+    pos = rows.copy()
     # never more than the fewest unread uniforms of any row: each draw_all
     # lowers that by exactly one and each draw by at most one
     countdown = 0
@@ -620,17 +655,18 @@ def _ensemble_chunk(psi0_vec, config, source_model, grid, store_every, diagnosti
     def refill():
         """Once some row has fewer than two unread uniforms, a block more for
         every row with room; the fewest unread of any row after."""
+        np.remainder(pos, ring.size, out=pos)
         unread = filled - cursor
         if unread.min() < 2:
             idx = np.nonzero(unread <= UNIFORM_BLOCK)[0]
             half = filled[idx] // UNIFORM_BLOCK % 2
             if len(idx) == M and half.min() == half.max():
                 # every row, in step: straight into the ring
-                _pcg64_fill(pcg, halves[:, half[0]], scratch)
+                _pcg64_fill(pcg, halves[half[0]].T, scratch)
             else:
-                streams, block = pcg[..., idx], np.empty((len(idx), UNIFORM_BLOCK))
+                streams, block = pcg[..., idx], np.empty((UNIFORM_BLOCK, len(idx))).T
                 _pcg64_fill(streams, block, scratch)
-                pcg[..., idx], halves[idx, half] = streams, block
+                pcg[..., idx], halves[half, :, idx] = streams, block
             filled[idx] += UNIFORM_BLOCK
             unread[idx] += UNIFORM_BLOCK
         return int(unread.min())
@@ -641,7 +677,8 @@ def _ensemble_chunk(psi0_vec, config, source_model, grid, store_every, diagnosti
         if countdown < 2:
             countdown = refill()
         countdown -= 1
-        u = ring.take(starts + (cursor & wrap))
+        u = ring.take(pos, mode="wrap")
+        np.add(pos, M, out=pos)
         np.add(cursor, 1, out=cursor)
         return u
 
@@ -649,7 +686,8 @@ def _ensemble_chunk(psi0_vec, config, source_model, grid, store_every, diagnosti
         """Next uniform of each trajectory in idx, after draw_all in its step."""
         nonlocal countdown
         countdown -= 1
-        u = ring[idx, cursor[idx] & wrap]
+        u = ring.take(pos[idx], mode="wrap")
+        pos[idx] += M
         cursor[idx] += 1
         return u
 
@@ -706,7 +744,8 @@ def _ensemble_chunk(psi0_vec, config, source_model, grid, store_every, diagnosti
         lam = schmidt_weights(rows.reshape(-1, psi.shape[1]))
         log_lam = np.log2(lam, out=np.zeros_like(lam), where=lam > 1e-300)
         lam *= log_lam
-        ent = -(lam[0] + lam[1])
+        # 0 - x, not -x, so that a product row's zero entropy is +0.0
+        ent = 0.0 - (lam[0] + lam[1])
         # max_ent starts at 0, so this also clips a negative rounding residue
         np.maximum(max_ent, ent.reshape(len(rows), M).max(axis=0), out=max_ent)
 
@@ -746,10 +785,11 @@ def _ensemble_chunk(psi0_vec, config, source_model, grid, store_every, diagnosti
         if birth_death:
             # psi is part of K, at the price of a cancellation that leaves p
             # a few ulps of |psi|^2 off
-            np.multiply(K[0], psi[:, :1], out=Z)
-            np.multiply(K[1], psi[:, 1:], out=part)
+            # each over (2, M) lanes, rows last as in K
+            np.multiply(K[0], psi[:, 0], out=Z.T)
+            np.multiply(K[1], psi[:, 1], out=part.T)
             Z += part
-            p_tot = np.einsum("md,md->m", psi_f, Z_f)
+            p_tot = dots(psi_f, Z_f, out=np.empty(M))
             np.subtract(sq, p_tot, out=p_tot)
             p_tot *= 2.0
             p_tot /= sq
@@ -758,7 +798,7 @@ def _ensemble_chunk(psi0_vec, config, source_model, grid, store_every, diagnosti
             for b in blocks:
                 np.matmul(psi[b], HT, out=Z[b])
             # read before psi is added, so a p exactly at a bound stays there
-            p_tot = np.einsum("md,md->m", psi_f, Z_f)
+            p_tot = dots(psi_f, Z_f, out=np.empty(M))
             p_tot *= -2.0
             Z += psi
             p_tot /= sq
@@ -783,7 +823,7 @@ def _ensemble_chunk(psi0_vec, config, source_model, grid, store_every, diagnosti
             # from the pre-step states, before psi takes the no-jump state
             jump_vecs, probs = channel_probs(jumpers)
 
-        np.einsum("md,md->m", Z_f, Z_f, out=sq)
+        dots(Z_f, Z_f, out=sq)
         # any NaN or inf row makes the sum so, and so may an overflow of finite rows
         if not np.isfinite(sq.sum()) and not np.isfinite(sq).all():
             m = int(np.argmin(np.isfinite(sq)))
@@ -804,7 +844,8 @@ def _ensemble_chunk(psi0_vec, config, source_model, grid, store_every, diagnosti
                 ch = channels[k]
                 if ch.operator is not None:
                     v = vecs[slot[k]]
-                    nrm = np.linalg.norm(v)
+                    # the calls np.linalg.norm makes for a complex vector
+                    nrm = math.sqrt(v.real.dot(v.real) + v.imag.dot(v.imag))
                     if nrm == 0.0:
                         raise InvariantViolationError(
                             f"jump {ch.label} annihilated the state at t={t_next:.6g} "

@@ -176,6 +176,16 @@ class TestRunTrajectories:
                           "nonlasing", "max_schmidt_entropy"]
         assert [len(row) for row in rows] == [8] * 5
 
+    def test_product_rows_write_no_negative_zero(self, tmp_path):
+        # a Fock photon decaying from an uncoupled qubit's ground state: every
+        # row is a product, so its largest entropy is an exact zero, written 0
+        doc = load_preset_doc("bare_cavity.json")
+        doc["output_dir"] = str(tmp_path / "out")
+        assert main(["run-trajectories", write_config(tmp_path, doc)]) == 0
+        header, rows = read_csv(tmp_path / "out" / "trajectories.csv")
+        assert column(header, rows, "max_schmidt_entropy", str) == ["0"]
+        assert not any("-0" in row for row in rows)
+
     def test_step_probability_violation_exits_3(self, tmp_path, capsys):
         doc = {
             "coupling": {"gamma_S": 1.0, "gamma_Tf": 0.0, "gamma_Ts": 0.0},

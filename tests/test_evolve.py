@@ -1,4 +1,5 @@
 import hashlib
+import math
 import re
 import time
 import tracemalloc
@@ -928,6 +929,59 @@ class TestStreams:
                                   np.random.default_rng(seeds[m]).random(2 * UNIFORM_BLOCK))
 
 
+class TestRowArithmetic:
+    """The engine's explicit forms of a sector row's dots and a jumper's norm
+    give numpy's own bits, so a numpy whose einsum or norm sums in another
+    order, or fuses multiply-add, fails here by name."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_pair_dots_are_einsums(self, seed):
+        # rows over 200 binary orders of magnitude, about 30 % of the entries
+        # zeros of either sign, and some rows zero throughout
+        rng = np.random.default_rng(seed)
+        a, b = rng.standard_normal((2, 6000, 4)) * 2.0 ** rng.integers(-100, 100, (2, 6000, 4))
+        a[rng.random(a.shape) < 0.3] = 0.0
+        b[rng.random(b.shape) < 0.3] = -0.0
+        a[:200] = b[200:400] = 0.0
+        for x, y in ((a, b), (a, a), (b, b), (a, -b)):
+            ref = np.einsum("md,md->m", x, y)
+            out = evolve._pair_dots(len(x))(x, y, np.empty(len(x)))
+            # einsum starts its two lanes from +0.0, so the one difference is
+            # a dot of four -0.0 products: -0.0 here, +0.0 there
+            q = x * y
+            negative_zeros = ((q == 0.0) & np.signbit(q)).all(axis=1)
+            assert out[~negative_zeros].tobytes() == ref[~negative_zeros].tobytes()
+            assert (out[negative_zeros] == 0.0).all() and np.signbit(out[negative_zeros]).all()
+            assert not np.signbit(ref[negative_zeros]).any()
+            # which a squared norm never has, and a dot read as s - dot loses
+            assert (1.0 - out).tobytes() == (1.0 - ref).tobytes()
+            if x is y:
+                assert not negative_zeros.any()
+            elif y is b:
+                assert negative_zeros.sum() > 10
+
+    @pytest.mark.parametrize("kind", ["birth_death", "coherent_drive"])
+    def test_jumper_norm_is_linalg_norm(self, kind):
+        # the jump vectors C_k psi of random states, as the engine forms them:
+        # per channel, over sector blocks or the dense operators
+        model, psi0, _ = TestEngineOracle.CASES[kind]
+        spec = FockSpec(psi0.dim // 2 - 1)
+        _, channels = unraveling(model, TestEngineOracle.CFG, spec)
+        quantum = [ch for ch in channels if ch.operator is not None]
+        rng = np.random.default_rng(7)
+        psi = rng.standard_normal((200, psi0.dim)) + 1j * rng.standard_normal((200, psi0.dim))
+        psi *= 10.0 ** rng.uniform(-100, 100, (200, 1))
+        if kind == "birth_death":
+            n = rng.integers(0, spec.n_max + 2, 200)
+            vecs = np.stack([np.matmul(evolve._sector_blocks(ch.operator, ch.quanta_delta,
+                                                             ch.label)[n], psi[:, :2, None])[..., 0]
+                             for ch in quantum], axis=1)
+        else:
+            vecs = np.stack([psi @ ch.operator.T for ch in quantum], axis=1)
+        for v in vecs.reshape(-1, vecs.shape[-1]):
+            assert math.sqrt(v.real.dot(v.real) + v.imag.dot(v.imag)) == np.linalg.norm(v)
+
+
 class TestPinnedRecords:
     """Every event of many seeds, pinned by a hash of the records.
 
@@ -1188,7 +1242,8 @@ class TestDiagnosticBlocks:
     @pytest.mark.parametrize("rows", [1, 5])
     def test_zero_entropies_keep_their_sign(self, monkeypatch, rows):
         # |2, excited> stays a product until a jump, so every entropy is a
-        # zero, computed as -0.0, and every history length keeps its sign
+        # zero, computed as 0.0 - 0.0 = +0.0, and every history length keeps
+        # its sign
         def run(model, psi0):
             ens = run_ensemble(ket(2, EXCITED, self.SPEC), self.CFG, model, self.GRIDS["short"],
                                range(rows), workers=1)
@@ -1561,6 +1616,30 @@ class TestUniformRing:
         consecutive = sum(1 for r in records for (t0, _), (t1, _) in zip(r.events, r.events[1:])
                           if t1 - t0 < 1.5 * grid.dt)
         assert consecutive >= 8
+
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(block=st.sampled_from([2, 4, 8]),
+           extra=st.lists(st.one_of(st.sampled_from(BOUNDARY_SEEDS[2:]), st.integers(6, 2**70)),
+                          max_size=3, unique=True))
+    def test_out_of_step_refills_draw_default_rng(self, block, extra):
+        # seeds 0 and 5 of these 300 steps make 5 and 13 jumps, so rows drift
+        # apart by more than a block: refills reach only some rows, into both
+        # halves of the lane-major ring at once.  Every record is still its
+        # seed's scalar oracle's, whatever seeds step beside them
+        model = BirthDeathLaser(1.0, 0.3, 1.0, N0=1, n0=1)
+        psi0, grid = ket(1, GROUND, FockSpec(5)), TimeGrid(0.0, 1.5, 0.005)
+        seeds = [*range(6), *extra]
+        with mock.patch.object(evolve, "UNIFORM_BLOCK", block), \
+                mock.patch.object(evolve, "_pcg64_fill", wraps=evolve._pcg64_fill) as fill, \
+                warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            ens = run_ensemble(psi0, self.CFG, model, grid, seeds, store_every=grid.n_steps,
+                               diagnostics=False)
+            for seed, record in zip(seeds, ens.records):
+                events, _, _ = scalar_mcwf(psi0, self.CFG, model, grid, seed, grid.n_steps)
+                assert record.seed == seed and record.events == events
+        assert [len(r.events) for r in ens.records[:6]] == [5, 2, 4, 3, 3, 13]
+        assert any(len(call.args[1]) < len(seeds) for call in fill.call_args_list)
 
     @pytest.mark.filterwarnings("ignore:step probability")
     def test_more_than_five_ring_turns(self):
