@@ -67,6 +67,8 @@ class TimeGrid:
         if self.dt <= 0:
             raise ValueError(f"dt must be > 0, got {self.dt}")
         n = (self.t1 - self.t0) / self.dt
+        if not math.isfinite(n):
+            raise ValueError(f"(t1 - t0)/dt = {n} is not finite")
         if abs(n - round(n)) > 1e-9 * max(1.0, abs(n)):
             raise ValueError(f"(t1 - t0)/dt = {n} is not integral")
         if round(n) < 1:
@@ -515,20 +517,171 @@ def _pair_dots(rows: int):
     return dots
 
 
+class _DenseRows:
+    """Rows of the coherent-drive and free-decay sources: a row is the dense
+    state, and a no-jump step is one d x d product.  Every row steps in
+    lockstep, but a dense row's BLAS products (the no-jump psi @ HT and the
+    jumpers' C_k psi) are taken block by block: a gemm row's rounding
+    depends on how many rows the call has, so each row gets the bits of a
+    call on its block alone.  The carrier counts stay zero.
+
+    _SectorRows has the same methods and attributes: initial, the (M,
+    width) rows of psi0, and carrier, the (M,) carrier counts."""
+
+    def __init__(self, psi0, model, H, channels, spec, dt, M, block):
+        self.initial = np.tile(psi0, (M, 1))
+        self.carrier = np.zeros(M, dtype=int)
+        self.fock_dim = spec.fock_dim
+        self.HT = (-1j * dt * H).T
+        # every C_k^T side by side: jump vectors of the rows that jump
+        self.Fq = np.hstack([ch.operator.T for ch in channels if ch.operator is not None])
+        self.blocks = [slice(lo, lo + block) for lo in range(0, M, block)]
+        # first row of every block after the first
+        self.cuts = np.arange(block, M, block)
+
+    @staticmethod
+    def dots(a, b, out):
+        """The row dots of float views a and b, into out."""
+        return np.einsum("md,md->m", a, b, out=out)
+
+    def no_jump(self, psi, Z, psi_f, Z_f, sq):
+        """Write the no-jump state of each row of psi into Z, and return its
+        step probability given its squared norm sq; psi_f and Z_f are the
+        float views of psi and Z."""
+        for b in self.blocks:
+            np.matmul(psi[b], self.HT, out=Z[b])
+        # read before psi is added, so a p exactly at a bound stays there
+        p = self.dots(psi_f, Z_f, out=np.empty(len(sq)))
+        p *= -2.0
+        Z += psi
+        p /= sq
+        return p
+
+    def jump_vectors(self, psi, idx):
+        """The jump vectors C_k psi of rows idx, every quantum channel's."""
+        # one product per block: idx is sorted, so each block's jumpers are a run
+        Y = np.empty((len(idx), self.Fq.shape[1]), dtype=complex)
+        ends = np.searchsorted(idx, self.cuts).tolist()
+        for lo, hi in zip([0, *ends], [*ends, len(idx)]):
+            if hi > lo:
+                np.matmul(psi[idx[lo:hi]], self.Fq, out=Y[lo:hi])
+        return Y
+
+    def jumped(self, idx, carrier_delta, quanta_delta):
+        """After rows idx jump, by channels with these deltas.  A dense row
+        holds its whole state, and these sources' channels move no carrier:
+        nothing to update."""
+
+    def schmidt_weights(self, states):
+        """Squared Schmidt coefficients of normalized rows, (2, rows)."""
+        # Gram matrix A^dag A of each row's Fock x qubit amplitude matrix A,
+        # whose eigenvalues are the squared Schmidt coefficients: its two
+        # diagonal entries and g01, each in one batched product
+        At = states.reshape(len(states), self.fock_dim, 2).transpose(0, 2, 1)
+        g00, g11 = (np.vecdot(At[:, q], At[:, q]).real for q in (0, 1))
+        g01 = np.vecdot(At[:, 0], At[:, 1])
+        tr = g00 + g11
+        det = g00 * g11 - np.abs(g01) ** 2
+        disc = np.sqrt(np.maximum(tr * tr - 4.0 * det, 0.0))
+        lam = np.array((tr + disc, tr - disc))
+        lam *= 0.5
+        return lam
+
+    def block_rows(self, psi, b):
+        """Block b's rows as dense (rows, d) states, and their carriers."""
+        return psi[b], self.carrier[b]
+
+
+class _SectorRows:
+    """Rows of the birth-death source: a row is the two amplitudes of its
+    quanta sector n_pred (sector_amplitudes), which H keeps and each jump
+    moves by its channel's quanta_delta.  A no-jump step applies the row's
+    2 x 2 block of I - i dt H - (dt/2) N g a a^dag, rewritten only when the
+    row has an event, and a jump applies its channel's block from sector
+    n_pred.  _sector_blocks makes sure that no amplitude is lost this way.
+    The no-jump maps are held with rows last, so a step is two multiplies
+    over every row's lanes, and the rows' dots are _pair_dots.  The work is
+    elementwise or stacked 2 x 2 products, so the rows need no split by
+    block.  Stored rows are scattered into one reused dense buffer of at
+    most block rows."""
+
+    def __init__(self, psi0, model, H, channels, spec, dt, M, block):
+        classical = [ch for ch in channels if ch.operator is None]
+        # summed rates of the classical channels, without and with the carrier factor
+        self.rate_fixed = sum(ch.rate for ch in classical if not ch.scales_with_carrier)
+        self.rate_scaled = sum(ch.rate for ch in classical if ch.scales_with_carrier)
+        self.dt = dt
+        # per sector: the block of I - i dt H, of every C_k, and of the gain
+        # back-action (dt/2) g a a^dag without its carrier factor
+        self.drift = np.eye(2) - 1j * dt * _sector_blocks(H, 0, "drift Hamiltonian")
+        self.jumps = np.stack([_sector_blocks(ch.operator, ch.quanta_delta,
+                                              f"jump operator {ch.label}")
+                               for ch in channels if ch.operator is not None], axis=1)
+        gain_op = next(ch.operator for ch in channels if ch.label == "gain")
+        self.damp = 0.5 * dt * _sector_blocks(gain_op.conj().T @ gain_op, 0, "gain back-action")
+        self.carrier = np.full(M, model.N0, dtype=int)
+        self.n_pred = np.full(M, model.n0)
+        self.initial = np.tile(sector_amplitudes(psi0, model.n0), (M, 1))
+        # the no-jump map of every row, column by column and rows last: row
+        # m's no-jump state is K[0, :, m] psi[m, 0] + K[1, :, m] psi[m, 1];
+        # and the classical channels' step probability of each row
+        self.K = np.empty((2, 2, M), dtype=complex)
+        self.p_classical = np.empty(M)
+        self.part = np.empty_like(self.initial)
+        self.dots = _pair_dots(M)
+        # a block's stored rows, scattered into their sectors' columns; the
+        # middle d columns of the padded buffer are the dense rows
+        self.padded = np.zeros((min(M, block), spec.dim + 2), dtype=complex)
+        self.jumped(np.arange(M), 0, 0)
+
+    def no_jump(self, psi, Z, psi_f, Z_f, sq):
+        # psi is part of K, at the price of a cancellation that leaves p
+        # a few ulps of |psi|^2 off; each multiply runs over (2, M) lanes,
+        # rows last as in K
+        np.multiply(self.K[0], psi[:, 0], out=Z.T)
+        np.multiply(self.K[1], psi[:, 1], out=self.part.T)
+        Z += self.part
+        p = self.dots(psi_f, Z_f, out=np.empty(len(sq)))
+        np.subtract(sq, p, out=p)
+        p *= 2.0
+        p /= sq
+        p += self.p_classical
+        return p
+
+    def jump_vectors(self, psi, idx):
+        return np.matmul(self.jumps[self.n_pred[idx]], psi[idx][:, None, :, None])
+
+    def jumped(self, idx, carrier_delta, quanta_delta):
+        """Move rows idx by their channels' deltas, and rewrite their no-jump
+        maps and classical step probabilities."""
+        self.carrier[idx] += carrier_delta
+        self.n_pred[idx] += quanta_delta
+        n, N = self.n_pred[idx], self.carrier[idx]
+        maps = self.drift[n] - N[:, None, None] * self.damp[n]
+        self.K[:, :, idx] = maps.transpose(2, 1, 0)
+        self.p_classical[idx] = self.dt * (self.rate_fixed + self.rate_scaled * N)
+
+    @staticmethod
+    def schmidt_weights(states):
+        # a|n-1, excited> + b|n, ground> is in Schmidt form already
+        return np.square(states.view(float)).reshape(len(states), 2, 2).sum(axis=2).T
+
+    def block_rows(self, psi, b):
+        n = len(self.carrier[b])
+        self.padded[:n].fill(0.0)
+        self.padded[:n].reshape(n, -1, 2)[np.arange(n), self.n_pred[b]] = psi[b]
+        return self.padded[:n, 1:-1], self.carrier[b]
+
+
 def _ensemble_chunk(psi0_vec, config, source_model, grid, store_every, diagnostics,
                     store, seeds, block):
     """Advance the trajectories of seeds in lockstep from psi0_vec, normalized.
 
-    A row of psi holds one trajectory.  For the coherent-drive and free-decay
-    sources it is the dense state, and a no-jump step is one d x d product.
-    For the birth-death source it is the two amplitudes of the row's quanta
-    sector n_pred (sector_amplitudes), which H keeps and each jump moves by
-    its channel's quanta_delta: a no-jump step applies the row's 2 x 2 block
-    of I - i dt H - (dt/2) N g a a^dag, rewritten only when the row has an
-    event, and a jump applies its channel's block from sector n_pred.
-    _sector_blocks makes sure that no amplitude is lost this way.  The
-    no-jump maps are held with rows last, so a step is two multiplies over
-    every row's lanes, and the rows' dots are _pair_dots.
+    A row of psi holds one trajectory: a _SectorRows row for the
+    birth-death source and a _DenseRows row for the others.  The row kind
+    owns the rows' carriers, the no-jump step, the jump vectors, the update
+    after a jump, the Schmidt weights and the stored rows; this loop owns
+    what both kinds share.
 
     Between jumps a row is the unnormalized no-jump state, and its squared
     norm is carried along; the rows are normalized before every store, at
@@ -543,21 +696,16 @@ def _ensemble_chunk(psi0_vec, config, source_model, grid, store_every, diagnosti
     gets one more block, from one _pcg64_fill call over those rows; a scalar
     countdown, which can only understate the fewest unread, says when to look.
 
-    The seeds are cut into consecutive blocks of at most block rows.  Every
-    row steps in lockstep, but a dense row's BLAS products (the no-jump
-    psi @ HT and the jumpers' C_k psi) are taken block by block: a gemm row's
-    rounding depends on how many rows the call has, so each row gets the bits
-    of a call on its block alone.  Sector rows need no such split, as their
-    work is elementwise or stacked 2 x 2 products.  At stored time i of
+    The seeds are cut into consecutive blocks of at most block rows, which
+    every row steps through in lockstep.  At stored time i of
     grid.stored_times(store_every) it calls store(i, parts), where parts
     yields one (psi, carrier) pair per block, in block order: the block's
     normalized dense (rows, d) states and (rows,) carrier counts.  These are
-    working arrays, and birth-death rows are scattered into one reused dense
-    buffer of at most block rows, so store consumes parts during the call and
-    copies what it keeps.  Returns the records, each trajectory's largest
-    Schmidt entropy (None without diagnostics), and the largest step
-    probability, so the caller can warn about it.  A failure is raised at the
-    earliest step where any row fails.
+    working arrays, so store consumes parts during the call and copies what
+    it keeps.  Returns the records, each trajectory's largest Schmidt
+    entropy (None without diagnostics), and the largest step probability,
+    so the caller can warn about it.  A failure is raised at the earliest
+    step where any row fails.
     """
     psi0 = PureState(psi0_vec).normalized().vec
     M, dim = len(seeds), len(psi0)
@@ -565,7 +713,8 @@ def _ensemble_chunk(psi0_vec, config, source_model, grid, store_every, diagnosti
     dt = grid.dt
     H, channels = unraveling(source_model, config, spec)
     _check_drift(H, channels)
-    birth_death = isinstance(source_model, BirthDeathLaser)
+    rows = (_SectorRows if isinstance(source_model, BirthDeathLaser) else _DenseRows)(
+        psi0, source_model, H, channels, spec, dt, M, block)
     n_ch = len(channels)
     quantum = [k for k, ch in enumerate(channels) if ch.operator is not None]
     classical = [k for k, ch in enumerate(channels) if ch.operator is None]
@@ -576,61 +725,8 @@ def _ensemble_chunk(psi0_vec, config, source_model, grid, store_every, diagnosti
     # position of each quantum channel among a row's jump vectors
     slot = {k: j for j, k in enumerate(quantum)}
 
-    rows = np.arange(M)
     blocks = [slice(lo, lo + block) for lo in range(0, M, block)]
-    carrier = np.full(M, source_model.N0 if birth_death else 0, dtype=int)
-    if birth_death:
-        # summed rates of the classical channels, without and with the carrier factor
-        rate_fixed = sum(channels[k].rate for k in classical if k not in scaled)
-        rate_scaled = sum(channels[k].rate for k in classical if k in scaled)
-        # per sector: the block of I - i dt H, of every C_k, and of the gain
-        # back-action (dt/2) g a a^dag without its carrier factor
-        drift = np.eye(2) - 1j * dt * _sector_blocks(H, 0, "drift Hamiltonian")
-        jumps = np.stack([_sector_blocks(channels[k].operator, quanta_delta[k],
-                                         f"jump operator {channels[k].label}")
-                          for k in quantum], axis=1)
-        gain_op = next(ch.operator for ch in channels if ch.label == "gain")
-        damp = 0.5 * dt * _sector_blocks(gain_op.conj().T @ gain_op, 0, "gain back-action")
-        n_pred = np.full(M, source_model.n0)
-        psi = np.tile(sector_amplitudes(psi0, source_model.n0), (M, 1))
-        # the no-jump map of every row, column by column and rows last: row
-        # m's no-jump state is K[0, :, m] psi[m, 0] + K[1, :, m] psi[m, 1];
-        # and the classical channels' step probability of each row
-        K = np.empty((2, 2, M), dtype=complex)
-        p_classical = np.empty(M)
-
-        def set_no_jump(idx):
-            n = n_pred[idx]
-            maps = drift[n] - carrier[idx][:, None, None] * damp[n]
-            K[:, :, idx] = maps.transpose(2, 1, 0)
-            p_classical[idx] = dt * (rate_fixed + rate_scaled * carrier[idx])
-
-        part = np.empty_like(psi)
-        dots = _pair_dots(M)
-        # a block's stored rows, scattered into their sectors' columns; the
-        # middle d columns of the padded buffer are the dense rows
-        padded = np.zeros((min(M, block), dim + 2), dtype=complex)
-        dense = padded[:, 1:-1]
-        set_no_jump(rows)
-
-        def block_rows(b):
-            n = len(carrier[b])
-            padded[:n].fill(0.0)
-            padded[:n].reshape(n, -1, 2)[rows[:n], n_pred[b]] = psi[b]
-            return dense[:n], carrier[b]
-    else:
-        psi = np.tile(psi0, (M, 1))
-        HT = (-1j * dt * H).T
-        # every C_k^T side by side: jump vectors of the rows that jump
-        Fq = np.concatenate([channels[k].operator.T for k in quantum], axis=1)
-        # first row of every block after the first
-        cuts = rows[block::block]
-
-        def block_rows(b):
-            return psi[b], carrier[b]
-
-        def dots(a, b, out):
-            return np.einsum("md,md->m", a, b, out=out)
+    psi = rows.initial
     Z = np.empty_like(psi)
     psi_f, Z_f = psi.view(float), Z.view(float)
 
@@ -647,7 +743,7 @@ def _ensemble_chunk(psi0_vec, config, source_model, grid, store_every, diagnosti
     # ring's size; pos holds that index, reduced at every refill call, and as
     # no row reads more than the ring holds in between, it stays below twice
     # the size, which take's wrap mode undoes with one subtraction
-    pos = rows.copy()
+    pos = np.arange(M)
     # never more than the fewest unread uniforms of any row: each draw_all
     # lowers that by exactly one and each draw by at most one
     countdown = 0
@@ -697,57 +793,29 @@ def _ensemble_chunk(psi0_vec, config, source_model, grid, store_every, diagnosti
     def channel_probs(idx):
         """Jump vectors C_k psi, (len(idx), quantum channels, row width), and
         per-channel step probabilities of rows idx."""
-        if birth_death:
-            Y = np.matmul(jumps[n_pred[idx]], psi[idx][:, None, :, None])
-        else:
-            # one product per block: idx is sorted, so each block's jumpers are a run
-            Y = np.empty((len(idx), Fq.shape[1]), dtype=complex)
-            ends = np.searchsorted(idx, cuts).tolist()
-            for lo, hi in zip([0, *ends], [*ends, len(idx)]):
-                if hi > lo:
-                    np.matmul(psi[idx[lo:hi]], Fq, out=Y[lo:hi])
-        Y = Y.reshape(len(idx), len(quantum), -1)
+        Y = rows.jump_vectors(psi, idx).reshape(len(idx), len(quantum), -1)
         Yq = Y.view(float)
         probs = np.empty((len(idx), n_ch))
         probs[:, quantum] = np.einsum("mkd,mkd->mk", Yq, Yq) / sq[idx][:, None]
         probs[:, classical] = rates
         probs *= dt
         if scaled:
-            probs[:, scaled] *= carrier[idx][:, None]
+            probs[:, scaled] *= rows.carrier[idx][:, None]
         return Y, probs
-
-    def schmidt_weights(states):
-        """Squared Schmidt coefficients of normalized rows, (2, rows)."""
-        R = len(states)
-        if birth_death:
-            # a|n-1, excited> + b|n, ground> is in Schmidt form already
-            return np.square(states.view(float)).reshape(R, 2, 2).sum(axis=2).T
-        # Gram matrix A^dag A of each row's Fock x qubit amplitude matrix A,
-        # whose eigenvalues are the squared Schmidt coefficients: its two
-        # diagonal entries and g01, each in one batched product
-        At = states.reshape(R, spec.fock_dim, 2).transpose(0, 2, 1)
-        g00, g11 = (np.vecdot(At[:, q], At[:, q]).real for q in (0, 1))
-        g01 = np.vecdot(At[:, 0], At[:, 1])
-        tr = g00 + g11
-        det = g00 * g11 - np.abs(g01) ** 2
-        disc = np.sqrt(np.maximum(tr * tr - 4.0 * det, 0.0))
-        lam = np.array((tr + disc, tr - disc))
-        lam *= 0.5
-        return lam
 
     max_ent = np.zeros(M)
 
-    def update_diagnostics(rows):
+    def update_diagnostics(stack):
         """Fold the Schmidt entropies of a (steps, M, width) stack of
         normalized rows into max_ent; each row's arithmetic is elementwise
         and max is exact, so the stack's size changes no bit."""
-        lam = schmidt_weights(rows.reshape(-1, psi.shape[1]))
+        lam = rows.schmidt_weights(stack.reshape(-1, psi.shape[1]))
         log_lam = np.log2(lam, out=np.zeros_like(lam), where=lam > 1e-300)
         lam *= log_lam
         # 0 - x, not -x, so that a product row's zero entropy is +0.0
         ent = 0.0 - (lam[0] + lam[1])
         # max_ent starts at 0, so this also clips a negative rounding residue
-        np.maximum(max_ent, ent.reshape(len(rows), M).max(axis=0), out=max_ent)
+        np.maximum(max_ent, ent.reshape(len(stack), M).max(axis=0), out=max_ent)
 
     # the rows of each diagnosed step are copied into history, whose
     # entropies are taken once it is full and after the last step
@@ -768,7 +836,7 @@ def _ensemble_chunk(psi0_vec, config, source_model, grid, store_every, diagnosti
             held = 0
 
     def store_rows(i):
-        store(i, map(block_rows, blocks))
+        store(i, (rows.block_rows(psi, b) for b in blocks))
 
     events = [[] for _ in range(M)]
     max_p = 0.0
@@ -782,26 +850,7 @@ def _ensemble_chunk(psi0_vec, config, source_model, grid, store_every, diagnosti
         # dt <psi| sum C^dag C |psi> over every quantum channel is -2 Re<psi|Z>
         # before psi is added, and 2 (|psi|^2 - Re<psi|Z>) after; divided by
         # |psi|^2 it is the Monte-Carlo wavefunction jump probability
-        if birth_death:
-            # psi is part of K, at the price of a cancellation that leaves p
-            # a few ulps of |psi|^2 off
-            # each over (2, M) lanes, rows last as in K
-            np.multiply(K[0], psi[:, 0], out=Z.T)
-            np.multiply(K[1], psi[:, 1], out=part.T)
-            Z += part
-            p_tot = dots(psi_f, Z_f, out=np.empty(M))
-            np.subtract(sq, p_tot, out=p_tot)
-            p_tot *= 2.0
-            p_tot /= sq
-            p_tot += p_classical
-        else:
-            for b in blocks:
-                np.matmul(psi[b], HT, out=Z[b])
-            # read before psi is added, so a p exactly at a bound stays there
-            p_tot = dots(psi_f, Z_f, out=np.empty(M))
-            p_tot *= -2.0
-            Z += psi
-            p_tot /= sq
+        p_tot = rows.no_jump(psi, Z, psi_f, Z_f, sq)
         worst = p_tot.max()
         # negated so that NaN fails the bound too
         if not worst <= HARD_STEP_PROBABILITY:
@@ -823,7 +872,7 @@ def _ensemble_chunk(psi0_vec, config, source_model, grid, store_every, diagnosti
             # from the pre-step states, before psi takes the no-jump state
             jump_vecs, probs = channel_probs(jumpers)
 
-        dots(Z_f, Z_f, out=sq)
+        rows.dots(Z_f, Z_f, out=sq)
         # any NaN or inf row makes the sum so, and so may an overflow of finite rows
         if not np.isfinite(sq.sum()) and not np.isfinite(sq).all():
             m = int(np.argmin(np.isfinite(sq)))
@@ -854,10 +903,7 @@ def _ensemble_chunk(psi0_vec, config, source_model, grid, store_every, diagnosti
                     np.divide(v, nrm, out=psi[m])
                     sq[m] = 1.0
                 events[m].append((t_next, ch.label))
-            carrier[jumpers] += carrier_delta[ks]
-            if birth_death:
-                n_pred[jumpers] += quanta_delta[ks]
-                set_no_jump(jumpers)
+            rows.jumped(jumpers, carrier_delta[ks], quanta_delta[ks])
 
         storing = (step + 1) % store_every == 0
         # without a jump a row's squared norm shrinks by about 1 - p a step,

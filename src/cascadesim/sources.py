@@ -69,6 +69,9 @@ class BirthDeathLaser:
         if not all(isinstance(c, numbers.Integral) and not isinstance(c, bool) and c >= 0
                    for c in counts):
             raise ValueError(f"initial counts must be integers >= 0, got {counts}")
+        # the engine holds the carrier counts as int64
+        if max(counts) >= 2**63:
+            raise ValueError(f"initial counts must be below 2**63, got {counts}")
 
 
 @dataclass

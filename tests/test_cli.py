@@ -372,6 +372,25 @@ class TestConfigValidation:
         doc["initial"] = {"kind": "fock", "n": 0, "qubit": "excited"}
         assert main(["run-trajectories", write_config(tmp_path, doc)]) == 0
 
+    @pytest.mark.parametrize("preset, command, path, value, message", [
+        ("bare_cavity.json", "run-master", ("grid",), {"t0": 0.0, "t1": 1e300, "dt": 1e-300},
+         "is not finite"),
+        ("coherent_drive.json", "run-trajectories", ("grid",),
+         {"t0": -1e308, "t1": 1e308, "dt": 1.0}, "is not finite"),
+        ("birth_death.json", "run-trajectories", ("source", "N0"), 2**63, "below 2**63"),
+        ("birth_death.json", "run-trajectories", ("source", "N0"), 2**70, "below 2**63"),
+    ])
+    def test_value_beyond_machine_range_exits_2(self, tmp_path, capsys, preset, command, path,
+                                                 value, message):
+        # a step count that overflows a float, or a carrier count beyond int64
+        doc = short_preset(preset)
+        doc["output_dir"] = str(tmp_path / "out")
+        mutate(doc, path, value)
+        assert main([command, write_config(tmp_path, doc)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and message in err
+        assert not (tmp_path / "out").exists()
+
     def test_non_object_config_exits_2(self, tmp_path, capsys):
         path = tmp_path / "config.json"
         path.write_text("[1, 2]")

@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cascadesim.acceptance import load_preset, sector_residuals
@@ -72,6 +72,7 @@ from cascadesim.evolve import (
     expectation,
     mcwf_run,
     run_ensemble,
+    sector_amplitudes,
     seed_words,
     workers_from_env,
 )
@@ -179,6 +180,12 @@ class TestTimeGrid:
     def test_rejects_nonintegral_span(self):
         with pytest.raises(ValueError):
             TimeGrid(0.0, 1.0, 0.3)
+
+    @pytest.mark.parametrize("t0, t1, dt", [(0.0, 1e300, 1e-300), (-1e308, 1e308, 1.0)])
+    def test_rejects_overflowing_step_count(self, t0, t1, dt):
+        # finite times whose step count overflows to inf
+        with pytest.raises(ValueError, match="is not finite"):
+            TimeGrid(t0, t1, dt)
 
     @pytest.mark.parametrize("store_every", [0, -2, 7, 2.0, True])
     def test_stored_times_reject_bad_store_every(self, store_every):
@@ -761,6 +768,71 @@ class TestEngineOracle:
         assert r.record.events == events
         assert np.max(np.abs(r.states - states)) < 1e-12
 
+    @staticmethod
+    @st.composite
+    def drawn_runs(draw):
+        """A source and its parameters, zero rates included, the couplings,
+        n_max, an initial state (in the sector of n0 for birth-death), a grid
+        and seeds."""
+        rate = st.one_of(st.just(0.0), st.floats(0.05, 3.0))
+        amplitude = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
+        cfg = CouplingConfig(draw(st.floats(0.1, 2.0)), draw(rate), draw(rate),
+                             draw(st.floats(-1.0, 1.0)))
+        spec = FockSpec(draw(st.integers(2, 6)))
+        kind = draw(st.sampled_from(["birth_death", "coherent_drive", "free_decay"]))
+        if kind == "birth_death":
+            n0 = draw(st.integers(0, spec.n_max))
+            model = BirthDeathLaser(draw(rate), draw(rate), draw(rate),
+                                    N0=draw(st.integers(0, 4)), n0=n0)
+            vec = draw(amplitude) * ket(n0, GROUND, spec).vec
+            if n0 > 0:
+                vec = vec + draw(amplitude) * ket(n0 - 1, EXCITED, spec).vec
+        else:
+            if kind == "coherent_drive":
+                model = CoherentDrive(draw(amplitude))
+            else:
+                w = draw(st.floats(0.0, 1.0))
+                model = FreeDecayMixture(((draw(amplitude), w), (draw(amplitude), 1.0 - w)))
+            vec = np.array(draw(st.lists(amplitude, min_size=spec.dim, max_size=spec.dim)))
+        assume(np.linalg.norm(vec) > 0.1)
+        dt = draw(st.sampled_from([0.005, 0.01, 0.02]))
+        store_every = draw(st.sampled_from([1, 7, 20]))
+        grid = TimeGrid(0.0, dt * store_every * draw(st.integers(3, 15)), dt)
+        seeds = draw(st.lists(st.integers(0, 2**70), min_size=1, max_size=3, unique=True))
+        return cfg, model, PureState(vec), grid, store_every, seeds, draw(st.integers(1, 3))
+
+    @pytest.mark.filterwarnings("ignore:step probability")
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(run=drawn_runs())
+    def test_drawn_inputs_match_scalar_oracle(self, run):
+        # one lockstep engine call over every seed, cut into blocks of the
+        # drawn size, against a scalar oracle run per seed
+        cfg, model, psi0, grid, store_every, seeds, block = run
+        states, carriers = [], []
+
+        def store(i, parts):
+            # each block's rows are working arrays, copied before the next
+            psi, carrier = zip(*[(psi.copy(), carrier.copy()) for psi, carrier in parts])
+            states.append(np.concatenate(psi))
+            carriers.append(np.concatenate(carrier))
+
+        try:
+            records, _, _ = evolve._ensemble_chunk(psi0.vec, cfg, model, grid, store_every,
+                                                   True, store, seeds, block)
+        except StepProbabilityError:
+            assume(False)
+        times = grid.stored_times(store_every)
+        for m, (seed, record) in enumerate(zip(seeds, records)):
+            if isinstance(model, BirthDeathLaser):
+                assume(predicted_sectors(record, model, times).max() <= FockSpec(
+                    psi0.dim // 2 - 1).n_max)
+            events, ref_states, ref_carriers = scalar_mcwf(psi0, cfg, model, grid, seed,
+                                                           store_every)
+            assert record.seed == seed and record.events == events
+            assert np.max(np.abs(np.array(states)[:, m] - ref_states)) < 1e-12
+            if isinstance(model, BirthDeathLaser):
+                assert np.array_equal(np.array(carriers)[:, m], ref_carriers)
+
     @pytest.mark.parametrize("start", ["coherent", "fock_in_sector_1", "excited_in_sector_3"])
     def test_initial_state_outside_sector_rejected(self, start):
         # the birth-death case starts in the sector of n0 = 2
@@ -980,6 +1052,105 @@ class TestRowArithmetic:
             vecs = np.stack([psi @ ch.operator.T for ch in quantum], axis=1)
         for v in vecs.reshape(-1, vecs.shape[-1]):
             assert math.sqrt(v.real.dot(v.real) + v.imag.dot(v.imag)) == np.linalg.norm(v)
+
+
+class TestRowKinds:
+    """Each row kind's operations on rows set up by hand, without the step loop."""
+
+    CFG = CouplingConfig(1.0, 0.5, 0.5, 0.3)
+
+    @staticmethod
+    def make(model, spec, dt, M, block):
+        """The row kind of model over M copies of an initial state, and its channels."""
+        H, channels = unraveling(model, TestRowKinds.CFG, spec)
+        if isinstance(model, BirthDeathLaser):
+            psi0, kind = ket(model.n0, GROUND, spec).vec, evolve._SectorRows
+        else:
+            psi0, kind = ket(0, GROUND, spec).vec, evolve._DenseRows
+        return kind(psi0, model, H, channels, spec, dt, M, block), channels
+
+    @staticmethod
+    def dense_rows(rows, psi):
+        """The dense states of sector rows, scattered by hand."""
+        padded = np.zeros((len(psi), 2 * len(rows.drift)), dtype=complex)
+        for m, n in enumerate(rows.n_pred):
+            padded[m, 2 * n:2 * n + 2] = psi[m]
+        return padded[:, 1:-1]
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(kind=st.sampled_from(["birth_death", "coherent_drive", "free_decay"]),
+           rates=st.lists(st.one_of(st.just(0.0), st.floats(0.05, 3.0)), min_size=3, max_size=3),
+           n_max=st.integers(1, 6), M=st.integers(1, 9), block=st.integers(1, 4),
+           dt=st.sampled_from([0.001, 0.01]), seed=st.integers(0, 2**32 - 1))
+    def test_no_jump_probability_is_the_channels(self, kind, rates, n_max, M, block, dt, seed):
+        # dt sum_k <psi|C_k^dag C_k|psi> / |psi|^2 over the quantum channels,
+        # plus dt rate over the classical ones, each times the carrier count
+        # where the channel scales with it
+        rng = np.random.default_rng(seed)
+        spec = FockSpec(n_max)
+        model = {"birth_death": BirthDeathLaser(*rates, N0=2, n0=1),
+                 "coherent_drive": CoherentDrive(rates[0] - 0.5j * rates[1]),
+                 "free_decay": FreeDecayMixture(((rates[0], 1.0),))}[kind]
+        rows, channels = self.make(model, spec, dt, M, block)
+        psi = rng.standard_normal(rows.initial.shape) + 1j * rng.standard_normal(
+            rows.initial.shape)
+        psi *= 10.0 ** rng.uniform(-3, 3, (M, 1))
+        if kind == "birth_death":
+            # each row in its own sector, with its own carrier count
+            n = rng.integers(0, n_max + 2, M)
+            rows.jumped(np.arange(M), rng.integers(0, 6, M) - model.N0, n - model.n0)
+            psi[n == 0, 0] = psi[n == n_max + 1, 1] = 0.0
+            vecs = self.dense_rows(rows, psi)
+        else:
+            vecs = psi
+        sq = np.einsum("md,md->m", psi.view(float), psi.view(float))
+        Z = np.empty_like(psi)
+        p = rows.no_jump(psi, Z, psi.view(float), Z.view(float), sq)
+        expected = np.zeros(M)
+        for ch in channels:
+            scale = rows.carrier if ch.scales_with_carrier else 1.0
+            if ch.operator is None:
+                expected += dt * ch.rate * scale
+            else:
+                C = vecs @ ch.operator.T
+                expected += dt * scale * np.einsum("md,md->m", C.conj(), C).real / sq
+        assert np.max(np.abs(p - expected)) <= 1e-12
+
+    @pytest.mark.parametrize("M, block", [(1, 1), (7, 3), (5, 8)])
+    def test_sector_block_rows_invert_sector_amplitudes(self, M, block):
+        # every stored row is its sector's two amplitudes at dense columns
+        # 2n - 1 and 2n, and zero elsewhere, block by block
+        spec = FockSpec(4)
+        rows, _ = self.make(BirthDeathLaser(1.0, 0.5, 0.5, N0=2, n0=1), spec, 0.01, M, block)
+        rng = np.random.default_rng(M)
+        n = np.arange(M) % (spec.n_max + 2)
+        rows.jumped(np.arange(M), 0, n - 1)
+        psi = rng.standard_normal((M, 2)) + 1j * rng.standard_normal((M, 2))
+        psi[n == 0, 0] = psi[n == spec.n_max + 1, 1] = 0.0
+        stored = []
+        for lo in range(0, M, block):
+            dense, carrier = rows.block_rows(psi, slice(lo, lo + block))
+            assert dense.shape == (len(carrier), spec.dim)
+            stored += [row.copy() for row in dense]
+        for m in range(M):
+            assert sector_amplitudes(stored[m], n[m]).tobytes() == psi[m].tobytes()
+
+    @pytest.mark.parametrize("block", [1, 2, 3])
+    def test_dense_jump_vectors_are_one_call_per_block(self, block):
+        # jumpers on both sides of each block boundary get the bits of a
+        # call on their own block's jumpers alone
+        spec = FockSpec(6)
+        M = 4 * block + 1
+        rows, _ = self.make(CoherentDrive(0.4), spec, 0.01, M, block)
+        rng = np.random.default_rng(block)
+        psi = rng.standard_normal((M, spec.dim)) + 1j * rng.standard_normal((M, spec.dim))
+        idx = np.array([m for m in range(M) if m % block in (0, block - 1)])
+        Y = rows.jump_vectors(psi, idx)
+        for lo in range(0, M, block):
+            mine = (idx >= lo) & (idx < lo + block)
+            alone, _ = self.make(CoherentDrive(0.4), spec, 0.01, block, block)
+            part = alone.jump_vectors(psi[lo:lo + block], idx[mine] - lo)
+            assert Y[mine].tobytes() == part.tobytes()
 
 
 class TestPinnedRecords:

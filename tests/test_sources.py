@@ -60,6 +60,13 @@ class TestModels:
             with pytest.raises(ValueError, match="integers"):
                 BirthDeathLaser(1.0, 1.0, 0.5, **counts)
 
+    def test_birth_death_counts_fit_int64(self):
+        # the engine holds each trajectory's carrier count as an int64
+        for counts in ({"N0": 2**63, "n0": 0}, {"N0": 1, "n0": 2**70}):
+            with pytest.raises(ValueError, match="below 2\\*\\*63"):
+                BirthDeathLaser(1.0, 1.0, 0.5, **counts)
+        assert BirthDeathLaser(1.0, 1.0, 0.5, N0=2**63 - 1, n0=0).N0 == 2**63 - 1
+
     @pytest.mark.parametrize("field", ["pump_rate", "gain_per_carrier", "nonlasing_rate"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_birth_death_non_finite_rejected(self, field, value):
