@@ -225,6 +225,11 @@ def load_config(path: str) -> ExperimentConfig:
         raise
     except (KeyError, TypeError, ValueError) as e:
         raise ConfigError(f"{path}: {e}") from e
+    except MemoryError as e:
+        # numpy refuses at once an array beyond the address space, such as
+        # the stored times of a grid of 1e14 steps or the initial state of
+        # an n_max of 1e13
+        raise ConfigError(f"{path}: too large to hold in memory: {e}") from e
 
 
 def atomic_write(path: str, text: str):

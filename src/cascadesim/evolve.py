@@ -268,17 +268,30 @@ class EnsembleResult:
     max_schmidt_entropies: list
 
 
-# uniforms a refill adds to a trajectory's stream, a power of two: a row reads
-# its uniforms from a ring of two such blocks, and a block goes to every row
-# with room for it at once; default_rng(seed).random(n) is exactly the first n
-# of the stream
+# uniforms a refill adds to a trajectory's stream at most, a power of two: a
+# row reads its uniforms from a ring of two such blocks, and a block goes to
+# every row with room for it at once; default_rng(seed).random(n) is exactly
+# the first n of the stream
 UNIFORM_BLOCK = 64
+# float64s that the rings of all rows of an engine call hold together: the
+# block is halved until they fit (512 KB), but not below RING_FLOOR uniforms,
+# where at 20 000 rows a step cost about as much as at 64 and 4 cost a third
+# more
+RING_LANES = 65536
+RING_FLOOR = 8
 # steps between renormalizations of every trajectory's state, which is
 # otherwise normalized only where a jump, a store or the diagnostics need it
 RENORMALIZE_EVERY = 64
 # seeds per block of run_ensemble: the unit of its reduction, of a pool task and of
 # a dense row's BLAS products; a constant, so the sum's order follows the seeds
 ENSEMBLE_BLOCK = 1024
+# bytes that one in-process engine call may hold for its rows, at 32 bytes per
+# complex amplitude of a row (its state and its no-jump state) and ROW_BYTES
+# more (tracemalloc put a row's bookkeeping, ring and seeding at 410-640
+# bytes); run_ensemble's window of seeds is as many whole seed blocks as fit
+# in it, and at least one
+WINDOW_BYTES = 4 << 20
+ROW_BYTES = 640
 # amplitudes of the normalized rows that the diagnostics hold, a step's rows
 # at a time, before their Schmidt entropies are taken in one pass: at most 64
 # steps and 512 KB, and per step when fewer than two steps fit
@@ -496,6 +509,16 @@ def _pcg64_fill(pcg, out, scratch):
         _add128(sh, sl, dh, dl, t[0])
 
 
+def _ring_width(rows: int) -> int:
+    """Uniforms a refill adds to each of rows streams: the largest power of
+    two up to UNIFORM_BLOCK for which the rows' rings of two blocks fit
+    RING_LANES float64s, or RING_FLOOR when that is larger.  A row reads at
+    most two uniforms a step, so any width of two or more gives the same
+    streams."""
+    fit = 1 << max(0, (RING_LANES // (2 * rows)).bit_length() - 1)
+    return min(UNIFORM_BLOCK, max(RING_FLOOR, fit))
+
+
 def _pair_dots(rows: int):
     """A function dots(a, b, out) that writes the row dots of (rows, 4) float
     arrays a and b into out, (rows,), as (q0 + q2) + (q1 + q3) of q = a * b.
@@ -568,9 +591,10 @@ class _DenseRows:
         return Y
 
     def jumped(self, idx, carrier_delta, quanta_delta):
-        """After rows idx jump, by channels with these deltas.  A dense row
-        holds its whole state, and these sources' channels move no carrier:
-        nothing to update."""
+        """After rows idx jump, by channels with these deltas; the first row
+        whose carrier count left int64, or None.  A dense row holds its
+        whole state, and these sources' channels move no carrier: nothing to
+        update."""
 
     def schmidt_weights(self, states):
         """Squared Schmidt coefficients of normalized rows, (2, rows)."""
@@ -653,10 +677,17 @@ class _SectorRows:
 
     def jumped(self, idx, carrier_delta, quanta_delta):
         """Move rows idx by their channels' deltas, and rewrite their no-jump
-        maps and classical step probabilities."""
-        self.carrier[idx] += carrier_delta
+        maps and classical step probabilities; the first row whose carrier
+        count left int64, or None."""
+        old = self.carrier[idx]
+        N = old + carrier_delta
+        # numpy's int64 add wraps: a count that moved against its delta left int64
+        wrapped = (N < old) != (carrier_delta < 0)
+        if wrapped.any():
+            return int(idx[wrapped.argmax()])
+        self.carrier[idx] = N
         self.n_pred[idx] += quanta_delta
-        n, N = self.n_pred[idx], self.carrier[idx]
+        n = self.n_pred[idx]
         maps = self.drift[n] - N[:, None, None] * self.damp[n]
         self.K[:, :, idx] = maps.transpose(2, 1, 0)
         self.p_classical[idx] = self.dt * (self.rate_fixed + self.rate_scaled * N)
@@ -689,9 +720,9 @@ def _ensemble_chunk(psi0_vec, config, source_model, grid, store_every, diagnosti
     The diagnosed rows wait in a history of min(64, DIAGNOSTIC_LANES // psi
     size) steps, or none when that is below two.  Each trajectory
     owns default_rng(seed)'s stream of uniforms and consumes one per step
-    plus one per jump, read in order from a ring of two UNIFORM_BLOCK blocks,
-    lane-major: a (2 UNIFORM_BLOCK, rows) array, so that a step's draws and a
-    refill of every row each touch contiguous lanes.
+    plus one per jump, read in order from a ring of two blocks of
+    _ring_width(rows) uniforms, lane-major: a (2 width, rows) array, so that
+    a step's draws and a refill of every row each touch contiguous lanes.
     Once some row has fewer than two unread, every row with a block's room
     gets one more block, from one _pcg64_fill call over those rows; a scalar
     countdown, which can only understate the fewest unread, says when to look.
@@ -705,7 +736,9 @@ def _ensemble_chunk(psi0_vec, config, source_model, grid, store_every, diagnosti
     it keeps.  Returns the records, each trajectory's largest Schmidt
     entropy (None without diagnostics), and the largest step probability,
     so the caller can warn about it.  A failure is raised at the earliest
-    step where any row fails.
+    step where any row fails.  The call holds every row of seeds at once,
+    about 32 width + ROW_BYTES bytes a row; run_ensemble bounds that by
+    calling it on one window of seed blocks at a time.
     """
     psi0 = PureState(psi0_vec).normalized().vec
     M, dim = len(seeds), len(psi0)
@@ -716,14 +749,15 @@ def _ensemble_chunk(psi0_vec, config, source_model, grid, store_every, diagnosti
     rows = (_SectorRows if isinstance(source_model, BirthDeathLaser) else _DenseRows)(
         psi0, source_model, H, channels, spec, dt, M, block)
     n_ch = len(channels)
-    quantum = [k for k, ch in enumerate(channels) if ch.operator is not None]
-    classical = [k for k, ch in enumerate(channels) if ch.operator is None]
+    # channel indices as intp arrays, which channel_probs indexes with as they are
+    quantum = np.flatnonzero([ch.operator is not None for ch in channels])
+    classical = np.flatnonzero([ch.operator is None for ch in channels])
+    scaled = np.flatnonzero([ch.scales_with_carrier for ch in channels])
     rates = np.array([channels[k].rate for k in classical])
-    scaled = [k for k, ch in enumerate(channels) if ch.scales_with_carrier]
     carrier_delta = np.array([ch.carrier_delta for ch in channels])
     quanta_delta = np.array([ch.quanta_delta for ch in channels])
     # position of each quantum channel among a row's jump vectors
-    slot = {k: j for j, k in enumerate(quantum)}
+    slot = {k: j for j, k in enumerate(quantum.tolist())}
 
     blocks = [slice(lo, lo + block) for lo in range(0, M, block)]
     psi = rows.initial
@@ -733,16 +767,17 @@ def _ensemble_chunk(psi0_vec, config, source_model, grid, store_every, diagnosti
     # each row's stream, read in order from a ring of two blocks, ring position
     # first and row last; every row that has room for a block gets one at
     # once, in one kernel call
-    pcg = _pcg64_seed(seed_words(seeds), UNIFORM_BLOCK)
-    ring = np.empty((2 * UNIFORM_BLOCK, M))
-    halves = ring.reshape(2, UNIFORM_BLOCK, M)
+    width = _ring_width(M)
+    pcg = _pcg64_seed(seed_words(seeds), width)
+    ring = np.empty((2 * width, M))
+    halves = ring.reshape(2, width, M)
     scratch = np.empty((4, (pcg.shape[1] - 1) * M), np.uint64)
     cursor = np.zeros(M, dtype=np.int64)  # uniforms read from each stream
     filled = np.zeros(M, dtype=np.int64)  # uniforms written, whole blocks
     # each row's next uniform is at flat ring index cursor M + row modulo the
-    # ring's size; pos holds that index, reduced at every refill call, and as
-    # no row reads more than the ring holds in between, it stays below twice
-    # the size, which take's wrap mode undoes with one subtraction
+    # ring's size; pos holds that index, reduced whenever a block is added,
+    # and as no row reads more than the ring holds in between, it stays below
+    # twice the size, which take's wrap mode undoes with one subtraction
     pos = np.arange(M)
     # never more than the fewest unread uniforms of any row: each draw_all
     # lowers that by exactly one and each draw by at most one
@@ -751,20 +786,24 @@ def _ensemble_chunk(psi0_vec, config, source_model, grid, store_every, diagnosti
     def refill():
         """Once some row has fewer than two unread uniforms, a block more for
         every row with room; the fewest unread of any row after."""
-        np.remainder(pos, ring.size, out=pos)
         unread = filled - cursor
         if unread.min() < 2:
-            idx = np.nonzero(unread <= UNIFORM_BLOCK)[0]
-            half = filled[idx] // UNIFORM_BLOCK % 2
-            if len(idx) == M and half.min() == half.max():
-                # every row, in step: straight into the ring
-                _pcg64_fill(pcg, halves[half[0]].T, scratch)
+            np.remainder(pos, ring.size, out=pos)
+            if unread.max() <= width and filled.min() == filled.max():
+                # every row, in step: straight into the ring, with no index
+                _pcg64_fill(pcg, halves[filled[0] // width % 2].T, scratch)
+                np.add(filled, width, out=filled)
+                unread += width
             else:
-                streams, block = pcg[..., idx], np.empty((UNIFORM_BLOCK, len(idx))).T
+                idx = np.nonzero(unread <= width)[0]
+                half = filled[idx] // width % 2
+                # take, not pcg[..., idx], whose rows-first strides slowed
+                # every word operation of the fill about twofold
+                streams, block = pcg.take(idx, axis=-1), np.empty((width, len(idx))).T
                 _pcg64_fill(streams, block, scratch)
                 pcg[..., idx], halves[half, :, idx] = streams, block
-            filled[idx] += UNIFORM_BLOCK
-            unread[idx] += UNIFORM_BLOCK
+                filled[idx] += width
+                unread[idx] += width
         return int(unread.min())
 
     def draw_all():
@@ -799,7 +838,7 @@ def _ensemble_chunk(psi0_vec, config, source_model, grid, store_every, diagnosti
         probs[:, quantum] = np.einsum("mkd,mkd->mk", Yq, Yq) / sq[idx][:, None]
         probs[:, classical] = rates
         probs *= dt
-        if scaled:
+        if len(scaled):
             probs[:, scaled] *= rows.carrier[idx][:, None]
         return Y, probs
 
@@ -903,7 +942,10 @@ def _ensemble_chunk(psi0_vec, config, source_model, grid, store_every, diagnosti
                     np.divide(v, nrm, out=psi[m])
                     sq[m] = 1.0
                 events[m].append((t_next, ch.label))
-            rows.jumped(jumpers, carrier_delta[ks], quanta_delta[ks])
+            m = rows.jumped(jumpers, carrier_delta[ks], quanta_delta[ks])
+            if m is not None:
+                raise InvariantViolationError(
+                    f"carrier count left int64 at t={t_next:.6g} (seed {seeds[m]})")
 
         storing = (step + 1) % store_every == 0
         # without a jump a row's squared norm shrinks by about 1 - p a step,
@@ -947,18 +989,34 @@ def workers_from_env() -> int:
     return workers
 
 
-def _projector_sum(psi0_vec, config, source_model, grid, store_every, diagnostics, seeds):
-    """One seed block of run_ensemble, as a pool task: its (n_stored, d, d)
-    projector sum, then the engine's results."""
-    d = len(psi0_vec)
-    acc = np.empty((len(grid.stored_times(store_every)), d, d), dtype=complex)
+def _window(source_model, dim: int) -> int:
+    """Seeds per in-process engine call of run_ensemble: as many whole seed
+    blocks as WINDOW_BYTES holds rows of this source, and at least one."""
+    width = 2 if isinstance(source_model, BirthDeathLaser) else dim
+    return max(1, WINDOW_BYTES // (ENSEMBLE_BLOCK * (32 * width + ROW_BYTES))) * ENSEMBLE_BLOCK
+
+
+def _projector_sum(psi0_vec, config, source_model, grid, store_every, diagnostics, seeds,
+                   acc=None):
+    """Step seeds, whole seed blocks, in one lockstep engine call and add each
+    block's projector sum at each stored time into acc, (n_stored, d, d), in
+    block order; a new acc, starting from the first block's sum, when None.
+    Returns acc, then the engine's results.  A pool task is one block; an
+    in-process window passes on the acc of the window before it."""
+    fresh = acc is None
+    if fresh:
+        d = len(psi0_vec)
+        acc = np.empty((len(grid.stored_times(store_every)), d, d), dtype=complex)
 
     def store(i, parts):
-        (psi, _), = parts
-        np.matmul(psi.T, psi.conj(), out=acc[i])
+        if fresh:
+            psi, _ = next(parts)
+            np.matmul(psi.T, psi.conj(), out=acc[i])
+        for psi, _ in parts:
+            acc[i] += psi.T @ psi.conj()
 
     return acc, *_ensemble_chunk(psi0_vec, config, source_model, grid, store_every,
-                                 diagnostics, store, seeds, len(seeds))
+                                 diagnostics, store, seeds, ENSEMBLE_BLOCK)
 
 
 def run_ensemble(psi0: PureState, config: CouplingConfig, source_model,
@@ -973,19 +1031,24 @@ def run_ensemble(psi0: PureState, config: CouplingConfig, source_model,
     divided by the seed count.  So each trajectory depends on its seed alone
     and the result on the arguments alone: the worker count changes only the
     wall time.  workers is an integer >= 1 and defaults to CASCADESIM_WORKERS.
-    With one worker, or one block, a single lockstep engine call runs every
-    block in-process and hands over each stored time block by block, whose
-    average is formed, passed on and dropped while the trajectories run, so
-    no array of every stored average is held.  With more workers a process
-    pool runs one block a task, each of which returns its (n_stored, d, d)
-    sum, and the observer is fed from the total once every block sum is in.
+
+    With one worker, or one block, the blocks run in-process in windows of
+    whole blocks whose rows fit WINDOW_BYTES (_window), one lockstep engine
+    call a window, so the engine's memory does not grow with the seed count.
+    When every seed fits one window, each stored time's average is formed
+    block by block, passed on and dropped while the trajectories run, so no
+    array of every stored average is held.  With more windows, each adds its
+    blocks' sums into one (n_stored, d, d) total.  With more workers a
+    process pool runs one block a task, each of which returns its
+    (n_stored, d, d) sum, added into the total in block order.  The observer
+    is fed from the total once every block is in.
 
     Each stored time's average goes to observe(rho) as a DensityOperator, in
     time order.  Without an observer the averages are collected into
     ``rho_avg``; with one, ``rho_avg`` is None.  A birth-death psi0 must lie
-    in the quanta sector of source_model.n0, as for mcwf_run.  In-process, a
-    failure is raised at the earliest failing step over all blocks; on a pool,
-    at the first failing block's.
+    in the quanta sector of source_model.n0, as for mcwf_run.  A failure is
+    the first failing window's, raised at the earliest step where any of its
+    trajectories fails; on a pool it is the first failing block's.
     """
     seeds = check_seeds(seeds)
     times = grid.stored_times(store_every)
@@ -997,7 +1060,8 @@ def run_ensemble(psi0: PureState, config: CouplingConfig, source_model,
         raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
     blocks = [seeds[i:i + ENSEMBLE_BLOCK] for i in range(0, len(seeds), ENSEMBLE_BLOCK)]
     workers = min(workers, len(blocks))
-    if workers == 1:
+    window = _window(source_model, len(psi0.vec))
+    if workers == 1 and len(seeds) <= window:
         def average(i, parts):
             psi, _ = next(parts)
             total = psi.T @ psi.conj()
@@ -1010,20 +1074,27 @@ def run_ensemble(psi0: PureState, config: CouplingConfig, source_model,
             psi0.vec, config, source_model, grid, store_every, diagnostics, average, seeds,
             ENSEMBLE_BLOCK)
     else:
-        # the pool pulls in multiprocessing, so only a run that uses one loads it
-        from concurrent.futures import ProcessPoolExecutor
+        chunk = partial(_projector_sum, psi0.vec, config, source_model, grid, store_every,
+                        diagnostics)
+        if workers == 1:
+            acc, parts = None, []
+            for lo in range(0, len(seeds), window):
+                acc, *part = chunk(seeds[lo:lo + window], acc)
+                parts.append(part)
+        else:
+            # the pool pulls in multiprocessing, so only a run that uses one loads it
+            from concurrent.futures import ProcessPoolExecutor
 
-        chunk = partial(_projector_sum, psi0.vec, config, source_model, grid,
-                        store_every, diagnostics)
-        with ProcessPoolExecutor(workers) as pool:
-            results = pool.map(chunk, blocks)
-            # the first block's sum and lists grow in place: no second copy of the sum
-            acc, records, entropies, max_p = next(results)
-            for block_acc, recs, ents, p in results:
-                acc += block_acc
-                records += recs
-                entropies += ents
-                max_p = max(max_p, p)
+            with ProcessPoolExecutor(workers) as pool:
+                results = pool.map(chunk, blocks)
+                acc, *part = next(results)
+                parts = [part]
+                for block_acc, *part in results:
+                    acc += block_acc
+                    parts.append(part)
+        records = [r for recs, _, _ in parts for r in recs]
+        entropies = [e for _, ents, _ in parts for e in ents]
+        max_p = max(p for _, _, p in parts)
         acc /= len(seeds)
         for mat in acc:
             observe(DensityOperator(mat, layout=COMPOSITE))

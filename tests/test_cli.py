@@ -199,6 +199,17 @@ class TestRunTrajectories:
         assert main(["run-trajectories", write_config(tmp_path, doc)]) == 3
         assert "reduce dt" in capsys.readouterr().err
 
+    def test_carrier_beyond_int64_exits_3(self, tmp_path, capsys):
+        # a pump on a carrier count of 2**63 - 1 would wrap the int64 around
+        doc = short_preset("birth_death.json")
+        doc["output_dir"] = str(tmp_path / "out")
+        doc["source"].update(N0=2**63 - 1, pump_rate=50.0, gain_per_carrier=0.0,
+                             nonlasing_rate=0.0)
+        assert main(["run-trajectories", write_config(tmp_path, doc)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("invariant violation:") and "carrier count left int64" in err
+        assert not (tmp_path / "out").exists()
+
     FAILING = {
         # the cavity fills until its emission crosses the hard step bound
         "dense_bound": {"source": {"kind": "coherent_drive", "epsilon": [1.5, 0.0]},
@@ -379,6 +390,9 @@ class TestConfigValidation:
          {"t0": -1e308, "t1": 1e308, "dt": 1.0}, "is not finite"),
         ("birth_death.json", "run-trajectories", ("source", "N0"), 2**63, "below 2**63"),
         ("birth_death.json", "run-trajectories", ("source", "N0"), 2**70, "below 2**63"),
+        # 1e14 stored times, 728 TiB: beyond the address space, refused at once
+        ("bare_cavity.json", "run-master", ("grid",), {"t0": 0.0, "t1": 1e15, "dt": 1.0},
+         "too large to hold in memory"),
     ])
     def test_value_beyond_machine_range_exits_2(self, tmp_path, capsys, preset, command, path,
                                                  value, message):

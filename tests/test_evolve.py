@@ -921,6 +921,15 @@ class TestEngineOracle:
         with pytest.raises(InvariantViolationError, match="non-finite drift"):
             run_ensemble(psi0, cfg, model, grid, range(3))
 
+    def test_carrier_beyond_int64_is_invariant_violation(self):
+        # carriers are int64: seed 0's first pump, at t = 0.04, would wrap
+        # 2**63 - 1 around to -2**63
+        model = BirthDeathLaser(1.0, 0.0, 0.0, N0=2**63 - 1, n0=1)
+        psi0 = ket(1, GROUND, FockSpec(4))
+        with pytest.raises(InvariantViolationError,
+                           match=re.escape("carrier count left int64 at t=0.04 (seed 0)")):
+            mcwf_run(psi0, self.CFG, model, TimeGrid(0.0, 5.0, 0.01), seed=0)
+
 
 def seed_sequence_words(seeds):
     return np.array([np.random.SeedSequence(int(s)).generate_state(4, np.uint64)
@@ -1736,6 +1745,96 @@ class TestLockstepBlocks:
             raised.append(failure_time(info.value))
         lockstep, pool, *alone = raised
         assert lockstep == min(alone) and pool == alone[0]
+
+
+class TestWindows:
+    """In-process, run_ensemble steps the seed blocks a window of whole
+    blocks at a time, as many as WINDOW_BYTES holds, and each engine call
+    narrows its rows' rings of uniforms to RING_LANES; neither changes a
+    bit, and the engine's memory stays bounded whatever the seed count."""
+
+    CFG = CouplingConfig(1.0, 0.5, 0.5)
+
+    @pytest.mark.parametrize("rows, width", [
+        # A2's 20 rows and cli-roundtrip's 32 keep every uniform of a block
+        (20, 64), (32, 64), (1024, 32),
+        # A7, A8 and laser-ensemble
+        (2000, 16),
+        (20000, evolve.RING_FLOOR),
+    ])
+    def test_ring_width(self, rows, width):
+        assert evolve._ring_width(rows) == width
+        assert 2 * width * rows <= evolve.RING_LANES or width == evolve.RING_FLOOR
+
+    def test_bundled_ensembles_run_in_one_window(self):
+        # A7's and laser-ensemble's 2000 sector rows, and A8's 2000 dense
+        # rows at d 42, each stay one lockstep engine call
+        assert evolve._window(BirthDeathLaser(1.0, 0.5, 0.5, N0=2, n0=1), 30) == 5 * evolve.ENSEMBLE_BLOCK
+        assert evolve._window(CoherentDrive(0.75), 42) == 2 * evolve.ENSEMBLE_BLOCK
+
+    @pytest.mark.filterwarnings("ignore:step probability")
+    @pytest.mark.parametrize("kind", ["birth_death", "coherent_drive"])
+    def test_many_windows_give_one_window_bits(self, monkeypatch, kind):
+        # seven seeds in blocks of two are four blocks: in-process, one window
+        # of all four, two windows of two blocks or four of one; on a pool,
+        # one block a task
+        model, psi0 = TestLockstepBlocks.ROWS[kind]
+        width = 2 if isinstance(model, BirthDeathLaser) else psi0.dim
+        grid = TimeGrid(0.0, 0.7, 0.005)
+        seeds = [5, 2, 9, 0, 7, 11, 3]
+        monkeypatch.setattr(evolve, "ENSEMBLE_BLOCK", 2)
+        runs = {}
+        for blocks, workers, calls in [(4, 1, 1), (2, 1, 2), (1, 1, 4), (1, 2, 0), (1, 3, 0)]:
+            monkeypatch.setattr(evolve, "WINDOW_BYTES", blocks * 2 * (32 * width + evolve.ROW_BYTES))
+            with mock.patch.object(evolve, "_ensemble_chunk", wraps=evolve._ensemble_chunk) as chunk:
+                runs[blocks, workers] = run_ensemble(psi0, self.CFG, model, grid, seeds,
+                                                     store_every=20, workers=workers)
+            assert chunk.call_count == calls
+        one = runs[4, 1]
+        assert max(one.max_schmidt_entropies) > 0.0 and len(one.rho_avg) == 8
+        for ens in runs.values():
+            assert [(r.seed, r.events) for r in ens.records] == \
+                [(r.seed, r.events) for r in one.records]
+            assert ens.max_schmidt_entropies == one.max_schmidt_entropies
+            for a, b in zip(ens.rho_avg, one.rho_avg, strict=True):
+                assert a.mat.tobytes() == b.mat.tobytes()
+
+    @pytest.mark.filterwarnings("ignore:step probability", "ignore:overflow", "ignore:invalid value")
+    @pytest.mark.parametrize("case", sorted(TestLockstepBlocks.FAILING))
+    def test_failure_is_the_first_failing_windows(self, monkeypatch, case):
+        # one block a window: in-process, the first failing window's error is
+        # the first failing block's, as on a pool
+        cfg, model, psi0, grid, error = TestLockstepBlocks.FAILING[case]
+        monkeypatch.setattr(evolve, "ENSEMBLE_BLOCK", 2)
+        monkeypatch.setattr(evolve, "WINDOW_BYTES", 0)
+        raised = []
+        for workers in (1, 2):
+            with pytest.raises(error) as info:
+                run_ensemble(psi0, cfg, model, grid, [5, 2, 9, 0, 7], workers=workers)
+            raised.append(str(info.value))
+        assert raised[0] == raised[1]
+
+    @pytest.mark.filterwarnings("ignore:step probability")
+    def test_memory_is_bounded_by_the_window(self):
+        # 20 000 seeds at A7's rates for 20 steps, diagnostics on: one window
+        # of rows, the diagnostics history, and what the run returns for each
+        # seed, a Record, its event list and its entropy, about 225 bytes
+        # (tracemalloc); about 33 MB when every row was alive at once
+        p = load_preset("a7.json")
+        model = BirthDeathLaser(**p["source"])
+        psi0 = ket(model.n0, GROUND, FockSpec(p["n_max"]))
+        grid = TimeGrid(0.0, 20 * p["grid"]["dt"], p["grid"]["dt"])
+        M = 20000
+        bound = evolve.WINDOW_BYTES + 16 * evolve.DIAGNOSTIC_LANES + 320 * M
+        tracemalloc.start()
+        try:
+            ens = run_ensemble(psi0, CouplingConfig(**p["coupling"]), model, grid, range(M),
+                               store_every=grid.n_steps, workers=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(ens.records) == M and len(ens.rho_avg) == 2
+        assert peak <= bound
 
 
 class TestUniformRing:
