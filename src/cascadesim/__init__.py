@@ -44,7 +44,6 @@ from .sources import (
     JumpChannel,
     build_L_S,
     classical_paths,
-    ring_paths,
     source_jump_channels,
     steady_amplitude,
 )

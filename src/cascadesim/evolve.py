@@ -23,13 +23,12 @@ pass when it is full and after the last step.  Only the
 trajectories that jump compute the per-channel jump vectors C_k psi, from
 their pre-step state, to pick the channel.  One uniform variate is drawn per
 step, plus one per jump for the channel.  Each trajectory owns exactly one
-stream of uniforms, default_rng(seed)'s, so results are bit-reproducible given
-(config, seed); the engine computes every stream's PCG64 states itself, in
-numpy integer arithmetic over all rows at once, and never imports
-numpy.random (the tests check each stream against numpy's own).  There is one
-trajectory engine, vectorized over seeds; a single trajectory is its one-seed
-call.  It hands each stored time's dense rows to its caller's store callback,
-one seed block at a time, and keeps none.
+stream of uniforms, default_rng(seed)'s, which it reads from a
+streams.UniformRing, so results are bit-reproducible given (config, seed);
+the streams module computes them without numpy.random.  There is one
+trajectory engine, vectorized over seeds; a single trajectory is its
+one-seed call.  It hands each stored time's dense rows to its caller's store
+callback, one seed block at a time, and keeps none.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ import math
 import os
 import warnings
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import partial
 
 import numpy as np
 
@@ -50,6 +49,7 @@ from .errors import (
 from .hilbert import COMPOSITE, DensityOperator, FockSpec, Operator, PureState, check_states
 from .liouvillian import CouplingConfig, Superoperator, block_gather, gather
 from .sources import BirthDeathLaser, unraveling
+from .streams import UniformRing
 
 SOFT_STEP_PROBABILITY = 0.01
 HARD_STEP_PROBABILITY = 0.1
@@ -268,17 +268,6 @@ class EnsembleResult:
     max_schmidt_entropies: list
 
 
-# uniforms a refill adds to a trajectory's stream at most, a power of two: a
-# row reads its uniforms from a ring of two such blocks, and a block goes to
-# every row with room for it at once; default_rng(seed).random(n) is exactly
-# the first n of the stream
-UNIFORM_BLOCK = 64
-# float64s that the rings of all rows of an engine call hold together: the
-# block is halved until they fit (512 KB), but not below RING_FLOOR uniforms,
-# where at 20 000 rows a step cost about as much as at 64 and 4 cost a third
-# more
-RING_LANES = 65536
-RING_FLOOR = 8
 # steps between renormalizations of every trajectory's state, which is
 # otherwise normalized only where a jump, a store or the diagnostics need it
 RENORMALIZE_EVERY = 64
@@ -356,167 +345,6 @@ def _sector_blocks(op: np.ndarray, shift: int, name: str) -> np.ndarray:
     out = np.zeros((S, 2, 2), dtype=complex)
     out[inside] = blocks[n[inside] + shift, n[inside]]
     return out
-
-
-@cache
-def _hash_consts(start: int, mult: int, n: int) -> np.ndarray:
-    """start * mult**k mod 2**32 for k = 0..n, as an (n + 1, 1) uint32 column."""
-    return np.array([start * mult**k % 2**32 for k in range(n + 1)], np.uint32)[:, None]
-
-
-def _hashmix(v, c, j, n, into=None):
-    """numpy SeedSequence's hashmix of v's n rows by c[j:]; mix(into, that), given into."""
-    v = v ^ c[j:j + n]
-    v *= c[j + 1:j + n + 1]
-    v ^= v >> 16
-    if into is not None:
-        v = into * 0xCA01F9DD - v * 0x4973F715
-        v ^= v >> 16
-    return v
-
-
-def seed_words(seeds) -> np.ndarray:
-    """np.random.SeedSequence(s).generate_state(4, np.uint64) of each seed s
-    >= 0, as (len(seeds), 4) rows: numpy's hash (numpy.random.bit_generator)
-    of every seed's 32-bit words at once, in uint32 arithmetic."""
-    try:
-        s = np.array(seeds, dtype=np.uint64)
-        words, n = np.stack([s, s >> 32, 0 * s, 0 * s]).astype(np.uint32), 4
-    except OverflowError:  # a seed of 2**64 or more
-        ints = [int(x) for x in seeds]
-        counts = np.array([(x.bit_length() + 31) // 32 for x in ints])
-        n = max(4, counts.max())
-        words = np.array([[x >> 32 * k & 0xFFFFFFFF for x in ints] for k in range(n)], np.uint32)
-    a = _hash_consts(0x43B0D7E5, 0x931E8875, 4 * n)
-    # a pool of four takes a seed's first words (zeros past its last, as in numpy) and
-    # mixes them into each other, then the words past four of the seeds that have them
-    pool = _hashmix(words[:4], a, 0, 4)
-    for src, dst in enumerate([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]]):
-        pool[dst] = _hashmix(pool[src], a, 4 + 3 * src, 3, into=pool[dst])
-    for src in range(4, n):
-        live = counts > src
-        pool[:, live] = _hashmix(words[src, live], a, 4 * src, 4, into=pool[:, live])
-    out = _hashmix(np.tile(pool, (2, 1)), _hash_consts(0x8B51F9DD, 0x58F38DED, 8), 0, 8)
-    return out.T.astype("<u4", order="C").view("<u8").astype(np.uint64, copy=False)
-
-
-# PCG64 (O'Neill, HMC-CS-2014-0905), default_rng's bit generator: a 128-bit
-# state that steps to state MULT + inc, held here as (high, low) uint64 words
-PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-# each row keeps S consecutive states, S the largest power of two that keeps a
-# kernel call over every row within this many lanes; at 2000 rows wider calls
-# fell out of cache and narrower ones paid more call overhead
-PCG64_LANES = 16384
-
-
-@cache
-def _pcg64_jumps(n: int) -> np.ndarray:
-    """Constants that take a state s k steps on, to A_k s + G_k inc mod 2**128,
-    for k = 1..n: A_k = MULT**k and G_k = 1 + MULT + ... + MULT**(k - 1).  A
-    (2, 4, n, 1) uint64 array: for A and G, the 32-bit halves of the low word,
-    then the low and the high word."""
-    consts, a, g = [], 1, 0
-    for _ in range(n):
-        a, g = a * PCG64_MULT % 2**128, (g * PCG64_MULT + 1) % 2**128
-        consts.append([[x & 0xFFFFFFFF, x >> 32 & 0xFFFFFFFF, x % 2**64, x >> 64] for x in (a, g)])
-    return np.array(consts, np.uint64).transpose(1, 2, 0)[..., None]
-
-
-def _mul128(h, l, c, t):
-    """(h, l) *= c mod 2**128 in place, c a multiplier's words as in
-    _pcg64_jumps; t is four scratch arrays shaped like h.  The high word of
-    l times c's low word comes from 32-bit half-products."""
-    l0, l1, mid, x = t
-    np.bitwise_and(l, 0xFFFFFFFF, out=l0)
-    np.right_shift(l, 32, out=l1)
-    np.multiply(l0, c[0], out=x)
-    x >>= 32
-    np.multiply(l1, c[0], out=mid)
-    mid += x
-    np.bitwise_and(mid, 0xFFFFFFFF, out=x)
-    l0 *= c[1]
-    x += l0
-    x >>= 32
-    mid >>= 32
-    l1 *= c[1]
-    l1 += mid
-    l1 += x
-    h *= c[2]
-    h += l1
-    np.multiply(l, c[3], out=x)
-    h += x
-    l *= c[2]
-
-
-def _add128(h, l, dh, dl, carry):
-    """(h, l) += (dh, dl) mod 2**128 in place; carry is scratch shaped like h."""
-    l += dl
-    np.less(l, dl, out=carry)
-    h += dh
-    h += carry
-
-
-def _pcg64_seed(words, width: int) -> np.ndarray:
-    """The PCG64 streams of seed_words rows (w0, w1, w2, w3), seeded as
-    numpy's PCG64 seeds itself: inc = (w2 w3) << 1 | 1, and the state before
-    the first draw is x MULT + inc, x = (w0 w1) + inc.
-
-    Returns a (2, S + 1, rows) uint64 array of high and low words: its first
-    S rows are the states of each stream's next S draws, its last is G_S inc,
-    which with A_S takes them S steps on.  S is a power of two, at most width
-    and at most PCG64_LANES / rows unless that is below one."""
-    rows = len(words)
-    S = min(width, 1 << max(0, (PCG64_LANES // rows).bit_length() - 1))
-    w0, w1, w2, w3 = words.T
-    # row k of x becomes A_{k+1} x + G_{k+1} inc, x stepped k + 1 times: the
-    # state before the first draw, then the states of draws 1..S
-    x, inc = np.empty((2, 2, S + 1, rows), np.uint64)
-    x[0], x[1], inc[0], inc[1] = w0, w1, w2 << 1 | w3 >> 63, w3 << 1 | 1
-    t = np.empty((4, S + 1, rows), np.uint64)
-    A, G = _pcg64_jumps(S + 1)
-    _add128(*x, *inc, t[0])
-    _mul128(*x, A, t)
-    _mul128(*inc, G, t)
-    _add128(*x, *inc, t[0])
-    return np.concatenate([x[:, 1:], inc[:, S - 1:S]], axis=1)
-
-
-def _pcg64_fill(pcg, out, scratch):
-    """Write the next n uniforms of the streams of pcg (_pcg64_seed's form,
-    advanced in place) into out, (R, n), n a multiple of S.
-
-    A uniform is default_rng's random(): the state steps, and the top 53 bits
-    of its XSL-RR output rotr64(high ^ low, high >> 58) are scaled by 2**-53.
-    All the work is done in place in scratch, four uint64 rows of at least
-    S R lanes."""
-    (sh, sl), (dh, dl) = pcg[:, :-1], pcg[:, -1]
-    S, R = sh.shape
-    A = _pcg64_jumps(S)[0, :, -1:]
-    t = [row[:S * R].reshape(S, R) for row in scratch]
-    x, r, y = t[:3]
-    for j in range(0, out.shape[1], S):
-        np.bitwise_xor(sh, sl, out=x)
-        np.right_shift(sh, 58, out=r)
-        np.right_shift(x, r, out=y)
-        # x << (64 - r) as two shifts below 64, so r = 0 gives 0
-        r ^= 63
-        x <<= 1
-        x <<= r
-        x |= y
-        x >>= 11
-        np.multiply(x.view(np.int64), 2.0**-53, out=out[:, j:j + S].T)
-        _mul128(sh, sl, A, t)
-        _add128(sh, sl, dh, dl, t[0])
-
-
-def _ring_width(rows: int) -> int:
-    """Uniforms a refill adds to each of rows streams: the largest power of
-    two up to UNIFORM_BLOCK for which the rows' rings of two blocks fit
-    RING_LANES float64s, or RING_FLOOR when that is larger.  A row reads at
-    most two uniforms a step, so any width of two or more gives the same
-    streams."""
-    fit = 1 << max(0, (RING_LANES // (2 * rows)).bit_length() - 1)
-    return min(UNIFORM_BLOCK, max(RING_FLOOR, fit))
 
 
 def _pair_dots(rows: int):
@@ -720,12 +548,7 @@ def _ensemble_chunk(psi0_vec, config, source_model, grid, store_every, diagnosti
     The diagnosed rows wait in a history of min(64, DIAGNOSTIC_LANES // psi
     size) steps, or none when that is below two.  Each trajectory
     owns default_rng(seed)'s stream of uniforms and consumes one per step
-    plus one per jump, read in order from a ring of two blocks of
-    _ring_width(rows) uniforms, lane-major: a (2 width, rows) array, so that
-    a step's draws and a refill of every row each touch contiguous lanes.
-    Once some row has fewer than two unread, every row with a block's room
-    gets one more block, from one _pcg64_fill call over those rows; a scalar
-    countdown, which can only understate the fewest unread, says when to look.
+    plus one per jump, read from one UniformRing over every row.
 
     The seeds are cut into consecutive blocks of at most block rows, which
     every row steps through in lockstep.  At stored time i of
@@ -764,67 +587,7 @@ def _ensemble_chunk(psi0_vec, config, source_model, grid, store_every, diagnosti
     Z = np.empty_like(psi)
     psi_f, Z_f = psi.view(float), Z.view(float)
 
-    # each row's stream, read in order from a ring of two blocks, ring position
-    # first and row last; every row that has room for a block gets one at
-    # once, in one kernel call
-    width = _ring_width(M)
-    pcg = _pcg64_seed(seed_words(seeds), width)
-    ring = np.empty((2 * width, M))
-    halves = ring.reshape(2, width, M)
-    scratch = np.empty((4, (pcg.shape[1] - 1) * M), np.uint64)
-    cursor = np.zeros(M, dtype=np.int64)  # uniforms read from each stream
-    filled = np.zeros(M, dtype=np.int64)  # uniforms written, whole blocks
-    # each row's next uniform is at flat ring index cursor M + row modulo the
-    # ring's size; pos holds that index, reduced whenever a block is added,
-    # and as no row reads more than the ring holds in between, it stays below
-    # twice the size, which take's wrap mode undoes with one subtraction
-    pos = np.arange(M)
-    # never more than the fewest unread uniforms of any row: each draw_all
-    # lowers that by exactly one and each draw by at most one
-    countdown = 0
-
-    def refill():
-        """Once some row has fewer than two unread uniforms, a block more for
-        every row with room; the fewest unread of any row after."""
-        unread = filled - cursor
-        if unread.min() < 2:
-            np.remainder(pos, ring.size, out=pos)
-            if unread.max() <= width and filled.min() == filled.max():
-                # every row, in step: straight into the ring, with no index
-                _pcg64_fill(pcg, halves[filled[0] // width % 2].T, scratch)
-                np.add(filled, width, out=filled)
-                unread += width
-            else:
-                idx = np.nonzero(unread <= width)[0]
-                half = filled[idx] // width % 2
-                # take, not pcg[..., idx], whose rows-first strides slowed
-                # every word operation of the fill about twofold
-                streams, block = pcg.take(idx, axis=-1), np.empty((width, len(idx))).T
-                _pcg64_fill(streams, block, scratch)
-                pcg[..., idx], halves[half, :, idx] = streams, block
-                filled[idx] += width
-                unread[idx] += width
-        return int(unread.min())
-
-    def draw_all():
-        """Next uniform of every trajectory, once a step, first in the step."""
-        nonlocal countdown
-        if countdown < 2:
-            countdown = refill()
-        countdown -= 1
-        u = ring.take(pos, mode="wrap")
-        np.add(pos, M, out=pos)
-        np.add(cursor, 1, out=cursor)
-        return u
-
-    def draw(idx):
-        """Next uniform of each trajectory in idx, after draw_all in its step."""
-        nonlocal countdown
-        countdown -= 1
-        u = ring.take(pos[idx], mode="wrap")
-        pos[idx] += M
-        cursor[idx] += 1
-        return u
+    uniforms = UniformRing(seeds)
 
     # squared norm of each row of psi: rows are normalized only when needed
     sq = np.ones(M)
@@ -906,7 +669,7 @@ def _ensemble_chunk(psi0_vec, config, source_model, grid, store_every, diagnosti
             )
         max_p = max(max_p, float(worst))
 
-        jumpers = np.nonzero(draw_all() < p_tot)[0]
+        jumpers = np.nonzero(uniforms.draw_all() < p_tot)[0]
         if len(jumpers):
             # from the pre-step states, before psi takes the no-jump state
             jump_vecs, probs = channel_probs(jumpers)
@@ -925,7 +688,7 @@ def _ensemble_chunk(psi0_vec, config, source_model, grid, store_every, diagnosti
             # scaled by the per-channel sum, which p_tot equals only to
             # rounding, so that r always falls inside the cumulative range;
             # the first channel whose cumulative probability exceeds r fires
-            r = draw(jumpers) * probs.sum(axis=1)
+            r = uniforms.draw(jumpers) * probs.sum(axis=1)
             passed = np.cumsum(probs, axis=1) <= r[:, None]
             ks = np.minimum(passed.sum(axis=1), n_ch - 1)
             for vecs, m, k in zip(jump_vecs, jumpers.tolist(), ks.tolist()):
@@ -996,6 +759,18 @@ def _window(source_model, dim: int) -> int:
     return max(1, WINDOW_BYTES // (ENSEMBLE_BLOCK * (32 * width + ROW_BYTES))) * ENSEMBLE_BLOCK
 
 
+def _add_projectors(parts, total=None):
+    """Add each block's projector sum psi.T @ psi.conj() of parts, store's
+    (psi, carrier) pairs, into total in block order; without total, a new
+    array that starts as the first block's sum.  Returns total."""
+    for psi, _ in parts:
+        if total is None:
+            total = psi.T @ psi.conj()
+        else:
+            total += psi.T @ psi.conj()
+    return total
+
+
 def _projector_sum(psi0_vec, config, source_model, grid, store_every, diagnostics, seeds,
                    acc=None):
     """Step seeds, whole seed blocks, in one lockstep engine call and add each
@@ -1009,11 +784,7 @@ def _projector_sum(psi0_vec, config, source_model, grid, store_every, diagnostic
         acc = np.empty((len(grid.stored_times(store_every)), d, d), dtype=complex)
 
     def store(i, parts):
-        if fresh:
-            psi, _ = next(parts)
-            np.matmul(psi.T, psi.conj(), out=acc[i])
-        for psi, _ in parts:
-            acc[i] += psi.T @ psi.conj()
+        acc[i] = _add_projectors(parts, None if fresh else acc[i])
 
     return acc, *_ensemble_chunk(psi0_vec, config, source_model, grid, store_every,
                                  diagnostics, store, seeds, ENSEMBLE_BLOCK)
@@ -1063,10 +834,7 @@ def run_ensemble(psi0: PureState, config: CouplingConfig, source_model,
     window = _window(source_model, len(psi0.vec))
     if workers == 1 and len(seeds) <= window:
         def average(i, parts):
-            psi, _ = next(parts)
-            total = psi.T @ psi.conj()
-            for psi, _ in parts:
-                total += psi.T @ psi.conj()
+            total = _add_projectors(parts)
             total /= len(seeds)
             observe(DensityOperator(total, layout=COMPOSITE))
 

@@ -196,22 +196,3 @@ def classical_paths(model, config: CouplingConfig, t_grid: np.ndarray,
     raise UnsupportedSourceError(
         f"classical paths are not defined for {type(model).__name__}"
     )
-
-
-def ring_paths(r0: float, D: float, gamma_S: float, t_grid: np.ndarray,
-               count: int, seed: int) -> list:
-    """Phase-diffusing ring ensemble: |alpha_t| = r0 exp(-gamma_S t/2), phase a
-    Brownian path with variance 2 D dt from a uniform initial phase."""
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    t = np.asarray(t_grid, dtype=float)
-    dt = np.diff(t)
-    rng = np.random.default_rng(seed)
-    radius = r0 * np.exp(-gamma_S * t / 2.0)
-    paths = []
-    for _ in range(count):
-        phi0 = rng.uniform(0.0, 2.0 * np.pi)
-        dphi = rng.normal(0.0, np.sqrt(2.0 * D * dt)) if len(dt) else np.array([])
-        phi = phi0 + np.concatenate(([0.0], np.cumsum(dphi)))
-        paths.append(ClassicalPath(t, radius * np.exp(1j * phi), weight=1.0 / count))
-    return paths

@@ -22,7 +22,7 @@ from cascadesim.hilbert import (
     qubit_state,
 )
 from cascadesim.liouvillian import CouplingConfig, build_L_ST, build_L_T
-from cascadesim.sources import ClassicalPath, FreeDecayMixture, classical_paths, ring_paths
+from cascadesim.sources import ClassicalPath, FreeDecayMixture, classical_paths
 from cascadesim.evolve import TimeGrid, evolve_master
 
 GROUND_RHO = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
@@ -30,6 +30,20 @@ GROUND_RHO = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
 
 def constant_path(alpha, t):
     return ClassicalPath(t, np.full(len(t), alpha, dtype=complex), weight=1.0)
+
+
+def diffusing_ring(r0, D, gamma_S, t, count, seed):
+    """count equally weighted paths |alpha_t| = r0 exp(-gamma_S t / 2) whose
+    phase is a Brownian path of variance 2 D dt a step from a uniform start."""
+    rng = np.random.default_rng(seed)
+    radius = r0 * np.exp(-gamma_S * t / 2.0)
+    paths = []
+    for _ in range(count):
+        phi0 = rng.uniform(0.0, 2.0 * np.pi)
+        steps = rng.normal(0.0, np.sqrt(2.0 * D * np.diff(t)))
+        phi = phi0 + np.concatenate(([0.0], np.cumsum(steps)))
+        paths.append(ClassicalPath(t, radius * np.exp(1j * phi), weight=1.0 / count))
+    return paths
 
 
 def literal_target_rk4(path, cfg, rho0):
@@ -204,7 +218,7 @@ class TestSeparatedTarget:
         # full propagator blocks and a partial one
         cfg = CouplingConfig(1.0, 0.5, 0.5, delta=0.7)
         t = np.arange(301) * 0.0005
-        (path,) = ring_paths(1.5, 0.4, cfg.gamma_S, t, count=1, seed=3)
+        (path,) = diffusing_ring(1.5, 0.4, cfg.gamma_S, t, count=1, seed=3)
         rho0 = np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]], dtype=complex)
         sol = solve_separated_target(path, cfg, rho0)
         assert np.array_equal(sol.rhos, stepwise_separated_target(path, cfg, rho0))
@@ -272,7 +286,7 @@ class TestAnsatzAssembly:
         fock = FockSpec(25)
         t = np.arange(301) * 0.0005
         # seven paths, so the weight 1/7 rounds and the product order shows
-        paths = ring_paths(1.5, 0.4, cfg.gamma_S, t, count=7, seed=5)
+        paths = diffusing_ring(1.5, 0.4, cfg.gamma_S, t, count=7, seed=5)
         conds = [solve_separated_target(p, cfg, GROUND_RHO) for p in paths]
         for j in (0, 1, 150, 300):
             rho = build_ansatz_state(paths, conds, j, fock)

@@ -614,7 +614,7 @@ class TestConfigProperty:
     """A malformed config ends in a documented exit code, never exit 4 or a
     traceback."""
 
-    @settings(max_examples=300, deadline=None,
+    @settings(max_examples=300, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.too_slow])
     @given(data=st.data(), name=st.sampled_from(RUNNABLE_PRESETS),
            command=st.sampled_from(["run-master", "run-trajectories"]))

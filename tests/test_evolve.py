@@ -62,10 +62,11 @@ from cascadesim.sources import (
 )
 import cascadesim.evolve as evolve
 import cascadesim.sources as sources
+# not "streams": TestStreams has a local variable of that name
+import cascadesim.streams as streams_mod
 from cascadesim.evolve import (
     RENORMALIZE_EVERY,
     STORE_BLOCK,
-    UNIFORM_BLOCK,
     TimeGrid,
     check_seeds,
     evolve_master,
@@ -73,9 +74,9 @@ from cascadesim.evolve import (
     mcwf_run,
     run_ensemble,
     sector_amplitudes,
-    seed_words,
     workers_from_env,
 )
+from cascadesim.streams import UNIFORM_BLOCK, UniformRing, seed_words
 
 BARE = CouplingConfig(1.0, 0.0, 0.0)  # cavity only, qubit decoupled
 
@@ -976,8 +977,8 @@ class TestStreams:
     def test_lockstep_refills_draw_default_rng(self, seeds, width, lanes, data):
         # each refill gives one to three kernel chunks of S draws to a subset
         # of the rows, S set by the block width and the lane budget
-        with mock.patch.object(evolve, "PCG64_LANES", lanes):
-            pcg = evolve._pcg64_seed(seed_words(seeds), width)
+        with mock.patch.object(streams_mod, "PCG64_LANES", lanes):
+            pcg = streams_mod._pcg64_seed(seed_words(seeds), width)
         S = pcg.shape[1] - 1
         assert S <= width and (S == 1 or S * len(seeds) <= lanes)
         refills = data.draw(st.lists(st.tuples(
@@ -988,7 +989,7 @@ class TestStreams:
         for rows, chunks in refills:
             idx = np.array(sorted(rows))
             streams, block = pcg[..., idx], np.empty((len(idx), chunks * S))
-            evolve._pcg64_fill(streams, block, scratch)
+            streams_mod._pcg64_fill(streams, block, scratch)
             pcg[..., idx] = streams
             for m, u in zip(idx, block):
                 drawn[m].append(u)
@@ -1000,11 +1001,11 @@ class TestStreams:
     def test_engine_sized_refills(self, rows):
         # two blocks of A7's row count at the kernel's own lane budget
         seeds = [3 + 7919 * m for m in range(rows)]
-        pcg = evolve._pcg64_seed(seed_words(seeds), UNIFORM_BLOCK)
+        pcg = streams_mod._pcg64_seed(seed_words(seeds), UNIFORM_BLOCK)
         scratch = np.empty((4, (pcg.shape[1] - 1) * rows), np.uint64)
         u = np.empty((rows, 2, UNIFORM_BLOCK))
         for half in range(2):
-            evolve._pcg64_fill(pcg, u[:, half], scratch)
+            streams_mod._pcg64_fill(pcg, u[:, half], scratch)
         for m in sorted({0, rows // 2, rows - 1}):
             assert np.array_equal(u[m].ravel(),
                                   np.random.default_rng(seeds[m]).random(2 * UNIFORM_BLOCK))
@@ -1760,11 +1761,11 @@ class TestWindows:
         (20, 64), (32, 64), (1024, 32),
         # A7, A8 and laser-ensemble
         (2000, 16),
-        (20000, evolve.RING_FLOOR),
+        (20000, streams_mod.RING_FLOOR),
     ])
     def test_ring_width(self, rows, width):
-        assert evolve._ring_width(rows) == width
-        assert 2 * width * rows <= evolve.RING_LANES or width == evolve.RING_FLOOR
+        assert streams_mod._ring_width(rows) == width
+        assert 2 * width * rows <= streams_mod.RING_LANES or width == streams_mod.RING_FLOOR
 
     def test_bundled_ensembles_run_in_one_window(self):
         # A7's and laser-ensemble's 2000 sector rows, and A8's 2000 dense
@@ -1875,11 +1876,15 @@ class TestUniformRing:
     @pytest.mark.parametrize("block", [2, UNIFORM_BLOCK])
     @pytest.mark.parametrize("case", sorted(NEAR_BOUND))
     def test_jumps_on_consecutive_steps(self, monkeypatch, case, block):
-        monkeypatch.setattr(evolve, "UNIFORM_BLOCK", block)
+        monkeypatch.setattr(streams_mod, "UNIFORM_BLOCK", block)
         model, psi0, grid, seeds = self.NEAR_BOUND[case]
-        with warnings.catch_warnings(record=True) as caught:
+        with warnings.catch_warnings(record=True) as caught, \
+                mock.patch.object(streams_mod, "_pcg64_fill",
+                                  wraps=streams_mod._pcg64_fill) as fill:
             warnings.simplefilter("always")
             records = self.check_records(model, psi0, grid, seeds)
+        # every refill of every engine call was a block of the patched width
+        assert {call.args[1].shape[1] for call in fill.call_args_list} == {block}
         largest = max(float(str(w.message).split()[2]) for w in caught
                       if "step probability" in str(w.message))
         assert 0.085 < largest <= evolve.HARD_STEP_PROBABILITY
@@ -1899,8 +1904,9 @@ class TestUniformRing:
         model = BirthDeathLaser(1.0, 0.3, 1.0, N0=1, n0=1)
         psi0, grid = ket(1, GROUND, FockSpec(5)), TimeGrid(0.0, 1.5, 0.005)
         seeds = [*range(6), *extra]
-        with mock.patch.object(evolve, "UNIFORM_BLOCK", block), \
-                mock.patch.object(evolve, "_pcg64_fill", wraps=evolve._pcg64_fill) as fill, \
+        with mock.patch.object(streams_mod, "UNIFORM_BLOCK", block), \
+                mock.patch.object(streams_mod, "_pcg64_fill",
+                                  wraps=streams_mod._pcg64_fill) as fill, \
                 warnings.catch_warnings():
             warnings.simplefilter("ignore")
             ens = run_ensemble(psi0, self.CFG, model, grid, seeds, store_every=grid.n_steps,
@@ -1910,6 +1916,36 @@ class TestUniformRing:
                 assert record.seed == seed and record.events == events
         assert [len(r.events) for r in ens.records[:6]] == [5, 2, 4, 3, 3, 13]
         assert any(len(call.args[1]) < len(seeds) for call in fill.call_args_list)
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(width=st.sampled_from([2, 4, 8, 16, 32, 64]),
+           seeds=st.lists(st.one_of(st.sampled_from(BOUNDARY_SEEDS), st.integers(0, 2**70)),
+                          min_size=2, max_size=6, unique=True),
+           data=st.data())
+    def test_ring_alone_draws_default_rng(self, width, seeds, data):
+        # the ring without the engine: each step draws every row's uniform,
+        # then one more for a drawn set of rows, as for the step's jumpers.
+        # Row 0 draws twice every step and row 1 once, so they drift more
+        # than a block apart and refills reach only some rows
+        M = len(seeds)
+        steps = data.draw(st.integers(3 * width, 3 * width + 20))
+        bits = data.draw(st.integers(0, 2 ** (steps * M) - 1))
+        drawn = [[] for _ in seeds]
+        with mock.patch.object(streams_mod, "UNIFORM_BLOCK", width), \
+                mock.patch.object(streams_mod, "_pcg64_fill",
+                                  wraps=streams_mod._pcg64_fill) as fill:
+            ring = UniformRing(seeds)
+            for step in range(steps):
+                for m, u in enumerate(ring.draw_all()):
+                    drawn[m].append(u)
+                idx = np.array([0, *(m for m in range(2, M) if bits >> (step * M + m) & 1)])
+                for m, u in zip(idx, ring.draw(idx)):
+                    drawn[m].append(u)
+        assert ring.width == width
+        in_ring = [np.shares_memory(call.args[1], ring.ring) for call in fill.call_args_list]
+        assert any(in_ring) and not all(in_ring)
+        for seed, u in zip(seeds, drawn):
+            assert np.array_equal(u, np.random.default_rng(seed).random(len(u)))
 
     @pytest.mark.filterwarnings("ignore:step probability")
     def test_more_than_five_ring_turns(self):
@@ -1923,12 +1959,14 @@ class TestUniformRing:
         # seed 5's carrier grows until the pump and the non-lasing loss cross
         # the bound, after its ring has turned; the message is pinned from a
         # run on numpy's own Generator streams
-        monkeypatch.setattr(evolve, "UNIFORM_BLOCK", block)
+        monkeypatch.setattr(streams_mod, "UNIFORM_BLOCK", block)
         model = BirthDeathLaser(1.5, 0.3, 1.5, N0=1, n0=1)
         psi0, grid = ket(1, GROUND, FockSpec(5)), TimeGrid(0.0, 7.0, 0.01)
         message = "step probability 0.105 > 0.1 at t=1.48 (largest channel: nonlasing); reduce dt"
         assert 1.48 / grid.dt > 2 * UNIFORM_BLOCK
-        with warnings.catch_warnings():
+        with warnings.catch_warnings(), \
+                mock.patch.object(streams_mod, "_pcg64_fill",
+                                  wraps=streams_mod._pcg64_fill) as fill:
             warnings.simplefilter("ignore")
             with pytest.raises(StepProbabilityError) as info:
                 run_ensemble(psi0, self.CFG, model, grid, range(16))
@@ -1939,3 +1977,4 @@ class TestUniformRing:
             for seed in [*range(5), *range(6, 16)]:
                 mcwf_run(psi0, self.CFG, model, grid, seed=seed, store_every=grid.n_steps,
                          diagnostics=False)
+        assert {call.args[1].shape[1] for call in fill.call_args_list} == {block}

@@ -174,7 +174,7 @@ class TestPartialTrace:
         with pytest.raises(DimensionMismatchError):
             partial_trace(rho, TARGET)
 
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 10**6), keep=st.sampled_from([SOURCE, TARGET]))
     def test_trace_and_positivity_preserved(self, seed, keep):
         rho = random_density(8, np.random.default_rng(seed))

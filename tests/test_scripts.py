@@ -64,3 +64,26 @@ def assert_usage_error(script, args, why):
     assert proc.stderr.startswith("usage:")
     assert why in proc.stderr and "Traceback" not in proc.stderr
     assert proc.stdout == ""
+
+
+def test_code_lines_counts_a_fixture_package(tmp_path):
+    # four code lines: the import, the def, and the two lines of the return;
+    # the docstrings, comments and blank lines count for nothing
+    (tmp_path / "mod.py").write_text(
+        '"""Module docstring."""\n'
+        "\n"
+        "import os  # a trailing comment\n"
+        "\n"
+        "# a comment line\n"
+        "\n"
+        "\n"
+        "def f(x):\n"
+        '    """A docstring\n'
+        '    over two lines."""\n'
+        "    return (x +\n"
+        "            len(os.sep))\n")
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "sub" / "empty.py").write_text('"""Only a docstring."""\n')
+    proc = script_process("code_lines.py", [str(tmp_path)])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["     4  mod.py", "     0  sub/empty.py", "     4  total"]

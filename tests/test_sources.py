@@ -8,18 +8,14 @@ from cascadesim.hilbert import (
     DensityOperator,
     FockSpec,
     annihilation,
-    coherent_state,
     embed,
     fock_state,
-    number_operator,
     partial_trace,
     product_state,
     qubit_state,
 )
 from cascadesim.liouvillian import (
     CouplingConfig,
-    Superoperator,
-    SuperoperatorTerm,
     apply,
     build_L_ST,
     build_L_T,
@@ -33,7 +29,6 @@ from cascadesim.sources import (
     FreeDecayMixture,
     build_L_S,
     classical_paths,
-    ring_paths,
     source_jump_channels,
     steady_amplitude,
     unraveling,
@@ -201,35 +196,6 @@ class TestClassicalPaths:
             ClassicalPath(np.linspace(0.0, 1.0, 3), np.zeros(3), weight=np.nan)
 
 
-class TestRingPaths:
-    def test_deterministic_given_seed(self):
-        t = np.linspace(0, 2, 41)
-        p1 = ring_paths(1.0, 0.3, 1.0, t, count=3, seed=9)
-        p2 = ring_paths(1.0, 0.3, 1.0, t, count=3, seed=9)
-        for a, b in zip(p1, p2):
-            assert np.array_equal(a.alphas, b.alphas)
-
-    def test_amplitude_is_deterministic_decay(self):
-        t = np.linspace(0, 3, 61)
-        for path in ring_paths(1.4, 0.5, 0.8, t, count=4, seed=2):
-            assert np.max(np.abs(np.abs(path.alphas) - 1.4 * np.exp(-0.8 * t / 2))) < 1e-12
-
-    def test_no_diffusion_keeps_phase(self):
-        t = np.linspace(0, 1, 11)
-        (path,) = ring_paths(1.0, 0.0, 1.0, t, count=1, seed=5)
-        phases = np.angle(path.alphas)
-        assert np.max(np.abs(phases - phases[0])) < 1e-12
-
-    def test_phase_decoherence_rate(self):
-        # ensemble mean of exp(i phi_t) has magnitude exp(-D t)
-        D, t1 = 0.4, 2.0
-        t = np.linspace(0, t1, 81)
-        paths = ring_paths(1.0, D, 0.0, t, count=4000, seed=11)
-        mean = np.mean([p.alphas[-1] / abs(p.alphas[-1]) * np.exp(-1j * np.angle(p.alphas[0]))
-                        for p in paths])
-        assert abs(abs(mean) - np.exp(-D * t1)) < 3.0 / np.sqrt(4000)
-
-
 class TestCoherenceUnderMaster:
     def test_driven_source_stays_coherent(self):
         # decoupled from the target (gamma_Tf = 0), the source remains pure
@@ -250,40 +216,3 @@ class TestCoherenceUnderMaster:
             purity = np.trace(rho_S.mat @ rho_S.mat).real
             assert purity > 1 - 1e-8
             assert abs(expectation(rho_S.mat, a) - alpha) < 1e-8
-
-
-class TestPhaseDampingCrossCheck:
-    def test_ring_ensemble_matches_dephasing_master(self):
-        # Gaussian phase averaging of coherent projectors = number-basis
-        # dephasing exp(-D t (m-n)^2) on top of amplitude decay
-        r0, D, gamma_S, t1 = 1.0, 0.3, 1.0, 1.5
-        spec = FockSpec(19)
-        count = 2000
-        t = np.linspace(0.0, t1, 31)
-        paths = ring_paths(r0, D, gamma_S, t, count=count, seed=21)
-        ensemble = np.zeros((spec.fock_dim, spec.fock_dim), dtype=complex)
-        for p in paths:
-            ensemble += p.weight * coherent_state(p.alphas[-1], spec).projector()
-
-        a = annihilation(spec).mat
-        n_op = number_operator(spec).mat
-        eye = np.eye(spec.fock_dim, dtype=complex)
-        terms = (
-            [SuperoperatorTerm(a, a.conj().T, gamma_S),
-             SuperoperatorTerm(a.conj().T @ a, eye, -gamma_S / 2),
-             SuperoperatorTerm(eye, a.conj().T @ a, -gamma_S / 2)]
-            + [SuperoperatorTerm(n_op, n_op, 2 * D),
-               SuperoperatorTerm(n_op @ n_op, eye, -D),
-               SuperoperatorTerm(eye, n_op @ n_op, -D)]
-        )
-        L = Superoperator(terms, spec.fock_dim)
-        rho0 = np.zeros_like(ensemble)
-        K = 64
-        for k in range(K):
-            rho0 += coherent_state(r0 * np.exp(2j * np.pi * k / K), spec).projector() / K
-        states = evolve_master(DensityOperator(rho0, layout=SOURCE), L,
-                               TimeGrid(0.0, t1, t1 / 300), store_every=300)
-        from cascadesim.analysis import trace_distance
-
-        td = trace_distance(DensityOperator(ensemble, layout=SOURCE), states[-1])
-        assert td < 3.0 / np.sqrt(count)
