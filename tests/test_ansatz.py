@@ -24,26 +24,13 @@ from cascadesim.hilbert import (
 from cascadesim.liouvillian import CouplingConfig, build_L_ST, build_L_T
 from cascadesim.sources import ClassicalPath, FreeDecayMixture, classical_paths
 from cascadesim.evolve import TimeGrid, evolve_master
+from conftest import diffusing_ring
 
 GROUND_RHO = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
 
 
 def constant_path(alpha, t):
     return ClassicalPath(t, np.full(len(t), alpha, dtype=complex), weight=1.0)
-
-
-def diffusing_ring(r0, D, gamma_S, t, count, seed):
-    """count equally weighted paths |alpha_t| = r0 exp(-gamma_S t / 2) whose
-    phase is a Brownian path of variance 2 D dt a step from a uniform start."""
-    rng = np.random.default_rng(seed)
-    radius = r0 * np.exp(-gamma_S * t / 2.0)
-    paths = []
-    for _ in range(count):
-        phi0 = rng.uniform(0.0, 2.0 * np.pi)
-        steps = rng.normal(0.0, np.sqrt(2.0 * D * np.diff(t)))
-        phi = phi0 + np.concatenate(([0.0], np.cumsum(steps)))
-        paths.append(ClassicalPath(t, radius * np.exp(1j * phi), weight=1.0 / count))
-    return paths
 
 
 def literal_target_rk4(path, cfg, rho0):

@@ -8,14 +8,18 @@ from cascadesim.hilbert import (
     DensityOperator,
     FockSpec,
     annihilation,
+    coherent_state,
     embed,
     fock_state,
+    number_operator,
     partial_trace,
     product_state,
     qubit_state,
 )
 from cascadesim.liouvillian import (
     CouplingConfig,
+    Superoperator,
+    SuperoperatorTerm,
     apply,
     build_L_ST,
     build_L_T,
@@ -34,6 +38,7 @@ from cascadesim.sources import (
     unraveling,
 )
 from cascadesim.evolve import TimeGrid, evolve_master, expectation, mcwf_run
+from conftest import diffusing_ring
 
 SPEC = FockSpec(6)
 CFG = CouplingConfig(1.0, 0.5, 0.5)
@@ -216,3 +221,40 @@ class TestCoherenceUnderMaster:
             purity = np.trace(rho_S.mat @ rho_S.mat).real
             assert purity > 1 - 1e-8
             assert abs(expectation(rho_S.mat, a) - alpha) < 1e-8
+
+
+class TestPhaseDampingCrossCheck:
+    def test_ring_ensemble_matches_dephasing_master(self):
+        # Gaussian phase averaging of coherent projectors = number-basis
+        # dephasing exp(-D t (m-n)^2) on top of amplitude decay
+        r0, D, gamma_S, t1 = 1.0, 0.3, 1.0, 1.5
+        spec = FockSpec(19)
+        count = 2000
+        t = np.linspace(0.0, t1, 31)
+        paths = diffusing_ring(r0, D, gamma_S, t, count=count, seed=21)
+        ensemble = np.zeros((spec.fock_dim, spec.fock_dim), dtype=complex)
+        for p in paths:
+            ensemble += p.weight * coherent_state(p.alphas[-1], spec).projector()
+
+        a = annihilation(spec).mat
+        n_op = number_operator(spec).mat
+        eye = np.eye(spec.fock_dim, dtype=complex)
+        terms = (
+            [SuperoperatorTerm(a, a.conj().T, gamma_S),
+             SuperoperatorTerm(a.conj().T @ a, eye, -gamma_S / 2),
+             SuperoperatorTerm(eye, a.conj().T @ a, -gamma_S / 2)]
+            + [SuperoperatorTerm(n_op, n_op, 2 * D),
+               SuperoperatorTerm(n_op @ n_op, eye, -D),
+               SuperoperatorTerm(eye, n_op @ n_op, -D)]
+        )
+        L = Superoperator(terms, spec.fock_dim)
+        rho0 = np.zeros_like(ensemble)
+        K = 64
+        for k in range(K):
+            rho0 += coherent_state(r0 * np.exp(2j * np.pi * k / K), spec).projector() / K
+        states = evolve_master(DensityOperator(rho0, layout=SOURCE), L,
+                               TimeGrid(0.0, t1, t1 / 300), store_every=300)
+        from cascadesim.analysis import trace_distance
+
+        td = trace_distance(DensityOperator(ensemble, layout=SOURCE), states[-1])
+        assert td < 3.0 / np.sqrt(count)
