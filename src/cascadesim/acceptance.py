@@ -110,25 +110,17 @@ def load_preset(name: str) -> dict:
         return json.load(f)
 
 
-def _coupling(d: dict) -> CouplingConfig:
-    return CouplingConfig(d["gamma_S"], d["gamma_Tf"], d["gamma_Ts"], d.get("delta", 0.0))
-
-
-def _grid(d: dict) -> TimeGrid:
-    return TimeGrid(d["t0"], d["t1"], d["dt"])
-
-
 def criterion_a1() -> CriterionResult:
     """Coherent source: every conditional trajectory state stays a product."""
     p = load_preset("a1.json")
-    cfg = _coupling(p["coupling"])
+    cfg = CouplingConfig(**p["coupling"])
     spec = FockSpec(p["n_max"])
     model = CoherentDrive(complex(*p["epsilon"]))
     psi0 = product_state(coherent_state(complex(*p["epsilon"]) * 2 / cfg.gamma_S,
                                         spec, warn=False),
                          qubit_state(GROUND))
     seeds = range(p["seed_start"], p["seed_start"] + p["trajectories"])
-    ens = run_ensemble(psi0, cfg, model, _grid(p["grid"]), seeds,
+    ens = run_ensemble(psi0, cfg, model, TimeGrid(**p["grid"]), seeds,
                        store_every=p["store_every"])
     worst = max(ens.max_schmidt_entropies)
     return CriterionResult(
@@ -191,12 +183,12 @@ def sector_residuals(psi0, config: CouplingConfig, model: BirthDeathLaser,
 def criterion_a2() -> CriterionResult:
     """Birth-death source: states confined to one quanta sector, yet entangled."""
     p = load_preset("a2.json")
-    cfg = _coupling(p["coupling"])
+    cfg = CouplingConfig(**p["coupling"])
     spec = FockSpec(p["n_max"])
     model = BirthDeathLaser(**p["source"])
     psi0 = product_state(fock_state(model.n0, spec), qubit_state(GROUND))
     seeds = range(p["seed_start"], p["seed_start"] + p["trajectories"])
-    grid = _grid(p["grid"])
+    grid = TimeGrid(**p["grid"])
     ens = run_ensemble(psi0, cfg, model, grid, seeds, store_every=p["store_every"])
     return CriterionResult(
         "A2", p["description"],
@@ -254,7 +246,7 @@ def criterion_a5() -> CriterionResult:
     p = load_preset("a5.json")
 
     ident = p["identity"]
-    cfg = _coupling(ident["coupling"])
+    cfg = CouplingConfig(**ident["coupling"])
     spec = FockSpec(ident["n_max"])
     rng = np.random.default_rng(ident["seed"])
     _, _, Lp_ST = regroup(build_L_S(FreeDecayMixture(((0.0, 1.0),)), spec), cfg)
@@ -272,10 +264,10 @@ def criterion_a5() -> CriterionResult:
         worst_id = max(worst_id, float(np.linalg.norm(lhs - rhs)))
 
     red = p["reduced_target"]
-    cfg2 = _coupling(red["coupling"])
+    cfg2 = CouplingConfig(**red["coupling"])
     spec2 = FockSpec(red["n_max"])
     model = CoherentDrive(complex(*red["epsilon"]))
-    grid = _grid(red["grid"])
+    grid = TimeGrid(**red["grid"])
     store = red["store_every"]
     rho0 = DensityOperator(
         product_state(fock_state(0, spec2), qubit_state(GROUND)).projector()
@@ -299,9 +291,9 @@ def criterion_a5() -> CriterionResult:
 def criterion_a6() -> CriterionResult:
     """Mixture-of-products solution reproduces the full master equation."""
     p = load_preset("a6.json")
-    cfg = _coupling(p["coupling"])
+    cfg = CouplingConfig(**p["coupling"])
     spec = FockSpec(p["n_max"])
-    grid = _grid(p["grid"])
+    grid = TimeGrid(**p["grid"])
     store = p["store_every"]
     K = p["amplitudes"]
     amps = tuple((p["radius"] * np.exp(2j * np.pi * k / K), 1.0 / K)
@@ -348,13 +340,13 @@ def criterion_a7() -> CriterionResult:
     """Averaged birth-death ensembles and phase-averaged products share the
     sector support pattern; the latter are separable."""
     p = load_preset("a7.json")
-    cfg = _coupling(p["coupling"])
+    cfg = CouplingConfig(**p["coupling"])
     spec = FockSpec(p["n_max"])
     model = BirthDeathLaser(**p["source"])
     psi0 = product_state(fock_state(model.n0, spec), qubit_state(GROUND))
     M = p["trajectories"]
     seeds = range(p["seed_start"], p["seed_start"] + M)
-    ens = run_ensemble(psi0, cfg, model, _grid(p["grid"]), seeds,
+    ens = run_ensemble(psi0, cfg, model, TimeGrid(**p["grid"]), seeds,
                        store_every=p["store_every"], diagnostics=False)
     tol = 5.0 / np.sqrt(M)
     worst_amp = 0.0
@@ -380,10 +372,10 @@ def criterion_a7() -> CriterionResult:
 def criterion_a8() -> CriterionResult:
     """Trajectory average agrees with the deterministic master equation."""
     p = load_preset("a8.json")
-    cfg = _coupling(p["coupling"])
+    cfg = CouplingConfig(**p["coupling"])
     spec = FockSpec(p["n_max"])
     model = CoherentDrive(complex(*p["epsilon"]))
-    grid = _grid(p["grid"])
+    grid = TimeGrid(**p["grid"])
     store = p["store_every"]
     psi0 = product_state(fock_state(0, spec), qubit_state(GROUND))
     M = p["trajectories"]
@@ -412,7 +404,7 @@ def criterion_a9() -> CriterionResult:
     rho0 = DensityOperator(
         product_state(fock_state(cav["n0"], spec), qubit_state(GROUND)).projector()
     )
-    grid = _grid(cav["grid"])
+    grid = TimeGrid(**cav["grid"])
     store = cav["store_every"]
     states = evolve_master(rho0, L, grid, store_every=store)
     n_op = embed(number_operator(spec), SOURCE, spec).mat
@@ -431,7 +423,7 @@ def criterion_a9() -> CriterionResult:
     ratio = errs[0] / errs[1]
 
     bl = p["bloch"]
-    cfg = _coupling(bl["coupling"])
+    cfg = CouplingConfig(**bl["coupling"])
     t = np.linspace(0.0, bl["t1"], bl["points"])
     path = ClassicalPath(t, np.full(len(t), bl["alpha"], dtype=complex), weight=1.0)
     sol = solve_separated_target(path, cfg, GROUND_RHO)

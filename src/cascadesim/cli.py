@@ -26,12 +26,13 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import (
+    ConfigError,
     InvariantViolationError,
     StepProbabilityError,
     UnsupportedSourceError,
@@ -63,15 +64,11 @@ from .hilbert import (
 from .liouvillian import CouplingConfig, build_L_ST, build_L_T
 from .sources import BirthDeathLaser, CoherentDrive, FreeDecayMixture, build_L_S
 
-# stored states stacked per product in _observable_rows: 0.35 MB at n_max 12
+# stored states stacked per product in _Observables: 0.35 MB at n_max 12
 OBSERVABLE_BLOCK = 32
 
 BASIS_ORDERING = ("composite index 2*n + q over |n, q>; q=0 ground, q=1 excited; "
                   "matrix rows/columns in this order, entries as [re, im]")
-
-
-class ConfigError(Exception):
-    pass
 
 
 @dataclass
@@ -148,7 +145,13 @@ def _parse_initial(doc: dict, spec: FockSpec) -> PureState:
         return product_state(fock_state(n, spec), qubit)
     if kind == "coherent":
         alpha = _complex(_require(doc, "alpha", "initial"), "initial.alpha")
-        return product_state(coherent_state(alpha, spec, warn=False), qubit)
+        try:
+            source = coherent_state(alpha, spec, warn=False)
+        except (OverflowError, InvariantViolationError) as e:
+            # |alpha|^2 beyond a float, or every amplitude up to n_max underflows
+            raise ConfigError(f"initial.alpha {alpha} gives no coherent state a float "
+                              f"can hold at n_max {spec.n_max} ({e})") from e
+        return product_state(source, qubit)
     raise ConfigError(f"unknown initial state kind {kind!r}")
 
 
@@ -169,9 +172,8 @@ def load_config(path: str) -> ExperimentConfig:
             raise ConfigError(f"{path}: the config must be a JSON object")
         cpl = _section(doc, "coupling", path, required=False)
         coupling = CouplingConfig(**{
-            key: _real(cpl.get(key, default), f"coupling.{key}")
-            for key, default in (("gamma_S", 1.0), ("gamma_Tf", 0.5),
-                                 ("gamma_Ts", 0.5), ("delta", 0.0))})
+            f.name: _real(cpl.get(f.name, f.default), f"coupling.{f.name}")
+            for f in fields(CouplingConfig)})
         n_max = _require(doc, "n_max", path)
         if not _is_int(n_max):
             raise ConfigError(f"n_max must be an integer, got {n_max!r}")
@@ -204,12 +206,11 @@ def load_config(path: str) -> ExperimentConfig:
                 raise ConfigError(f"{key} must be a string, got {value!r}")
         resolved = {
             "name": name,
-            "coupling": {"gamma_S": coupling.gamma_S, "gamma_Tf": coupling.gamma_Tf,
-                         "gamma_Ts": coupling.gamma_Ts, "delta": coupling.delta},
+            "coupling": asdict(coupling),
             "source": doc["source"],
             "initial": doc["initial"],
             "n_max": spec.n_max,
-            "grid": {"t0": grid.t0, "t1": grid.t1, "dt": grid.dt},
+            "grid": asdict(grid),
             "store_every": store_every,
             "seeds": seeds,
             "output_dir": output_dir,
@@ -225,11 +226,6 @@ def load_config(path: str) -> ExperimentConfig:
         raise
     except (KeyError, TypeError, ValueError) as e:
         raise ConfigError(f"{path}: {e}") from e
-    except MemoryError as e:
-        # numpy refuses at once an array beyond the address space, such as
-        # the stored times of a grid of 1e14 steps or the initial state of
-        # an n_max of 1e13
-        raise ConfigError(f"{path}: too large to hold in memory: {e}") from e
 
 
 def atomic_write(path: str, text: str):
@@ -282,78 +278,54 @@ def state_dump(rho: DensityOperator, spec: FockSpec, t: float) -> str:
     return f'{head}"matrix": {_matrix_format(rho.dim) % values}{tail}\n'
 
 
-@lru_cache(maxsize=4)
-def _observable_ops(spec: FockSpec):
-    """a, a^dag a, b and b^dag b on the composite space, read-only.
-
-    Cached, because a run builds observable rows once per block of states.
-    """
-    a = embed(annihilation(spec), SOURCE, spec).mat
-    n = a.conj().T @ a
-    b = embed(qubit_lowering(), TARGET, spec).mat
-    pe = b.conj().T @ b
-    for op in (a, n, b, pe):
-        op.flags.writeable = False
-    return a, n, b, pe
-
-
-def _observable_rows(times, rhos, spec: FockSpec):
-    """CSV header and rows: the observables and the purity of each stored state.
-
-    The states are stacked in blocks of OBSERVABLE_BLOCK, so the stacked copy
-    stays small however many states were stored; each block takes one
-    product for the four expectations and one for the purities.  The run
-    commands' observer (_Observables) receives each stored state from
-    evolve_master or run_ensemble as it is formed and calls this once per
-    OBSERVABLE_BLOCK of them, and once for the rest at the end.
-    """
-    # expectation(rho, op) = trace(op rho) = rho.ravel() . op.T.ravel()
-    ops = np.stack([op.T.ravel() for op in _observable_ops(spec)], axis=1)
-    table = np.empty((len(rhos), 8))
+def _observable_rows(times, stack, ops):
+    """CSV rows of the states of stack, a (B, d, d) array, at times: the
+    observables, one product of the stack with ops, and the purity, another."""
+    table = np.empty((len(stack), 8))
     table[:, 0] = times
-    for start in range(0, len(rhos), OBSERVABLE_BLOCK):
-        block = np.stack([rho.mat for rho in rhos[start:start + OBSERVABLE_BLOCK]])
-        rows = table[start:start + len(block)]
-        e = (block.reshape(len(block), -1) @ ops).view(float)
-        # re/im of <a>, re <n>, re/im of <b>, re <b^dag b>
-        rows[:, 1:7] = e[:, [0, 1, 2, 4, 5, 6]]
-        rows[:, 7] = np.einsum("tij,tji->t", block, block).real
-    header = ["time", "re_source_amp", "im_source_amp", "source_photons",
-              "re_qubit_coherence", "im_qubit_coherence", "excited_population",
-              "purity"]
-    return header, table.tolist()
+    e = (stack.reshape(len(stack), -1) @ ops).view(float)
+    # re/im of <a>, re <n>, re/im of <b>, re <b^dag b>
+    table[:, 1:7] = e[:, [0, 1, 2, 4, 5, 6]]
+    table[:, 7] = np.einsum("tij,tji->t", stack, stack).real
+    return table.tolist()
 
 
 class _Observables:
-    """Observer of a run's stored states that holds one block of them.
-
-    Each OBSERVABLE_BLOCK states go through _observable_rows together, so its
-    products have the shapes of one call over every state and give the same
-    rows; of the states only the last is kept, for the state dump.
+    """Observer of a run's stored states: it copies each into one stack of
+    OBSERVABLE_BLOCK states and takes a full stack's rows at once, so the
+    products have the same shapes however many states a run stores; of the
+    states only the last is kept, for the state dump.
     """
 
     def __init__(self, times, spec: FockSpec):
-        self.times, self.spec = times, spec
-        self.block, self.rows, self.last = [], [], None
+        a = embed(annihilation(spec), SOURCE, spec).mat
+        b = embed(qubit_lowering(), TARGET, spec).mat
+        # expectation(rho, op) = trace(op rho) = rho.ravel() . op.T.ravel()
+        self.ops = np.stack([op.T.ravel() for op in (a, a.conj().T @ a, b, b.conj().T @ b)],
+                            axis=1)
+        self.stack = np.empty((OBSERVABLE_BLOCK, spec.dim, spec.dim), dtype=complex)
+        self.times, self.filled, self.rows, self.last = times, 0, [], None
 
     def __call__(self, rho: DensityOperator):
-        self.block.append(rho)
+        self.stack[self.filled] = rho.mat
+        self.filled += 1
         self.last = rho
-        if len(self.block) == OBSERVABLE_BLOCK:
+        if self.filled == OBSERVABLE_BLOCK:
             self._flush()
 
     def _flush(self):
         start = len(self.rows)
-        self.header, rows = _observable_rows(
-            self.times[start:start + len(self.block)], self.block, self.spec)
-        self.rows += rows
-        self.block = []
+        self.rows += _observable_rows(self.times[start:start + self.filled],
+                                      self.stack[:self.filled], self.ops)
+        self.filled = 0
 
     def table(self):
         """CSV header and rows of every state observed."""
-        if self.block:
+        if self.filled:
             self._flush()
-        return self.header, self.rows
+        return ["time", "re_source_amp", "im_source_amp", "source_photons",
+                "re_qubit_coherence", "im_qubit_coherence", "excited_population",
+                "purity"], self.rows
 
 
 def _write_run(cfg: ExperimentConfig, command: str, obs: _Observables, dump_name: str):
@@ -382,38 +354,22 @@ def cmd_run_master(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _workers() -> int:
-    """CASCADESIM_WORKERS; a configuration error unless it is an integer >= 1."""
-    try:
-        return workers_from_env()
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
-
-
 def cmd_run_trajectories(cfg: ExperimentConfig) -> int:
-    workers = _workers()
     obs = _Observables(cfg.grid.stored_times(cfg.store_every), cfg.spec)
     ens = run_ensemble(PureState(cfg.initial_vec), cfg.coupling, cfg.source,
-                       cfg.grid, cfg.seeds, store_every=cfg.store_every, workers=workers,
-                       observe=obs)
+                       cfg.grid, cfg.seeds, store_every=cfg.store_every, observe=obs)
     _write_run(cfg, "run-trajectories", obs, "ensemble_state.json")
     rec_dir = os.path.join(cfg.output_dir, "records")
     os.makedirs(rec_dir, exist_ok=True)
+    channels = ("forward_f", "side_s", "pump", "gain", "nonlasing")
     traj_rows = []
     for rec, ent in zip(ens.records, ens.max_schmidt_entropies):
         write_csv(os.path.join(rec_dir, f"record_{rec.seed}.csv"),
                   ["time", "channel"],
                   [[float(t), lab] for t, lab in rec.events])
-        traj_rows.append([
-            rec.seed, len(rec.events),
-            rec.count("forward_f"), rec.count("side_s"),
-            rec.count("pump"), rec.count("gain"), rec.count("nonlasing"),
-            float(ent),
-        ])
+        traj_rows.append([rec.seed, len(rec.events), *map(rec.count, channels), float(ent)])
     write_csv(os.path.join(cfg.output_dir, "trajectories.csv"),
-              ["seed", "events", "forward_f", "side_s", "pump", "gain",
-               "nonlasing", "max_schmidt_entropy"],
-              traj_rows)
+              ["seed", "events", *channels, "max_schmidt_entropy"], traj_rows)
     return 0
 
 
@@ -429,7 +385,7 @@ def cmd_verify(suite: str, out_dir: str) -> int:
         print(f"error: unknown suite {suite!r}; choose 'all' or one of "
               f"{', '.join(sorted(CRITERIA))}", file=sys.stderr)
         return 2
-    _workers()  # the suite's ensembles read it; refuse a bad value before they run
+    workers_from_env()  # the suite's ensembles read it; refuse a bad value before they run
     results = run_suite(names)
     os.makedirs(out_dir, exist_ok=True)
     verdict = []
@@ -484,6 +440,11 @@ def main(argv=None) -> int:
         return cmd_run_trajectories(cfg)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
+        return 2
+    except MemoryError as e:
+        # numpy refuses at once an array beyond the address space, such as the
+        # stored times of a grid of 1e14 steps or an operator of n_max 5e6
+        print(f"config error: too large to hold in memory: {e}", file=sys.stderr)
         return 2
     except (InvariantViolationError, StepProbabilityError) as e:
         print(f"invariant violation: {e}", file=sys.stderr)

@@ -23,3 +23,7 @@ class InvariantViolationError(RuntimeError):
 
 class GridMismatchError(ValueError):
     """Time grids of the operands do not agree."""
+
+
+class ConfigError(ValueError):
+    """A run's configuration, its config file or CASCADESIM_WORKERS, is malformed."""

@@ -42,6 +42,7 @@ from functools import partial
 import numpy as np
 
 from .errors import (
+    ConfigError,
     GridMismatchError,
     InvariantViolationError,
     StepProbabilityError,
@@ -741,14 +742,14 @@ def _warn_step_probability(p: float):
 
 
 def workers_from_env() -> int:
-    """CASCADESIM_WORKERS as an int >= 1 (default 1); a ValueError naming it otherwise."""
+    """CASCADESIM_WORKERS as an int >= 1 (default 1); a ConfigError naming it otherwise."""
     value = os.environ.get("CASCADESIM_WORKERS", "1")
     try:
         workers = int(value)
     except ValueError:
         workers = 0
     if workers < 1:
-        raise ValueError(f"CASCADESIM_WORKERS must be an integer >= 1, got {value!r}")
+        raise ConfigError(f"CASCADESIM_WORKERS must be an integer >= 1, got {value!r}")
     return workers
 
 

@@ -19,14 +19,21 @@ from cascadesim.cli import (
     BASIS_ORDERING,
     OBSERVABLE_BLOCK,
     _Observables,
-    _observable_ops,
     _observable_rows,
     main,
     state_dump,
     write_csv,
 )
 from cascadesim.evolve import expectation
-from cascadesim.hilbert import DensityOperator, FockSpec
+from cascadesim.hilbert import (
+    SOURCE,
+    TARGET,
+    DensityOperator,
+    FockSpec,
+    annihilation,
+    embed,
+    qubit_lowering,
+)
 from conftest import random_density
 
 
@@ -411,19 +418,52 @@ class TestConfigValidation:
         assert main(["run-master", str(path)]) == 2
         assert "JSON object" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("preset, command, changes, message", [
+        # |alpha|^2 overflows a float
+        pytest.param("coherent_drive.json", "run-master",
+                     {"initial": {"kind": "coherent", "alpha": [1e200, 0]}}, "initial.alpha",
+                     id="alpha-overflows-master"),
+        pytest.param("coherent_drive.json", "run-trajectories",
+                     {"initial": {"kind": "coherent", "alpha": [1e200, 0]}}, "initial.alpha",
+                     id="alpha-overflows-trajectories"),
+        # every amplitude up to the cutoff underflows to zero
+        pytest.param("coherent_drive.json", "run-master",
+                     {"n_max": 12, "initial": {"kind": "coherent", "alpha": [40, 0]}},
+                     "at n_max 12", id="alpha-beyond-cutoff"),
+        # the state loads, then the first (n_max+1)^2 operator of the
+        # generator, 182 TiB, is refused at once
+        pytest.param("bare_cavity.json", "run-master", {"n_max": 5 * 10**6},
+                     "too large to hold in memory", id="operators-beyond-memory"),
+    ])
+    def test_unrepresentable_config_exits_2(self, tmp_path, capsys, preset, command, changes,
+                                            message):
+        doc = short_preset(preset)
+        doc["output_dir"] = str(tmp_path / "out")
+        doc.update(changes)
+        assert main([command, write_config(tmp_path, doc)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and message in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("name", ["missing.json", "."])
+    def test_unreadable_config_exits_2(self, tmp_path, capsys, monkeypatch, name):
+        monkeypatch.chdir(tmp_path)
+        assert main(["run-master", str(tmp_path / name)]) == 2
+        assert capsys.readouterr().err.startswith("config error: cannot read")
+        assert os.listdir(tmp_path) == []
+
 
 class TestObservableRows:
     def test_matches_per_row_expectation(self, rng):
         spec = FockSpec(4)
-        # crosses two block boundaries
-        rhos = [random_density(spec.dim, rng) for _ in range(2 * OBSERVABLE_BLOCK + 5)]
+        rhos = [random_density(spec.dim, rng) for _ in range(OBSERVABLE_BLOCK)]
         times = 0.1 * np.arange(len(rhos))
-        header, rows = _observable_rows(times, rhos, spec)
-        assert header == ["time", "re_source_amp", "im_source_amp", "source_photons",
-                          "re_qubit_coherence", "im_qubit_coherence",
-                          "excited_population", "purity"]
+        rows = _observable_rows(times, np.stack([rho.mat for rho in rhos]),
+                                _Observables(times, spec).ops)
         assert len(rows) == len(rhos)
-        a, n, b, pe = _observable_ops(spec)
+        a = embed(annihilation(spec), SOURCE, spec).mat
+        b = embed(qubit_lowering(), TARGET, spec).mat
+        n, pe = a.conj().T @ a, b.conj().T @ b
         for t, rho, row in zip(times, rhos, rows):
             ea, eb = expectation(rho, a), expectation(rho, b)
             expected = [t, ea.real, ea.imag, expectation(rho, n).real, eb.real, eb.imag,
@@ -433,13 +473,23 @@ class TestObservableRows:
 
     def test_observer_matches_one_call(self, rng):
         spec = FockSpec(4)
+        # crosses two block boundaries
         rhos = [random_density(spec.dim, rng) for _ in range(2 * OBSERVABLE_BLOCK + 5)]
         times = 0.1 * np.arange(len(rhos))
         obs = _Observables(times, spec)
         for rho in rhos:
             obs(rho)
-            assert len(obs.block) < OBSERVABLE_BLOCK
-        assert obs.table() == _observable_rows(times, rhos, spec)
+            assert obs.filled < OBSERVABLE_BLOCK
+        stack = np.stack([rho.mat for rho in rhos])
+        rows = []
+        for start in range(0, len(rhos), OBSERVABLE_BLOCK):
+            block = slice(start, start + OBSERVABLE_BLOCK)
+            rows += _observable_rows(times[block], stack[block], obs.ops)
+        header, table = obs.table()
+        assert header == ["time", "re_source_amp", "im_source_amp", "source_photons",
+                          "re_qubit_coherence", "im_qubit_coherence",
+                          "excited_population", "purity"]
+        assert table == rows
         assert obs.last is rhos[-1]
 
 

@@ -182,6 +182,12 @@ class TestTimeGrid:
         with pytest.raises(ValueError):
             TimeGrid(0.0, 1.0, 0.3)
 
+    @pytest.mark.parametrize("t0, t1, dt", [(0.0, math.inf, 0.1), (math.nan, 1.0, 0.1),
+                                            (0.0, 1.0, math.inf)])
+    def test_rejects_non_finite_times(self, t0, t1, dt):
+        with pytest.raises(ValueError, match="grid times must be finite"):
+            TimeGrid(t0, t1, dt)
+
     @pytest.mark.parametrize("t0, t1, dt", [(0.0, 1e300, 1e-300), (-1e308, 1e308, 1.0)])
     def test_rejects_overflowing_step_count(self, t0, t1, dt):
         # finite times whose step count overflows to inf
