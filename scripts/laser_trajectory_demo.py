@@ -76,7 +76,7 @@ def main():
           f"min {ents.min():.3f} / median {np.median(ents):.3f} / max {ents.max():.3f}")
     print(f"worst out-of-sector amplitude (dense replay of the records): {spans.max():.3e}")
 
-    n_op = embed(number_operator(spec), SOURCE, spec).mat
+    n_op = embed(number_operator(spec), SOURCE, spec)
     print(f"{'time':>7} {'<n> source':>11} {'P(excited)':>11}")
     for t, rho in zip(ens.times, ens.rho_avg):
         pe = partial_trace(rho, TARGET).mat[EXCITED, EXCITED].real

@@ -8,14 +8,12 @@ from .hilbert import (
     TARGET,
     DensityOperator,
     FockSpec,
-    Operator,
     PureState,
     adequate_n_max,
     annihilation,
     coherent_state,
     embed,
     fock_state,
-    identity,
     number_operator,
     partial_trace,
     product_state,

@@ -231,9 +231,9 @@ def criterion_a4() -> CriterionResult:
     for _ in range(p["configs"]):
         cfg = CouplingConfig(*rng.uniform(0.2, 2.0, size=3), delta=rng.normal())
         f, s = build_jump_ops(cfg, spec)
-        assembled = (build_H_T(cfg, spec).mat + build_H_ST(cfg, spec).mat
-                     - 0.5j * (s.dag().mat @ s.mat) - 0.5j * (f.dag().mat @ f.mat))
-        dev = float(np.max(np.abs(assembled - build_nonhermitian_H(cfg, spec).mat)))
+        assembled = (build_H_T(cfg, spec) + build_H_ST(cfg, spec)
+                     - 0.5j * (s.conj().T @ s) - 0.5j * (f.conj().T @ f))
+        dev = float(np.max(np.abs(assembled - build_nonhermitian_H(cfg, spec))))
         worst = max(worst, dev)
     return CriterionResult(
         "A4", p["description"],
@@ -258,7 +258,7 @@ def criterion_a5() -> CriterionResult:
         rho_T = M @ M.conj().T
         rho_T /= np.trace(rho_T)
         P = coherent_state(alpha, spec).projector()
-        Hd = drive_hamiltonian(alpha, cfg).mat
+        Hd = drive_hamiltonian(alpha, cfg)
         lhs = apply(Lp_ST, np.kron(P, rho_T))
         rhs = np.kron(P, -1j * (Hd @ rho_T - rho_T @ Hd))
         worst_id = max(worst_id, float(np.linalg.norm(lhs - rhs)))
@@ -407,7 +407,7 @@ def criterion_a9() -> CriterionResult:
     grid = TimeGrid(**cav["grid"])
     store = cav["store_every"]
     states = evolve_master(rho0, L, grid, store_every=store)
-    n_op = embed(number_operator(spec), SOURCE, spec).mat
+    n_op = embed(number_operator(spec), SOURCE, spec)
     worst_dec = max(
         abs(expectation(rho, n_op).real
             - cav["n0"] * np.exp(-cav["gamma_S"] * t))

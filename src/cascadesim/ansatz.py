@@ -23,22 +23,22 @@ import numpy as np
 
 from .analysis import trace_distance
 from .errors import DimensionMismatchError, GridMismatchError
-from .hilbert import (COMPOSITE, DensityOperator, FockSpec, Operator, add_product, coherent_state,
+from .hilbert import (COMPOSITE, DensityOperator, FockSpec, add_product, coherent_state,
                       qubit_lowering)
 from .liouvillian import CouplingConfig
 from .sources import ClassicalPath
 
-_B = qubit_lowering().mat
+_B = qubit_lowering()
 _BD = _B.conj().T
 _NB = _BD @ _B
 # RK4 steps whose propagators are held at once by solve_separated_target
 _BLOCK_STEPS = 64
 
 
-def drive_hamiltonian(alpha: complex, config: CouplingConfig) -> Operator:
+def drive_hamiltonian(alpha: complex, config: CouplingConfig) -> np.ndarray:
     """Classical-field drive i sqrt(gS gTf) (alpha* b - alpha b^dag), a 2x2 operator."""
     g = np.sqrt(config.gamma_S * config.gamma_Tf)
-    return Operator(1j * g * (np.conj(alpha) * _B - alpha * _BD))
+    return 1j * g * (np.conj(alpha) * _B - alpha * _BD)
 
 
 @dataclass

@@ -33,6 +33,7 @@ import numpy as np
 
 from .errors import (
     ConfigError,
+    DimensionMismatchError,
     InvariantViolationError,
     StepProbabilityError,
     UnsupportedSourceError,
@@ -147,7 +148,7 @@ def _parse_initial(doc: dict, spec: FockSpec) -> PureState:
         alpha = _complex(_require(doc, "alpha", "initial"), "initial.alpha")
         try:
             source = coherent_state(alpha, spec, warn=False)
-        except (OverflowError, InvariantViolationError) as e:
+        except (ValueError, InvariantViolationError) as e:
             # |alpha|^2 beyond a float, or every amplitude up to n_max underflows
             raise ConfigError(f"initial.alpha {alpha} gives no coherent state a float "
                               f"can hold at n_max {spec.n_max} ({e})") from e
@@ -298,8 +299,8 @@ class _Observables:
     """
 
     def __init__(self, times, spec: FockSpec):
-        a = embed(annihilation(spec), SOURCE, spec).mat
-        b = embed(qubit_lowering(), TARGET, spec).mat
+        a = embed(annihilation(spec), SOURCE, spec)
+        b = embed(qubit_lowering(), TARGET, spec)
         # expectation(rho, op) = trace(op rho) = rho.ravel() . op.T.ravel()
         self.ops = np.stack([op.T.ravel() for op in (a, a.conj().T @ a, b, b.conj().T @ b)],
                             axis=1)
@@ -345,7 +346,9 @@ def cmd_run_master(cfg: ExperimentConfig) -> int:
         L = (build_L_S(cfg.source, cfg.spec)
              + build_L_T(cfg.coupling, cfg.spec)
              + build_L_ST(cfg.coupling, cfg.spec))
-    except UnsupportedSourceError as e:
+        # the gather form, refused here if too large; evolve_master reuses it
+        L.compiled
+    except (UnsupportedSourceError, DimensionMismatchError) as e:
         raise ConfigError(str(e)) from e
     rho0 = DensityOperator(np.outer(cfg.initial_vec, cfg.initial_vec.conj()))
     obs = _Observables(cfg.grid.stored_times(cfg.store_every), cfg.spec)

@@ -47,7 +47,7 @@ from .errors import (
     InvariantViolationError,
     StepProbabilityError,
 )
-from .hilbert import COMPOSITE, DensityOperator, FockSpec, Operator, PureState, check_states
+from .hilbert import COMPOSITE, DensityOperator, FockSpec, PureState, check_states
 from .liouvillian import CouplingConfig, Superoperator, block_gather, gather
 from .sources import BirthDeathLaser, unraveling
 from .streams import UniformRing
@@ -136,7 +136,7 @@ class TrajectoryResult:
 def expectation(rho, op) -> complex:
     """trace(op @ rho)."""
     m = rho.mat if isinstance(rho, DensityOperator) else np.asarray(rho)
-    o = op.mat if isinstance(op, Operator) else np.asarray(op)
+    o = np.asarray(op)
     if m.shape != o.shape:
         raise GridMismatchError(f"shapes {m.shape} and {o.shape} differ")
     return complex(np.sum(o.T * m))

@@ -1,5 +1,7 @@
 """Truncated Fock (x) qubit Hilbert space: operators, states, partial traces.
 
+Operators are complex ndarrays; states are PureState and DensityOperator.
+
 Basis ordering is fixed package-wide: the composite index is ``2*n + q``
 with Fock index ``n`` and qubit index ``q``, where ``q = 0`` is the qubit
 ground state |-> and ``q = 1`` the excited state |+>.  Composite operators
@@ -50,35 +52,6 @@ def adequate_n_max(alpha: complex) -> int:
 
 
 @dataclass
-class Operator:
-    """Dense operator on a truncated space."""
-
-    mat: np.ndarray
-
-    def __post_init__(self):
-        self.mat = np.asarray(self.mat, dtype=complex)
-        if self.mat.ndim != 2 or self.mat.shape[0] != self.mat.shape[1]:
-            raise DimensionMismatchError(f"operator matrix must be square, got {self.mat.shape}")
-
-    @property
-    def dim(self) -> int:
-        return self.mat.shape[0]
-
-    def dag(self) -> "Operator":
-        return Operator(self.mat.conj().T)
-
-    def __matmul__(self, other: "Operator") -> "Operator":
-        if self.dim != other.dim:
-            raise DimensionMismatchError(f"dims {self.dim} and {other.dim}")
-        return Operator(self.mat @ other.mat)
-
-    def __mul__(self, scalar: complex) -> "Operator":
-        return Operator(scalar * self.mat)
-
-    __rmul__ = __mul__
-
-
-@dataclass
 class PureState:
     """State vector; `dim` is either the composite dim or a single-factor dim."""
 
@@ -126,10 +99,6 @@ class DensityOperator:
     @property
     def dim(self) -> int:
         return self.mat.shape[0]
-
-    @property
-    def trace(self) -> complex:
-        return complex(np.trace(self.mat))
 
     def check(self, trace_tol: float = 1e-10, herm_tol: float = 1e-12, eig_tol: float = 1e-10):
         """Raise InvariantViolationError if trace/hermiticity/positivity are off;
@@ -194,38 +163,33 @@ def total_quanta(dim: int) -> np.ndarray:
     return (np.arange(dim) + 1) // 2
 
 
-def annihilation(spec: FockSpec) -> Operator:
+def annihilation(spec: FockSpec) -> np.ndarray:
     """Photon annihilation: <n-1| a |n> = sqrt(n), truncated at n_max."""
     d = spec.fock_dim
-    return Operator(np.diag(np.sqrt(np.arange(1, d, dtype=float)), k=1))
+    return np.diag(np.sqrt(np.arange(1, d, dtype=float)), k=1).astype(complex)
 
 
-def number_operator(spec: FockSpec) -> Operator:
-    return Operator(np.diag(np.arange(spec.fock_dim, dtype=float)))
+def number_operator(spec: FockSpec) -> np.ndarray:
+    return np.diag(np.arange(spec.fock_dim, dtype=float)).astype(complex)
 
 
-def qubit_lowering() -> Operator:
+def qubit_lowering() -> np.ndarray:
     """<-| b |+> = 1 in the (|->, |+>) ordering; b^2 = 0."""
     m = np.zeros((2, 2), dtype=complex)
     m[GROUND, EXCITED] = 1.0
-    return Operator(m)
+    return m
 
 
-def identity(dim: int) -> Operator:
-    return Operator(np.eye(dim, dtype=complex))
-
-
-def embed(op: Operator, which: str, spec: FockSpec) -> Operator:
+def embed(op: np.ndarray, which: str, spec: FockSpec) -> np.ndarray:
     """Tensor a single-factor operator with identity on the other factor."""
+    if which not in (SOURCE, TARGET):
+        raise ValueError(f"which must be 'source' or 'target', got {which!r}")
+    dim = spec.fock_dim if which == SOURCE else QUBIT_DIM
+    if op.shape != (dim, dim):
+        raise DimensionMismatchError(f"{which} op shape {op.shape} != ({dim}, {dim})")
     if which == SOURCE:
-        if op.dim != spec.fock_dim:
-            raise DimensionMismatchError(f"source op dim {op.dim} != {spec.fock_dim}")
-        return Operator(np.kron(op.mat, np.eye(QUBIT_DIM)))
-    if which == TARGET:
-        if op.dim != QUBIT_DIM:
-            raise DimensionMismatchError(f"target op dim {op.dim} != {QUBIT_DIM}")
-        return Operator(np.kron(np.eye(spec.fock_dim), op.mat))
-    raise ValueError(f"which must be 'source' or 'target', got {which!r}")
+        return np.kron(op, np.eye(QUBIT_DIM))
+    return np.kron(np.eye(spec.fock_dim), op)
 
 
 def fock_state(n: int, spec: FockSpec) -> PureState:
@@ -259,8 +223,12 @@ def coherent_state(alpha: complex, spec: FockSpec, warn: bool = True) -> PureSta
     """Truncated coherent state, renormalized after the cutoff.
 
     Warns when the cutoff is below the adequacy rule n_max >= |a|^2 + 8|a| + 10,
-    which keeps the Poisson tail mass below ~1e-12.
+    which keeps the Poisson tail mass below ~1e-12.  Raises ValueError when
+    |a|^2 is not a finite float (a NaN or infinite alpha, or |a| > ~1.3e154).
     """
+    size = math.hypot(alpha.real, alpha.imag)
+    if not math.isfinite(size * size):
+        raise ValueError(f"alpha={alpha} has no finite |alpha|^2")
     if warn and spec.n_max < adequate_n_max(alpha):
         warnings.warn(
             f"n_max={spec.n_max} below the adequacy rule ({adequate_n_max(alpha)}) "

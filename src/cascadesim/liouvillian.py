@@ -40,7 +40,6 @@ from .hilbert import (
     TARGET,
     DensityOperator,
     FockSpec,
-    Operator,
     annihilation,
     embed,
     qubit_lowering,
@@ -202,10 +201,10 @@ def dissipator_terms(C: np.ndarray, rate: float = 1.0) -> list:
     ]
 
 
-def build_H_T(config: CouplingConfig, spec: FockSpec) -> Operator:
+def build_H_T(config: CouplingConfig, spec: FockSpec) -> np.ndarray:
     """Free qubit Hamiltonian delta * b^dag b on the composite space."""
     b = qubit_lowering()
-    return embed(config.delta * (b.dag() @ b), TARGET, spec)
+    return embed(config.delta * (b.conj().T @ b), TARGET, spec)
 
 
 def _scaled_ops(config: CouplingConfig, spec: FockSpec) -> tuple:
@@ -215,35 +214,35 @@ def _scaled_ops(config: CouplingConfig, spec: FockSpec) -> tuple:
     product A^dag B come out bit for bit the same wherever it appears, so
     -i H_ST - f^dag f / 2 cancels its A^dag B part exactly at any rates.
     """
-    a = embed(annihilation(spec), SOURCE, spec).mat
-    b = embed(qubit_lowering(), TARGET, spec).mat
+    a = embed(annihilation(spec), SOURCE, spec)
+    b = embed(qubit_lowering(), TARGET, spec)
     return np.sqrt(config.gamma_S) * a, np.sqrt(config.gamma_Tf) * b
 
 
-def build_H_ST(config: CouplingConfig, spec: FockSpec) -> Operator:
+def build_H_ST(config: CouplingConfig, spec: FockSpec) -> np.ndarray:
     """One-way coupling Hamiltonian (i/2) (A^dag B - A B^dag) = (i/2) sqrt(gS gTf) (a^dag b - a b^dag)."""
     A, B = _scaled_ops(config, spec)
-    return Operator(0.5j * (A.conj().T @ B - A @ B.conj().T))
+    return 0.5j * (A.conj().T @ B - A @ B.conj().T)
 
 
 def build_jump_ops(config: CouplingConfig, spec: FockSpec) -> tuple:
     """Forward and side jump operators f = A + B = sqrt(gS) a + sqrt(gTf) b, s = sqrt(gTs) b."""
     A, B = _scaled_ops(config, spec)
     b = embed(qubit_lowering(), TARGET, spec)
-    return Operator(A + B), Operator(np.sqrt(config.gamma_Ts) * b.mat)
+    return A + B, np.sqrt(config.gamma_Ts) * b
 
 
 def build_L_T(config: CouplingConfig, spec: FockSpec) -> Superoperator:
     """Target generator: -i[H_T, .] plus the side-channel dissipator."""
     _, s = build_jump_ops(config, spec)
-    terms = commutator_terms(build_H_T(config, spec).mat) + dissipator_terms(s.mat)
+    terms = commutator_terms(build_H_T(config, spec)) + dissipator_terms(s)
     return Superoperator(terms, spec.dim)
 
 
 def build_L_ST(config: CouplingConfig, spec: FockSpec) -> Superoperator:
     """Coupling generator: -i[H_ST, .] plus the forward-channel dissipator."""
     f, _ = build_jump_ops(config, spec)
-    terms = commutator_terms(build_H_ST(config, spec).mat) + dissipator_terms(f.mat)
+    terms = commutator_terms(build_H_ST(config, spec)) + dissipator_terms(f)
     return Superoperator(terms, spec.dim)
 
 
@@ -256,15 +255,15 @@ def regroup(L_S: Superoperator, config: CouplingConfig) -> tuple:
     b . a^dag - b^dag a . - . a^dag b), with A and B as in _scaled_ops.
     """
     spec = FockSpec(L_S.dim // 2 - 1)
-    a = embed(annihilation(spec), SOURCE, spec).mat
-    b = embed(qubit_lowering(), TARGET, spec).mat
+    a = embed(annihilation(spec), SOURCE, spec)
+    b = embed(qubit_lowering(), TARGET, spec)
     A, B = _scaled_ops(config, spec)
     Ad, Bd = A.conj().T, B.conj().T
     eye = np.eye(spec.dim, dtype=complex)
 
     Lp_S = Superoperator(list(L_S.terms) + dissipator_terms(a, rate=config.gamma_S), spec.dim)
     Lp_T = Superoperator(
-        commutator_terms(build_H_T(config, spec).mat) + dissipator_terms(b, rate=config.gamma_T),
+        commutator_terms(build_H_T(config, spec)) + dissipator_terms(b, rate=config.gamma_T),
         spec.dim,
     )
     Lp_ST = Superoperator(
@@ -279,7 +278,7 @@ def regroup(L_S: Superoperator, config: CouplingConfig) -> tuple:
     return Lp_S, Lp_T, Lp_ST
 
 
-def build_nonhermitian_H(config: CouplingConfig, spec: FockSpec) -> Operator:
+def build_nonhermitian_H(config: CouplingConfig, spec: FockSpec) -> np.ndarray:
     """Drift Hamiltonian of the trajectory unraveling.
 
     Equals H_T - i A B^dag - (i/2) A^dag A - (i/2) gT b^dag b, with A and B
@@ -287,14 +286,13 @@ def build_nonhermitian_H(config: CouplingConfig, spec: FockSpec) -> Operator:
     H_ST - (i/2) s^dag s - (i/2) f^dag f.
     """
     A, B = _scaled_ops(config, spec)
-    b = embed(qubit_lowering(), TARGET, spec).mat
-    H = (
-        build_H_T(config, spec).mat
+    b = embed(qubit_lowering(), TARGET, spec)
+    return (
+        build_H_T(config, spec)
         - 1j * (A @ B.conj().T)
         - 0.5j * (A.conj().T @ A)
         - 0.5j * config.gamma_T * (b.conj().T @ b)
     )
-    return Operator(H)
 
 
 def apply(superop: Superoperator, rho) -> np.ndarray:

@@ -119,7 +119,7 @@ def steady_amplitude(model: CoherentDrive, config: CouplingConfig) -> complex:
 
 def _drive(model: CoherentDrive, spec: FockSpec) -> np.ndarray:
     """H_S = i (eps a^dag - eps* a) on the composite space."""
-    a = embed(annihilation(spec), SOURCE, spec).mat
+    a = embed(annihilation(spec), SOURCE, spec)
     return 1j * (model.epsilon * a.conj().T - np.conj(model.epsilon) * a)
 
 
@@ -140,7 +140,7 @@ def source_jump_channels(model, config: CouplingConfig, spec: FockSpec) -> list:
         raise UnsupportedSourceError(
             f"source jump channels are only defined for BirthDeathLaser, got {type(model).__name__}"
         )
-    a_dag = embed(annihilation(spec), SOURCE, spec).dag().mat
+    a_dag = embed(annihilation(spec), SOURCE, spec).conj().T
     return [
         JumpChannel("pump", rate=model.pump_rate, carrier_delta=+1),
         JumpChannel(
@@ -163,12 +163,12 @@ def unraveling(model, config: CouplingConfig, spec: FockSpec) -> tuple:
     the order fixes the records.  Any other model raises UnsupportedSourceError."""
     if not isinstance(model, (CoherentDrive, FreeDecayMixture, BirthDeathLaser)):
         raise UnsupportedSourceError(f"{type(model).__name__} has no trajectory unraveling")
-    H = build_nonhermitian_H(config, spec).mat.copy()
+    H = build_nonhermitian_H(config, spec)
     if isinstance(model, CoherentDrive):
         H += _drive(model, spec)
     f, s = build_jump_ops(config, spec)
-    channels = [JumpChannel("forward_f", operator=f.mat, quanta_delta=-1),
-                JumpChannel("side_s", operator=s.mat, quanta_delta=-1)]
+    channels = [JumpChannel("forward_f", operator=f, quanta_delta=-1),
+                JumpChannel("side_s", operator=s, quanta_delta=-1)]
     if isinstance(model, BirthDeathLaser):
         channels += source_jump_channels(model, config, spec)
     return H, channels

@@ -15,6 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import cascadesim.evolve as evolve
+import cascadesim.liouvillian as liouvillian
 from cascadesim.cli import (
     BASIS_ORDERING,
     OBSERVABLE_BLOCK,
@@ -445,6 +446,17 @@ class TestConfigValidation:
         assert err.startswith("config error:") and message in err
         assert not (tmp_path / "out").exists()
 
+    def test_generator_beyond_gather_bound_exits_2(self, tmp_path, capsys, monkeypatch):
+        # the generator's gather form is refused before anything is written;
+        # at the real bound coherent_drive.json meets it at n_max 800
+        monkeypatch.setattr(liouvillian, "MAX_GATHER_ENTRIES", 1000)
+        doc = short_preset("coherent_drive.json")
+        doc["output_dir"] = str(tmp_path / "out")
+        assert main(["run-master", write_config(tmp_path, doc)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "gather form" in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("name", ["missing.json", "."])
     def test_unreadable_config_exits_2(self, tmp_path, capsys, monkeypatch, name):
         monkeypatch.chdir(tmp_path)
@@ -461,8 +473,8 @@ class TestObservableRows:
         rows = _observable_rows(times, np.stack([rho.mat for rho in rhos]),
                                 _Observables(times, spec).ops)
         assert len(rows) == len(rhos)
-        a = embed(annihilation(spec), SOURCE, spec).mat
-        b = embed(qubit_lowering(), TARGET, spec).mat
+        a = embed(annihilation(spec), SOURCE, spec)
+        b = embed(qubit_lowering(), TARGET, spec)
         n, pe = a.conj().T @ a, b.conj().T @ b
         for t, rho, row in zip(times, rhos, rows):
             ea, eb = expectation(rho, a), expectation(rho, b)

@@ -25,7 +25,6 @@ from cascadesim.hilbert import (
     GROUND,
     TARGET,
     DensityOperator,
-    Operator,
     FockSpec,
     PureState,
     annihilation,
@@ -217,7 +216,7 @@ class TestMasterEquation:
         L = build_L_ST(BARE, spec)
         grid = TimeGrid(0.0, 1.0, 0.005)
         states = evolve_master(rho0, L, grid, store_every=20)
-        n_op = embed(number_operator(spec), SOURCE, spec).mat
+        n_op = embed(number_operator(spec), SOURCE, spec)
         for t, rho in zip(grid.times()[::20], states):
             assert abs(expectation(rho, n_op) - 3.0 * np.exp(-t)) < 1e-8
 
@@ -225,7 +224,7 @@ class TestMasterEquation:
         spec = FockSpec(5)
         rho0 = DensityOperator(ket(3, GROUND, spec).projector())
         L = build_L_ST(BARE, spec)
-        n_op = embed(number_operator(spec), SOURCE, spec).mat
+        n_op = embed(number_operator(spec), SOURCE, spec)
         errs = []
         for dt in (0.08, 0.04):
             rho1 = evolve_master(rho0, L, TimeGrid(0.0, 0.8, dt))[-1]
@@ -420,7 +419,7 @@ class TestStoredStateChecks:
         if kind == "trace":
             eye = np.eye(spec.dim, dtype=complex)
             return Superoperator([SuperoperatorTerm(eye, eye, rate)], spec.dim)
-        a = embed(annihilation(spec), SOURCE, spec).mat
+        a = embed(annihilation(spec), SOURCE, spec)
         return Superoperator(dissipator_terms(a, rate=-rate), spec.dim)
 
     @pytest.mark.parametrize("kind", ["trace", "negativity"])
@@ -615,7 +614,7 @@ class TestSingleTrajectory:
         L = build_L_S(model, spec) + build_L_T(cfg, spec) + build_L_ST(cfg, spec)
         rho_ss = evolve_master(rho0, L, TimeGrid(0, 20, 0.01), store_every=2000)[-1]
         f_op, _ = build_jump_ops(cfg, spec)
-        flux = expectation(rho_ss, (f_op.dag() @ f_op).mat).real
+        flux = expectation(rho_ss, f_op.conj().T @ f_op).real
 
         t_burn, t_end = 10.0, 90.0
         r = mcwf_run(ket(0, GROUND, spec), cfg, model, TimeGrid(0.0, t_end, 0.01),
@@ -1241,9 +1240,9 @@ class TestDriftIdentity:
     @staticmethod
     def without_gamma_T(config, spec):
         """build_nonhermitian_H with its -(i/2) gamma_T b^dag b term left out."""
-        b = embed(qubit_lowering(), TARGET, spec).mat
-        H = build_nonhermitian_H(config, spec).mat
-        return Operator(H + 0.5j * config.gamma_T * (b.conj().T @ b))
+        b = embed(qubit_lowering(), TARGET, spec)
+        H = build_nonhermitian_H(config, spec)
+        return H + 0.5j * config.gamma_T * (b.conj().T @ b)
 
     def test_broken_drift_is_invariant_violation(self, monkeypatch):
         monkeypatch.setattr(sources, "build_nonhermitian_H", self.without_gamma_T)
@@ -1278,8 +1277,8 @@ class TestSectorCheck:
     def with_a_drive(config, spec):
         """build_nonhermitian_H plus the Hermitian a + a^dag, which mixes the
         sectors but leaves the drift identity alone."""
-        a = embed(annihilation(spec), SOURCE, spec).mat
-        return Operator(build_nonhermitian_H(config, spec).mat + 0.1 * (a + a.conj().T))
+        a = embed(annihilation(spec), SOURCE, spec)
+        return build_nonhermitian_H(config, spec) + 0.1 * (a + a.conj().T)
 
     def test_out_of_sector_drift_is_invariant_violation(self, monkeypatch):
         monkeypatch.setattr(sources, "build_nonhermitian_H", self.with_a_drive)
@@ -1307,10 +1306,10 @@ class TestSectorCheck:
 
     def test_jump_operators_must_move_by_their_shift(self):
         f_op, _ = build_jump_ops(CouplingConfig(), self.SPEC)
-        evolve._sector_blocks(f_op.mat, -1, "jump operator forward_f")
+        evolve._sector_blocks(f_op, -1, "jump operator forward_f")
         # f lowers the quanta by one; its adjoint raises them
         with pytest.raises(InvariantViolationError, match="jump operator forward_f"):
-            evolve._sector_blocks(f_op.mat.conj().T, -1, "jump operator forward_f")
+            evolve._sector_blocks(f_op.conj().T, -1, "jump operator forward_f")
 
 
 class TestDiagnostics:

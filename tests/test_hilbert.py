@@ -19,7 +19,6 @@ from cascadesim.hilbert import (
     coherent_state,
     embed,
     fock_state,
-    identity,
     number_operator,
     partial_trace,
     product_state,
@@ -42,23 +41,23 @@ class TestFockSpec:
 
 class TestAnnihilation:
     def test_lowers_one(self):
-        a = annihilation(FockSpec(1)).mat
+        a = annihilation(FockSpec(1))
         v = a @ fock_state(1, FockSpec(1)).vec
         assert np.allclose(v, fock_state(0, FockSpec(1)).vec)
 
     def test_sqrt_n(self):
         spec = FockSpec(5)
-        v = annihilation(spec).mat @ fock_state(4, spec).vec
+        v = annihilation(spec) @ fock_state(4, spec).vec
         assert np.allclose(v, 2.0 * fock_state(3, spec).vec)
 
     def test_vacuum(self):
         spec = FockSpec(3)
-        assert np.allclose(annihilation(spec).mat @ fock_state(0, spec).vec, 0.0)
+        assert np.allclose(annihilation(spec) @ fock_state(0, spec).vec, 0.0)
 
     def test_commutator_on_interior(self):
         # [a, a^dag] = 1 away from the truncation boundary row
         spec = FockSpec(8)
-        a = annihilation(spec).mat
+        a = annihilation(spec)
         comm = a @ a.conj().T - a.conj().T @ a
         interior = comm[: spec.n_max, : spec.n_max]
         assert np.max(np.abs(interior - np.eye(spec.n_max))) < 1e-14
@@ -66,17 +65,17 @@ class TestAnnihilation:
 
 class TestQubitLowering:
     def test_lowers_excited(self):
-        b = qubit_lowering().mat
+        b = qubit_lowering()
         assert np.allclose(b @ qubit_state(EXCITED).vec, qubit_state(GROUND).vec)
 
     def test_kills_ground(self):
-        b = qubit_lowering().mat
+        b = qubit_lowering()
         assert np.allclose(b @ qubit_state(GROUND).vec, 0.0)
         assert np.allclose(b @ b, 0.0)
 
     def test_number_is_excited_projector(self):
         b = qubit_lowering()
-        proj = (b.dag() @ b).mat
+        proj = b.conj().T @ b
         expected = np.outer(qubit_state(EXCITED).vec, qubit_state(EXCITED).vec)
         assert np.allclose(proj, expected)
 
@@ -84,18 +83,18 @@ class TestQubitLowering:
 class TestEmbed:
     def test_factors_commute(self):
         spec = FockSpec(4)
-        A = embed(annihilation(spec), SOURCE, spec).mat
-        B = embed(qubit_lowering(), TARGET, spec).mat
+        A = embed(annihilation(spec), SOURCE, spec)
+        B = embed(qubit_lowering(), TARGET, spec)
         assert np.max(np.abs(A @ B - B @ A)) < 1e-14
 
     def test_identity_embeds_to_identity(self):
         spec = FockSpec(3)
-        assert np.allclose(embed(identity(spec.fock_dim), SOURCE, spec).mat, np.eye(spec.dim))
-        assert np.allclose(embed(identity(2), TARGET, spec).mat, np.eye(spec.dim))
+        assert np.allclose(embed(np.eye(spec.fock_dim), SOURCE, spec), np.eye(spec.dim))
+        assert np.allclose(embed(np.eye(2), TARGET, spec), np.eye(spec.dim))
 
     def test_number_expectation(self):
         spec = FockSpec(6)
-        n_op = embed(number_operator(spec), SOURCE, spec).mat
+        n_op = embed(number_operator(spec), SOURCE, spec)
         for n in range(spec.fock_dim):
             v = product_state(fock_state(n, spec), qubit_state(EXCITED)).vec
             assert abs(np.vdot(v, n_op @ v) - n) < 1e-14
@@ -104,6 +103,16 @@ class TestEmbed:
         spec = FockSpec(3)
         with pytest.raises(DimensionMismatchError):
             embed(qubit_lowering(), SOURCE, spec)
+
+    @pytest.mark.parametrize("which", [SOURCE, TARGET])
+    def test_rejects_all_but_a_square_factor_operator(self, which):
+        # non-square, or square but of the other factor's size
+        spec = FockSpec(3)
+        d = spec.fock_dim if which == SOURCE else 2
+        other = 2 if which == SOURCE else spec.fock_dim
+        for shape in [(d, d + 1), (d + 1, d), (d,), (1, d, d), (other, other)]:
+            with pytest.raises(DimensionMismatchError):
+                embed(np.zeros(shape, dtype=complex), which, spec)
 
 
 class TestCoherentState:
@@ -114,13 +123,13 @@ class TestCoherentState:
     def test_poisson_mean(self):
         spec = FockSpec(25)
         psi = coherent_state(1.5, spec)
-        n_op = number_operator(spec).mat
+        n_op = number_operator(spec)
         assert abs(np.vdot(psi.vec, n_op @ psi.vec) - 2.25) < 1e-8
 
     def test_eigenstate_residual(self):
         spec = FockSpec(20)
         psi = coherent_state(1.0, spec)
-        a = annihilation(spec).mat
+        a = annihilation(spec)
         assert np.linalg.norm(a @ psi.vec - 1.0 * psi.vec) < 1e-8
 
     def test_residual_decreases_with_cutoff(self):
@@ -128,7 +137,7 @@ class TestCoherentState:
         for n_max in (10, 14, 18, 22):
             spec = FockSpec(n_max)
             psi = coherent_state(1.2, spec, warn=False)
-            a = annihilation(spec).mat
+            a = annihilation(spec)
             residuals.append(np.linalg.norm(a @ psi.vec - 1.2 * psi.vec))
         assert all(r1 > r2 for r1, r2 in zip(residuals, residuals[1:]))
 
@@ -141,8 +150,17 @@ class TestCoherentState:
         spec = FockSpec(20)
         alpha = 0.8 * np.exp(0.7j)
         psi = coherent_state(alpha, spec)
-        a = annihilation(spec).mat
+        a = annihilation(spec)
         assert np.linalg.norm(a @ psi.vec - alpha * psi.vec) < 1e-10
+
+    @pytest.mark.parametrize("warn", [False, True])
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf"), complex(0, -float("inf")),
+                                       complex(float("nan"), 1.0), 1e160, 1e160j])
+    def test_rejects_alpha_without_finite_square(self, alpha, warn):
+        # |alpha|^2 is NaN or beyond a float: a ValueError naming alpha, never
+        # an all-NaN state, whether or not the cutoff is checked first
+        with pytest.raises(ValueError, match="alpha"):
+            coherent_state(alpha, FockSpec(5), warn=warn)
 
     def test_shared_tables_are_read_only(self):
         # the (n, log n!) tables are cached per fock_dim and shared by every
@@ -179,7 +197,7 @@ class TestPartialTrace:
     def test_trace_and_positivity_preserved(self, seed, keep):
         rho = random_density(8, np.random.default_rng(seed))
         red = partial_trace(rho, keep)
-        assert abs(red.trace - 1.0) < 1e-12
+        assert abs(np.trace(red.mat) - 1.0) < 1e-12
         assert np.linalg.eigvalsh(red.mat).min() > -1e-12
 
 

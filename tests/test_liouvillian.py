@@ -5,10 +5,16 @@ from cascadesim.errors import DimensionMismatchError
 from cascadesim.hilbert import (
     EXCITED,
     GROUND,
+    SOURCE,
+    TARGET,
     FockSpec,
+    annihilation,
     coherent_state,
+    embed,
     fock_state,
+    number_operator,
     product_state,
+    qubit_lowering,
     qubit_state,
 )
 from cascadesim.liouvillian import (
@@ -42,6 +48,17 @@ def vec_col(m):
     return m.flatten(order="F")
 
 
+class TestOperatorsAreArrays:
+    def test_every_operator_function_returns_a_complex_ndarray(self):
+        cfg = CouplingConfig(1.0, 0.5, 0.5, delta=0.3)
+        ops = [annihilation(SPEC), number_operator(SPEC), qubit_lowering(),
+               embed(annihilation(SPEC), SOURCE, SPEC), embed(qubit_lowering(), TARGET, SPEC),
+               build_H_T(cfg, SPEC), build_H_ST(cfg, SPEC), *build_jump_ops(cfg, SPEC),
+               build_nonhermitian_H(cfg, SPEC), drive_hamiltonian(0.4 - 0.2j, cfg)]
+        for op in ops:
+            assert type(op) is np.ndarray and op.dtype == np.complex128
+
+
 class TestConfig:
     def test_rates_validated(self):
         with pytest.raises(ValueError):
@@ -61,43 +78,43 @@ class TestConfig:
 
 class TestHamiltonians:
     def test_H_T_resonant_is_zero(self):
-        assert np.allclose(build_H_T(CouplingConfig(delta=0.0), SPEC).mat, 0.0)
+        assert np.allclose(build_H_T(CouplingConfig(delta=0.0), SPEC), 0.0)
 
     def test_H_T_detuned(self):
-        H = build_H_T(CouplingConfig(delta=1.0), SPEC).mat
+        H = build_H_T(CouplingConfig(delta=1.0), SPEC)
         plus = composite_ket(0, EXCITED)
         assert abs(np.vdot(plus, H @ plus) - 1.0) < 1e-14
         assert np.max(np.abs(H - H.conj().T)) == 0.0
 
     def test_H_ST_decouples_without_forward_channel(self):
-        assert np.allclose(build_H_ST(CouplingConfig(gamma_Tf=0.0), SPEC).mat, 0.0)
+        assert np.allclose(build_H_ST(CouplingConfig(gamma_Tf=0.0), SPEC), 0.0)
 
     def test_H_ST_matrix_element(self):
         # <0,+| H_ST |1,-> = -i/2 at unit rates, by direct evaluation
         cfg = CouplingConfig(gamma_S=1.0, gamma_Tf=1.0, gamma_Ts=0.5)
-        H = build_H_ST(cfg, SPEC).mat
+        H = build_H_ST(cfg, SPEC)
         el = np.vdot(composite_ket(0, EXCITED), H @ composite_ket(1, GROUND))
         assert abs(el - (-0.5j)) < 1e-14
 
     def test_H_ST_hermitian(self):
-        H = build_H_ST(CouplingConfig(1.0, 0.7, 0.2), SPEC).mat
+        H = build_H_ST(CouplingConfig(1.0, 0.7, 0.2), SPEC)
         assert np.max(np.abs(H - H.conj().T)) < 1e-15
 
 
 class TestJumpOps:
     def test_side_vanishes(self):
         _, s = build_jump_ops(CouplingConfig(gamma_Ts=0.0), SPEC)
-        assert np.allclose(s.mat, 0.0)
+        assert np.allclose(s, 0.0)
 
     def test_forward_cavity_only(self):
         f, _ = build_jump_ops(CouplingConfig(1.0, 0.0, 0.5), SPEC)
-        out = f.mat @ composite_ket(1, GROUND)
+        out = f @ composite_ket(1, GROUND)
         assert np.allclose(out, composite_ket(0, GROUND))
 
     def test_forward_qubit_only(self):
         f, _ = build_jump_ops(CouplingConfig(1.0, 4.0, 0.0), SPEC)
         # gamma_S multiplies a, which kills |0>; only the qubit term remains
-        out = f.mat @ composite_ket(0, EXCITED)
+        out = f @ composite_ket(0, EXCITED)
         assert np.allclose(out, 2.0 * composite_ket(0, GROUND))
 
 
@@ -192,7 +209,7 @@ class TestRegrouping:
         _, _, Lp_ST = regroup(build_L_S(FreeDecayMixture(((0.0, 1.0),)), spec), cfg)
         P = coherent_state(alpha, spec).projector()
         rho_T = random_density(2, rng).mat
-        Hd = drive_hamiltonian(alpha, cfg).mat
+        Hd = drive_hamiltonian(alpha, cfg)
         lhs = apply(Lp_ST, np.kron(P, rho_T))
         rhs = np.kron(P, -1j * (Hd @ rho_T - rho_T @ Hd))
         assert np.linalg.norm(lhs - rhs) < 1e-7
@@ -203,19 +220,19 @@ class TestNonhermitianH:
         for cfg in (CouplingConfig(1.0, 0.5, 0.5),
                     CouplingConfig(2.0, 1.3, 0.1, delta=0.7)):
             f, s = build_jump_ops(cfg, SPEC)
-            lhs = (build_H_T(cfg, SPEC).mat + build_H_ST(cfg, SPEC).mat
-                   - 0.5j * (s.dag().mat @ s.mat) - 0.5j * (f.dag().mat @ f.mat))
-            assert np.max(np.abs(lhs - build_nonhermitian_H(cfg, SPEC).mat)) < 1e-13
+            lhs = (build_H_T(cfg, SPEC) + build_H_ST(cfg, SPEC)
+                   - 0.5j * (s.conj().T @ s) - 0.5j * (f.conj().T @ f))
+            assert np.max(np.abs(lhs - build_nonhermitian_H(cfg, SPEC))) < 1e-13
 
     def test_matrix_element(self):
         cfg = CouplingConfig(1.0, 1.0, 0.0)
-        H = build_nonhermitian_H(cfg, SPEC).mat
+        H = build_nonhermitian_H(cfg, SPEC)
         el = np.vdot(composite_ket(0, EXCITED), H @ composite_ket(1, GROUND))
         assert abs(el - (-1j)) < 1e-14
 
     def test_norm_nonincreasing(self, rng):
         cfg = CouplingConfig(1.0, 0.5, 0.5)
-        H = build_nonhermitian_H(cfg, SPEC).mat
+        H = build_nonhermitian_H(cfg, SPEC)
         dt = 0.001
         U = np.eye(SPEC.dim) - 1j * dt * H
         for _ in range(5):

@@ -89,7 +89,7 @@ class TestSourceGenerator:
         eps = 0.4
         Lp_S, _, _ = regroup(build_L_S(CoherentDrive(eps), SPEC), CFG)
         rho0 = product_state(fock_state(0, SPEC), qubit_state(GROUND)).projector()
-        a = embed(annihilation(SPEC), SOURCE, SPEC).mat
+        a = embed(annihilation(SPEC), SOURCE, SPEC)
         d_a = expectation(apply(Lp_S, rho0), a)
         assert abs(d_a - eps) < 1e-12
 
@@ -153,7 +153,7 @@ class TestJumpChannels:
         assert [(ch.label, ch.carrier_delta, ch.quanta_delta, ch.scales_with_carrier)
                 for ch in channels] == expected
         # only a coherent drive adds to the drift, and what it adds is Hermitian
-        drive = H - build_nonhermitian_H(CFG, SPEC).mat
+        drive = H - build_nonhermitian_H(CFG, SPEC)
         assert drive.any() == isinstance(model, CoherentDrive)
         assert np.array_equal(drive, drive.conj().T)
 
@@ -215,7 +215,7 @@ class TestCoherenceUnderMaster:
         L = build_L_S(model, spec) + build_L_T(cfg, spec) + build_L_ST(cfg, spec)
         states = evolve_master(rho0, L, grid, store_every=50)
         (path,) = classical_paths(model, cfg, grid.times()[::50], alpha0=0.0)
-        a = annihilation(spec).mat
+        a = annihilation(spec)
         for rho, alpha in zip(states, path.alphas):
             rho_S = partial_trace(rho, SOURCE)
             purity = np.trace(rho_S.mat @ rho_S.mat).real
@@ -236,8 +236,8 @@ class TestPhaseDampingCrossCheck:
         for p in paths:
             ensemble += p.weight * coherent_state(p.alphas[-1], spec).projector()
 
-        a = annihilation(spec).mat
-        n_op = number_operator(spec).mat
+        a = annihilation(spec)
+        n_op = number_operator(spec)
         eye = np.eye(spec.fock_dim, dtype=complex)
         terms = (
             [SuperoperatorTerm(a, a.conj().T, gamma_S),
