@@ -24,11 +24,11 @@ from cascadesim import (
     build_ansatz_state,
     classical_paths,
     coherent_state,
-    compare_to_full,
     evolve_master,
     negativity,
     qubit_state,
     solve_separated_target,
+    trace_distance,
 )
 from cascadesim.hilbert import GROUND
 
@@ -52,9 +52,9 @@ def run_radius(radius, cfg, n_amps, t1, dt, store):
     conds = [solve_separated_target(p, cfg, rhoT0) for p in paths]
     ansatz = [build_ansatz_state(paths, conds, i * store, spec)
               for i in range(len(full))]
-    report = compare_to_full(ansatz, full)
+    worst_td = max(trace_distance(a, f) for a, f in zip(ansatz, full, strict=True))
     worst_neg = max(negativity(rho) for rho in full)
-    return spec.n_max, report["trace_distance"].max(), worst_neg
+    return spec.n_max, worst_td, worst_neg
 
 
 def main():

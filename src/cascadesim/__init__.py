@@ -63,9 +63,7 @@ from .analysis import (
     trace_distance,
 )
 from .ansatz import (
-    ConditionalTargetState,
     build_ansatz_state,
-    compare_to_full,
     drive_hamiltonian,
     solve_separated_target,
 )

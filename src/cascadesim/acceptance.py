@@ -279,7 +279,7 @@ def criterion_a5() -> CriterionResult:
     worst_td = 0.0
     for i, rho in enumerate(full):
         rT_full = partial_trace(rho, TARGET)
-        rT_sep = DensityOperator(cond.rhos[i * store], layout=TARGET)
+        rT_sep = DensityOperator(cond[i * store], layout=TARGET)
         worst_td = max(worst_td, trace_distance(rT_full, rT_sep))
     return CriterionResult(
         "A5", p["description"],
@@ -429,7 +429,7 @@ def criterion_a9() -> CriterionResult:
     sol = solve_separated_target(path, cfg, GROUND_RHO)
     W = 2.0 * np.sqrt(cfg.gamma_S * cfg.gamma_Tf) * abs(bl["alpha"])
     expected = (W ** 2 / 4) / (cfg.delta ** 2 + cfg.gamma_T ** 2 / 4 + W ** 2 / 2)
-    pe = float(sol.rhos[-1][1, 1].real)
+    pe = float(sol[-1][1, 1].real)
     return CriterionResult(
         "A9", p["description"],
         [Check("max cavity-decay oracle deviation", cav["tolerance"], worst_dec),

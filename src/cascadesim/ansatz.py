@@ -17,12 +17,9 @@ step by step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .analysis import trace_distance
-from .errors import DimensionMismatchError, GridMismatchError
+from .errors import DimensionMismatchError
 from .hilbert import (COMPOSITE, DensityOperator, FockSpec, add_product, coherent_state,
                       qubit_lowering)
 from .liouvillian import CouplingConfig
@@ -39,20 +36,6 @@ def drive_hamiltonian(alpha: complex, config: CouplingConfig) -> np.ndarray:
     """Classical-field drive i sqrt(gS gTf) (alpha* b - alpha b^dag), a 2x2 operator."""
     g = np.sqrt(config.gamma_S * config.gamma_Tf)
     return 1j * g * (np.conj(alpha) * _B - alpha * _BD)
-
-
-@dataclass
-class ConditionalTargetState:
-    """2x2 conditional states rho_{T|alpha}(t) along one classical path."""
-
-    times: np.ndarray
-    rhos: np.ndarray  # (n_times, 2, 2)
-
-    def __post_init__(self):
-        self.times = np.asarray(self.times, dtype=float)
-        self.rhos = np.asarray(self.rhos, dtype=complex)
-        if self.rhos.shape != (len(self.times), 2, 2):
-            raise DimensionMismatchError(f"rhos shape {self.rhos.shape}")
 
 
 _I2 = np.eye(2)
@@ -76,8 +59,11 @@ def _target_generator(config: CouplingConfig) -> tuple:
 
 
 def solve_separated_target(path: ClassicalPath, config: CouplingConfig,
-                           rhoT0: np.ndarray) -> ConditionalTargetState:
+                           rhoT0: np.ndarray) -> np.ndarray:
     """RK4 integration of the separated target equation along one path.
+
+    Returns the conditional states rho_{T|alpha}(t) as a (T, 2, 2) complex
+    array on path.times.
 
     alpha(t) is interpolated piecewise-linearly between the path samples, so
     both sides of any ansatz-vs-full comparison see identical drives.
@@ -111,37 +97,28 @@ def solve_separated_target(path: ClassicalPath, config: CouplingConfig,
         props = np.eye(4) + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         for i, P in enumerate(props, start=start + 1):
             v = out[i] = P.dot(v)
-    return ConditionalTargetState(times=t, rhos=out.reshape(len(t), 2, 2))
+    return out.reshape(len(t), 2, 2)
 
 
 def build_ansatz_state(paths: list, conditionals: list, t_index: int,
                        fock: FockSpec) -> DensityOperator:
-    """Weighted mixture sum_m w_m |alpha_m(t)><alpha_m(t)| (x) rho_{T|m}(t)."""
+    """Weighted mixture sum_m w_m |alpha_m(t)><alpha_m(t)| (x) rho_{T|m}(t).
+
+    Each conditional is the (T, 2, 2) array of its path's target states on
+    path.times, as solve_separated_target returns it.
+    """
     if len(paths) != len(conditionals):
-        raise GridMismatchError("paths and conditionals must align one-to-one")
+        raise ValueError("paths and conditionals must align one-to-one")
     total_w = sum(p.weight for p in paths)
     if abs(total_w - 1.0) > 1e-10:
         raise ValueError(f"path weights must sum to 1, got {total_w}")
     acc = np.zeros((fock.dim, fock.dim), dtype=complex)
     for path, cond in zip(paths, conditionals):
-        t = path.times  # solve_separated_target hands back this (finite) array
-        if cond.times is not t and (t.shape != cond.times.shape or not np.allclose(t, cond.times)):
-            raise GridMismatchError("path and conditional grids differ")
-        if not 0 <= t_index < len(t):
-            raise IndexError(f"t_index {t_index} outside 0..{len(t) - 1}")
+        n = len(path.times)
+        if np.shape(cond) != (n, 2, 2):
+            raise DimensionMismatchError(f"conditional shape {np.shape(cond)}, want {(n, 2, 2)}")
+        if not 0 <= t_index < n:
+            raise IndexError(f"t_index {t_index} outside 0..{n - 1}")
         add_product(acc, path.weight, coherent_state(path.alphas[t_index], fock).vec,
-                    cond.rhos[t_index])
+                    cond[t_index])
     return DensityOperator(acc, layout=COMPOSITE)
-
-
-def compare_to_full(ansatz_rhos: list, full_rhos: list) -> dict:
-    """Per-time trace distance and max element deviation between the two solutions."""
-    if len(ansatz_rhos) != len(full_rhos):
-        raise GridMismatchError("state lists have different lengths")
-    td, dev = [], []
-    for ra, rf in zip(ansatz_rhos, full_rhos):
-        if ra.dim != rf.dim:
-            raise DimensionMismatchError(f"dims {ra.dim} and {rf.dim}")
-        td.append(trace_distance(ra, rf))
-        dev.append(float(np.max(np.abs(ra.mat - rf.mat))))
-    return {"trace_distance": np.array(td), "max_abs_deviation": np.array(dev)}

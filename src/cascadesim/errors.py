@@ -21,9 +21,5 @@ class InvariantViolationError(RuntimeError):
     """A density-operator invariant (trace, hermiticity, positivity) was violated mid-run."""
 
 
-class GridMismatchError(ValueError):
-    """Time grids of the operands do not agree."""
-
-
 class ConfigError(ValueError):
     """A run's configuration, its config file or CASCADESIM_WORKERS, is malformed."""

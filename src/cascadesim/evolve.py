@@ -43,7 +43,7 @@ import numpy as np
 
 from .errors import (
     ConfigError,
-    GridMismatchError,
+    DimensionMismatchError,
     InvariantViolationError,
     StepProbabilityError,
 )
@@ -138,7 +138,7 @@ def expectation(rho, op) -> complex:
     m = rho.mat if isinstance(rho, DensityOperator) else np.asarray(rho)
     o = np.asarray(op)
     if m.shape != o.shape:
-        raise GridMismatchError(f"shapes {m.shape} and {o.shape} differ")
+        raise DimensionMismatchError(f"shapes {m.shape} and {o.shape} differ")
     return complex(np.sum(o.T * m))
 
 

@@ -282,6 +282,34 @@ class TestRunTrajectories:
         assert not (tmp_path / "out").exists()
 
 
+class TestFreeDecayAmplitudes:
+    @pytest.mark.parametrize("command", ["run-master", "run-trajectories"])
+    def test_amplitudes_do_not_change_a_run(self, tmp_path, command):
+        # a free_decay source's amplitudes feed only sources.classical_paths;
+        # both run commands start from `initial`, so every file but the
+        # manifest's echo of the config is the same
+        doc = load_preset_doc("bare_cavity.json")
+        doc["coupling"].update(gamma_Tf=0.5, gamma_Ts=0.5)
+        doc["seeds"] = {"start": 0, "count": 3}
+        outputs, manifests = [], []
+        for i, amplitudes in enumerate([[[0.0, 0.0, 1.0]],
+                                        [[1.5, 0.3, 0.5], [-1.5, -0.3, 0.5]]]):
+            out = tmp_path / f"out{i}"
+            doc["source"]["amplitudes"] = amplitudes
+            doc["output_dir"] = str(out)
+            assert main([command, write_config(tmp_path, doc)]) == 0
+            names = sorted(os.path.relpath(os.path.join(root, f), out)
+                           for root, _, files in os.walk(out) for f in files)
+            outputs.append({f: (out / f).read_bytes() for f in names if f != "manifest.json"})
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["source"]["amplitudes"] == amplitudes
+            del manifest["source"]["amplitudes"], manifest["output_dir"]
+            manifests.append(manifest)
+        assert len(outputs[0]) == (2 if command == "run-master" else 6)
+        assert outputs[1] == outputs[0]
+        assert manifests[1] == manifests[0]
+
+
 class TestStoredTimes:
     @pytest.mark.filterwarnings("ignore:step probability")
     def test_run_commands_write_one_time_column(self, tmp_path):

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from cascadesim.acceptance import load_preset, sector_residuals
 from cascadesim.analysis import schmidt_entropy, trace_distance
 from cascadesim.errors import (
-    GridMismatchError,
+    DimensionMismatchError,
     InvariantViolationError,
     StepProbabilityError,
 )
@@ -91,7 +91,7 @@ def ensemble_average(results: list) -> list:
     ref = results[0].times
     for r in results:
         if r.times.shape != ref.shape or not np.allclose(r.times, ref):
-            raise GridMismatchError("trajectories stored on different time grids")
+            raise ValueError("trajectories stored on different time grids")
     dim = results[0].states.shape[1]
     out = []
     for i in range(len(ref)):
@@ -230,6 +230,12 @@ class TestMasterEquation:
             rho1 = evolve_master(rho0, L, TimeGrid(0.0, 0.8, dt))[-1]
             errs.append(abs(expectation(rho1, n_op) - 3.0 * np.exp(-0.8)))
         assert errs[0] / errs[1] > 12.0
+
+    def test_expectation_rejects_operator_of_another_shape(self, rng):
+        from conftest import random_density
+
+        with pytest.raises(DimensionMismatchError, match="shapes"):
+            expectation(random_density(4, rng), np.eye(6))
 
     def test_matches_literal_rk4(self, rng):
         # the nested step against the four-stage classical RK4 sum
@@ -397,8 +403,57 @@ class TestCoherenceBlocks:
             assert g0 @ rho.mat @ g1 != 0.0
             assert np.array_equal(rho.mat, ref)
 
+    TARGET_RATE = st.one_of(st.just(0.0), st.floats(0.0, 1.5))
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(data=st.data(), n_max=st.integers(2, 6), above=st.booleans(),
+           gamma_S=st.floats(0.1, 2.0), gamma_Tf=TARGET_RATE, gamma_Ts=TARGET_RATE,
+           delta=st.one_of(st.just(0.0), st.floats(-2.0, 2.0)), seed=st.integers(0, 2**32 - 1))
+    def test_drawn_blocks_match_nested_rk4(self, data, n_max, above, gamma_S, gamma_Tf,
+                                          gamma_Ts, delta, seed):
+        # rho0 mixes a diagonal state with two pure states, each on one or two
+        # quanta sectors, so it occupies k = 0 and at most two pairs +-k; one
+        # empty block then gets a residue just above or just below BLOCK_TOL
+        spec = FockSpec(n_max)
+        N = (np.arange(spec.dim) + 1) // 2
+        kdiff = excitation_difference(spec.dim)
+        rng = np.random.default_rng(seed)
+        rho0 = np.diag(rng.uniform(0.1, 1.0, spec.dim)).astype(complex)
+        occupied = {0}
+        for _ in range(2):
+            sectors = data.draw(st.lists(st.integers(0, N[-1]), min_size=1, max_size=2,
+                                         unique=True))
+            psi = rng.normal(size=spec.dim) + 1j * rng.normal(size=spec.dim)
+            psi[~np.isin(N, sectors)] = 0.0
+            rho0 += np.outer(psi, psi.conj())
+            occupied |= {abs(sectors[0] - sectors[-1])}
+        rho0 /= np.trace(rho0)
+        k0 = data.draw(st.sampled_from(sorted(set(range(1, N[-1] + 1)) - occupied)))
+        i, j = data.draw(st.sampled_from(np.argwhere(kdiff == k0).tolist()))
+        residue = BLOCK_TOL * np.abs(rho0).max() * (1.0 + 1e-6 if above else 1.0 - 1e-6)
+        rho0[i, j] = residue * data.draw(st.sampled_from([1.0, -1.0, 1j, -1j]))
+        rho0[j, i] = np.conj(rho0[i, j])
+        kept = np.isin(np.abs(kdiff), sorted(occupied | ({k0} if above else set())))
+
+        cfg = CouplingConfig(gamma_S, gamma_Tf, gamma_Ts, delta)
+        L = build_L_T(cfg, spec) + build_L_ST(cfg, spec)
+        blocks = block_gather(L, rho0)
+        assert blocks is None if kept.all() else np.array_equal(blocks[0], np.flatnonzero(kept))
+        # a step well inside the RK4 stability region of the largest rate
+        rate = cfg.gamma_S * n_max + cfg.gamma_T + abs(delta)
+        dt = data.draw(st.floats(0.1, 1.0)) * 0.1 / rate
+        grid = TimeGrid(0.0, 12 * dt, dt)
+        states = evolve_master(DensityOperator(rho0), L, grid, store_every=4)
+        reference = nested_rk4(DensityOperator(rho0), L, grid, 4)
+        assert len(states) == len(reference) == 4
+        assert np.array_equal(states[0].mat, rho0)
+        for rho, ref in zip(states[1:], reference[1:]):
+            assert np.array_equal(rho.mat[kept], ref[kept])
+            assert not rho.mat[~kept].any()
+
     @pytest.mark.parametrize("fill", [0.0, np.nan])
     def test_bad_rho0_raises_before_it_is_observed(self, fill):
+
         spec = FockSpec(3)
         rho0 = DensityOperator(np.full((spec.dim, spec.dim), fill, dtype=complex))
         seen = []
@@ -1538,7 +1593,7 @@ class TestEnsemble:
         model = FreeDecayMixture(((0.0, 1.0),))
         r1 = mcwf_run(psi0, self.CFG, model, TimeGrid(0, 1, 0.01), seed=0)
         r2 = mcwf_run(psi0, self.CFG, model, TimeGrid(0, 2, 0.01), seed=1)
-        with pytest.raises(GridMismatchError):
+        with pytest.raises(ValueError):
             ensemble_average([r1, r2])
 
     @pytest.mark.filterwarnings("ignore:step probability")
