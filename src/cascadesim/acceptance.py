@@ -349,18 +349,18 @@ def criterion_a7() -> CriterionResult:
     ens = run_ensemble(psi0, cfg, model, TimeGrid(**p["grid"]), seeds,
                        store_every=p["store_every"], diagnostics=False)
     tol = 5.0 / np.sqrt(M)
+    # np.max, not max, so that a NaN element propagates and fails the check
     worst_amp = 0.0
     for rho in ens.rho_avg:
         _, offending = support_pattern_check(rho, tol=0.0)
-        if offending:
-            worst_amp = max(worst_amp, max(v for _, _, v in offending))
+        worst_amp = float(np.max([worst_amp, *(v for _, _, v in offending)]))
 
     ph = p["phase"]
     pspec = PhaseAveragedSpec(tuple((r, w) for r, w in ph["radial_weights"]),
                               ph["a_prime"], ph["b_prime"], ph["phase_points"])
     rho_ph = phase_averaged_state(pspec, FockSpec(ph["n_max"]))
     _, off_ph = support_pattern_check(rho_ph, tol=0.0)
-    ph_amp = max((v for _, _, v in off_ph), default=0.0)
+    ph_amp = float(np.max([0.0, *(v for _, _, v in off_ph)]))
     return CriterionResult(
         "A7", p["description"],
         [Check("max out-of-pattern ensemble element", tol, worst_amp),

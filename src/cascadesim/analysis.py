@@ -58,13 +58,15 @@ def support_pattern_check(rho: DensityOperator, tol: float) -> tuple:
 
     Allowed elements connect basis states of equal total quanta
     n + q: the diagonal plus the |n,-> <-> |n-1,+> coherences.  Returns
-    (passed, offending) where offending lists (i, j, |value|) above tol.
+    (passed, offending) where offending lists (i, j, |value|) of the
+    elements outside them whose |value| is at or above tol, or not finite.
     """
     if rho.layout != COMPOSITE:
         raise DimensionMismatchError("support check needs a composite state")
     quanta = total_quanta(rho.dim)
     allowed = quanta[:, None] == quanta[None, :]
-    i, j = np.nonzero((~allowed) & (np.abs(rho.mat) >= tol))
+    # negated, so that a NaN entry is reported too
+    i, j = np.nonzero((~allowed) & ~(np.abs(rho.mat) < tol))
     v = rho.mat[i, j]
     # hypot gives the bits of the scalar abs(); np.abs on an array may differ by an ulp
     offending = list(zip(i.tolist(), j.tolist(), np.hypot(v.real, v.imag).tolist()))

@@ -62,7 +62,7 @@ from .hilbert import (
     qubit_lowering,
     qubit_state,
 )
-from .liouvillian import CouplingConfig, build_L_ST, build_L_T
+from .liouvillian import MAX_GATHER_ENTRIES, CouplingConfig, build_L_ST, build_L_T
 from .sources import BirthDeathLaser, CoherentDrive, FreeDecayMixture, build_L_S
 
 # stored states stacked per product in _Observables: 0.35 MB at n_max 12
@@ -179,6 +179,11 @@ def load_config(path: str) -> ExperimentConfig:
         if not _is_int(n_max):
             raise ConfigError(f"n_max must be an integer, got {n_max!r}")
         spec = FockSpec(n_max)
+        # every run command builds (d, d) operators; refuse them before the
+        # initial state is built
+        if spec.dim ** 2 > MAX_GATHER_ENTRIES:
+            raise ConfigError(f"n_max {n_max}: its {spec.dim} x {spec.dim} operators are too "
+                              f"large to hold in memory (at most {MAX_GATHER_ENTRIES} entries)")
         g = _section(doc, "grid", path)
         grid = TimeGrid(_real(g.get("t0", 0.0), "grid.t0"),
                         _real(_require(g, "t1", "grid"), "grid.t1"),
@@ -446,7 +451,7 @@ def main(argv=None) -> int:
         return 2
     except MemoryError as e:
         # numpy refuses at once an array beyond the address space, such as the
-        # stored times of a grid of 1e14 steps or an operator of n_max 5e6
+        # stored times of a grid of 1e14 steps
         print(f"config error: too large to hold in memory: {e}", file=sys.stderr)
         return 2
     except (InvariantViolationError, StepProbabilityError) as e:

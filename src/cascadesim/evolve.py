@@ -250,7 +250,7 @@ def mcwf_run(psi0: PureState, config: CouplingConfig, source_model, grid: TimeGr
         states[i], carriers[i] = psi[0], carrier[0]
 
     records, ents, max_p = _ensemble_chunk(
-        psi0.vec, config, source_model, grid, store_every, diagnostics, store, seeds, 1)
+        psi0.vec, config, source_model, grid, store_every, diagnostics, store, seeds)
     _warn_step_probability(max_p)
     return TrajectoryResult(
         record=records[0],
@@ -273,13 +273,13 @@ class EnsembleResult:
 # otherwise normalized only where a jump, a store or the diagnostics need it
 RENORMALIZE_EVERY = 64
 # seeds per block of run_ensemble: the unit of its reduction, of a pool task and of
-# a dense row's BLAS products; a constant, so the sum's order follows the seeds
+# a dense engine call; a constant, so the sum's order follows the seeds
 ENSEMBLE_BLOCK = 1024
-# bytes that one in-process engine call may hold for its rows, at 32 bytes per
-# complex amplitude of a row (its state and its no-jump state) and ROW_BYTES
-# more (tracemalloc put a row's bookkeeping, ring and seeding at 410-640
-# bytes); run_ensemble's window of seeds is as many whole seed blocks as fit
-# in it, and at least one
+# bytes that one in-process engine call of sector rows may hold, at 64 bytes a
+# row for its two amplitudes and their no-jump state, and ROW_BYTES more
+# (tracemalloc put a row's bookkeeping, ring and seeding at 410-640 bytes);
+# run_ensemble's window of sector rows is as many whole seed blocks as fit in
+# it, and at least one
 WINDOW_BYTES = 4 << 20
 ROW_BYTES = 640
 # amplitudes of the normalized rows that the diagnostics hold, a step's rows
@@ -371,25 +371,21 @@ def _pair_dots(rows: int):
 
 class _DenseRows:
     """Rows of the coherent-drive and free-decay sources: a row is the dense
-    state, and a no-jump step is one d x d product.  Every row steps in
-    lockstep, but a dense row's BLAS products (the no-jump psi @ HT and the
-    jumpers' C_k psi) are taken block by block: a gemm row's rounding
-    depends on how many rows the call has, so each row gets the bits of a
-    call on its block alone.  The carrier counts stay zero.
+    state, and a no-jump step is one d x d product.  A gemm row's rounding
+    depends on how many rows share the call, so run_ensemble steps at most
+    one seed block of dense rows per engine call, and each row gets the bits
+    of a call on its block alone.  The carrier counts stay zero.
 
     _SectorRows has the same methods and attributes: initial, the (M,
     width) rows of psi0, and carrier, the (M,) carrier counts."""
 
-    def __init__(self, psi0, model, H, channels, spec, dt, M, block):
+    def __init__(self, psi0, model, H, channels, spec, dt, M):
         self.initial = np.tile(psi0, (M, 1))
         self.carrier = np.zeros(M, dtype=int)
         self.fock_dim = spec.fock_dim
         self.HT = (-1j * dt * H).T
         # every C_k^T side by side: jump vectors of the rows that jump
         self.Fq = np.hstack([ch.operator.T for ch in channels if ch.operator is not None])
-        self.blocks = [slice(lo, lo + block) for lo in range(0, M, block)]
-        # first row of every block after the first
-        self.cuts = np.arange(block, M, block)
 
     @staticmethod
     def dots(a, b, out):
@@ -400,8 +396,7 @@ class _DenseRows:
         """Write the no-jump state of each row of psi into Z, and return its
         step probability given its squared norm sq; psi_f and Z_f are the
         float views of psi and Z."""
-        for b in self.blocks:
-            np.matmul(psi[b], self.HT, out=Z[b])
+        np.matmul(psi, self.HT, out=Z)
         # read before psi is added, so a p exactly at a bound stays there
         p = self.dots(psi_f, Z_f, out=np.empty(len(sq)))
         p *= -2.0
@@ -411,13 +406,7 @@ class _DenseRows:
 
     def jump_vectors(self, psi, idx):
         """The jump vectors C_k psi of rows idx, every quantum channel's."""
-        # one product per block: idx is sorted, so each block's jumpers are a run
-        Y = np.empty((len(idx), self.Fq.shape[1]), dtype=complex)
-        ends = np.searchsorted(idx, self.cuts).tolist()
-        for lo, hi in zip([0, *ends], [*ends, len(idx)]):
-            if hi > lo:
-                np.matmul(psi[idx[lo:hi]], self.Fq, out=Y[lo:hi])
-        return Y
+        return psi[idx] @ self.Fq
 
     def jumped(self, idx, carrier_delta, quanta_delta):
         """After rows idx jump, by channels with these deltas; the first row
@@ -454,11 +443,12 @@ class _SectorRows:
     n_pred.  _sector_blocks makes sure that no amplitude is lost this way.
     The no-jump maps are held with rows last, so a step is two multiplies
     over every row's lanes, and the rows' dots are _pair_dots.  The work is
-    elementwise or stacked 2 x 2 products, so the rows need no split by
-    block.  Stored rows are scattered into one reused dense buffer of at
-    most block rows."""
+    elementwise or stacked 2 x 2 products, whose bits do not depend on the
+    row count, so run_ensemble steps a window of several seed blocks in one
+    call.  Stored rows are scattered into one reused dense buffer of at most
+    ENSEMBLE_BLOCK rows."""
 
-    def __init__(self, psi0, model, H, channels, spec, dt, M, block):
+    def __init__(self, psi0, model, H, channels, spec, dt, M):
         classical = [ch for ch in channels if ch.operator is None]
         # summed rates of the classical channels, without and with the carrier factor
         self.rate_fixed = sum(ch.rate for ch in classical if not ch.scales_with_carrier)
@@ -484,7 +474,7 @@ class _SectorRows:
         self.dots = _pair_dots(M)
         # a block's stored rows, scattered into their sectors' columns; the
         # middle d columns of the padded buffer are the dense rows
-        self.padded = np.zeros((min(M, block), spec.dim + 2), dtype=complex)
+        self.padded = np.zeros((min(M, ENSEMBLE_BLOCK), spec.dim + 2), dtype=complex)
         self.jumped(np.arange(M), 0, 0)
 
     def no_jump(self, psi, Z, psi_f, Z_f, sq):
@@ -534,7 +524,7 @@ class _SectorRows:
 
 
 def _ensemble_chunk(psi0_vec, config, source_model, grid, store_every, diagnostics,
-                    store, seeds, block):
+                    store, seeds):
     """Advance the trajectories of seeds in lockstep from psi0_vec, normalized.
 
     A row of psi holds one trajectory: a _SectorRows row for the
@@ -551,8 +541,8 @@ def _ensemble_chunk(psi0_vec, config, source_model, grid, store_every, diagnosti
     owns default_rng(seed)'s stream of uniforms and consumes one per step
     plus one per jump, read from one UniformRing over every row.
 
-    The seeds are cut into consecutive blocks of at most block rows, which
-    every row steps through in lockstep.  At stored time i of
+    Every row steps in lockstep.  The seeds are cut into consecutive blocks
+    of at most ENSEMBLE_BLOCK rows, and at stored time i of
     grid.stored_times(store_every) it calls store(i, parts), where parts
     yields one (psi, carrier) pair per block, in block order: the block's
     normalized dense (rows, d) states and (rows,) carrier counts.  These are
@@ -562,7 +552,7 @@ def _ensemble_chunk(psi0_vec, config, source_model, grid, store_every, diagnosti
     so the caller can warn about it.  A failure is raised at the earliest
     step where any row fails.  The call holds every row of seeds at once,
     about 32 width + ROW_BYTES bytes a row; run_ensemble bounds that by
-    calling it on one window of seed blocks at a time.
+    calling it on one window of seed blocks at a time (_window).
     """
     psi0 = PureState(psi0_vec).normalized().vec
     M, dim = len(seeds), len(psi0)
@@ -571,7 +561,7 @@ def _ensemble_chunk(psi0_vec, config, source_model, grid, store_every, diagnosti
     H, channels = unraveling(source_model, config, spec)
     _check_drift(H, channels)
     rows = (_SectorRows if isinstance(source_model, BirthDeathLaser) else _DenseRows)(
-        psi0, source_model, H, channels, spec, dt, M, block)
+        psi0, source_model, H, channels, spec, dt, M)
     n_ch = len(channels)
     # channel indices as intp arrays, which channel_probs indexes with as they are
     quantum = np.flatnonzero([ch.operator is not None for ch in channels])
@@ -583,7 +573,7 @@ def _ensemble_chunk(psi0_vec, config, source_model, grid, store_every, diagnosti
     # position of each quantum channel among a row's jump vectors
     slot = {k: j for j, k in enumerate(quantum.tolist())}
 
-    blocks = [slice(lo, lo + block) for lo in range(0, M, block)]
+    blocks = [slice(lo, lo + ENSEMBLE_BLOCK) for lo in range(0, M, ENSEMBLE_BLOCK)]
     psi = rows.initial
     Z = np.empty_like(psi)
     psi_f, Z_f = psi.view(float), Z.view(float)
@@ -753,11 +743,13 @@ def workers_from_env() -> int:
     return workers
 
 
-def _window(source_model, dim: int) -> int:
-    """Seeds per in-process engine call of run_ensemble: as many whole seed
-    blocks as WINDOW_BYTES holds rows of this source, and at least one."""
-    width = 2 if isinstance(source_model, BirthDeathLaser) else dim
-    return max(1, WINDOW_BYTES // (ENSEMBLE_BLOCK * (32 * width + ROW_BYTES))) * ENSEMBLE_BLOCK
+def _window(source_model) -> int:
+    """Seeds per in-process engine call of run_ensemble: one seed block of
+    dense rows; of sector rows, as many whole seed blocks as WINDOW_BYTES
+    holds, and at least one."""
+    if not isinstance(source_model, BirthDeathLaser):
+        return ENSEMBLE_BLOCK
+    return max(1, WINDOW_BYTES // (ENSEMBLE_BLOCK * (64 + ROW_BYTES))) * ENSEMBLE_BLOCK
 
 
 def _add_projectors(parts, total=None):
@@ -788,7 +780,7 @@ def _projector_sum(psi0_vec, config, source_model, grid, store_every, diagnostic
         acc[i] = _add_projectors(parts, None if fresh else acc[i])
 
     return acc, *_ensemble_chunk(psi0_vec, config, source_model, grid, store_every,
-                                 diagnostics, store, seeds, ENSEMBLE_BLOCK)
+                                 diagnostics, store, seeds)
 
 
 def run_ensemble(psi0: PureState, config: CouplingConfig, source_model,
@@ -804,23 +796,25 @@ def run_ensemble(psi0: PureState, config: CouplingConfig, source_model,
     and the result on the arguments alone: the worker count changes only the
     wall time.  workers is an integer >= 1 and defaults to CASCADESIM_WORKERS.
 
-    With one worker, or one block, the blocks run in-process in windows of
-    whole blocks whose rows fit WINDOW_BYTES (_window), one lockstep engine
-    call a window, so the engine's memory does not grow with the seed count.
-    When every seed fits one window, each stored time's average is formed
-    block by block, passed on and dropped while the trajectories run, so no
-    array of every stored average is held.  With more windows, each adds its
-    blocks' sums into one (n_stored, d, d) total.  With more workers a
-    process pool runs one block a task, each of which returns its
-    (n_stored, d, d) sum, added into the total in block order.  The observer
-    is fed from the total once every block is in.
+    With one worker, or one block, the blocks run in-process, one lockstep
+    engine call a window of seeds (_window): one block of dense rows, or as
+    many whole blocks of sector rows as WINDOW_BYTES holds.  So the engine's
+    memory does not grow with the seed count.  When every seed fits one
+    window, each stored time's average is formed block by block, passed on
+    and dropped while the trajectories run, so no array of every stored
+    average is held.  With more windows (more than ENSEMBLE_BLOCK dense
+    seeds, say), each adds its blocks' sums into one (n_stored, d, d)
+    total.  With more workers a process pool runs one block a task, each of
+    which returns its (n_stored, d, d) sum, added into the total in block
+    order.  The observer is fed from the total once every block is in.
 
     Each stored time's average goes to observe(rho) as a DensityOperator, in
     time order.  Without an observer the averages are collected into
     ``rho_avg``; with one, ``rho_avg`` is None.  A birth-death psi0 must lie
     in the quanta sector of source_model.n0, as for mcwf_run.  A failure is
     the first failing window's, raised at the earliest step where any of its
-    trajectories fails; on a pool it is the first failing block's.
+    trajectories fails; for dense rows, and on a pool, that is the first
+    failing block's.
     """
     seeds = check_seeds(seeds)
     times = grid.stored_times(store_every)
@@ -832,7 +826,7 @@ def run_ensemble(psi0: PureState, config: CouplingConfig, source_model,
         raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
     blocks = [seeds[i:i + ENSEMBLE_BLOCK] for i in range(0, len(seeds), ENSEMBLE_BLOCK)]
     workers = min(workers, len(blocks))
-    window = _window(source_model, len(psi0.vec))
+    window = _window(source_model)
     if workers == 1 and len(seeds) <= window:
         def average(i, parts):
             total = _add_projectors(parts)
@@ -840,8 +834,7 @@ def run_ensemble(psi0: PureState, config: CouplingConfig, source_model,
             observe(DensityOperator(total, layout=COMPOSITE))
 
         records, entropies, max_p = _ensemble_chunk(
-            psi0.vec, config, source_model, grid, store_every, diagnostics, average, seeds,
-            ENSEMBLE_BLOCK)
+            psi0.vec, config, source_model, grid, store_every, diagnostics, average, seeds)
     else:
         chunk = partial(_projector_sum, psi0.vec, config, source_model, grid, store_every,
                         diagnostics)

@@ -148,9 +148,10 @@ class TestSupportPattern:
     @staticmethod
     def literal_check(rho, tol):
         """The support check as a loop over entries, with the scalar abs();
-        the total quanta of |n, q> counted from the basis order n, q."""
+        the total quanta of |n, q> counted from the basis order n, q.  An
+        entry is reported unless its |value| is below tol, so NaN is."""
         quanta = [i // 2 + (i % 2 == EXCITED) for i in range(rho.dim)]
-        above = np.abs(rho.mat) >= tol
+        above = ~(np.abs(rho.mat) < tol)
         offending = [(i, j, float(abs(rho.mat[i, j])))
                      for i in range(rho.dim) for j in range(rho.dim)
                      if quanta[i] != quanta[j] and above[i, j]]
@@ -172,6 +173,18 @@ class TestSupportPattern:
         assert repr(got) == repr(self.literal_check(rho, tol))
         assert (1, 10, tol) in got[1]
         assert any((i, j) == (2, 11) for i, j, _ in got[1]) == (tol == 0.0)
+
+    @pytest.mark.parametrize("tol", [0.0, 1e-8])
+    def test_nan_outside_the_pattern_is_reported(self, tol):
+        # |0,-> and |1,-> lie in different sectors; a NaN coherence between
+        # them is neither below nor at tol, and must not pass as small
+        rho = ket(1, GROUND, FockSpec(2)).projector()
+        rho[2, 0] = np.nan
+        ok, offending = support_pattern_check(DensityOperator(rho), tol)
+        assert not ok
+        assert [(i, j) for i, j, v in offending if math.isnan(v)] == [(2, 0)]
+        if tol > 0.0:
+            assert len(offending) == 1
 
 
 class TestPhaseAveraged:

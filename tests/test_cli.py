@@ -21,10 +21,12 @@ from cascadesim.cli import (
     OBSERVABLE_BLOCK,
     _Observables,
     _observable_rows,
+    load_config,
     main,
     state_dump,
     write_csv,
 )
+from cascadesim.errors import ConfigError
 from cascadesim.evolve import expectation
 from cascadesim.hilbert import (
     SOURCE,
@@ -459,8 +461,7 @@ class TestConfigValidation:
         pytest.param("coherent_drive.json", "run-master",
                      {"n_max": 12, "initial": {"kind": "coherent", "alpha": [40, 0]}},
                      "at n_max 12", id="alpha-beyond-cutoff"),
-        # the state loads, then the first (n_max+1)^2 operator of the
-        # generator, 182 TiB, is refused at once
+        # its (d, d) operators are refused as the config loads
         pytest.param("bare_cavity.json", "run-master", {"n_max": 5 * 10**6},
                      "too large to hold in memory", id="operators-beyond-memory"),
     ])
@@ -484,6 +485,17 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "gather form" in err
         assert not (tmp_path / "out").exists()
+
+    def test_operators_beyond_the_gather_bound_are_refused_at_load(self, tmp_path):
+        # d^2 exceeds liouvillian.MAX_GATHER_ENTRIES from n_max 2048 on; the
+        # config is refused before its initial state is read, here a missing one
+        doc = short_preset("bare_cavity.json")
+        doc["n_max"] = 2047
+        assert load_config(write_config(tmp_path, doc)).spec.n_max == 2047
+        doc["n_max"] = 2048
+        del doc["initial"]
+        with pytest.raises(ConfigError, match="too large to hold in memory"):
+            load_config(write_config(tmp_path, doc))
 
     @pytest.mark.parametrize("name", ["missing.json", "."])
     def test_unreadable_config_exits_2(self, tmp_path, capsys, monkeypatch, name):

@@ -878,8 +878,9 @@ class TestEngineOracle:
             carriers.append(np.concatenate(carrier))
 
         try:
-            records, _, _ = evolve._ensemble_chunk(psi0.vec, cfg, model, grid, store_every,
-                                                   True, store, seeds, block)
+            with mock.patch.object(evolve, "ENSEMBLE_BLOCK", block):
+                records, _, _ = evolve._ensemble_chunk(psi0.vec, cfg, model, grid, store_every,
+                                                       True, store, seeds)
         except StepProbabilityError:
             assume(False)
         times = grid.stored_times(store_every)
@@ -1131,13 +1132,15 @@ class TestRowKinds:
 
     @staticmethod
     def make(model, spec, dt, M, block):
-        """The row kind of model over M copies of an initial state, and its channels."""
+        """The row kind of model over M copies of an initial state, in seed
+        blocks of block rows, and its channels."""
         H, channels = unraveling(model, TestRowKinds.CFG, spec)
         if isinstance(model, BirthDeathLaser):
             psi0, kind = ket(model.n0, GROUND, spec).vec, evolve._SectorRows
         else:
             psi0, kind = ket(0, GROUND, spec).vec, evolve._DenseRows
-        return kind(psi0, model, H, channels, spec, dt, M, block), channels
+        with mock.patch.object(evolve, "ENSEMBLE_BLOCK", block):
+            return kind(psi0, model, H, channels, spec, dt, M), channels
 
     @staticmethod
     def dense_rows(rows, psi):
@@ -1205,22 +1208,25 @@ class TestRowKinds:
         for m in range(M):
             assert sector_amplitudes(stored[m], n[m]).tobytes() == psi[m].tobytes()
 
-    @pytest.mark.parametrize("block", [1, 2, 3])
-    def test_dense_jump_vectors_are_one_call_per_block(self, block):
-        # jumpers on both sides of each block boundary get the bits of a
-        # call on their own block's jumpers alone
-        spec = FockSpec(6)
-        M = 4 * block + 1
-        rows, _ = self.make(CoherentDrive(0.4), spec, 0.01, M, block)
-        rng = np.random.default_rng(block)
-        psi = rng.standard_normal((M, spec.dim)) + 1j * rng.standard_normal((M, spec.dim))
-        idx = np.array([m for m in range(M) if m % block in (0, block - 1)])
-        Y = rows.jump_vectors(psi, idx)
-        for lo in range(0, M, block):
-            mine = (idx >= lo) & (idx < lo + block)
-            alone, _ = self.make(CoherentDrive(0.4), spec, 0.01, block, block)
-            part = alone.jump_vectors(psi[lo:lo + block], idx[mine] - lo)
-            assert Y[mine].tobytes() == part.tobytes()
+    @pytest.mark.filterwarnings("ignore:step probability")
+    def test_dense_rows_run_one_block_a_call(self, monkeypatch):
+        # a gemm row's rounding depends on how many rows share the call, so
+        # seven dense seeds in blocks of two are four engine calls of at
+        # most two rows, and give the bits of one call per block
+        model, psi0 = TestLockstepBlocks.ROWS["coherent_drive"]
+        grid = TimeGrid(0.0, 0.7, 0.005)
+        seeds = [5, 2, 9, 0, 7, 11, 3]
+        monkeypatch.setattr(evolve, "ENSEMBLE_BLOCK", 2)
+        with mock.patch.object(evolve, "_ensemble_chunk", wraps=evolve._ensemble_chunk) as chunk:
+            ens = run_ensemble(psi0, TestLockstepBlocks.CFG, model, grid, seeds, store_every=20,
+                               workers=1)
+        assert [call.args[7] for call in chunk.call_args_list] == [[5, 2], [9, 0], [7, 11], [3]]
+        avgs, records, entropies = per_block_reference(
+            psi0, TestLockstepBlocks.CFG, model, grid, seeds, 20, True, 2)
+        for a, b in zip(ens.rho_avg, avgs, strict=True):
+            assert a.mat.tobytes() == b.tobytes()
+        assert [(r.seed, r.events) for r in ens.records] == [(r.seed, r.events) for r in records]
+        assert ens.max_schmidt_entropies == entropies
 
 
 class TestPinnedRecords:
@@ -1725,7 +1731,7 @@ def per_block_reference(psi0, config, model, grid, seeds, store_every, diagnosti
             sums.append(psi.T @ psi.conj())
 
         recs, ents, _ = evolve._ensemble_chunk(psi0.vec, config, model, grid, store_every,
-                                               diagnostics, store, part, len(part))
+                                               diagnostics, store, part)
         if total is None:
             total = sums
         else:
@@ -1743,8 +1749,9 @@ def failure_time(error) -> float:
 
 
 class TestLockstepBlocks:
-    """One in-process engine call runs every seed block in lockstep and gives
-    the bits of one call per block."""
+    """One in-process engine call runs a window of seed blocks in lockstep,
+    one block of dense rows or several of sector rows, and gives the bits of
+    one call per block."""
 
     CFG = CouplingConfig(1.0, 0.5, 0.5)
     SPEC = FockSpec(4)
@@ -1792,8 +1799,10 @@ class TestLockstepBlocks:
     @pytest.mark.filterwarnings("ignore:step probability", "ignore:overflow", "ignore:invalid value")
     @pytest.mark.parametrize("case", sorted(FAILING))
     def test_failure_across_blocks(self, monkeypatch, case):
-        # in-process the failure is the earliest of any block's, on a pool the
-        # first block's; the error class is the same
+        # in-process the failure is the earliest of any block's for sector
+        # rows, which run in one window, and the first failing block's for
+        # dense rows, which run one block a call; on a pool it is the first
+        # failing block's.  The error class is the same
         cfg, model, psi0, grid, error = self.FAILING[case]
         monkeypatch.setattr(evolve, "ENSEMBLE_BLOCK", 2)
         seeds = [5, 2, 9, 0, 7]
@@ -1805,21 +1814,25 @@ class TestLockstepBlocks:
             assert type(info.value) is error
             raised.append(failure_time(info.value))
         lockstep, pool, *alone = raised
-        assert lockstep == min(alone) and pool == alone[0]
+        assert lockstep == (min(alone) if case.startswith("sector") else alone[0])
+        assert pool == alone[0]
 
 
 class TestWindows:
-    """In-process, run_ensemble steps the seed blocks a window of whole
-    blocks at a time, as many as WINDOW_BYTES holds, and each engine call
-    narrows its rows' rings of uniforms to RING_LANES; neither changes a
-    bit, and the engine's memory stays bounded whatever the seed count."""
+    """In-process, run_ensemble steps the seed blocks a window at a time:
+    one block of dense rows, or as many whole blocks of sector rows as
+    WINDOW_BYTES holds.  Each engine call narrows its rows' rings of
+    uniforms to RING_LANES; neither changes a bit, and the engine's memory
+    stays bounded whatever the seed count."""
 
     CFG = CouplingConfig(1.0, 0.5, 0.5)
 
     @pytest.mark.parametrize("rows, width", [
         # A2's 20 rows and cli-roundtrip's 32 keep every uniform of a block
-        (20, 64), (32, 64), (1024, 32),
-        # A7, A8 and laser-ensemble
+        (20, 64), (32, 64),
+        # one block, as each of A8's two engine calls of dense rows
+        (1024, 32),
+        # A7 and laser-ensemble
         (2000, 16),
         (20000, streams_mod.RING_FLOOR),
     ])
@@ -1828,29 +1841,31 @@ class TestWindows:
         assert 2 * width * rows <= streams_mod.RING_LANES or width == streams_mod.RING_FLOOR
 
     def test_bundled_ensembles_run_in_one_window(self):
-        # A7's and laser-ensemble's 2000 sector rows, and A8's 2000 dense
-        # rows at d 42, each stay one lockstep engine call
-        assert evolve._window(BirthDeathLaser(1.0, 0.5, 0.5, N0=2, n0=1), 30) == 5 * evolve.ENSEMBLE_BLOCK
-        assert evolve._window(CoherentDrive(0.75), 42) == 2 * evolve.ENSEMBLE_BLOCK
+        # A7's and laser-ensemble's 2000 sector rows stay one lockstep engine
+        # call; A8's 2000 dense rows are two calls of one block each
+        assert evolve._window(BirthDeathLaser(1.0, 0.5, 0.5, N0=2, n0=1)) == 5 * evolve.ENSEMBLE_BLOCK
+        assert evolve._window(CoherentDrive(0.75)) == evolve.ENSEMBLE_BLOCK
+        assert evolve._window(FreeDecayMixture(((0.5, 1.0),))) == evolve.ENSEMBLE_BLOCK
 
     @pytest.mark.filterwarnings("ignore:step probability")
     @pytest.mark.parametrize("kind", ["birth_death", "coherent_drive"])
     def test_many_windows_give_one_window_bits(self, monkeypatch, kind):
-        # seven seeds in blocks of two are four blocks: in-process, one window
-        # of all four, two windows of two blocks or four of one; on a pool,
-        # one block a task
+        # seven seeds in blocks of two are four blocks: in-process, sector
+        # rows run in one window of all four, two windows of two blocks or
+        # four of one, and dense rows in four windows of one block whatever
+        # WINDOW_BYTES is; on a pool, one block a task
         model, psi0 = TestLockstepBlocks.ROWS[kind]
-        width = 2 if isinstance(model, BirthDeathLaser) else psi0.dim
+        sector = isinstance(model, BirthDeathLaser)
         grid = TimeGrid(0.0, 0.7, 0.005)
         seeds = [5, 2, 9, 0, 7, 11, 3]
         monkeypatch.setattr(evolve, "ENSEMBLE_BLOCK", 2)
         runs = {}
         for blocks, workers, calls in [(4, 1, 1), (2, 1, 2), (1, 1, 4), (1, 2, 0), (1, 3, 0)]:
-            monkeypatch.setattr(evolve, "WINDOW_BYTES", blocks * 2 * (32 * width + evolve.ROW_BYTES))
+            monkeypatch.setattr(evolve, "WINDOW_BYTES", blocks * 2 * (64 + evolve.ROW_BYTES))
             with mock.patch.object(evolve, "_ensemble_chunk", wraps=evolve._ensemble_chunk) as chunk:
                 runs[blocks, workers] = run_ensemble(psi0, self.CFG, model, grid, seeds,
                                                      store_every=20, workers=workers)
-            assert chunk.call_count == calls
+            assert chunk.call_count == (calls if sector or workers > 1 else 4)
         one = runs[4, 1]
         assert max(one.max_schmidt_entropies) > 0.0 and len(one.rho_avg) == 8
         for ens in runs.values():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cascadesim.errors import DimensionMismatchError
 from cascadesim.hilbert import (
@@ -29,6 +31,7 @@ from cascadesim.liouvillian import (
     build_L_ST,
     build_L_T,
     build_nonhermitian_H,
+    gather,
     regroup,
     to_matrix,
 )
@@ -396,6 +399,37 @@ class TestCompiledGenerator:
         L = build_L_T(CouplingConfig(), SPEC)
         with pytest.raises(DimensionMismatchError):
             apply(L, np.zeros((SPEC.dim, SPEC.dim + 1)))
+
+    TARGET_RATE = st.one_of(st.just(0.0), st.floats(0.0, 2.0))
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(rates=st.tuples(st.floats(0.1, 2.0), TARGET_RATE, TARGET_RATE),
+           delta=st.one_of(st.just(0.0), st.floats(-2.0, 2.0)),
+           drive=st.one_of(st.none(), st.complex_numbers(max_magnitude=2.0)),
+           n_max=st.integers(1, 6), data=st.data(), seed=st.integers(0, 2**32 - 1))
+    def test_drawn_generators_match_to_matrix(self, rates, delta, drive, n_max, data, seed):
+        # a random rho on a drawn set of k-blocks; where block_gather keeps
+        # some of them, the kept entries are the full gather's bit for bit
+        # and the full gather is exactly zero outside them
+        spec = FockSpec(n_max)
+        cfg = CouplingConfig(*rates, delta=delta)
+        model = FreeDecayMixture(((0.5, 1.0),)) if drive is None else CoherentDrive(drive)
+        L = build_L_S(model, spec) + build_L_T(cfg, spec) + build_L_ST(cfg, spec)
+        N = (np.arange(spec.dim) + 1) // 2
+        k = np.subtract.outer(N, N)
+        blocks = data.draw(st.lists(st.integers(-N[-1], N[-1]), min_size=1, unique=True))
+        rng = np.random.default_rng(seed)
+        rho = rng.normal(size=k.shape) + 1j * rng.normal(size=k.shape)
+        rho[~np.isin(k, blocks)] = 0.0
+
+        out = apply(L, rho)
+        ref = to_matrix(L) @ vec_col(rho)
+        assert np.max(np.abs(vec_col(out) - ref)) <= 1e-13 * np.abs(ref).max()
+        kept = block_gather(L, rho)
+        if kept is not None:
+            keep, index, weight = kept
+            assert np.array_equal(gather(index, weight, rho.ravel()[keep]), out.ravel()[keep])
+            assert not np.delete(out.ravel(), keep).any()
 
 
 def width(L):
