@@ -80,7 +80,7 @@ def main():
     print(f"{'time':>7} {'<n> source':>11} {'P(excited)':>11}")
     for t, rho in zip(ens.times, ens.rho_avg):
         pe = partial_trace(rho, TARGET).mat[EXCITED, EXCITED].real
-        print(f"{t:7.2f} {expectation(rho, n_op).real:11.4f} {pe:11.4f}")
+        print(f"{t:7.2f} {expectation(rho.mat, n_op).real:11.4f} {pe:11.4f}")
 
 
 if __name__ == "__main__":

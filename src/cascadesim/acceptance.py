@@ -129,10 +129,11 @@ def criterion_a1() -> CriterionResult:
     )
 
 
-def sector_residuals(psi0, config: CouplingConfig, model: BirthDeathLaser,
-                     grid: TimeGrid, records) -> np.ndarray:
-    """Largest out-of-sector amplitude of each birth-death record, replayed on
-    the full space.
+def replay_records(psi0, config: CouplingConfig, model: BirthDeathLaser,
+                   grid: TimeGrid, records):
+    """Every birth-death record replayed on the full space: yields (psi, n),
+    the (M, d) normalized states of the M records and the (M,) sectors they
+    are predicted in, at t0 and after every step.
 
     The trajectory engine keeps only the two amplitudes of each trajectory's
     quanta sector, so it cannot see amplitude leave the sector.  Here every
@@ -140,9 +141,9 @@ def sector_residuals(psi0, config: CouplingConfig, model: BirthDeathLaser,
     random number is drawn: at a step where the record has a quantum event
     the state becomes C_k psi, and at every other step it takes the
     first-order no-jump map psi - i dt H psi - (dt/2) N g a a^dag psi.  The
-    carrier count N and the predicted sector n follow the recorded events.
-    At t0 and after every step the normalized state's amplitude outside
-    sector n, span{|n-1, excited>, |n, ground>}, is measured.
+    carrier count N and the predicted sector n follow the recorded events;
+    sector n is span{|n-1, excited>, |n, ground>}.  n is updated in place,
+    so read it before the next state is drawn.
     """
     spec = FockSpec(psi0.dim // 2 - 1)
     H, channels = unraveling(model, config, spec)
@@ -159,14 +160,7 @@ def sector_residuals(psi0, config: CouplingConfig, model: BirthDeathLaser,
     psi = np.tile(psi0.normalized().vec, (len(records), 1))
     carrier = np.full(len(records), model.N0)
     n = np.full(len(records), model.n0)
-    sector = total_quanta(spec.dim)
-    worst = np.zeros(len(records))
-
-    def measure():
-        outside = np.where(sector == n[:, None], 0.0, np.abs(psi) ** 2)
-        np.maximum(worst, np.sqrt(outside.sum(axis=1)), out=worst)
-
-    measure()
+    yield psi, n
     for step in range(grid.n_steps):
         nxt = psi @ no_jump - (carrier[:, None] * damp) * psi
         for row, label in at_step.get(step, ()):
@@ -176,7 +170,18 @@ def sector_residuals(psi0, config: CouplingConfig, model: BirthDeathLaser,
             carrier[row] += ch.carrier_delta
             n[row] += ch.quanta_delta
         psi = nxt / np.linalg.norm(nxt, axis=1)[:, None]
-        measure()
+        yield psi, n
+
+
+def sector_residuals(psi0, config: CouplingConfig, model: BirthDeathLaser,
+                     grid: TimeGrid, records) -> np.ndarray:
+    """Largest out-of-sector amplitude of each birth-death record over its
+    dense replay (replay_records)."""
+    sector = total_quanta(psi0.dim)
+    worst = np.zeros(len(records))
+    for psi, n in replay_records(psi0, config, model, grid, records):
+        outside = np.where(sector == n[:, None], 0.0, np.abs(psi) ** 2)
+        np.maximum(worst, np.sqrt(outside.sum(axis=1)), out=worst)
     return worst
 
 
@@ -409,7 +414,7 @@ def criterion_a9() -> CriterionResult:
     states = evolve_master(rho0, L, grid, store_every=store)
     n_op = embed(number_operator(spec), SOURCE, spec)
     worst_dec = max(
-        abs(expectation(rho, n_op).real
+        abs(expectation(rho.mat, n_op).real
             - cav["n0"] * np.exp(-cav["gamma_S"] * t))
         for t, rho in zip(grid.stored_times(store), states)
     )
@@ -419,7 +424,7 @@ def criterion_a9() -> CriterionResult:
     for dt in rich["dts"]:
         rho1 = evolve_master(rho0, L, TimeGrid(0.0, rich["t1"], dt))[-1]
         exact = cav["n0"] * np.exp(-cav["gamma_S"] * rich["t1"])
-        errs.append(abs(expectation(rho1, n_op).real - exact))
+        errs.append(abs(expectation(rho1.mat, n_op).real - exact))
     ratio = errs[0] / errs[1]
 
     bl = p["bloch"]

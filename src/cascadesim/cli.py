@@ -91,6 +91,25 @@ def _require(doc: dict, key: str, context: str):
     return doc[key]
 
 
+def _known(doc: dict, keys, context: str) -> dict:
+    """doc, once every key of it is among keys: a misspelt key is refused,
+    not read as its default."""
+    unknown = sorted(set(doc) - set(keys))
+    if unknown:
+        raise ConfigError(f"unknown key {unknown[0]!r} in {context}")
+    return doc
+
+
+def _check_directory(path: str, where: str) -> None:
+    """Refuse a path that cannot be made a directory: it, or its nearest
+    existing ancestor, must be one.  Creates nothing."""
+    existing = os.path.abspath(path)
+    while not os.path.exists(existing):
+        existing = os.path.dirname(existing)
+    if not os.path.isdir(existing):
+        raise ConfigError(f"{where} {path!r} cannot be a directory: {existing!r} is not one")
+
+
 def _section(doc: dict, key: str, context: str, required: bool = True) -> dict:
     """The JSON object under ``key``; an empty one when it is absent and optional."""
     value = _require(doc, key, context) if required else doc.get(key, {})
@@ -120,14 +139,17 @@ def _complex(parts, where: str) -> complex:
 def _parse_source(doc: dict):
     kind = _require(doc, "kind", "source")
     if kind == "coherent_drive":
+        _known(doc, ("kind", "epsilon"), "source")
         return CoherentDrive(_complex(_require(doc, "epsilon", "source"), "source.epsilon"))
     if kind == "free_decay":
+        _known(doc, ("kind", "amplitudes"), "source")
         amps = tuple((_complex([re, im], "source.amplitudes"), _real(w, "source.amplitudes"))
                      for re, im, w in _require(doc, "amplitudes", "source"))
         return FreeDecayMixture(amps)
     if kind == "birth_death":
-        rates = {key: _real(_require(doc, key, "source"), f"source.{key}")
-                 for key in ("pump_rate", "gain_per_carrier", "nonlasing_rate")}
+        rate_keys = ("pump_rate", "gain_per_carrier", "nonlasing_rate")
+        _known(doc, ("kind", "N0", "n0", *rate_keys), "source")
+        rates = {key: _real(_require(doc, key, "source"), f"source.{key}") for key in rate_keys}
         return BirthDeathLaser(N0=_require(doc, "N0", "source"),
                                n0=_require(doc, "n0", "source"), **rates)
     raise ConfigError(f"unknown source kind {kind!r}")
@@ -140,11 +162,13 @@ def _parse_initial(doc: dict, spec: FockSpec) -> PureState:
     qubit = qubit_state(GROUND if qubit_name == "ground" else EXCITED)
     kind = _require(doc, "kind", "initial")
     if kind == "fock":
+        _known(doc, ("kind", "qubit", "n"), "initial")
         n = _require(doc, "n", "initial")
         if not _is_int(n):
             raise ConfigError(f"initial.n must be an integer, got {n!r}")
         return product_state(fock_state(n, spec), qubit)
     if kind == "coherent":
+        _known(doc, ("kind", "qubit", "alpha"), "initial")
         alpha = _complex(_require(doc, "alpha", "initial"), "initial.alpha")
         try:
             source = coherent_state(alpha, spec, warn=False)
@@ -171,7 +195,10 @@ def load_config(path: str) -> ExperimentConfig:
     try:
         if not isinstance(doc, dict):
             raise ConfigError(f"{path}: the config must be a JSON object")
-        cpl = _section(doc, "coupling", path, required=False)
+        _known(doc, ("name", "coupling", "n_max", "grid", "source", "initial", "store_every",
+                     "seeds", "output_dir"), path)
+        cpl = _known(_section(doc, "coupling", path, required=False),
+                     [f.name for f in fields(CouplingConfig)], "coupling")
         coupling = CouplingConfig(**{
             f.name: _real(cpl.get(f.name, f.default), f"coupling.{f.name}")
             for f in fields(CouplingConfig)})
@@ -184,7 +211,7 @@ def load_config(path: str) -> ExperimentConfig:
         if spec.dim ** 2 > MAX_GATHER_ENTRIES:
             raise ConfigError(f"n_max {n_max}: its {spec.dim} x {spec.dim} operators are too "
                               f"large to hold in memory (at most {MAX_GATHER_ENTRIES} entries)")
-        g = _section(doc, "grid", path)
+        g = _known(_section(doc, "grid", path), ("t0", "t1", "dt"), "grid")
         grid = TimeGrid(_real(g.get("t0", 0.0), "grid.t0"),
                         _real(_require(g, "t1", "grid"), "grid.t1"),
                         _real(_require(g, "dt", "grid"), "grid.dt"))
@@ -198,6 +225,7 @@ def load_config(path: str) -> ExperimentConfig:
         if isinstance(s, list):
             seeds = list(s)
         elif isinstance(s, dict):
+            _known(s, ("start", "count"), "seeds")
             start, count = s.get("start", 0), s["count"]
             if not (_is_int(start) and _is_int(count)):
                 raise ConfigError(f"seeds start and count must be integers, got {s!r}")
@@ -210,6 +238,7 @@ def load_config(path: str) -> ExperimentConfig:
         for key, value in (("name", name), ("output_dir", output_dir)):
             if not isinstance(value, str):
                 raise ConfigError(f"{key} must be a string, got {value!r}")
+        _check_directory(output_dir, "output_dir")
         resolved = {
             "name": name,
             "coupling": asdict(coupling),
@@ -394,6 +423,7 @@ def cmd_verify(suite: str, out_dir: str) -> int:
               f"{', '.join(sorted(CRITERIA))}", file=sys.stderr)
         return 2
     workers_from_env()  # the suite's ensembles read it; refuse a bad value before they run
+    _check_directory(out_dir, "--out")
     results = run_suite(names)
     os.makedirs(out_dir, exist_ok=True)
     verdict = []

@@ -133,10 +133,9 @@ class TrajectoryResult:
     max_schmidt_entropy: float | None = None
 
 
-def expectation(rho, op) -> complex:
-    """trace(op @ rho)."""
-    m = rho.mat if isinstance(rho, DensityOperator) else np.asarray(rho)
-    o = np.asarray(op)
+def expectation(rho: np.ndarray, op: np.ndarray) -> complex:
+    """trace(op @ rho) of two (d, d) arrays."""
+    m, o = np.asarray(rho), np.asarray(op)
     if m.shape != o.shape:
         raise DimensionMismatchError(f"shapes {m.shape} and {o.shape} differ")
     return complex(np.sum(o.T * m))

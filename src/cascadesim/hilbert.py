@@ -100,10 +100,10 @@ class DensityOperator:
     def dim(self) -> int:
         return self.mat.shape[0]
 
-    def check(self, trace_tol: float = 1e-10, herm_tol: float = 1e-12, eig_tol: float = 1e-10):
+    def check(self):
         """Raise InvariantViolationError if trace/hermiticity/positivity are off;
-        the one-state call of check_states."""
-        failure = check_states(self.mat[None], trace_tol, herm_tol, eig_tol)
+        the one-state call of check_states at its default tolerances."""
+        failure = check_states(self.mat[None])
         if failure is not None:
             raise InvariantViolationError(failure[1])
         return self

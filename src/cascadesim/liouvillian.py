@@ -38,7 +38,6 @@ from .errors import DimensionMismatchError
 from .hilbert import (
     SOURCE,
     TARGET,
-    DensityOperator,
     FockSpec,
     annihilation,
     embed,
@@ -208,7 +207,7 @@ def build_H_T(config: CouplingConfig, spec: FockSpec) -> np.ndarray:
 
 
 def _scaled_ops(config: CouplingConfig, spec: FockSpec) -> tuple:
-    """A = sqrt(gS) a and B = sqrt(gTf) b, the factors of every cross term.
+    """(a, b, A, B): the embedded ladder operators, A = sqrt(gS) a and B = sqrt(gTf) b.
 
     Building the cross terms and f from these same two matrices makes each
     product A^dag B come out bit for bit the same wherever it appears, so
@@ -216,19 +215,18 @@ def _scaled_ops(config: CouplingConfig, spec: FockSpec) -> tuple:
     """
     a = embed(annihilation(spec), SOURCE, spec)
     b = embed(qubit_lowering(), TARGET, spec)
-    return np.sqrt(config.gamma_S) * a, np.sqrt(config.gamma_Tf) * b
+    return a, b, np.sqrt(config.gamma_S) * a, np.sqrt(config.gamma_Tf) * b
 
 
 def build_H_ST(config: CouplingConfig, spec: FockSpec) -> np.ndarray:
     """One-way coupling Hamiltonian (i/2) (A^dag B - A B^dag) = (i/2) sqrt(gS gTf) (a^dag b - a b^dag)."""
-    A, B = _scaled_ops(config, spec)
+    _, _, A, B = _scaled_ops(config, spec)
     return 0.5j * (A.conj().T @ B - A @ B.conj().T)
 
 
 def build_jump_ops(config: CouplingConfig, spec: FockSpec) -> tuple:
     """Forward and side jump operators f = A + B = sqrt(gS) a + sqrt(gTf) b, s = sqrt(gTs) b."""
-    A, B = _scaled_ops(config, spec)
-    b = embed(qubit_lowering(), TARGET, spec)
+    _, b, A, B = _scaled_ops(config, spec)
     return A + B, np.sqrt(config.gamma_Ts) * b
 
 
@@ -255,9 +253,7 @@ def regroup(L_S: Superoperator, config: CouplingConfig) -> tuple:
     b . a^dag - b^dag a . - . a^dag b), with A and B as in _scaled_ops.
     """
     spec = FockSpec(L_S.dim // 2 - 1)
-    a = embed(annihilation(spec), SOURCE, spec)
-    b = embed(qubit_lowering(), TARGET, spec)
-    A, B = _scaled_ops(config, spec)
+    a, b, A, B = _scaled_ops(config, spec)
     Ad, Bd = A.conj().T, B.conj().T
     eye = np.eye(spec.dim, dtype=complex)
 
@@ -285,8 +281,7 @@ def build_nonhermitian_H(config: CouplingConfig, spec: FockSpec) -> np.ndarray:
     as in _scaled_ops; the non-Hermitian part coincides with
     H_ST - (i/2) s^dag s - (i/2) f^dag f.
     """
-    A, B = _scaled_ops(config, spec)
-    b = embed(qubit_lowering(), TARGET, spec)
+    _, b, A, B = _scaled_ops(config, spec)
     return (
         build_H_T(config, spec)
         - 1j * (A @ B.conj().T)
@@ -295,9 +290,9 @@ def build_nonhermitian_H(config: CouplingConfig, spec: FockSpec) -> np.ndarray:
     )
 
 
-def apply(superop: Superoperator, rho) -> np.ndarray:
-    """Apply the superoperator to a density matrix; returns the raw derivative matrix."""
-    m = rho.mat if isinstance(rho, DensityOperator) else np.asarray(rho, dtype=complex)
+def apply(superop: Superoperator, rho: np.ndarray) -> np.ndarray:
+    """Apply the superoperator to a (d, d) density matrix; returns the raw derivative matrix."""
+    m = np.asarray(rho, dtype=complex)
     d = superop.dim
     if m.shape != (d, d):
         raise DimensionMismatchError(f"rho shape {m.shape} != superoperator dim {d}")

@@ -497,6 +497,50 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="too large to hold in memory"):
             load_config(write_config(tmp_path, doc))
 
+    @pytest.mark.parametrize("preset, path, value", [
+        ("coherent_drive.json", ("coupling", "gamma_s"), 2.0),
+        ("coherent_drive.json", ("store_evry",), 5),
+        ("coherent_drive.json", ("source", "epsilonn"), [0.1, 0.0]),
+        ("coherent_drive.json", ("grid", "DT"), 0.001),
+        ("coherent_drive.json", ("initial", "qbit"), "excited"),
+        ("coherent_drive.json", ("seeds", "stride"), 2),
+        # keys of another kind of source or initial state
+        ("bare_cavity.json", ("source", "epsilon"), [0.1, 0.0]),
+        ("coherent_drive.json", ("initial", "n"), 1),
+        ("birth_death.json", ("initial", "alpha"), [0.1, 0.0]),
+    ], ids=["coupling.gamma_s", "store_evry", "source.epsilonn", "grid.DT", "initial.qbit",
+            "seeds.stride", "free_decay-epsilon", "coherent-n", "fock-alpha"])
+    def test_unknown_key_exits_2(self, tmp_path, capsys, preset, path, value):
+        # a misspelt key must not be read as the default of the key it meant
+        doc = short_preset(preset)
+        doc["output_dir"] = str(tmp_path / "out")
+        mutate(doc, path, value)
+        config = write_config(tmp_path, doc)
+        assert main(["run-master", config]) == 2
+        section = path[0] if len(path) > 1 else config
+        assert capsys.readouterr().err == (f"config error: unknown key {path[-1]!r} "
+                                           f"in {section}\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "below-a-file"])
+    def test_output_dir_that_cannot_be_a_directory_exits_2(self, tmp_path, capsys, below):
+        # refused as the config loads, before the run is computed
+        taken = tmp_path / "taken"
+        taken.write_text("kept\n")
+        doc = short_preset("coherent_drive.json")
+        doc["output_dir"] = str(taken / "out" if below else taken)
+        assert main(["run-master", write_config(tmp_path, doc)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: output_dir") and "cannot be a directory" in err
+        assert taken.read_text() == "kept\n"
+        assert sorted(os.listdir(tmp_path)) == ["config.json", "taken"]
+
+    def test_output_dir_below_missing_directories_runs(self, tmp_path):
+        doc = short_preset("coherent_drive.json")
+        doc["output_dir"] = str(tmp_path / "a" / "b")
+        assert main(["run-master", write_config(tmp_path, doc)]) == 0
+        assert (tmp_path / "a" / "b" / "observables.csv").is_file()
+
     @pytest.mark.parametrize("name", ["missing.json", "."])
     def test_unreadable_config_exits_2(self, tmp_path, capsys, monkeypatch, name):
         monkeypatch.chdir(tmp_path)
@@ -517,9 +561,9 @@ class TestObservableRows:
         b = embed(qubit_lowering(), TARGET, spec)
         n, pe = a.conj().T @ a, b.conj().T @ b
         for t, rho, row in zip(times, rhos, rows):
-            ea, eb = expectation(rho, a), expectation(rho, b)
-            expected = [t, ea.real, ea.imag, expectation(rho, n).real, eb.real, eb.imag,
-                        expectation(rho, pe).real, np.trace(rho.mat @ rho.mat).real]
+            ea, eb = expectation(rho.mat, a), expectation(rho.mat, b)
+            expected = [t, ea.real, ea.imag, expectation(rho.mat, n).real, eb.real, eb.imag,
+                        expectation(rho.mat, pe).real, np.trace(rho.mat @ rho.mat).real]
             assert all(type(v) is float for v in row)
             assert np.max(np.abs(np.array(row) - expected)) <= 1e-14
 
@@ -643,6 +687,17 @@ class TestVerify:
     def test_unknown_suite_exits_2(self, tmp_path, capsys):
         assert main(["verify", "--suite", "A17", "--out", str(tmp_path)]) == 2
         assert "unknown suite" in capsys.readouterr().err
+
+    def test_out_that_is_a_file_exits_2_before_the_suite_runs(self, tmp_path, capsys,
+                                                              monkeypatch):
+        import cascadesim.acceptance as acceptance
+
+        monkeypatch.setattr(acceptance, "run_suite", lambda names: pytest.fail("suite ran"))
+        taken = tmp_path / "taken"
+        taken.write_text("kept\n")
+        assert main(["verify", "--suite", "A3", "--out", str(taken)]) == 2
+        assert capsys.readouterr().err.startswith("config error: --out")
+        assert taken.read_text() == "kept\n"
 
     @pytest.mark.parametrize("value", ["0", "abc"])
     def test_bad_worker_count_exits_2(self, tmp_path, capsys, monkeypatch, value):

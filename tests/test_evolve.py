@@ -12,8 +12,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cascadesim.acceptance import load_preset, sector_residuals
-from cascadesim.analysis import schmidt_entropy, trace_distance
+from cascadesim.acceptance import load_preset, replay_records, sector_residuals
+from cascadesim.analysis import schmidt_entropy, support_pattern_check, trace_distance
 from cascadesim.errors import (
     DimensionMismatchError,
     InvariantViolationError,
@@ -28,6 +28,7 @@ from cascadesim.hilbert import (
     FockSpec,
     PureState,
     annihilation,
+    check_states,
     coherent_state,
     embed,
     fock_state,
@@ -35,6 +36,7 @@ from cascadesim.hilbert import (
     product_state,
     qubit_lowering,
     qubit_state,
+    total_quanta,
     SOURCE,
 )
 from cascadesim.liouvillian import (
@@ -64,6 +66,7 @@ import cascadesim.sources as sources
 # not "streams": TestStreams has a local variable of that name
 import cascadesim.streams as streams_mod
 from cascadesim.evolve import (
+    MASTER_TOLS,
     RENORMALIZE_EVERY,
     STORE_BLOCK,
     TimeGrid,
@@ -218,7 +221,7 @@ class TestMasterEquation:
         states = evolve_master(rho0, L, grid, store_every=20)
         n_op = embed(number_operator(spec), SOURCE, spec)
         for t, rho in zip(grid.times()[::20], states):
-            assert abs(expectation(rho, n_op) - 3.0 * np.exp(-t)) < 1e-8
+            assert abs(expectation(rho.mat, n_op) - 3.0 * np.exp(-t)) < 1e-8
 
     def test_step_error_scales_fourth_order(self):
         spec = FockSpec(5)
@@ -228,14 +231,14 @@ class TestMasterEquation:
         errs = []
         for dt in (0.08, 0.04):
             rho1 = evolve_master(rho0, L, TimeGrid(0.0, 0.8, dt))[-1]
-            errs.append(abs(expectation(rho1, n_op) - 3.0 * np.exp(-0.8)))
+            errs.append(abs(expectation(rho1.mat, n_op) - 3.0 * np.exp(-0.8)))
         assert errs[0] / errs[1] > 12.0
 
     def test_expectation_rejects_operator_of_another_shape(self, rng):
         from conftest import random_density
 
         with pytest.raises(DimensionMismatchError, match="shapes"):
-            expectation(random_density(4, rng), np.eye(6))
+            expectation(random_density(4, rng).mat, np.eye(6))
 
     def test_matches_literal_rk4(self, rng):
         # the nested step against the four-stage classical RK4 sum
@@ -553,11 +556,8 @@ class TestStoredStateChecks:
 
 def check_failure(m):
     """The message of a one-state check at evolve_master's tolerances, or None."""
-    try:
-        DensityOperator(m).check(1e-8, 1e-8, 1e-8)
-    except InvariantViolationError as exc:
-        return str(exc)
-    return None
+    failure = check_states(m[None], **MASTER_TOLS)
+    return None if failure is None else failure[1]
 
 
 class TestSingleTrajectory:
@@ -669,7 +669,7 @@ class TestSingleTrajectory:
         L = build_L_S(model, spec) + build_L_T(cfg, spec) + build_L_ST(cfg, spec)
         rho_ss = evolve_master(rho0, L, TimeGrid(0, 20, 0.01), store_every=2000)[-1]
         f_op, _ = build_jump_ops(cfg, spec)
-        flux = expectation(rho_ss, f_op.conj().T @ f_op).real
+        flux = expectation(rho_ss.mat, f_op.conj().T @ f_op).real
 
         t_burn, t_end = 10.0, 90.0
         r = mcwf_run(ket(0, GROUND, spec), cfg, model, TimeGrid(0.0, t_end, 0.01),
@@ -1588,6 +1588,49 @@ class TestSectorReplay:
         expected = [self.literal(psi0, r) for r in records]
         assert min(expected) > 0.1
         assert np.max(np.abs(replayed - expected)) <= 1e-12
+
+    @pytest.mark.filterwarnings("ignore:step probability")
+    @settings(max_examples=8, deadline=None, derandomize=True)
+    @given(gamma_S=st.floats(0.2, 2.0), gamma_Tf=st.floats(0.0, 1.5),
+           gamma_Ts=st.sampled_from([0.0, 0.4]), delta=st.sampled_from([0.0, 0.7]),
+           pump=st.floats(0.0, 2.0), gain=st.floats(0.0, 1.0), loss=st.floats(0.0, 1.0),
+           N0=st.integers(0, 5), n0=st.integers(0, 5))
+    def test_records_stay_in_one_sector_at_drawn_parameters(
+            self, gamma_S, gamma_Tf, gamma_Ts, delta, pump, gain, loss, N0, n0):
+        # the paper's second claim: a birth-death state conditioned on its
+        # whole record stays in one sector of known total quanta, and there it
+        # can be entangled (cf. Molmer, Phys. Rev. A 55, 3195 (1997)).  The
+        # engine keeps two amplitudes a row, so its records are replayed densely
+        cfg = CouplingConfig(gamma_S, gamma_Tf, gamma_Ts, delta)
+        model = BirthDeathLaser(pump, gain, loss, N0=N0, n0=n0)
+        spec = FockSpec(n0 + 8)
+        # a bound on a row's total jump rate up to t 1, where the carrier
+        # count exceeds N0 + 10 with a chance below 1e-5 at pump rate <= 2;
+        # dt keeps the step probability below 0.08, under the hard 0.1
+        rate = (2 * (gamma_S * spec.n_max + gamma_Tf) + gamma_Ts + pump
+                + (gain * spec.n_max + loss) * (N0 + 10))
+        steps = 10 * math.ceil(max(400, rate / 0.08) / 10)
+        grid = TimeGrid(0.0, 1.0, 1.0 / steps)
+        psi0 = ket(n0, GROUND, spec)
+        ens = run_ensemble(psi0, cfg, model, grid, range(16), store_every=steps // 10,
+                           workers=1)
+        sector = total_quanta(spec.dim)
+        worst = np.zeros(16)
+        entropy = np.zeros(16)
+        for psi, n in replay_records(psi0, cfg, model, grid, ens.records):
+            np.maximum(worst, np.abs(np.where(sector == n[:, None], 0.0, psi)).max(axis=1),
+                       out=worst)
+            # each row's Schmidt entropy in bits, as analysis.schmidt_entropy
+            # takes it, for all rows in one call
+            lam = np.linalg.svd(psi.reshape(16, -1, 2), compute_uv=False) ** 2
+            log_lam = np.log2(lam, out=np.zeros_like(lam), where=lam > 1e-300)
+            np.maximum(entropy, -(lam * log_lam).sum(axis=1), out=entropy)
+        assert not worst.any()
+        assert np.max(np.abs(entropy - ens.max_schmidt_entropies)) <= 1e-12
+        # at tol 0 the check lists every entry outside the pattern, as for A7
+        for rho in ens.rho_avg:
+            _, offending = support_pattern_check(rho, 0.0)
+            assert all(v == 0.0 for _, _, v in offending)
 
 
 class TestEnsemble:

@@ -137,7 +137,7 @@ class TestTargetGenerator:
     def test_trace_free(self, rng):
         L = build_L_T(CouplingConfig(1.0, 0.4, 0.6, delta=0.3), SPEC)
         for _ in range(5):
-            rho = random_density(SPEC.dim, rng)
+            rho = random_density(SPEC.dim, rng).mat
             assert abs(np.trace(apply(L, rho))) < 1e-12
 
 
@@ -160,7 +160,7 @@ class TestCouplingGenerator:
     def test_trace_free(self, rng):
         L = build_L_ST(CouplingConfig(1.0, 0.5, 0.5), SPEC)
         for _ in range(5):
-            assert abs(np.trace(apply(L, random_density(SPEC.dim, rng)))) < 1e-12
+            assert abs(np.trace(apply(L, random_density(SPEC.dim, rng).mat))) < 1e-12
 
     def test_bare_cavity_decay(self):
         cfg = CouplingConfig(gamma_S=1.0, gamma_Tf=0.0, gamma_Ts=0.0)
@@ -247,7 +247,7 @@ class TestNonhermitianH:
 class TestSuperoperatorForm:
     def test_zero_superoperator(self, rng):
         L = Superoperator([], SPEC.dim)
-        assert np.max(np.abs(apply(L, random_density(SPEC.dim, rng)))) == 0.0
+        assert np.max(np.abs(apply(L, random_density(SPEC.dim, rng).mat))) == 0.0
 
     def test_identity_superoperator(self):
         eye = np.eye(4, dtype=complex)
