@@ -10,11 +10,8 @@ from .hilbert import (
     FockSpec,
     PureState,
     adequate_n_max,
-    annihilation,
     coherent_state,
-    embed,
     fock_state,
-    number_operator,
     partial_trace,
     product_state,
     qubit_lowering,

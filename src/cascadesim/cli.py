@@ -49,20 +49,16 @@ from .evolve import (
 from .hilbert import (
     EXCITED,
     GROUND,
-    SOURCE,
-    TARGET,
     DensityOperator,
     FockSpec,
     PureState,
-    annihilation,
     coherent_state,
-    embed,
     fock_state,
     product_state,
-    qubit_lowering,
     qubit_state,
 )
-from .liouvillian import MAX_GATHER_ENTRIES, CouplingConfig, build_L_ST, build_L_T
+from .liouvillian import (MAX_GATHER_ENTRIES, CouplingConfig, build_L_ST, build_L_T, dense,
+                          ladders)
 from .sources import BirthDeathLaser, CoherentDrive, FreeDecayMixture, build_L_S
 
 # stored states stacked per product in _Observables: 0.35 MB at n_max 12
@@ -143,8 +139,13 @@ def _parse_source(doc: dict):
         return CoherentDrive(_complex(_require(doc, "epsilon", "source"), "source.epsilon"))
     if kind == "free_decay":
         _known(doc, ("kind", "amplitudes"), "source")
+        triples = _require(doc, "amplitudes", "source")
+        if not (isinstance(triples, list)
+                and all(isinstance(t, list) and len(t) == 3 for t in triples)):
+            raise ConfigError("source.amplitudes must be a list of [re, im, weight] triples, "
+                              f"got {triples!r}")
         amps = tuple((_complex([re, im], "source.amplitudes"), _real(w, "source.amplitudes"))
-                     for re, im, w in _require(doc, "amplitudes", "source"))
+                     for re, im, w in triples)
         return FreeDecayMixture(amps)
     if kind == "birth_death":
         rate_keys = ("pump_rate", "gain_per_carrier", "nonlasing_rate")
@@ -226,7 +227,7 @@ def load_config(path: str) -> ExperimentConfig:
             seeds = list(s)
         elif isinstance(s, dict):
             _known(s, ("start", "count"), "seeds")
-            start, count = s.get("start", 0), s["count"]
+            start, count = s.get("start", 0), _require(s, "count", "seeds")
             if not (_is_int(start) and _is_int(count)):
                 raise ConfigError(f"seeds start and count must be integers, got {s!r}")
             seeds = list(range(start, start + count))
@@ -333,9 +334,9 @@ class _Observables:
     """
 
     def __init__(self, times, spec: FockSpec):
-        a = embed(annihilation(spec), SOURCE, spec)
-        b = embed(qubit_lowering(), TARGET, spec)
-        # expectation(rho, op) = trace(op rho) = rho.ravel() . op.T.ravel()
+        a, b = (dense(op, spec.dim) for op in ladders(spec))
+        # expectation(rho, op) = trace(op rho) = rho.ravel() . op.T.ravel();
+        # a^dag a is the product, not the exact n: sqrt(n)^2 != n in the last bit
         self.ops = np.stack([op.T.ravel() for op in (a, a.conj().T @ a, b, b.conj().T @ b)],
                             axis=1)
         self.stack = np.empty((OBSERVABLE_BLOCK, spec.dim, spec.dim), dtype=complex)

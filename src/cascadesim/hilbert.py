@@ -1,6 +1,9 @@
-"""Truncated Fock (x) qubit Hilbert space: operators, states, partial traces.
+"""Truncated Fock (x) qubit Hilbert space: states, partial traces and the
+qubit lowering operator.
 
-Operators are complex ndarrays; states are PureState and DensityOperator.
+States are PureState and DensityOperator; the qubit lowering is a complex
+(2, 2) ndarray.  The ladder operators of the composite space are band maps,
+built by ``liouvillian.ladders``.
 
 Basis ordering is fixed package-wide: the composite index is ``2*n + q``
 with Fock index ``n`` and qubit index ``q``, where ``q = 0`` is the qubit
@@ -163,33 +166,11 @@ def total_quanta(dim: int) -> np.ndarray:
     return (np.arange(dim) + 1) // 2
 
 
-def annihilation(spec: FockSpec) -> np.ndarray:
-    """Photon annihilation: <n-1| a |n> = sqrt(n), truncated at n_max."""
-    d = spec.fock_dim
-    return np.diag(np.sqrt(np.arange(1, d, dtype=float)), k=1).astype(complex)
-
-
-def number_operator(spec: FockSpec) -> np.ndarray:
-    return np.diag(np.arange(spec.fock_dim, dtype=float)).astype(complex)
-
-
 def qubit_lowering() -> np.ndarray:
     """<-| b |+> = 1 in the (|->, |+>) ordering; b^2 = 0."""
     m = np.zeros((2, 2), dtype=complex)
     m[GROUND, EXCITED] = 1.0
     return m
-
-
-def embed(op: np.ndarray, which: str, spec: FockSpec) -> np.ndarray:
-    """Tensor a single-factor operator with identity on the other factor."""
-    if which not in (SOURCE, TARGET):
-        raise ValueError(f"which must be 'source' or 'target', got {which!r}")
-    dim = spec.fock_dim if which == SOURCE else QUBIT_DIM
-    if op.shape != (dim, dim):
-        raise DimensionMismatchError(f"{which} op shape {op.shape} != ({dim}, {dim})")
-    if which == SOURCE:
-        return np.kron(op, np.eye(QUBIT_DIM))
-    return np.kron(np.eye(spec.fock_dim), op)
 
 
 def fock_state(n: int, spec: FockSpec) -> PureState:

@@ -1,21 +1,31 @@
 """Generators of the cascaded source-qubit master equation.
 
+Every operator of the model is banded: on the composite index 2n + q the
+photon annihilation a has its entries on diagonal 2 and the qubit lowering b
+on diagonal 1.  So operators are held as band maps {o: v}, v[i] = M[i, i + o]
+(zero where i + o leaves the matrix), with a band for each diagonal that holds
+a nonzero entry; the empty map is the zero operator.  ``ladders`` gives the
+maps of a and b, ``adjoint``, ``product``, ``scaled`` and ``combine`` build
+every other operator from them, and ``dense`` makes a (d, d) matrix only for
+a caller that needs one (the trajectory engine, ``to_matrix``).
+
 Superoperators are stored as lists of sandwich terms rho -> coeff * L rho R,
-so both Lindblad generators and the regrouped cross-coupling piece (which is
-not a dissipator on its own) share one representation.  The dense matrix form
-uses column-stacking: matrix(S) = sum coeff * kron(R^T, L).
+each side a band map or None for the identity, so both Lindblad generators
+and the regrouped cross-coupling piece (which is not a dissipator on its own)
+share one representation.  The dense matrix form uses column-stacking:
+matrix(S) = sum coeff * kron(R^T, L).
 
 ``apply`` works on a gather form that ``Superoperator.compiled`` builds from
-the terms on the first call.  The operators are banded: diagonal o1 of L and
-diagonal o2 of R move entry (i + o1, j - o2) of rho to output entry (i, j),
-with a weight that depends on (i, j); an identity side is the offset-0
-diagonal with weight 1.  Terms with the same shift share a slot, and slots
-whose weights cancel to exact zeros are dropped: of its cross terms,
--i H_ST - f^dag f / 2 keeps only a b^dag, the one-way coupling of the
-cascade, so L_T + L_ST has width 7, not 9.  The width is
+the terms on the first call.  Band o1 of L and band o2 of R move entry
+(i + o1, j - o2) of rho to output entry (i, j), with a weight that depends on
+(i, j); an identity side is band 0 with weight 1.  Terms with the same shift
+share a slot, and slots whose weights cancel to exact zeros are dropped: of
+its cross terms, -i H_ST - f^dag f / 2 keeps only a b^dag, the one-way
+coupling of the cascade, so L_T + L_ST has width 7, not 9.  The width is
 at most 13 for any bundled generator.  A form with more than
 MAX_GATHER_ENTRIES entries (a dense generator has up to (2d - 1)^2 slots)
-raises DimensionMismatchError instead of exhausting memory.
+raises DimensionMismatchError while its shifts are collected, before any
+array of d^2 entries exists.
 
 ``block_gather`` restricts that form to the coherence-order blocks of a
 state.  An entry (i, j) of rho has excitation difference k = N_i - N_j, with
@@ -35,15 +45,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .hilbert import (
-    SOURCE,
-    TARGET,
-    FockSpec,
-    annihilation,
-    embed,
-    qubit_lowering,
-    total_quanta,
-)
+from .hilbert import GROUND, FockSpec, total_quanta
 
 # the largest dim to_matrix builds a dense d^2 x d^2 form for
 MAX_DENSE_DIM = 64
@@ -82,19 +84,74 @@ class CouplingConfig:
         return self.gamma_Tf + self.gamma_Ts
 
 
+def _shift(v: np.ndarray, k: int) -> np.ndarray:
+    """w[i] = v[i - k], zero where i - k falls outside v."""
+    w = np.zeros(len(v), dtype=complex)
+    w[max(k, 0):len(v) + min(k, 0)] = v[max(-k, 0):len(v) - max(k, 0)]
+    return w
+
+
+def _nonzero(bands: dict) -> dict:
+    """The band map of bands without its all-zero bands, offsets ascending."""
+    return {o: v for o, v in sorted(bands.items()) if v.any()}
+
+
+def ladders(spec: FockSpec) -> tuple:
+    """(a, b): band maps of the photon annihilation, <n-1| a |n> = sqrt(n)
+    truncated at n_max, and of the qubit lowering, <-| b |+> = 1."""
+    d = spec.dim
+    a, b = np.zeros(d, dtype=complex), np.zeros(d, dtype=complex)
+    # a[2n + q, 2n + 2 + q] = sqrt(n + 1), b[2n + GROUND, 2n + EXCITED] = 1
+    a[0:d - 2:2] = a[1:d - 2:2] = np.sqrt(np.arange(1.0, spec.fock_dim))
+    b[GROUND::2] = 1.0
+    return {2: a}, {1: b}
+
+
+def adjoint(M: dict) -> dict:
+    """M^dag: band o of M, conjugated, is band -o, shifted down by o."""
+    return _nonzero({-o: _shift(v.conj(), o) for o, v in M.items()})
+
+
+def product(M: dict, N: dict) -> dict:
+    """M N; each band adds its pieces in ascending offset of M, that is in
+    ascending inner index, rounding each multiply and each add on its own."""
+    return combine(*({o1 + o2: u * _shift(v, -o1)}
+                     for o1, u in sorted(M.items()) for o2, v in N.items()))
+
+
+def scaled(c: complex, M: dict) -> dict:
+    """c M."""
+    return _nonzero({o: c * v for o, v in M.items()})
+
+
+def combine(*ops: dict) -> dict:
+    """The sum of band maps; a band held by several adds them in the order given."""
+    out = {}
+    for M in ops:
+        for o, v in M.items():
+            out[o] = out[o] + v if o in out else v
+    return _nonzero(out)
+
+
+def dense(M: dict | None, d: int) -> np.ndarray:
+    """The (d, d) matrix of a band map; the identity for None."""
+    if M is None:
+        return np.eye(d, dtype=complex)
+    out = np.zeros((d, d), dtype=complex)
+    for o, v in M.items():
+        rows = np.arange(max(0, -o), min(d, d - o))
+        out[rows, rows + o] = v[rows]
+    return out
+
+
 @dataclass
 class SuperoperatorTerm:
-    left: np.ndarray
-    right: np.ndarray
-    coeff: complex
+    """rho -> coeff * left rho right; a side is a band map, or None for the
+    identity.  An empty band map is the zero operator: the term adds nothing."""
 
-    def __post_init__(self):
-        self.left = np.asarray(self.left, dtype=complex)
-        self.right = np.asarray(self.right, dtype=complex)
-        if self.left.shape != self.right.shape:
-            raise DimensionMismatchError(
-                f"left/right shapes differ: {self.left.shape} vs {self.right.shape}"
-            )
+    left: dict | None
+    right: dict | None
+    coeff: complex
 
 
 @dataclass
@@ -103,11 +160,11 @@ class Superoperator:
     dim: int
 
     def __post_init__(self):
-        for t in self.terms:
-            if t.left.shape[0] != self.dim:
-                raise DimensionMismatchError(
-                    f"term dim {t.left.shape[0]} != superoperator dim {self.dim}"
-                )
+        shapes = {np.shape(v) for t in self.terms for side in (t.left, t.right)
+                  for v in (side or {}).values()}
+        if shapes - {(self.dim,)}:
+            raise DimensionMismatchError(
+                f"band shapes {sorted(shapes)} in a dim-{self.dim} superoperator")
 
     def __add__(self, other: "Superoperator") -> "Superoperator":
         if self.dim != other.dim:
@@ -123,17 +180,20 @@ class Superoperator:
         ``terms`` must not change after the first apply.
         """
         d = self.dim
+        identity = {0: np.ones(d, dtype=complex)}
         # a slot is the shift (di, dj) that reads rho[i + di, j + dj]; each
         # term adds pieces u v^T to the slots of its shifts.  The guard runs
         # as shifts appear, before anything of size d^2 is built
         pieces = {}
         for t in self.terms:
-            right_offsets = _diagonal_offsets(t.right)
-            for o1 in _diagonal_offsets(t.left):
-                u = t.coeff * _band(t.left, o1)
-                for o2 in right_offsets:
-                    # right[j - o2, j] as a vector over j
-                    pieces.setdefault((o1, -o2), []).append((u, _band(t.right.T, -o2)))
+            # only None is the identity; an empty band map adds no pieces
+            left, right = (identity if side is None else side for side in (t.left, t.right))
+            # right[j - o2, j] as a vector over j
+            columns = [(-o2, _shift(v, o2)) for o2, v in right.items()]
+            for o1, band in left.items():
+                u = t.coeff * band
+                for dj, v in columns:
+                    pieces.setdefault((o1, dj), []).append((u, v))
                     if len(pieces) * d * d > MAX_GATHER_ENTRIES:
                         raise DimensionMismatchError(
                             f"the gather form of this dim-{d} generator needs more than "
@@ -165,69 +225,49 @@ class Superoperator:
         return index.reshape(len(shifts), d * d), weight.reshape(len(shifts), d * d)
 
 
-def _diagonal_offsets(M: np.ndarray) -> list:
-    """Offsets o of the diagonals M[i, i + o] that hold a nonzero entry."""
-    rows, cols = np.nonzero(M)
-    # a set, not np.unique: the first np.unique call of a process costs
-    # about 1.2 MB of resident memory
-    return sorted(set((cols - rows).tolist()))
-
-
-def _band(M: np.ndarray, o: int) -> np.ndarray:
-    """v[i] = M[i, i + o], zero where i + o falls outside the matrix."""
-    v = np.zeros(M.shape[0], dtype=complex)
-    diagonal = np.diagonal(M, o)
-    start = max(0, -o)
-    v[start:start + len(diagonal)] = diagonal
-    return v
-
-
-def commutator_terms(H: np.ndarray) -> list:
+def commutator_terms(H: dict) -> list:
     """-i[H, .] as sandwich terms."""
-    eye = np.eye(H.shape[0], dtype=complex)
-    return [SuperoperatorTerm(H, eye, -1j), SuperoperatorTerm(eye, H, 1j)]
+    return [SuperoperatorTerm(H, None, -1j), SuperoperatorTerm(None, H, 1j)]
 
 
-def dissipator_terms(C: np.ndarray, rate: float = 1.0) -> list:
+def dissipator_terms(C: dict, rate: float = 1.0) -> list:
     """(rate/2) * (2 C . C^dag - C^dag C . - . C^dag C) as sandwich terms."""
-    Cd = C.conj().T
-    CdC = Cd @ C
-    eye = np.eye(C.shape[0], dtype=complex)
+    Cd = adjoint(C)
+    CdC = product(Cd, C)
     return [
         SuperoperatorTerm(C, Cd, rate),
-        SuperoperatorTerm(CdC, eye, -rate / 2.0),
-        SuperoperatorTerm(eye, CdC, -rate / 2.0),
+        SuperoperatorTerm(CdC, None, -rate / 2.0),
+        SuperoperatorTerm(None, CdC, -rate / 2.0),
     ]
 
 
-def build_H_T(config: CouplingConfig, spec: FockSpec) -> np.ndarray:
-    """Free qubit Hamiltonian delta * b^dag b on the composite space."""
-    b = qubit_lowering()
-    return embed(config.delta * (b.conj().T @ b), TARGET, spec)
+def build_H_T(config: CouplingConfig, spec: FockSpec) -> dict:
+    """Free qubit Hamiltonian delta * b^dag b."""
+    _, b = ladders(spec)
+    return scaled(config.delta, product(adjoint(b), b))
 
 
 def _scaled_ops(config: CouplingConfig, spec: FockSpec) -> tuple:
-    """(a, b, A, B): the embedded ladder operators, A = sqrt(gS) a and B = sqrt(gTf) b.
+    """(a, b, A, B): the ladder operators, A = sqrt(gS) a and B = sqrt(gTf) b.
 
-    Building the cross terms and f from these same two matrices makes each
+    Building the cross terms and f from these same two band maps makes each
     product A^dag B come out bit for bit the same wherever it appears, so
     -i H_ST - f^dag f / 2 cancels its A^dag B part exactly at any rates.
     """
-    a = embed(annihilation(spec), SOURCE, spec)
-    b = embed(qubit_lowering(), TARGET, spec)
-    return a, b, np.sqrt(config.gamma_S) * a, np.sqrt(config.gamma_Tf) * b
+    a, b = ladders(spec)
+    return a, b, scaled(np.sqrt(config.gamma_S), a), scaled(np.sqrt(config.gamma_Tf), b)
 
 
-def build_H_ST(config: CouplingConfig, spec: FockSpec) -> np.ndarray:
+def build_H_ST(config: CouplingConfig, spec: FockSpec) -> dict:
     """One-way coupling Hamiltonian (i/2) (A^dag B - A B^dag) = (i/2) sqrt(gS gTf) (a^dag b - a b^dag)."""
     _, _, A, B = _scaled_ops(config, spec)
-    return 0.5j * (A.conj().T @ B - A @ B.conj().T)
+    return scaled(0.5j, combine(product(adjoint(A), B), scaled(-1.0, product(A, adjoint(B)))))
 
 
 def build_jump_ops(config: CouplingConfig, spec: FockSpec) -> tuple:
     """Forward and side jump operators f = A + B = sqrt(gS) a + sqrt(gTf) b, s = sqrt(gTs) b."""
     _, b, A, B = _scaled_ops(config, spec)
-    return A + B, np.sqrt(config.gamma_Ts) * b
+    return combine(A, B), scaled(np.sqrt(config.gamma_Ts), b)
 
 
 def build_L_T(config: CouplingConfig, spec: FockSpec) -> Superoperator:
@@ -254,8 +294,7 @@ def regroup(L_S: Superoperator, config: CouplingConfig) -> tuple:
     """
     spec = FockSpec(L_S.dim // 2 - 1)
     a, b, A, B = _scaled_ops(config, spec)
-    Ad, Bd = A.conj().T, B.conj().T
-    eye = np.eye(spec.dim, dtype=complex)
+    Ad, Bd = adjoint(A), adjoint(B)
 
     Lp_S = Superoperator(list(L_S.terms) + dissipator_terms(a, rate=config.gamma_S), spec.dim)
     Lp_T = Superoperator(
@@ -266,15 +305,15 @@ def regroup(L_S: Superoperator, config: CouplingConfig) -> tuple:
         [
             SuperoperatorTerm(A, Bd, 1.0),
             SuperoperatorTerm(B, Ad, 1.0),
-            SuperoperatorTerm(Bd @ A, eye, -1.0),
-            SuperoperatorTerm(eye, Ad @ B, -1.0),
+            SuperoperatorTerm(product(Bd, A), None, -1.0),
+            SuperoperatorTerm(None, product(Ad, B), -1.0),
         ],
         spec.dim,
     )
     return Lp_S, Lp_T, Lp_ST
 
 
-def build_nonhermitian_H(config: CouplingConfig, spec: FockSpec) -> np.ndarray:
+def build_nonhermitian_H(config: CouplingConfig, spec: FockSpec) -> dict:
     """Drift Hamiltonian of the trajectory unraveling.
 
     Equals H_T - i A B^dag - (i/2) A^dag A - (i/2) gT b^dag b, with A and B
@@ -282,11 +321,11 @@ def build_nonhermitian_H(config: CouplingConfig, spec: FockSpec) -> np.ndarray:
     H_ST - (i/2) s^dag s - (i/2) f^dag f.
     """
     _, b, A, B = _scaled_ops(config, spec)
-    return (
-        build_H_T(config, spec)
-        - 1j * (A @ B.conj().T)
-        - 0.5j * (A.conj().T @ A)
-        - 0.5j * config.gamma_T * (b.conj().T @ b)
+    return combine(
+        build_H_T(config, spec),
+        scaled(-1j, product(A, adjoint(B))),
+        scaled(-0.5j, product(adjoint(A), A)),
+        scaled(-0.5j * config.gamma_T, product(adjoint(b), b)),
     )
 
 
@@ -341,12 +380,12 @@ def block_gather(superop: Superoperator, m: np.ndarray) -> tuple | None:
 
 def to_matrix(superop: Superoperator) -> np.ndarray:
     """Dense matrix on column-stacked density operators: sum coeff * kron(R^T, L)."""
-    if superop.dim > MAX_DENSE_DIM:
+    d = superop.dim
+    if d > MAX_DENSE_DIM:
         raise DimensionMismatchError(
-            f"dim {superop.dim} exceeds {MAX_DENSE_DIM} for the d^2 x d^2 form"
+            f"dim {d} exceeds {MAX_DENSE_DIM} for the d^2 x d^2 form"
         )
-    d2 = superop.dim ** 2
-    out = np.zeros((d2, d2), dtype=complex)
+    out = np.zeros((d * d, d * d), dtype=complex)
     for t in superop.terms:
-        out += t.coeff * np.kron(t.right.T, t.left)
+        out += t.coeff * np.kron(dense(t.right, d).T, dense(t.left, d))
     return out

@@ -16,13 +16,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnsupportedSourceError
-from .hilbert import SOURCE, FockSpec, annihilation, embed
+from .hilbert import FockSpec
 from .liouvillian import (
     CouplingConfig,
     Superoperator,
+    adjoint,
     build_jump_ops,
     build_nonhermitian_H,
+    combine,
     commutator_terms,
+    dense,
+    ladders,
+    scaled,
 )
 
 
@@ -117,10 +122,11 @@ def steady_amplitude(model: CoherentDrive, config: CouplingConfig) -> complex:
     return 2.0 * model.epsilon / config.gamma_S
 
 
-def _drive(model: CoherentDrive, spec: FockSpec) -> np.ndarray:
-    """H_S = i (eps a^dag - eps* a) on the composite space."""
-    a = embed(annihilation(spec), SOURCE, spec)
-    return 1j * (model.epsilon * a.conj().T - np.conj(model.epsilon) * a)
+def _drive(model: CoherentDrive, spec: FockSpec) -> dict:
+    """H_S = i (eps a^dag - eps* a), a band map."""
+    a, _ = ladders(spec)
+    return scaled(1j, combine(scaled(model.epsilon, adjoint(a)),
+                              scaled(-np.conj(model.epsilon), a)))
 
 
 def build_L_S(model, spec: FockSpec) -> Superoperator:
@@ -140,12 +146,12 @@ def source_jump_channels(model, config: CouplingConfig, spec: FockSpec) -> list:
         raise UnsupportedSourceError(
             f"source jump channels are only defined for BirthDeathLaser, got {type(model).__name__}"
         )
-    a_dag = embed(annihilation(spec), SOURCE, spec).conj().T
+    a, _ = ladders(spec)
     return [
         JumpChannel("pump", rate=model.pump_rate, carrier_delta=+1),
         JumpChannel(
             "gain",
-            operator=np.sqrt(model.gain_per_carrier) * a_dag,
+            operator=np.sqrt(model.gain_per_carrier) * dense(adjoint(a), spec.dim),
             scales_with_carrier=True,
             carrier_delta=-1,
             quanta_delta=+1,
@@ -165,13 +171,13 @@ def unraveling(model, config: CouplingConfig, spec: FockSpec) -> tuple:
         raise UnsupportedSourceError(f"{type(model).__name__} has no trajectory unraveling")
     H = build_nonhermitian_H(config, spec)
     if isinstance(model, CoherentDrive):
-        H += _drive(model, spec)
+        H = combine(H, _drive(model, spec))
     f, s = build_jump_ops(config, spec)
-    channels = [JumpChannel("forward_f", operator=f, quanta_delta=-1),
-                JumpChannel("side_s", operator=s, quanta_delta=-1)]
+    channels = [JumpChannel("forward_f", operator=dense(f, spec.dim), quanta_delta=-1),
+                JumpChannel("side_s", operator=dense(s, spec.dim), quanta_delta=-1)]
     if isinstance(model, BirthDeathLaser):
         channels += source_jump_channels(model, config, spec)
-    return H, channels
+    return dense(H, spec.dim), channels
 
 
 def classical_paths(model, config: CouplingConfig, t_grid: np.ndarray,

@@ -28,15 +28,8 @@ from cascadesim.cli import (
 )
 from cascadesim.errors import ConfigError
 from cascadesim.evolve import expectation
-from cascadesim.hilbert import (
-    SOURCE,
-    TARGET,
-    DensityOperator,
-    FockSpec,
-    annihilation,
-    embed,
-    qubit_lowering,
-)
+from cascadesim.hilbert import DensityOperator, FockSpec
+from cascadesim.liouvillian import dense, ladders
 from conftest import random_density
 
 
@@ -398,6 +391,25 @@ class TestConfigValidation:
         assert capsys.readouterr().err.startswith("config error:")
         assert not (tmp_path / "out").exists()
 
+    def test_seeds_without_count_exits_2(self, tmp_path, capsys):
+        doc = short_preset("coherent_drive.json")
+        doc["output_dir"] = str(tmp_path / "out")
+        doc["seeds"] = {"start": 0}
+        assert main(["run-trajectories", write_config(tmp_path, doc)]) == 2
+        assert capsys.readouterr().err == "config error: missing key 'count' in seeds\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("amplitudes", [[[0.0, 1.0]], [[0.0, 0.0, 1.0, 2.0]], [1], 1.0])
+    def test_amplitudes_not_triples_exit_2(self, tmp_path, capsys, amplitudes):
+        doc = short_preset("bare_cavity.json")
+        doc["output_dir"] = str(tmp_path / "out")
+        doc["source"]["amplitudes"] = amplitudes
+        assert main(["run-master", write_config(tmp_path, doc)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: source.amplitudes must be a list of [re, im, weight] triples, "
+            f"got {amplitudes!r}\n")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("path, value", [
         (("initial",), {"kind": "coherent", "alpha": [0.5, 0.0]}),
         (("initial", "n"), 2),
@@ -486,6 +498,25 @@ class TestConfigValidation:
         assert err.startswith("config error:") and "gather form" in err
         assert not (tmp_path / "out").exists()
 
+    def test_generator_beyond_gather_bound_is_refused_cheaply(self, tmp_path, capsys):
+        # at n_max 800 (d 1602) the band maps are refused while the gather
+        # form's shifts are collected, before any (d, d) array exists: one
+        # such array alone is 41 MB
+        doc = short_preset("coherent_drive.json")
+        doc["output_dir"] = str(tmp_path / "out")
+        doc["n_max"] = 800
+        path = write_config(tmp_path, doc)
+        tracemalloc.start()
+        try:
+            assert main(["run-master", path]) == 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "gather form" in err
+        assert peak < 64 * 2**20
+        assert not (tmp_path / "out").exists()
+
     def test_operators_beyond_the_gather_bound_are_refused_at_load(self, tmp_path):
         # d^2 exceeds liouvillian.MAX_GATHER_ENTRIES from n_max 2048 on; the
         # config is refused before its initial state is read, here a missing one
@@ -557,8 +588,7 @@ class TestObservableRows:
         rows = _observable_rows(times, np.stack([rho.mat for rho in rhos]),
                                 _Observables(times, spec).ops)
         assert len(rows) == len(rhos)
-        a = embed(annihilation(spec), SOURCE, spec)
-        b = embed(qubit_lowering(), TARGET, spec)
+        a, b = (dense(op, spec.dim) for op in ladders(spec))
         n, pe = a.conj().T @ a, b.conj().T @ b
         for t, rho, row in zip(times, rhos, rows):
             ea, eb = expectation(rho.mat, a), expectation(rho.mat, b)

@@ -23,35 +23,35 @@ from cascadesim.hilbert import (
     COMPOSITE,
     EXCITED,
     GROUND,
-    TARGET,
     DensityOperator,
     FockSpec,
     PureState,
-    annihilation,
     check_states,
     coherent_state,
-    embed,
     fock_state,
-    number_operator,
     product_state,
-    qubit_lowering,
     qubit_state,
     total_quanta,
-    SOURCE,
 )
 from cascadesim.liouvillian import (
     BLOCK_TOL,
     CouplingConfig,
     Superoperator,
     SuperoperatorTerm,
+    adjoint,
     apply,
     block_gather,
     build_jump_ops,
     build_L_ST,
     build_L_T,
     build_nonhermitian_H,
+    combine,
+    dense,
     dissipator_terms,
     gather,
+    ladders,
+    product,
+    scaled,
 )
 from cascadesim.sources import (
     BirthDeathLaser,
@@ -219,7 +219,7 @@ class TestMasterEquation:
         L = build_L_ST(BARE, spec)
         grid = TimeGrid(0.0, 1.0, 0.005)
         states = evolve_master(rho0, L, grid, store_every=20)
-        n_op = embed(number_operator(spec), SOURCE, spec)
+        n_op = dense({0: np.arange(spec.dim) // 2}, spec.dim)
         for t, rho in zip(grid.times()[::20], states):
             assert abs(expectation(rho.mat, n_op) - 3.0 * np.exp(-t)) < 1e-8
 
@@ -227,7 +227,7 @@ class TestMasterEquation:
         spec = FockSpec(5)
         rho0 = DensityOperator(ket(3, GROUND, spec).projector())
         L = build_L_ST(BARE, spec)
-        n_op = embed(number_operator(spec), SOURCE, spec)
+        n_op = dense({0: np.arange(spec.dim) // 2}, spec.dim)
         errs = []
         for dt in (0.08, 0.04):
             rho1 = evolve_master(rho0, L, TimeGrid(0.0, 0.8, dt))[-1]
@@ -475,9 +475,8 @@ class TestStoredStateChecks:
         """A generator whose trace (L = rate * identity) or smallest eigenvalue
         (the reversed cavity decay -rate D[a], from |1><1|) drifts like rate * t."""
         if kind == "trace":
-            eye = np.eye(spec.dim, dtype=complex)
-            return Superoperator([SuperoperatorTerm(eye, eye, rate)], spec.dim)
-        a = embed(annihilation(spec), SOURCE, spec)
+            return Superoperator([SuperoperatorTerm(None, None, rate)], spec.dim)
+        a, _ = ladders(spec)
         return Superoperator(dissipator_terms(a, rate=-rate), spec.dim)
 
     @pytest.mark.parametrize("kind", ["trace", "negativity"])
@@ -513,8 +512,7 @@ class TestStoredStateChecks:
         # stepping on from it is never tried
         spec = FockSpec(3)
         rho0 = DensityOperator(ket(1, GROUND, spec).projector())
-        eye = np.eye(spec.dim, dtype=complex)
-        L = Superoperator([SuperoperatorTerm(eye, eye, np.nan)], spec.dim)
+        L = Superoperator([SuperoperatorTerm(None, None, np.nan)], spec.dim)
         grid = TimeGrid(0.0, self.STORED * store_every * self.DT, self.DT)
         seen, failure, steps = self.run_to_failure(monkeypatch, rho0, L, grid, store_every)
         t = grid.stored_times(store_every)[1]
@@ -668,7 +666,7 @@ class TestSingleTrajectory:
         rho0 = DensityOperator(ket(0, GROUND, spec).projector())
         L = build_L_S(model, spec) + build_L_T(cfg, spec) + build_L_ST(cfg, spec)
         rho_ss = evolve_master(rho0, L, TimeGrid(0, 20, 0.01), store_every=2000)[-1]
-        f_op, _ = build_jump_ops(cfg, spec)
+        f_op = dense(build_jump_ops(cfg, spec)[0], spec.dim)
         flux = expectation(rho_ss.mat, f_op.conj().T @ f_op).real
 
         t_burn, t_end = 10.0, 90.0
@@ -1301,9 +1299,9 @@ class TestDriftIdentity:
     @staticmethod
     def without_gamma_T(config, spec):
         """build_nonhermitian_H with its -(i/2) gamma_T b^dag b term left out."""
-        b = embed(qubit_lowering(), TARGET, spec)
+        _, b = ladders(spec)
         H = build_nonhermitian_H(config, spec)
-        return H + 0.5j * config.gamma_T * (b.conj().T @ b)
+        return combine(H, scaled(0.5j * config.gamma_T, product(adjoint(b), b)))
 
     def test_broken_drift_is_invariant_violation(self, monkeypatch):
         monkeypatch.setattr(sources, "build_nonhermitian_H", self.without_gamma_T)
@@ -1338,8 +1336,8 @@ class TestSectorCheck:
     def with_a_drive(config, spec):
         """build_nonhermitian_H plus the Hermitian a + a^dag, which mixes the
         sectors but leaves the drift identity alone."""
-        a = embed(annihilation(spec), SOURCE, spec)
-        return build_nonhermitian_H(config, spec) + 0.1 * (a + a.conj().T)
+        a, _ = ladders(spec)
+        return combine(build_nonhermitian_H(config, spec), scaled(0.1, combine(a, adjoint(a))))
 
     def test_out_of_sector_drift_is_invariant_violation(self, monkeypatch):
         monkeypatch.setattr(sources, "build_nonhermitian_H", self.with_a_drive)
@@ -1366,7 +1364,7 @@ class TestSectorCheck:
         assert "does not keep the quanta sectors" in capsys.readouterr().err
 
     def test_jump_operators_must_move_by_their_shift(self):
-        f_op, _ = build_jump_ops(CouplingConfig(), self.SPEC)
+        f_op = dense(build_jump_ops(CouplingConfig(), self.SPEC)[0], self.SPEC.dim)
         evolve._sector_blocks(f_op, -1, "jump operator forward_f")
         # f lowers the quanta by one; its adjoint raises them
         with pytest.raises(InvariantViolationError, match="jump operator forward_f"):

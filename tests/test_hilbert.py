@@ -14,12 +14,9 @@ from cascadesim.hilbert import (
     FockSpec,
     PureState,
     adequate_n_max,
-    annihilation,
     check_states,
     coherent_state,
-    embed,
     fock_state,
-    number_operator,
     partial_trace,
     product_state,
     qubit_lowering,
@@ -39,30 +36,6 @@ class TestFockSpec:
             FockSpec(0)
 
 
-class TestAnnihilation:
-    def test_lowers_one(self):
-        a = annihilation(FockSpec(1))
-        v = a @ fock_state(1, FockSpec(1)).vec
-        assert np.allclose(v, fock_state(0, FockSpec(1)).vec)
-
-    def test_sqrt_n(self):
-        spec = FockSpec(5)
-        v = annihilation(spec) @ fock_state(4, spec).vec
-        assert np.allclose(v, 2.0 * fock_state(3, spec).vec)
-
-    def test_vacuum(self):
-        spec = FockSpec(3)
-        assert np.allclose(annihilation(spec) @ fock_state(0, spec).vec, 0.0)
-
-    def test_commutator_on_interior(self):
-        # [a, a^dag] = 1 away from the truncation boundary row
-        spec = FockSpec(8)
-        a = annihilation(spec)
-        comm = a @ a.conj().T - a.conj().T @ a
-        interior = comm[: spec.n_max, : spec.n_max]
-        assert np.max(np.abs(interior - np.eye(spec.n_max))) < 1e-14
-
-
 class TestQubitLowering:
     def test_lowers_excited(self):
         b = qubit_lowering()
@@ -80,39 +53,9 @@ class TestQubitLowering:
         assert np.allclose(proj, expected)
 
 
-class TestEmbed:
-    def test_factors_commute(self):
-        spec = FockSpec(4)
-        A = embed(annihilation(spec), SOURCE, spec)
-        B = embed(qubit_lowering(), TARGET, spec)
-        assert np.max(np.abs(A @ B - B @ A)) < 1e-14
-
-    def test_identity_embeds_to_identity(self):
-        spec = FockSpec(3)
-        assert np.allclose(embed(np.eye(spec.fock_dim), SOURCE, spec), np.eye(spec.dim))
-        assert np.allclose(embed(np.eye(2), TARGET, spec), np.eye(spec.dim))
-
-    def test_number_expectation(self):
-        spec = FockSpec(6)
-        n_op = embed(number_operator(spec), SOURCE, spec)
-        for n in range(spec.fock_dim):
-            v = product_state(fock_state(n, spec), qubit_state(EXCITED)).vec
-            assert abs(np.vdot(v, n_op @ v) - n) < 1e-14
-
-    def test_dimension_mismatch(self):
-        spec = FockSpec(3)
-        with pytest.raises(DimensionMismatchError):
-            embed(qubit_lowering(), SOURCE, spec)
-
-    @pytest.mark.parametrize("which", [SOURCE, TARGET])
-    def test_rejects_all_but_a_square_factor_operator(self, which):
-        # non-square, or square but of the other factor's size
-        spec = FockSpec(3)
-        d = spec.fock_dim if which == SOURCE else 2
-        other = 2 if which == SOURCE else spec.fock_dim
-        for shape in [(d, d + 1), (d + 1, d), (d,), (1, d, d), (other, other)]:
-            with pytest.raises(DimensionMismatchError):
-                embed(np.zeros(shape, dtype=complex), which, spec)
+def fock_lowering(spec):
+    """<n-1| a |n> = sqrt(n) on the Fock factor alone."""
+    return np.diag(np.sqrt(np.arange(1, spec.fock_dim)), k=1)
 
 
 class TestCoherentState:
@@ -123,13 +66,13 @@ class TestCoherentState:
     def test_poisson_mean(self):
         spec = FockSpec(25)
         psi = coherent_state(1.5, spec)
-        n_op = number_operator(spec)
+        n_op = np.diag(np.arange(spec.fock_dim))
         assert abs(np.vdot(psi.vec, n_op @ psi.vec) - 2.25) < 1e-8
 
     def test_eigenstate_residual(self):
         spec = FockSpec(20)
         psi = coherent_state(1.0, spec)
-        a = annihilation(spec)
+        a = fock_lowering(spec)
         assert np.linalg.norm(a @ psi.vec - 1.0 * psi.vec) < 1e-8
 
     def test_residual_decreases_with_cutoff(self):
@@ -137,7 +80,7 @@ class TestCoherentState:
         for n_max in (10, 14, 18, 22):
             spec = FockSpec(n_max)
             psi = coherent_state(1.2, spec, warn=False)
-            a = annihilation(spec)
+            a = fock_lowering(spec)
             residuals.append(np.linalg.norm(a @ psi.vec - 1.2 * psi.vec))
         assert all(r1 > r2 for r1, r2 in zip(residuals, residuals[1:]))
 
@@ -150,7 +93,7 @@ class TestCoherentState:
         spec = FockSpec(20)
         alpha = 0.8 * np.exp(0.7j)
         psi = coherent_state(alpha, spec)
-        a = annihilation(spec)
+        a = fock_lowering(spec)
         assert np.linalg.norm(a @ psi.vec - alpha * psi.vec) < 1e-10
 
     @pytest.mark.parametrize("warn", [False, True])

@@ -7,14 +7,9 @@ from cascadesim.errors import DimensionMismatchError
 from cascadesim.hilbert import (
     EXCITED,
     GROUND,
-    SOURCE,
-    TARGET,
     FockSpec,
-    annihilation,
     coherent_state,
-    embed,
     fock_state,
-    number_operator,
     product_state,
     qubit_lowering,
     qubit_state,
@@ -30,9 +25,14 @@ from cascadesim.liouvillian import (
     build_jump_ops,
     build_L_ST,
     build_L_T,
+    adjoint,
     build_nonhermitian_H,
+    dense,
     gather,
+    ladders,
+    product,
     regroup,
+    scaled,
     to_matrix,
 )
 from cascadesim.sources import CoherentDrive, FreeDecayMixture, build_L_S
@@ -54,10 +54,10 @@ def vec_col(m):
 class TestOperatorsAreArrays:
     def test_every_operator_function_returns_a_complex_ndarray(self):
         cfg = CouplingConfig(1.0, 0.5, 0.5, delta=0.3)
-        ops = [annihilation(SPEC), number_operator(SPEC), qubit_lowering(),
-               embed(annihilation(SPEC), SOURCE, SPEC), embed(qubit_lowering(), TARGET, SPEC),
-               build_H_T(cfg, SPEC), build_H_ST(cfg, SPEC), *build_jump_ops(cfg, SPEC),
-               build_nonhermitian_H(cfg, SPEC), drive_hamiltonian(0.4 - 0.2j, cfg)]
+        bands = [*ladders(SPEC), build_H_T(cfg, SPEC), build_H_ST(cfg, SPEC),
+                 *build_jump_ops(cfg, SPEC), build_nonhermitian_H(cfg, SPEC)]
+        ops = [qubit_lowering(), *(dense(M, SPEC.dim) for M in bands),
+               drive_hamiltonian(0.4 - 0.2j, cfg)]
         for op in ops:
             assert type(op) is np.ndarray and op.dtype == np.complex128
 
@@ -81,43 +81,43 @@ class TestConfig:
 
 class TestHamiltonians:
     def test_H_T_resonant_is_zero(self):
-        assert np.allclose(build_H_T(CouplingConfig(delta=0.0), SPEC), 0.0)
+        assert np.allclose(dense(build_H_T(CouplingConfig(delta=0.0), SPEC), SPEC.dim), 0.0)
 
     def test_H_T_detuned(self):
-        H = build_H_T(CouplingConfig(delta=1.0), SPEC)
+        H = dense(build_H_T(CouplingConfig(delta=1.0), SPEC), SPEC.dim)
         plus = composite_ket(0, EXCITED)
         assert abs(np.vdot(plus, H @ plus) - 1.0) < 1e-14
         assert np.max(np.abs(H - H.conj().T)) == 0.0
 
     def test_H_ST_decouples_without_forward_channel(self):
-        assert np.allclose(build_H_ST(CouplingConfig(gamma_Tf=0.0), SPEC), 0.0)
+        assert np.allclose(dense(build_H_ST(CouplingConfig(gamma_Tf=0.0), SPEC), SPEC.dim), 0.0)
 
     def test_H_ST_matrix_element(self):
         # <0,+| H_ST |1,-> = -i/2 at unit rates, by direct evaluation
         cfg = CouplingConfig(gamma_S=1.0, gamma_Tf=1.0, gamma_Ts=0.5)
-        H = build_H_ST(cfg, SPEC)
+        H = dense(build_H_ST(cfg, SPEC), SPEC.dim)
         el = np.vdot(composite_ket(0, EXCITED), H @ composite_ket(1, GROUND))
         assert abs(el - (-0.5j)) < 1e-14
 
     def test_H_ST_hermitian(self):
-        H = build_H_ST(CouplingConfig(1.0, 0.7, 0.2), SPEC)
+        H = dense(build_H_ST(CouplingConfig(1.0, 0.7, 0.2), SPEC), SPEC.dim)
         assert np.max(np.abs(H - H.conj().T)) < 1e-15
 
 
 class TestJumpOps:
     def test_side_vanishes(self):
         _, s = build_jump_ops(CouplingConfig(gamma_Ts=0.0), SPEC)
-        assert np.allclose(s, 0.0)
+        assert np.allclose(dense(s, SPEC.dim), 0.0)
 
     def test_forward_cavity_only(self):
         f, _ = build_jump_ops(CouplingConfig(1.0, 0.0, 0.5), SPEC)
-        out = f @ composite_ket(1, GROUND)
+        out = dense(f, SPEC.dim) @ composite_ket(1, GROUND)
         assert np.allclose(out, composite_ket(0, GROUND))
 
     def test_forward_qubit_only(self):
         f, _ = build_jump_ops(CouplingConfig(1.0, 4.0, 0.0), SPEC)
         # gamma_S multiplies a, which kills |0>; only the qubit term remains
-        out = f @ composite_ket(0, EXCITED)
+        out = dense(f, SPEC.dim) @ composite_ket(0, EXCITED)
         assert np.allclose(out, 2.0 * composite_ket(0, GROUND))
 
 
@@ -222,20 +222,21 @@ class TestNonhermitianH:
     def test_operator_identity(self):
         for cfg in (CouplingConfig(1.0, 0.5, 0.5),
                     CouplingConfig(2.0, 1.3, 0.1, delta=0.7)):
-            f, s = build_jump_ops(cfg, SPEC)
-            lhs = (build_H_T(cfg, SPEC) + build_H_ST(cfg, SPEC)
+            f, s = (dense(C, SPEC.dim) for C in build_jump_ops(cfg, SPEC))
+            lhs = (dense(build_H_T(cfg, SPEC), SPEC.dim) + dense(build_H_ST(cfg, SPEC), SPEC.dim)
                    - 0.5j * (s.conj().T @ s) - 0.5j * (f.conj().T @ f))
-            assert np.max(np.abs(lhs - build_nonhermitian_H(cfg, SPEC))) < 1e-13
+            H = dense(build_nonhermitian_H(cfg, SPEC), SPEC.dim)
+            assert np.max(np.abs(lhs - H)) < 1e-13
 
     def test_matrix_element(self):
         cfg = CouplingConfig(1.0, 1.0, 0.0)
-        H = build_nonhermitian_H(cfg, SPEC)
+        H = dense(build_nonhermitian_H(cfg, SPEC), SPEC.dim)
         el = np.vdot(composite_ket(0, EXCITED), H @ composite_ket(1, GROUND))
         assert abs(el - (-1j)) < 1e-14
 
     def test_norm_nonincreasing(self, rng):
         cfg = CouplingConfig(1.0, 0.5, 0.5)
-        H = build_nonhermitian_H(cfg, SPEC)
+        H = dense(build_nonhermitian_H(cfg, SPEC), SPEC.dim)
         dt = 0.001
         U = np.eye(SPEC.dim) - 1j * dt * H
         for _ in range(5):
@@ -250,8 +251,7 @@ class TestSuperoperatorForm:
         assert np.max(np.abs(apply(L, random_density(SPEC.dim, rng).mat))) == 0.0
 
     def test_identity_superoperator(self):
-        eye = np.eye(4, dtype=complex)
-        L = Superoperator([SuperoperatorTerm(eye, eye, 1.0)], 4)
+        L = Superoperator([SuperoperatorTerm(None, None, 1.0)], 4)
         assert np.allclose(to_matrix(L), np.eye(16))
 
     def test_matrix_agrees_with_apply(self, rng):
@@ -275,17 +275,113 @@ class TestSuperoperatorForm:
         with pytest.raises(DimensionMismatchError):
             to_matrix(build_L_T(CouplingConfig(), spec))
 
+    def test_band_of_wrong_length_rejected(self):
+        a, _ = ladders(FockSpec(3))
+        with pytest.raises(DimensionMismatchError):
+            Superoperator([SuperoperatorTerm(a, None, 1.0)], FockSpec(4).dim)
+        with pytest.raises(DimensionMismatchError):
+            Superoperator([SuperoperatorTerm(None, {0: np.ones(7)}, 1.0)], 8)
+
     def test_apply_dimension_mismatch(self):
         L = build_L_T(CouplingConfig(), SPEC)
         with pytest.raises(DimensionMismatchError):
             apply(L, np.eye(4))
 
 
+class TestLadders:
+    """a and b of ladders(spec) on the composite basis states |n, q>."""
+
+    def test_a_lowers_the_photon_number(self):
+        spec = FockSpec(5)
+        a = dense(ladders(spec)[0], spec.dim)
+        for q in (GROUND, EXCITED):
+            assert np.allclose(a @ composite_ket(4, q, spec), 2.0 * composite_ket(3, q, spec))
+            assert np.allclose(a @ composite_ket(0, q, spec), 0.0)
+
+    def test_b_lowers_the_qubit(self):
+        spec = FockSpec(3)
+        b = dense(ladders(spec)[1], spec.dim)
+        assert np.allclose(b @ composite_ket(2, EXCITED, spec), composite_ket(2, GROUND, spec))
+        assert np.allclose(b @ composite_ket(2, GROUND, spec), 0.0)
+
+    def test_commutator_on_interior(self):
+        # [a, a^dag] = 1 away from the truncation boundary n = n_max
+        spec = FockSpec(8)
+        a = dense(ladders(spec)[0], spec.dim)
+        comm = (a @ a.conj().T - a.conj().T @ a)[:2 * spec.n_max, :2 * spec.n_max]
+        assert np.max(np.abs(comm - np.eye(2 * spec.n_max))) < 1e-14
+
+    def test_factors_commute(self):
+        spec = FockSpec(4)
+        a, b = (dense(op, spec.dim) for op in ladders(spec))
+        assert np.max(np.abs(a @ b - b @ a)) < 1e-14
+
+    def test_number_counts_photons(self):
+        spec = FockSpec(6)
+        a, _ = ladders(spec)
+        n_op = dense(product(adjoint(a), a), spec.dim)
+        for n in range(spec.fock_dim):
+            v = composite_ket(n, EXCITED, spec)
+            assert abs(np.vdot(v, n_op @ v) - n) < 1e-14
+
+
+def kron_ladders(spec):
+    """Dense a and b of the composite space, as kron of the factor operators."""
+    a = np.kron(np.diag(np.sqrt(np.arange(1, spec.fock_dim)), k=1), np.eye(2)).astype(complex)
+    return a, np.kron(np.eye(spec.fock_dim), qubit_lowering())
+
+
+class TestBandAlgebra:
+    """Each builder's band maps against dense kron / @ references: equal,
+    but for the two-term diagonal of f^dag f, where a matrix product may fuse
+    the second multiply-add (a BLAS kernel with FMA) and a band product
+    rounds each piece."""
+
+    RATE = st.one_of(st.just(0.0), st.floats(0.0, 2.0))
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(gamma_S=st.floats(0.1, 2.0), gamma_Tf=RATE, gamma_Ts=RATE,
+           delta=st.one_of(st.just(0.0), st.floats(-2.0, 2.0)),
+           epsilon=st.complex_numbers(max_magnitude=2.0), n_max=st.integers(1, 30))
+    def test_builders_match_dense_references(self, gamma_S, gamma_Tf, gamma_Ts, delta, epsilon,
+                                             n_max):
+        spec = FockSpec(n_max)
+        d = spec.dim
+        cfg = CouplingConfig(gamma_S, gamma_Tf, gamma_Ts, delta)
+        a, b = kron_ladders(spec)
+        A, B = np.sqrt(gamma_S) * a, np.sqrt(gamma_Tf) * b
+        ad, bd, Ad, Bd = (M.conj().T for M in (a, b, A, B))
+        la, lb = ladders(spec)
+        LA, LB = scaled(np.sqrt(gamma_S), la), scaled(np.sqrt(gamma_Tf), lb)
+        f, s = build_jump_ops(cfg, spec)
+        pairs = {
+            "H_T": (build_H_T(cfg, spec), delta * (bd @ b)),
+            "H_ST": (build_H_ST(cfg, spec), 0.5j * (Ad @ B - A @ Bd)),
+            "f": (f, A + B),
+            "s": (s, np.sqrt(gamma_Ts) * b),
+            "drift": (build_nonhermitian_H(cfg, spec), delta * (bd @ b) - 1j * (A @ Bd)
+                      - 0.5j * (Ad @ A) - 0.5j * cfg.gamma_T * (bd @ b)),
+            "drive": (build_L_S(CoherentDrive(epsilon), spec).terms[0].left,
+                      1j * (epsilon * ad - np.conj(epsilon) * a)),
+            "a^dag a": (product(adjoint(la), la), ad @ a),
+            "b^dag b": (product(adjoint(lb), lb), bd @ b),
+            "A^dag B": (product(adjoint(LA), LB), Ad @ B),
+            "B^dag A": (product(adjoint(LB), LA), Bd @ A),
+            "A B^dag": (product(LA, adjoint(LB)), A @ Bd),
+        }
+        for name, (bands, ref) in pairs.items():
+            assert np.array_equal(dense(bands, d), ref), name
+        ffd, ref = dense(product(adjoint(f), f), d), (A + B).conj().T @ (A + B)
+        for part in (np.real, np.imag):
+            np.testing.assert_array_max_ulp(part(ffd), part(ref), maxulp=1)
+
+
 def literal_apply(superop, rho):
     """Term-by-term sandwich sum: the reference for the compiled apply."""
     out = np.zeros_like(rho)
+    d = superop.dim
     for t in superop.terms:
-        out += t.coeff * (t.left @ rho @ t.right)
+        out += t.coeff * (dense(t.left, d) @ rho @ dense(t.right, d))
     return out
 
 
@@ -314,8 +410,7 @@ class TestFoldedGenerator:
         self.assert_matches_literal(L, rng, count=1)
 
     def test_identity_term(self, rng):
-        eye = np.eye(SPEC.dim, dtype=complex)
-        L = Superoperator([SuperoperatorTerm(eye, eye, 0.5 - 0.25j)], SPEC.dim)
+        L = Superoperator([SuperoperatorTerm(None, None, 0.5 - 0.25j)], SPEC.dim)
         rho = random_density(SPEC.dim, rng).mat
         assert np.max(np.abs(apply(L, rho) - (0.5 - 0.25j) * rho)) <= 1e-15
         self.assert_matches_literal(L, rng, count=1)
@@ -334,12 +429,14 @@ class TestFoldedGenerator:
 
 def random_superoperator(dim, rng, count=3):
     """Dense random sandwich terms, plus one with an identity on each side."""
-    def dense():
-        return rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    eye = np.eye(dim, dtype=complex)
-    terms = [SuperoperatorTerm(dense(), dense(), complex(*rng.normal(size=2)))
+    def full():
+        """The band map of a dense random matrix: every diagonal."""
+        M = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        i, padded = np.arange(dim), np.pad(M, ((0, 0), (dim, dim)))
+        return {o: padded[i, i + dim + o] for o in range(1 - dim, dim)}
+    terms = [SuperoperatorTerm(full(), full(), complex(*rng.normal(size=2)))
              for _ in range(count)]
-    terms += [SuperoperatorTerm(dense(), eye, 0.3j), SuperoperatorTerm(eye, dense(), -0.7)]
+    terms += [SuperoperatorTerm(full(), None, 0.3j), SuperoperatorTerm(None, full(), -0.7)]
     return Superoperator(terms, dim)
 
 
@@ -379,8 +476,7 @@ class TestCompiledGenerator:
         assert np.array_equal(apply(L, rho), np.zeros_like(rho))
 
     def test_identity_term(self, rng):
-        eye = np.eye(SPEC.dim, dtype=complex)
-        L = Superoperator([SuperoperatorTerm(eye, eye, 0.5 - 0.25j)], SPEC.dim)
+        L = Superoperator([SuperoperatorTerm(None, None, 0.5 - 0.25j)], SPEC.dim)
         assert L.compiled[0].shape[0] == 1
         self.assert_matches_literal(L, rng)
 

@@ -7,11 +7,8 @@ from cascadesim.hilbert import (
     SOURCE,
     DensityOperator,
     FockSpec,
-    annihilation,
     coherent_state,
-    embed,
     fock_state,
-    number_operator,
     partial_trace,
     product_state,
     qubit_state,
@@ -20,10 +17,14 @@ from cascadesim.liouvillian import (
     CouplingConfig,
     Superoperator,
     SuperoperatorTerm,
+    adjoint,
     apply,
     build_L_ST,
     build_L_T,
     build_nonhermitian_H,
+    dense,
+    ladders,
+    product,
     regroup,
 )
 from cascadesim.sources import (
@@ -89,7 +90,7 @@ class TestSourceGenerator:
         eps = 0.4
         Lp_S, _, _ = regroup(build_L_S(CoherentDrive(eps), SPEC), CFG)
         rho0 = product_state(fock_state(0, SPEC), qubit_state(GROUND)).projector()
-        a = embed(annihilation(SPEC), SOURCE, SPEC)
+        a = dense(ladders(SPEC)[0], SPEC.dim)
         d_a = expectation(apply(Lp_S, rho0), a)
         assert abs(d_a - eps) < 1e-12
 
@@ -153,7 +154,7 @@ class TestJumpChannels:
         assert [(ch.label, ch.carrier_delta, ch.quanta_delta, ch.scales_with_carrier)
                 for ch in channels] == expected
         # only a coherent drive adds to the drift, and what it adds is Hermitian
-        drive = H - build_nonhermitian_H(CFG, SPEC)
+        drive = H - dense(build_nonhermitian_H(CFG, SPEC), SPEC.dim)
         assert drive.any() == isinstance(model, CoherentDrive)
         assert np.array_equal(drive, drive.conj().T)
 
@@ -215,7 +216,7 @@ class TestCoherenceUnderMaster:
         L = build_L_S(model, spec) + build_L_T(cfg, spec) + build_L_ST(cfg, spec)
         states = evolve_master(rho0, L, grid, store_every=50)
         (path,) = classical_paths(model, cfg, grid.times()[::50], alpha0=0.0)
-        a = annihilation(spec)
+        a = np.diag(np.sqrt(np.arange(1, spec.fock_dim)), k=1)
         for rho, alpha in zip(states, path.alphas):
             rho_S = partial_trace(rho, SOURCE)
             purity = np.trace(rho_S.mat @ rho_S.mat).real
@@ -236,16 +237,16 @@ class TestPhaseDampingCrossCheck:
         for p in paths:
             ensemble += p.weight * coherent_state(p.alphas[-1], spec).projector()
 
-        a = annihilation(spec)
-        n_op = number_operator(spec)
-        eye = np.eye(spec.fock_dim, dtype=complex)
+        # band maps of a and n on the Fock factor alone
+        a = {1: np.append(np.sqrt(np.arange(1, spec.fock_dim)), 0.0).astype(complex)}
+        n_op = {0: np.arange(spec.fock_dim, dtype=complex)}
         terms = (
-            [SuperoperatorTerm(a, a.conj().T, gamma_S),
-             SuperoperatorTerm(a.conj().T @ a, eye, -gamma_S / 2),
-             SuperoperatorTerm(eye, a.conj().T @ a, -gamma_S / 2)]
+            [SuperoperatorTerm(a, adjoint(a), gamma_S),
+             SuperoperatorTerm(product(adjoint(a), a), None, -gamma_S / 2),
+             SuperoperatorTerm(None, product(adjoint(a), a), -gamma_S / 2)]
             + [SuperoperatorTerm(n_op, n_op, 2 * D),
-               SuperoperatorTerm(n_op @ n_op, eye, -D),
-               SuperoperatorTerm(eye, n_op @ n_op, -D)]
+               SuperoperatorTerm(product(n_op, n_op), None, -D),
+               SuperoperatorTerm(None, product(n_op, n_op), -D)]
         )
         L = Superoperator(terms, spec.fock_dim)
         rho0 = np.zeros_like(ensemble)
