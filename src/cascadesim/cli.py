@@ -14,9 +14,12 @@ with a header row, the time column first, and complex observables split into
 re/im columns; state dumps are JSON with row-major nested arrays of [re, im]
 pairs and an explicit basis-ordering field.  All files are written atomically
 (temp file + rename) and are byte-identical for identical (config, seed).
-The CASCADESIM_WORKERS environment variable, an integer >= 1, sets the trajectory
-worker count; it changes only the wall time, and one worker, or evolve.ENSEMBLE_BLOCK
-seeds or fewer, run in-process.
+The CASCADESIM_WORKERS environment variable, an integer >= 1, is the one setting
+of the trajectory worker count; it changes only the wall time, and one worker, or
+evolve.ENSEMBLE_BLOCK seeds or fewer, run in-process.  Both run commands take the
+stored states as the integrators hand them on, in (times, stack) blocks, and copy
+each into a fixed-size stack for the observables, so no output byte depends on
+how the states arrive.
 """
 
 from __future__ import annotations
@@ -230,7 +233,10 @@ def load_config(path: str) -> ExperimentConfig:
             start, count = s.get("start", 0), _require(s, "count", "seeds")
             if not (_is_int(start) and _is_int(count)):
                 raise ConfigError(f"seeds start and count must be integers, got {s!r}")
-            seeds = list(range(start, start + count))
+            try:
+                seeds = list(range(start, start + count))
+            except MemoryError:  # raised with no text
+                raise ConfigError(f"seeds.count {count} is too many to hold in memory") from None
         else:
             raise ConfigError(f"seeds must be a list or an object, got {s!r}")
         check_seeds(seeds)
@@ -300,18 +306,19 @@ def _matrix_format(dim: int) -> str:
     return "[\n    " + ",\n    ".join([row] * dim) + "\n  ]"
 
 
-def state_dump(rho: DensityOperator, spec: FockSpec, t: float) -> str:
-    """The state dump's text: json.dumps(doc, indent=2, sort_keys=True) and a
-    newline.  A finite matrix is formatted in one pass, as repr of each
-    float, which is what json writes for a finite float."""
-    doc = {"time": t, "n_max": spec.n_max, "dim": rho.dim, "basis_ordering": BASIS_ORDERING}
-    if not np.isfinite(rho.mat).all():
-        doc["matrix"] = [[[float(v.real), float(v.imag)] for v in row] for row in rho.mat]
+def state_dump(rho: np.ndarray, spec: FockSpec, t: float) -> str:
+    """The state dump's text of a (d, d) density matrix: json.dumps(doc,
+    indent=2, sort_keys=True) and a newline.  A finite matrix is formatted
+    in one pass, as repr of each float, which is what json writes for a
+    finite float."""
+    doc = {"time": t, "n_max": spec.n_max, "dim": len(rho), "basis_ordering": BASIS_ORDERING}
+    if not np.isfinite(rho).all():
+        doc["matrix"] = [[[float(v.real), float(v.imag)] for v in row] for row in rho]
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
     head, tail = json.dumps({**doc, "matrix": None}, indent=2,
                             sort_keys=True).split('"matrix": null')
-    values = tuple(np.ascontiguousarray(rho.mat, dtype=complex).view(float).ravel().tolist())
-    return f'{head}"matrix": {_matrix_format(rho.dim) % values}{tail}\n'
+    values = tuple(np.ascontiguousarray(rho, dtype=complex).view(float).ravel().tolist())
+    return f'{head}"matrix": {_matrix_format(len(rho)) % values}{tail}\n'
 
 
 def _observable_rows(times, stack, ops):
@@ -327,32 +334,32 @@ def _observable_rows(times, stack, ops):
 
 
 class _Observables:
-    """Observer of a run's stored states: it copies each into one stack of
-    OBSERVABLE_BLOCK states and takes a full stack's rows at once, so the
-    products have the same shapes however many states a run stores; of the
-    states only the last is kept, for the state dump.
+    """Observer of a run's stored states, called as observe(times, stack)
+    with each block of them: it copies each state and its time into one
+    stack of OBSERVABLE_BLOCK and takes a full stack's rows at once, so the
+    products have the same shapes however the states arrive; of the states
+    only the last is kept, as (time, matrix), for the state dump.
     """
 
-    def __init__(self, times, spec: FockSpec):
+    def __init__(self, spec: FockSpec):
         a, b = (dense(op, spec.dim) for op in ladders(spec))
         # expectation(rho, op) = trace(op rho) = rho.ravel() . op.T.ravel();
         # a^dag a is the product, not the exact n: sqrt(n)^2 != n in the last bit
         self.ops = np.stack([op.T.ravel() for op in (a, a.conj().T @ a, b, b.conj().T @ b)],
                             axis=1)
         self.stack = np.empty((OBSERVABLE_BLOCK, spec.dim, spec.dim), dtype=complex)
-        self.times, self.filled, self.rows, self.last = times, 0, [], None
+        self.times, self.filled, self.rows, self.last = np.empty(OBSERVABLE_BLOCK), 0, [], None
 
-    def __call__(self, rho: DensityOperator):
-        self.stack[self.filled] = rho.mat
-        self.filled += 1
-        self.last = rho
-        if self.filled == OBSERVABLE_BLOCK:
-            self._flush()
+    def __call__(self, times, stack):
+        for t, m in zip(times, stack):
+            self.times[self.filled], self.stack[self.filled] = t, m
+            self.filled += 1
+            if self.filled == OBSERVABLE_BLOCK:
+                self._flush()
+        self.last = times[-1], stack[-1]
 
     def _flush(self):
-        start = len(self.rows)
-        self.rows += _observable_rows(self.times[start:start + self.filled],
-                                      self.stack[:self.filled], self.ops)
+        self.rows += _observable_rows(self.times[:self.filled], self.stack[:self.filled], self.ops)
         self.filled = 0
 
     def table(self):
@@ -372,8 +379,8 @@ def _write_run(cfg: ExperimentConfig, command: str, obs: _Observables, dump_name
                {"command": command, **cfg.resolved})
     header, rows = obs.table()
     write_csv(os.path.join(cfg.output_dir, "observables.csv"), header, rows)
-    atomic_write(os.path.join(cfg.output_dir, dump_name),
-                 state_dump(obs.last, cfg.spec, float(obs.times[-1])))
+    t, rho = obs.last
+    atomic_write(os.path.join(cfg.output_dir, dump_name), state_dump(rho, cfg.spec, float(t)))
 
 
 def cmd_run_master(cfg: ExperimentConfig) -> int:
@@ -386,14 +393,14 @@ def cmd_run_master(cfg: ExperimentConfig) -> int:
     except (UnsupportedSourceError, DimensionMismatchError) as e:
         raise ConfigError(str(e)) from e
     rho0 = DensityOperator(np.outer(cfg.initial_vec, cfg.initial_vec.conj()))
-    obs = _Observables(cfg.grid.stored_times(cfg.store_every), cfg.spec)
+    obs = _Observables(cfg.spec)
     evolve_master(rho0, L, cfg.grid, store_every=cfg.store_every, observe=obs)
     _write_run(cfg, "run-master", obs, "final_state.json")
     return 0
 
 
 def cmd_run_trajectories(cfg: ExperimentConfig) -> int:
-    obs = _Observables(cfg.grid.stored_times(cfg.store_every), cfg.spec)
+    obs = _Observables(cfg.spec)
     ens = run_ensemble(PureState(cfg.initial_vec), cfg.coupling, cfg.source,
                        cfg.grid, cfg.seeds, store_every=cfg.store_every, observe=obs)
     _write_run(cfg, "run-trajectories", obs, "ensemble_state.json")
@@ -483,7 +490,8 @@ def main(argv=None) -> int:
     except MemoryError as e:
         # numpy refuses at once an array beyond the address space, such as the
         # stored times of a grid of 1e14 steps
-        print(f"config error: too large to hold in memory: {e}", file=sys.stderr)
+        print("config error: too large to hold in memory" + (f": {e}" if str(e) else ""),
+              file=sys.stderr)
         return 2
     except (InvariantViolationError, StepProbabilityError) as e:
         print(f"invariant violation: {e}", file=sys.stderr)

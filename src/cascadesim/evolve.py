@@ -28,7 +28,10 @@ streams.UniformRing, so results are bit-reproducible given (config, seed);
 the streams module computes them without numpy.random.  There is one
 trajectory engine, vectorized over seeds; a single trajectory is its
 one-seed call.  It hands each stored time's dense rows to its caller's store
-callback, one seed block at a time, and keeps none.
+callback, one seed block at a time, and keeps none.  evolve_master and
+run_ensemble hand their stored states on as they are checked or averaged, to
+an observer called as observe(times, stack) with a (B, d, d) stack of states
+and their B stored times; without one they return DensityOperator lists.
 """
 
 from __future__ import annotations
@@ -149,16 +152,24 @@ STORE_BLOCK = 8
 MASTER_TOLS = dict(trace_tol=1e-8, herm_tol=1e-8, eig_tol=1e-8)
 
 
-def _observe_checked(states, times, layout, observe):
-    """Observe a (B, d, d) stack of stored states in time order as
-    DensityOperator views, up to the first that fails check_states, and
-    raise at that one with its own time."""
+def _observe_checked(states, times, observe):
+    """Hand observe(times, stack), in one call, the states of a (B, d, d)
+    block of stored states that come before the first to fail check_states,
+    with their times; then raise at that one with its own time."""
     failure = check_states(states, **MASTER_TOLS)
-    for m in states[:len(states) if failure is None else failure[0]]:
-        observe(DensityOperator(m, layout=layout))
+    n = len(states) if failure is None else failure[0]
+    if n:
+        observe(times[:n], states[:n])
     if failure is not None:
-        i, message = failure
-        raise InvariantViolationError(f"master integration failed at t={times[i]:.6g}: {message}")
+        raise InvariantViolationError(
+            f"master integration failed at t={times[n]:.6g}: {failure[1]}")
+
+
+def _collector(layout: str):
+    """The list that run results are returned in, and the observer that
+    appends each state of its blocks to it as a DensityOperator view."""
+    out = []
+    return out, lambda times, stack: out.extend(DensityOperator(m, layout) for m in stack)
 
 
 def evolve_master(rho0: DensityOperator, L_total: Superoperator, grid: TimeGrid,
@@ -168,13 +179,15 @@ def evolve_master(rho0: DensityOperator, L_total: Superoperator, grid: TimeGrid,
     Trace drift beyond 1e-8 or negativity below -1e-8 aborts with a diagnostic
     that names the time of the first stored state to fail.  rho0 is checked
     and observed first, on its own.  The later states of
-    grid.stored_times(store_every) are checked STORE_BLOCK at a time and go
-    to observe(rho) in time order once their block has passed, each a
-    DensityOperator view of its own matrix; the states before a failing one
-    are observed and those after it are not.  Finiteness and trace are
+    grid.stored_times(store_every) are checked STORE_BLOCK at a time, and
+    once a block has passed it goes to observe(times, stack) in one call:
+    its stored times and its (B, d, d) stack, a fresh array that no later
+    call writes to, so an observer may keep it.  The states before a failing
+    one are observed and those after it are not.  Finiteness and trace are
     tested as each state is stored, so the run never steps on from a state
     that fails them.  Without an observer the stored states are returned as
-    a list; with one, None is returned and no state is kept here.  If
+    a list of DensityOperator views of rho0's layout; with one, None is
+    returned and no state is kept here.  If
     L_total keeps the k-blocks and rho0 leaves some of them empty
     (liouvillian.block_gather), RK4 runs on the entries of the blocks rho0
     occupies, and each later stored state holds zeros outside them;
@@ -182,12 +195,11 @@ def evolve_master(rho0: DensityOperator, L_total: Superoperator, grid: TimeGrid,
     liouvillian.gather call on the compiled form.
     """
     times = grid.stored_times(store_every)
-    out = [] if observe is None else None
-    observe = out.append if observe is None else observe
+    out, observe = _collector(rho0.layout) if observe is None else (None, observe)
     d = L_total.dim
 
     m = np.array(rho0.mat, dtype=complex)
-    _observe_checked(m.copy()[None], times, rho0.layout, observe)
+    _observe_checked(m.copy()[None], times, observe)
     blocks = block_gather(L_total, m)
     if blocks is None:
         keep, v, (index, weight) = slice(None), m.ravel(), L_total.compiled
@@ -220,7 +232,7 @@ def evolve_master(rho0: DensityOperator, L_total: Superoperator, grid: TimeGrid,
         # hermiticity and positivity wait for the block to fill
         if (filled == STORE_BLOCK or s == len(times) - 1 or not np.isfinite(v).all()
                 or not abs(state.trace() - 1.0) <= MASTER_TOLS["trace_tol"]):
-            _observe_checked(block[:filled], times[s + 1 - filled:], rho0.layout, observe)
+            _observe_checked(block[:filled], times[s + 1 - filled:], observe)
             filled = 0
     return out
 
@@ -784,16 +796,15 @@ def _projector_sum(psi0_vec, config, source_model, grid, store_every, diagnostic
 
 def run_ensemble(psi0: PureState, config: CouplingConfig, source_model,
                  grid: TimeGrid, seeds, store_every: int = 1,
-                 diagnostics: bool = True, workers: int | None = None,
-                 observe=None) -> EnsembleResult:
+                 diagnostics: bool = True, observe=None) -> EnsembleResult:
     """Run trajectories for every seed and average their projectors online.
 
     The seeds are cut into consecutive blocks of at most ENSEMBLE_BLOCK.  A
     block is the unit of the reduction: each stored time's average is the
     first block's projector sum, plus each later block's in block order,
     divided by the seed count.  So each trajectory depends on its seed alone
-    and the result on the arguments alone: the worker count changes only the
-    wall time.  workers is an integer >= 1 and defaults to CASCADESIM_WORKERS.
+    and the result on the arguments alone: the worker count,
+    CASCADESIM_WORKERS (workers_from_env), changes only the wall time.
 
     With one worker, or one block, the blocks run in-process, one lockstep
     engine call a window of seeds (_window): one block of dense rows, or as
@@ -805,32 +816,30 @@ def run_ensemble(psi0: PureState, config: CouplingConfig, source_model,
     seeds, say), each adds its blocks' sums into one (n_stored, d, d)
     total.  With more workers a process pool runs one block a task, each of
     which returns its (n_stored, d, d) sum, added into the total in block
-    order.  The observer is fed from the total once every block is in.
+    order.
 
-    Each stored time's average goes to observe(rho) as a DensityOperator, in
-    time order.  Without an observer the averages are collected into
-    ``rho_avg``; with one, ``rho_avg`` is None.  A birth-death psi0 must lie
-    in the quanta sector of source_model.n0, as for mcwf_run.  A failure is
-    the first failing window's, raised at the earliest step where any of its
-    trajectories fails; for dense rows, and on a pool, that is the first
-    failing block's.
+    The averages go to observe(times, stack) in time order, as evolve_master's
+    states do: each as its own (1, d, d) stack when every seed fits one
+    window, and otherwise the whole total in one call once every block is
+    in.  No later call writes to a stack an observer was given.  Without an
+    observer the averages are collected into ``rho_avg`` as COMPOSITE
+    DensityOperator views; with one, ``rho_avg`` is None.  A birth-death psi0
+    must lie in the quanta sector of source_model.n0, as for mcwf_run.  A
+    failure is the first failing window's, raised at the earliest step where
+    any of its trajectories fails; for dense rows, and on a pool, that is the
+    first failing block's.
     """
     seeds = check_seeds(seeds)
     times = grid.stored_times(store_every)
-    rho_avg = [] if observe is None else None
-    observe = rho_avg.append if observe is None else observe
-    if workers is None:
-        workers = workers_from_env()
-    elif isinstance(workers, bool) or not isinstance(workers, (int, np.integer)) or workers < 1:
-        raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
+    rho_avg, observe = _collector(COMPOSITE) if observe is None else (None, observe)
     blocks = [seeds[i:i + ENSEMBLE_BLOCK] for i in range(0, len(seeds), ENSEMBLE_BLOCK)]
-    workers = min(workers, len(blocks))
+    workers = min(workers_from_env(), len(blocks))
     window = _window(source_model)
     if workers == 1 and len(seeds) <= window:
         def average(i, parts):
             total = _add_projectors(parts)
             total /= len(seeds)
-            observe(DensityOperator(total, layout=COMPOSITE))
+            observe(times[i:i + 1], total[None])
 
         records, entropies, max_p = _ensemble_chunk(
             psi0.vec, config, source_model, grid, store_every, diagnostics, average, seeds)
@@ -857,7 +866,6 @@ def run_ensemble(psi0: PureState, config: CouplingConfig, source_model,
         entropies = [e for _, ents, _ in parts for e in ents]
         max_p = max(p for _, _, p in parts)
         acc /= len(seeds)
-        for mat in acc:
-            observe(DensityOperator(mat, layout=COMPOSITE))
+        observe(times, acc)
     _warn_step_probability(max_p)
     return EnsembleResult(times, rho_avg, records, entropies)

@@ -122,9 +122,10 @@ def check_states(mats: np.ndarray, trace_tol: float = 1e-10, herm_tol: float = 1
     so no arithmetic touches a non-finite entry.  Positivity is first tried
     as one Cholesky factorization of the stack of hermitized matrices plus
     (eig_tol / 2) I, which exists when each smallest eigenvalue is above
-    -eig_tol / 2.  Only when it does not does the stack go matrix by matrix,
-    and eigvalsh decides where a Cholesky fails, so the pass/fail boundary
-    is that of the smallest eigenvalue against -eig_tol.
+    -eig_tol / 2.  Only when it does not does one batched eigvalsh of the
+    hermitized stack decide, so the pass/fail boundary is that of the
+    smallest eigenvalue against -eig_tol: a matrix whose smallest eigenvalue
+    is below -eig_tol fails the shifted Cholesky too.
     """
     finite = np.isfinite(mats).all(axis=(1, 2))
     # n: the matrices before the first non-finite one; n_herm: those before
@@ -145,13 +146,11 @@ def check_states(mats: np.ndarray, trace_tol: float = 1e-10, herm_tol: float = 1
     try:
         np.linalg.cholesky(shifted)
     except np.linalg.LinAlgError:
-        for i in range(n_herm):
-            try:
-                np.linalg.cholesky(shifted[i])
-            except np.linalg.LinAlgError:
-                min_eig = float(np.linalg.eigvalsh((ok[i] + adj[i]) * 0.5).min())
-                if not min_eig >= -eig_tol:
-                    return i, f"negative eigenvalue {min_eig:.3e}"
+        min_eig = np.linalg.eigvalsh((ok[:n_herm] + adj[:n_herm]) * 0.5).min(axis=1)
+        negative = ~(min_eig >= -eig_tol)
+        if negative.any():
+            i = int(negative.argmax())
+            return i, f"negative eigenvalue {min_eig[i]:.3e}"
     if n_herm < n:
         if not tr_err[n_herm] <= trace_tol:
             return n_herm, f"trace deviates from 1 by {tr_err[n_herm]:.3e}"

@@ -1,3 +1,6 @@
+import os
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -395,6 +398,6 @@ class TestAgainstFullSolution:
         rng = np.random.default_rng(seed)
         psi_T0 = PureState(rng.normal(size=2) + 1j * rng.normal(size=2)).normalized()
         psi0 = product_state(coherent_state(alpha0, fock), psi_T0)
-        ens = run_ensemble(psi0, cfg, model, grid, range(16), store_every=grid.n_steps,
-                           workers=1)
+        with mock.patch.dict(os.environ, {"CASCADESIM_WORKERS": "1"}):
+            ens = run_ensemble(psi0, cfg, model, grid, range(16), store_every=grid.n_steps)
         assert max(ens.max_schmidt_entropies) <= self.ENTROPY_PER_DT2 * grid.dt ** 2

@@ -1,6 +1,7 @@
 import contextlib
 import copy
 import io
+import itertools
 import json
 import math
 import os
@@ -28,7 +29,7 @@ from cascadesim.cli import (
 )
 from cascadesim.errors import ConfigError
 from cascadesim.evolve import expectation
-from cascadesim.hilbert import DensityOperator, FockSpec
+from cascadesim.hilbert import FockSpec
 from cascadesim.liouvillian import dense, ladders
 from conftest import random_density
 
@@ -455,6 +456,25 @@ class TestConfigValidation:
         assert err.startswith("config error:") and message in err
         assert not (tmp_path / "out").exists()
 
+    def test_oversized_seed_count_is_named(self, tmp_path, capsys):
+        # a range of 1e12 seeds is refused at once, by a MemoryError with no text
+        doc = short_preset("coherent_drive.json")
+        doc["output_dir"] = str(tmp_path / "out")
+        doc["seeds"] = {"start": 0, "count": 10**12}
+        assert main(["run-master", write_config(tmp_path, doc)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: seeds.count 1000000000000 is too many to hold in memory\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_memory_error_without_text_ends_the_line(self, tmp_path, capsys, monkeypatch):
+        import cascadesim.cli as cli
+
+        def refuse(path):
+            raise MemoryError()
+        monkeypatch.setattr(cli, "load_config", refuse)
+        assert main(["run-master", str(tmp_path / "config.json")]) == 2
+        assert capsys.readouterr().err == "config error: too large to hold in memory\n"
+
     def test_non_object_config_exits_2(self, tmp_path, capsys):
         path = tmp_path / "config.json"
         path.write_text("[1, 2]")
@@ -586,7 +606,7 @@ class TestObservableRows:
         rhos = [random_density(spec.dim, rng) for _ in range(OBSERVABLE_BLOCK)]
         times = 0.1 * np.arange(len(rhos))
         rows = _observable_rows(times, np.stack([rho.mat for rho in rhos]),
-                                _Observables(times, spec).ops)
+                                _Observables(spec).ops)
         assert len(rows) == len(rhos)
         a, b = (dense(op, spec.dim) for op in ladders(spec))
         n, pe = a.conj().T @ a, b.conj().T @ b
@@ -602,11 +622,16 @@ class TestObservableRows:
         # crosses two block boundaries
         rhos = [random_density(spec.dim, rng) for _ in range(2 * OBSERVABLE_BLOCK + 5)]
         times = 0.1 * np.arange(len(rhos))
-        obs = _Observables(times, spec)
-        for rho in rhos:
-            obs(rho)
-            assert obs.filled < OBSERVABLE_BLOCK
+        obs = _Observables(spec)
         stack = np.stack([rho.mat for rho in rhos])
+        # blocks of one, three and eight states, as the integrators hand them on
+        start = 0
+        for size in itertools.cycle([1, 3, 8]):
+            obs(times[start:start + size], stack[start:start + size])
+            start += size
+            assert obs.filled < OBSERVABLE_BLOCK
+            if start >= len(rhos):
+                break
         rows = []
         for start in range(0, len(rhos), OBSERVABLE_BLOCK):
             block = slice(start, start + OBSERVABLE_BLOCK)
@@ -616,7 +641,8 @@ class TestObservableRows:
                           "re_qubit_coherence", "im_qubit_coherence",
                           "excited_population", "purity"]
         assert table == rows
-        assert obs.last is rhos[-1]
+        t, last = obs.last
+        assert t == times[-1] and np.shares_memory(last, stack[-1])
 
 
 def per_value_csv(header, rows):
@@ -653,7 +679,7 @@ class TestWriters:
         spec = FockSpec(max(1, d // 2 - 1))
         doc = {"time": t, "n_max": spec.n_max, "dim": d, "basis_ordering": BASIS_ORDERING,
                "matrix": [[[float(v.real), float(v.imag)] for v in row] for row in mat]}
-        text = state_dump(DensityOperator(mat), spec, t)
+        text = state_dump(mat, spec, t)
         assert text == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
     VALUES = st.one_of(st.floats(), st.sampled_from(EDGE_FLOATS), st.floats().map(np.float64),
@@ -693,6 +719,23 @@ class TestStreamedStates:
         _, rows = read_csv(tmp_path / "out" / "observables.csv")
         assert len(rows) == 601
         assert peak < self.HELD / 3
+
+    @pytest.mark.parametrize("preset", ["coherent_drive.json", "bare_cavity.json"])
+    def test_store_block_leaves_bytes_unchanged(self, tmp_path, monkeypatch, preset):
+        # evolve_master hands its states on STORE_BLOCK at a time, and the
+        # observer copies them into stacks of OBSERVABLE_BLOCK, so every
+        # product has the same shape whatever the blocks
+        doc = load_preset_doc(preset)
+        doc["store_every"] = 1
+        runs = []
+        for block in (1, 3, 8, 64):
+            monkeypatch.setattr(evolve, "STORE_BLOCK", block)
+            out = tmp_path / f"out{block}"
+            doc["output_dir"] = str(out)
+            assert main(["run-master", write_config(tmp_path, doc)]) == 0
+            runs.append([(out / name).read_bytes()
+                         for name in ("observables.csv", "final_state.json")])
+        assert all(run == runs[0] for run in runs)
 
 
 class TestVerify:

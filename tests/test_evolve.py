@@ -1,5 +1,6 @@
 import hashlib
 import math
+import os
 import re
 import time
 import tracemalloc
@@ -275,13 +276,14 @@ class TestMasterEquation:
         rho0 = random_density(spec.dim, rng)
         grid = TimeGrid(0.0, 0.2, 0.01)
         seen = []
-        assert evolve_master(rho0, L, grid, store_every=5, observe=seen.append) is None
+        assert evolve_master(rho0, L, grid, store_every=5,
+                             observe=lambda times, stack: seen.extend(stack)) is None
         states = evolve_master(rho0, L, grid, store_every=5)
         assert len(seen) == len(states) == 5
         for a, b in zip(seen, states):
-            assert np.array_equal(a.mat, b.mat) and a.layout == b.layout
-        # each observed state owns its matrix
-        assert len({id(rho.mat) for rho in seen}) == len(seen)
+            assert np.array_equal(a, b.mat) and b.layout == rho0.layout
+        # no two observed states share memory
+        assert not any(np.shares_memory(a, b) for i, a in enumerate(seen) for b in seen[:i])
 
     def test_invariants_enforced(self):
         # an unnormalized initial state trips the trace check immediately
@@ -461,7 +463,8 @@ class TestCoherenceBlocks:
         rho0 = DensityOperator(np.full((spec.dim, spec.dim), fill, dtype=complex))
         seen = []
         with pytest.raises(InvariantViolationError, match="t=0:"):
-            evolve_master(rho0, self.undriven(spec), self.GRID, observe=seen.append)
+            evolve_master(rho0, self.undriven(spec), self.GRID,
+                          observe=lambda *block: seen.append(block))
         assert seen == []
 
 
@@ -500,7 +503,7 @@ class TestStoredStateChecks:
                            f"{check_failure(reference[where])}")
         assert len(seen) == where
         for rho, ref in zip(seen, reference):
-            assert np.array_equal(rho.mat, ref)
+            assert np.array_equal(rho, ref)
         # a trace failure stops the run at once; the others are found when
         # their block is full
         block_end = min(-(-where // STORE_BLOCK) * STORE_BLOCK, self.STORED)
@@ -522,15 +525,16 @@ class TestStoredStateChecks:
 
     @staticmethod
     def run_to_failure(monkeypatch, rho0, L, grid, store_every):
-        """(observed states, failure message, RK4 steps taken) of a run that
-        must fail with no RuntimeWarning."""
+        """(observed states, each a (d, d) array, failure message, RK4 steps
+        taken) of a run that must fail with no RuntimeWarning."""
         calls = []
         monkeypatch.setattr(evolve, "gather", lambda *args: calls.append(1) or gather(*args))
         seen = []
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             with pytest.raises(InvariantViolationError) as failure:
-                evolve_master(rho0, L, grid, store_every=store_every, observe=seen.append)
+                evolve_master(rho0, L, grid, store_every=store_every,
+                              observe=lambda times, stack: seen.extend(stack))
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         return seen, str(failure.value), len(calls) // 4
 
@@ -621,7 +625,7 @@ class TestSingleTrajectory:
             mcwf_run(psi0, BARE, model, TimeGrid(0.0, 0.2, 0.004), seed=0)
 
     @pytest.mark.parametrize("workers", [None, 1, 2])
-    def test_soft_warning_points_at_caller(self, workers):
+    def test_soft_warning_points_at_caller(self, monkeypatch, workers):
         # one warning for the whole run, at the caller's line, also when the
         # trajectories run in worker processes; None is the one-seed mcwf_run
         spec = FockSpec(6)
@@ -633,7 +637,8 @@ class TestSingleTrajectory:
             if workers is None:
                 mcwf_run(psi0, BARE, model, grid, seed=0)
             else:
-                run_ensemble(psi0, BARE, model, grid, range(4), workers=workers)
+                monkeypatch.setenv("CASCADESIM_WORKERS", str(workers))
+                run_ensemble(psi0, BARE, model, grid, range(4))
         soft = [w for w in caught if "step probability" in str(w.message)]
         assert len(soft) == 1
         assert soft[0].filename == __file__
@@ -1215,9 +1220,9 @@ class TestRowKinds:
         grid = TimeGrid(0.0, 0.7, 0.005)
         seeds = [5, 2, 9, 0, 7, 11, 3]
         monkeypatch.setattr(evolve, "ENSEMBLE_BLOCK", 2)
+        monkeypatch.setenv("CASCADESIM_WORKERS", "1")
         with mock.patch.object(evolve, "_ensemble_chunk", wraps=evolve._ensemble_chunk) as chunk:
-            ens = run_ensemble(psi0, TestLockstepBlocks.CFG, model, grid, seeds, store_every=20,
-                               workers=1)
+            ens = run_ensemble(psi0, TestLockstepBlocks.CFG, model, grid, seeds, store_every=20)
         assert [call.args[7] for call in chunk.call_args_list] == [[5, 2], [9, 0], [7, 11], [3]]
         avgs, records, entropies = per_block_reference(
             psi0, TestLockstepBlocks.CFG, model, grid, seeds, 20, True, 2)
@@ -1476,10 +1481,10 @@ class TestDiagnosticBlocks:
     def test_ensemble_of_several_blocks(self, monkeypatch, kind, grid):
         # three seed blocks, one lockstep engine call
         monkeypatch.setattr(evolve, "ENSEMBLE_BLOCK", 2)
+        monkeypatch.setenv("CASCADESIM_WORKERS", "1")
 
         def run(model, psi0):
-            ens = run_ensemble(psi0, self.CFG, model, self.GRIDS[grid], [5, 2, 9, 0, 7],
-                               workers=1)
+            ens = run_ensemble(psi0, self.CFG, model, self.GRIDS[grid], [5, 2, 9, 0, 7])
             return ens.max_schmidt_entropies, [r.events for r in ens.records]
         assert self.check(monkeypatch, kind, run, rows=5).min() > 0.0
 
@@ -1489,9 +1494,11 @@ class TestDiagnosticBlocks:
         # |2, excited> stays a product until a jump, so every entropy is a
         # zero, computed as 0.0 - 0.0 = +0.0, and every history length keeps
         # its sign
+        monkeypatch.setenv("CASCADESIM_WORKERS", "1")
+
         def run(model, psi0):
             ens = run_ensemble(ket(2, EXCITED, self.SPEC), self.CFG, model, self.GRIDS["short"],
-                               range(rows), workers=1)
+                               range(rows))
             assert not any(r.events for r in ens.records)
             return ens.max_schmidt_entropies, None
         assert not self.check(monkeypatch, "coherent", run, rows).any()
@@ -1509,12 +1516,13 @@ class TestDiagnosticBlocks:
         def extra_peak(lanes):
             """Traced peak with diagnostics, less the peak without them."""
             monkeypatch.setattr(evolve, "DIAGNOSTIC_LANES", lanes)
+            monkeypatch.setenv("CASCADESIM_WORKERS", "1")
             peaks = []
             for diagnostics in (True, False):
                 tracemalloc.start()
                 try:
                     run_ensemble(psi0, self.CFG, CoherentDrive(0.3), TimeGrid(0.0, 0.03, 0.01),
-                                 range(M), store_every=3, diagnostics=diagnostics, workers=1)
+                                 range(M), store_every=3, diagnostics=diagnostics)
                     peaks.append(tracemalloc.get_traced_memory()[1])
                 finally:
                     tracemalloc.stop()
@@ -1610,8 +1618,8 @@ class TestSectorReplay:
         steps = 10 * math.ceil(max(400, rate / 0.08) / 10)
         grid = TimeGrid(0.0, 1.0, 1.0 / steps)
         psi0 = ket(n0, GROUND, spec)
-        ens = run_ensemble(psi0, cfg, model, grid, range(16), store_every=steps // 10,
-                           workers=1)
+        with mock.patch.dict(os.environ, {"CASCADESIM_WORKERS": "1"}):
+            ens = run_ensemble(psi0, cfg, model, grid, range(16), store_every=steps // 10)
         sector = total_quanta(spec.dim)
         worst = np.zeros(16)
         entropy = np.zeros(16)
@@ -1661,14 +1669,14 @@ class TestEnsemble:
         for e, s in zip(ens.max_schmidt_entropies, singles):
             assert abs(e - s.max_schmidt_entropy) < 1e-12
 
-    def test_worker_count_does_not_change_result(self):
+    def test_worker_count_does_not_change_result(self, monkeypatch):
         spec = FockSpec(4)
         psi0 = ket(1, GROUND, spec)
         model = FreeDecayMixture(((0.0, 1.0),))
         grid = TimeGrid(0.0, 0.5, 0.01)
         seeds = list(range(6))
-        one = run_ensemble(psi0, self.CFG, model, grid, seeds, store_every=10, workers=1)
-        two = run_ensemble(psi0, self.CFG, model, grid, seeds, store_every=10, workers=2)
+        one, two = (run_workers(monkeypatch, w, psi0, self.CFG, model, grid, seeds,
+                                store_every=10) for w in (1, 2))
         for a, b in zip(one.rho_avg, two.rho_avg):
             # reduction regrouping may differ at rounding level only
             assert np.max(np.abs(a.mat - b.mat)) < 1e-14
@@ -1679,8 +1687,8 @@ class TestEnsemble:
         model = BirthDeathLaser(1.0, 0.5, 0.3, N0=2, n0=1)
         grid = TimeGrid(0.0, 0.5, 0.001)
         seeds = [5, 2, 9, 0, 7]
-        one = run_ensemble(psi0, self.CFG, model, grid, seeds, store_every=50, workers=1)
-        three = run_ensemble(psi0, self.CFG, model, grid, seeds, store_every=50, workers=3)
+        one, three = (run_workers(monkeypatch, w, psi0, self.CFG, model, grid, seeds,
+                                  store_every=50) for w in (1, 3))
         for ens in (one, three):
             assert [r.seed for r in ens.records] == seeds
         assert [r.events for r in three.records] == [r.events for r in one.records]
@@ -1689,14 +1697,6 @@ class TestEnsemble:
         assert len(set(one.max_schmidt_entropies)) == len(seeds)
         a, b = one.max_schmidt_entropies, three.max_schmidt_entropies
         assert np.max(np.abs(np.subtract(a, b))) <= 1e-12
-
-    @pytest.mark.parametrize("workers", [0, -2, True, 2.0])
-    def test_worker_count_below_one_or_not_an_integer_rejected(self, workers):
-        psi0 = ket(1, GROUND, FockSpec(4))
-        model = BirthDeathLaser(1.0, 0.5, 0.3, N0=2, n0=1)
-        with pytest.raises(ValueError, match="workers must be an integer >= 1"):
-            run_ensemble(psi0, self.CFG, model, TimeGrid(0.0, 0.01, 0.001), [0],
-                         workers=workers)
 
     @pytest.mark.parametrize("value", ["0", "-2", "1.5"])
     def test_worker_env_below_one_or_not_an_integer_rejected(self, monkeypatch, value):
@@ -1712,8 +1712,8 @@ class TestEnsemble:
         model = BirthDeathLaser(1.0, 0.5, 0.3, N0=2, n0=1)
         grid = TimeGrid(0.0, 0.5, 0.001)
         seeds = [5, 2, 9, 0, 7]
-        one, many = (run_ensemble(psi0, self.CFG, model, grid, seeds, store_every=50,
-                                  workers=w) for w in (1, workers))
+        one, many = (run_workers(monkeypatch, w, psi0, self.CFG, model, grid, seeds,
+                                 store_every=50) for w in (1, workers))
         assert [r.seed for r in many.records] == seeds
         for a, b in zip(one.rho_avg, many.rho_avg, strict=True):
             assert np.array_equal(a.mat, b.mat)
@@ -1732,12 +1732,12 @@ class TestEnsemble:
         seeds = [5, 2, 9, 0, 7]
         seen = []
         observed = run_ensemble(psi0, self.CFG, model, grid, seeds, store_every=50,
-                                observe=seen.append)
+                                observe=lambda times, stack: seen.extend(stack))
         collected = run_ensemble(psi0, self.CFG, model, grid, seeds, store_every=50)
         assert observed.rho_avg is None
         assert len(seen) == len(collected.rho_avg) == len(collected.times) == 11
         for a, b in zip(seen, collected.rho_avg):
-            assert np.array_equal(a.mat, b.mat) and a.layout == b.layout
+            assert np.array_equal(a, b.mat) and b.layout == COMPOSITE
         assert np.array_equal(observed.times, collected.times)
         assert [r.events for r in observed.records] == [r.events for r in collected.records]
         assert observed.max_schmidt_entropies == collected.max_schmidt_entropies
@@ -1785,6 +1785,12 @@ def per_block_reference(psi0, config, model, grid, seeds, store_every, diagnosti
     return total, records, entropies
 
 
+def run_workers(monkeypatch, workers, *args, **kwargs):
+    """run_ensemble(*args, **kwargs) on CASCADESIM_WORKERS workers."""
+    monkeypatch.setenv("CASCADESIM_WORKERS", str(workers))
+    return run_ensemble(*args, **kwargs)
+
+
 def failure_time(error) -> float:
     return float(re.search(r"at t=(\S+)", str(error)).group(1))
 
@@ -1811,9 +1817,10 @@ class TestLockstepBlocks:
     def test_matches_one_call_per_block(self, kind, block, seeds, store_every, diagnostics):
         model, psi0 = self.ROWS[kind]
         grid = TimeGrid(0.0, 0.7, 0.005)
-        with mock.patch.object(evolve, "ENSEMBLE_BLOCK", block):
+        with (mock.patch.object(evolve, "ENSEMBLE_BLOCK", block),
+              mock.patch.dict(os.environ, {"CASCADESIM_WORKERS": "1"})):
             ens = run_ensemble(psi0, self.CFG, model, grid, seeds, store_every=store_every,
-                               diagnostics=diagnostics, workers=1)
+                               diagnostics=diagnostics)
         avgs, records, entropies = per_block_reference(
             psi0, self.CFG, model, grid, seeds, store_every, diagnostics, block)
         for a, b in zip(ens.rho_avg, avgs, strict=True):
@@ -1851,7 +1858,7 @@ class TestLockstepBlocks:
         for workers, part in [(1, seeds), (2, seeds), (1, seeds[:2]), (1, seeds[2:4]),
                               (1, seeds[4:])]:
             with pytest.raises(Exception) as info:
-                run_ensemble(psi0, cfg, model, grid, part, workers=workers)
+                run_workers(monkeypatch, workers, psi0, cfg, model, grid, part)
             assert type(info.value) is error
             raised.append(failure_time(info.value))
         lockstep, pool, *alone = raised
@@ -1904,8 +1911,8 @@ class TestWindows:
         for blocks, workers, calls in [(4, 1, 1), (2, 1, 2), (1, 1, 4), (1, 2, 0), (1, 3, 0)]:
             monkeypatch.setattr(evolve, "WINDOW_BYTES", blocks * 2 * (64 + evolve.ROW_BYTES))
             with mock.patch.object(evolve, "_ensemble_chunk", wraps=evolve._ensemble_chunk) as chunk:
-                runs[blocks, workers] = run_ensemble(psi0, self.CFG, model, grid, seeds,
-                                                     store_every=20, workers=workers)
+                runs[blocks, workers] = run_workers(monkeypatch, workers, psi0, self.CFG,
+                                                    model, grid, seeds, store_every=20)
             assert chunk.call_count == (calls if sector or workers > 1 else 4)
         one = runs[4, 1]
         assert max(one.max_schmidt_entropies) > 0.0 and len(one.rho_avg) == 8
@@ -1927,12 +1934,12 @@ class TestWindows:
         raised = []
         for workers in (1, 2):
             with pytest.raises(error) as info:
-                run_ensemble(psi0, cfg, model, grid, [5, 2, 9, 0, 7], workers=workers)
+                run_workers(monkeypatch, workers, psi0, cfg, model, grid, [5, 2, 9, 0, 7])
             raised.append(str(info.value))
         assert raised[0] == raised[1]
 
     @pytest.mark.filterwarnings("ignore:step probability")
-    def test_memory_is_bounded_by_the_window(self):
+    def test_memory_is_bounded_by_the_window(self, monkeypatch):
         # 20 000 seeds at A7's rates for 20 steps, diagnostics on: one window
         # of rows, the diagnostics history, and what the run returns for each
         # seed, a Record, its event list and its entropy, about 225 bytes
@@ -1943,15 +1950,138 @@ class TestWindows:
         grid = TimeGrid(0.0, 20 * p["grid"]["dt"], p["grid"]["dt"])
         M = 20000
         bound = evolve.WINDOW_BYTES + 16 * evolve.DIAGNOSTIC_LANES + 320 * M
+        monkeypatch.setenv("CASCADESIM_WORKERS", "1")
         tracemalloc.start()
         try:
             ens = run_ensemble(psi0, CouplingConfig(**p["coupling"]), model, grid, range(M),
-                               store_every=grid.n_steps, workers=1)
+                               store_every=grid.n_steps)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert len(ens.records) == M and len(ens.rho_avg) == 2
         assert peak <= bound
+
+
+class Recorder:
+    """An observer that keeps each (times, stack) block it is given, with a
+    copy of the stack taken at the call."""
+
+    def __init__(self):
+        self.calls = []
+
+    def __call__(self, times, stack):
+        self.calls.append((times, stack, stack.copy()))
+
+    def received(self, stored_times):
+        """The states received, in order, once each block is checked: the
+        blocks come in time order, each with the matching slice of
+        stored_times, and no later call has written to a kept stack."""
+        start = 0
+        for times, stack, copy in self.calls:
+            assert 0 < len(times) == len(stack)
+            assert np.array_equal(times, stored_times[start:start + len(times)])
+            assert stack.tobytes() == copy.tobytes()
+            start += len(times)
+        return [m for _, stack, _ in self.calls for m in stack]
+
+
+class TestObserverContract:
+    """Both integrators call observe(times, stack) with blocks of stored
+    states in time order, each with its slice of grid.stored_times; no later
+    call writes to a stack an observer kept, and a failure leaves the
+    observer with exactly the states before it."""
+
+    CFG = CouplingConfig(1.0, 0.5, 0.5)
+
+    @pytest.mark.parametrize("store_every", [1, 3])
+    def test_master_states(self, rng, store_every):
+        from conftest import random_density
+
+        spec = FockSpec(3)
+        cfg = CouplingConfig(1.2, 0.7, 0.3, delta=0.4)
+        L = (build_L_S(CoherentDrive(0.5 - 0.2j), spec)
+             + build_L_T(cfg, spec) + build_L_ST(cfg, spec))
+        rho0 = random_density(spec.dim, rng)
+        # 20 stored states after rho0: two full blocks and a part
+        grid = TimeGrid(0.0, 20 * store_every * 0.01, 0.01)
+        seen = Recorder()
+        assert evolve_master(rho0, L, grid, store_every=store_every, observe=seen) is None
+        received = seen.received(grid.stored_times(store_every))
+        assert [len(times) for times, _, _ in seen.calls] == \
+            [1, STORE_BLOCK, STORE_BLOCK, 20 - 2 * STORE_BLOCK]
+        states = evolve_master(rho0, L, grid, store_every=store_every)
+        assert len(received) == len(states) == 21
+        for a, b in zip(received, states):
+            assert np.array_equal(a, b.mat)
+
+    @pytest.mark.parametrize("kind", ["trace", "negativity"])
+    def test_master_failure(self, monkeypatch, kind):
+        # a trace failure is found as the state is stored, a negative
+        # eigenvalue when its block is full
+        checks = TestStoredStateChecks()
+        spec = FockSpec(3)
+        rho0 = DensityOperator(ket(1, GROUND, spec).projector())
+        grid = TimeGrid(0.0, checks.STORED * checks.DT, checks.DT)
+        where = STORE_BLOCK + STORE_BLOCK // 2
+        L = checks.drifting(kind, spec, 1e-8 / ((where - 0.5) * checks.DT))
+        seen = Recorder()
+        with pytest.raises(InvariantViolationError):
+            evolve_master(rho0, L, grid, observe=seen)
+        received = seen.received(grid.stored_times(1))
+        assert len(received) == where
+        for a, b in zip(received, nested_rk4(rho0, L, grid, 1)):
+            assert np.array_equal(a, b)
+
+    @staticmethod
+    def paths(monkeypatch, path):
+        """Make run_ensemble take path: every seed in one window ("online"),
+        one seed block of two a window ("windows"), or a pool ("pool")."""
+        if path != "online":
+            monkeypatch.setattr(evolve, "ENSEMBLE_BLOCK", 2)
+            monkeypatch.setattr(evolve, "WINDOW_BYTES", 0)
+        monkeypatch.setenv("CASCADESIM_WORKERS", "2" if path == "pool" else "1")
+
+    @pytest.mark.parametrize("path", ["online", "windows", "pool"])
+    def test_ensemble_averages(self, monkeypatch, path):
+        # in one window each average is handed on as it is formed; otherwise
+        # the whole total once every block is in
+        self.paths(monkeypatch, path)
+        psi0 = ket(1, GROUND, FockSpec(4))
+        model = BirthDeathLaser(1.0, 0.5, 0.3, N0=2, n0=1)
+        grid = TimeGrid(0.0, 0.5, 0.001)
+        seeds = [5, 2, 9, 0, 7]
+        seen = Recorder()
+        assert run_ensemble(psi0, self.CFG, model, grid, seeds, store_every=50,
+                            observe=seen).rho_avg is None
+        received = seen.received(grid.stored_times(50))
+        assert [len(times) for times, _, _ in seen.calls] == \
+            ([1] * 11 if path == "online" else [11])
+        collected = run_ensemble(psi0, self.CFG, model, grid, seeds, store_every=50)
+        assert len(received) == len(collected.rho_avg) == 11
+        for a, b in zip(received, collected.rho_avg):
+            assert np.array_equal(a, b.mat)
+
+    @pytest.mark.filterwarnings("ignore:step probability")
+    @pytest.mark.parametrize("path", ["online", "windows", "pool"])
+    def test_ensemble_failure(self, monkeypatch, path):
+        # the step from t fails after the average at t is handed on; in
+        # several windows or on a pool no average is whole before every block
+        # is in, so a failure leaves the observer uncalled
+        cfg, model, psi0, grid, error = TestLockstepBlocks.FAILING["dense_bound"]
+        self.paths(monkeypatch, path)
+        seeds = [5, 2, 9]
+        seen = Recorder()
+        with pytest.raises(error) as info:
+            run_ensemble(psi0, cfg, model, grid, seeds, observe=seen)
+        received = seen.received(grid.stored_times(1))
+        if path != "online":
+            assert received == []
+            return
+        k = round(failure_time(info.value) / grid.dt)
+        assert 0 < k < grid.n_steps
+        before = run_ensemble(psi0, cfg, model, TimeGrid(0.0, k * grid.dt, grid.dt), seeds)
+        for a, b in zip(received, before.rho_avg, strict=True):
+            assert np.array_equal(a, b.mat)
 
 
 class TestUniformRing:

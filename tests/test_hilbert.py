@@ -275,3 +275,61 @@ class TestCheckStates:
                     "hermiticity": "hermiticity", "eig_below": "negative eigenvalue"}[kind]
             assert found[0] == 2 and found[1].startswith(word)
 
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(kinds=st.lists(st.sampled_from(["positive", "-0.3", "-0.6", "-2"]), min_size=1,
+                          max_size=8),
+           dim=st.integers(3, 8), eig_tol=st.sampled_from([1e-10, 1e-8]),
+           seed=st.integers(0, 2 ** 16))
+    def test_one_eigvalsh_agrees_with_the_cholesky_loop(self, kinds, dim, eig_tol, seed):
+        # smallest eigenvalues of -0.3 tol pass the shifted Cholesky, -0.6 tol
+        # fail it but pass eigvalsh, and -2 tol fail both
+        rng = np.random.default_rng(seed)
+        mats = []
+        for kind in kinds:
+            low = rng.uniform(0.0, 0.1) if kind == "positive" else float(kind) * eig_tol
+            rest = rng.uniform(0.1, 1.0, dim - 1)
+            rest *= (1.0 - low) / rest.sum()
+            m = rotated([low, *rest], rng)
+            mats.append((m + m.conj().T) * 0.5)
+        mats = np.stack(mats)
+        found = check_states(mats, eig_tol=eig_tol)
+        assert found == looped_check_states(mats, eig_tol=eig_tol)
+        first = kinds.index("-2") if "-2" in kinds else None
+        assert (found and found[0]) == first
+        if first is not None:
+            assert found[1].startswith("negative eigenvalue -2.000e-")
+
+
+def looped_check_states(mats, trace_tol=1e-10, herm_tol=1e-12, eig_tol=1e-10):
+    """check_states with a Cholesky of each matrix in turn, and eigvalsh on
+    each one that fails it, once the batched Cholesky fails: the reference
+    for its one batched eigvalsh."""
+    finite = np.isfinite(mats).all(axis=(1, 2))
+    n = len(mats) if finite.all() else int(finite.argmin())
+    ok = mats[:n]
+    tr_err = np.abs(np.trace(ok, axis1=1, axis2=2) - 1.0)
+    adj = ok.conj().swapaxes(1, 2)
+    herm_err = np.abs(ok - adj).max(axis=(1, 2))
+    bad = ~(tr_err <= trace_tol) | ~(herm_err <= herm_tol)
+    n_herm = int(bad.argmax()) if bad.any() else n
+    shifted = ok[:n_herm] + adj[:n_herm]
+    shifted *= 0.5
+    d = mats.shape[-1]
+    shifted.reshape(n_herm, d * d)[:, ::d + 1] += eig_tol / 2.0
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        for i in range(n_herm):
+            try:
+                np.linalg.cholesky(shifted[i])
+            except np.linalg.LinAlgError:
+                min_eig = float(np.linalg.eigvalsh((ok[i] + adj[i]) * 0.5).min())
+                if not min_eig >= -eig_tol:
+                    return i, f"negative eigenvalue {min_eig:.3e}"
+    if n_herm < n:
+        if not tr_err[n_herm] <= trace_tol:
+            return n_herm, f"trace deviates from 1 by {tr_err[n_herm]:.3e}"
+        return n_herm, f"hermiticity residual {herm_err[n_herm]:.3e}"
+    if n < len(mats):
+        return n, "non-finite entry in the density matrix"
+    return None

@@ -65,8 +65,7 @@ evolve.ENSEMBLE_BLOCK = 2
 psi0 = product_state(fock_state(1, FockSpec(4)), qubit_state(GROUND))
 ens = evolve.run_ensemble(psi0, cascadesim.CouplingConfig(1.0, 0.5, 0.5),
                           cascadesim.BirthDeathLaser(1.0, 0.5, 0.3, N0=2, n0=1),
-                          evolve.TimeGrid(0.0, 0.05, 0.001), range(4), store_every=10,
-                          workers=1)
+                          evolve.TimeGrid(0.0, 0.05, 0.001), range(4), store_every=10)
 assert len(ens.records) == 4 and len(ens.rho_avg) == 6
 print(sorted(m for m in ("multiprocessing", "concurrent.futures", "cascadesim.acceptance")
              if m in sys.modules))
@@ -84,7 +83,8 @@ def run_cold(code: str, cwd=None) -> str:
     return proc.stdout.strip()
 
 
-def test_a_one_worker_run_loads_neither_pool_nor_suite():
+def test_a_one_worker_run_loads_neither_pool_nor_suite(monkeypatch):
+    monkeypatch.setenv("CASCADESIM_WORKERS", "1")
     assert run_cold(COLD_RUN) == "[]"
 
 
@@ -107,7 +107,7 @@ states = evolve.evolve_master(DensityOperator(psi0.projector()), L, grid, store_
 assert len(states) == 6
 print("numpy.random" in sys.modules)
 evolve.run_ensemble(psi0, cfg, cascadesim.BirthDeathLaser(1.0, 0.5, 0.3, N0=2, n0=1),
-                    grid, range(4), store_every=10, workers=1)
+                    grid, range(4), store_every=10)
 print("numpy.random" in sys.modules)
 assert cascadesim.cli.main(["run-trajectories", {preset!r}]) == 0
 print("numpy.random" in sys.modules)
