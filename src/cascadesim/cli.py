@@ -17,9 +17,11 @@ pairs and an explicit basis-ordering field.  All files are written atomically
 The CASCADESIM_WORKERS environment variable, an integer >= 1, is the one setting
 of the trajectory worker count; it changes only the wall time, and one worker, or
 evolve.ENSEMBLE_BLOCK seeds or fewer, run in-process.  Both run commands take the
-stored states as the integrators hand them on, in (times, stack) blocks, and copy
-each into a fixed-size stack for the observables, so no output byte depends on
-how the states arrive.
+stored states as the integrators hand them on, in (times, stack) blocks, and take
+each block's observables straight from the band entries of a, a^dag a, b and
+b^dag b, with no matrix product: each row depends on its own state alone, so no
+output byte depends on how the states arrive, and run-master's files do not
+depend on the BLAS kernel.
 """
 
 from __future__ import annotations
@@ -60,12 +62,9 @@ from .hilbert import (
     product_state,
     qubit_state,
 )
-from .liouvillian import (MAX_GATHER_ENTRIES, CouplingConfig, build_L_ST, build_L_T, dense,
-                          ladders)
+from .liouvillian import (MAX_GATHER_ENTRIES, CouplingConfig, adjoint, build_L_ST, build_L_T,
+                          ladders, product)
 from .sources import BirthDeathLaser, CoherentDrive, FreeDecayMixture, build_L_S
-
-# stored states stacked per product in _Observables: 0.35 MB at n_max 12
-OBSERVABLE_BLOCK = 32
 
 BASIS_ORDERING = ("composite index 2*n + q over |n, q>; q=0 ground, q=1 excited; "
                   "matrix rows/columns in this order, entries as [re, im]")
@@ -102,6 +101,8 @@ def _known(doc: dict, keys, context: str) -> dict:
 def _check_directory(path: str, where: str) -> None:
     """Refuse a path that cannot be made a directory: it, or its nearest
     existing ancestor, must be one.  Creates nothing."""
+    if not path:
+        raise ConfigError(f"{where} must name a directory, got ''")
     existing = os.path.abspath(path)
     while not os.path.exists(existing):
         existing = os.path.dirname(existing)
@@ -321,51 +322,48 @@ def state_dump(rho: np.ndarray, spec: FockSpec, t: float) -> str:
     return f'{head}"matrix": {_matrix_format(len(rho)) % values}{tail}\n'
 
 
-def _observable_rows(times, stack, ops):
+def _observable_rows(times, stack, index, weight, starts):
     """CSV rows of the states of stack, a (B, d, d) array, at times: the
-    observables, one product of the stack with ops, and the purity, another."""
-    table = np.empty((len(stack), 8))
-    table[:, 0] = times
-    e = (stack.reshape(len(stack), -1) @ ops).view(float)
-    # re/im of <a>, re <n>, re/im of <b>, re <b^dag b>
-    table[:, 1:7] = e[:, [0, 1, 2, 4, 5, 6]]
-    table[:, 7] = np.einsum("tij,tji->t", stack, stack).real
-    return table.tolist()
+    observables from the band entries (index, weight, starts) of
+    _Observables, and the purity.  Each row is taken from its own state's
+    entries alone, so the rows do not depend on how the states are cut into
+    blocks."""
+    e = np.add.reduceat(stack.reshape(len(stack), -1).take(index, axis=1) * weight, starts,
+                        axis=1).view(float)
+    # time, re/im of <a>, re <n>, re/im of <b>, re <b^dag b>, purity
+    return np.column_stack([times, e[:, [0, 1, 2, 4, 5, 6]],
+                            np.einsum("tij,tji->t", stack, stack).real]).tolist()
 
 
 class _Observables:
     """Observer of a run's stored states, called as observe(times, stack)
-    with each block of them: it copies each state and its time into one
-    stack of OBSERVABLE_BLOCK and takes a full stack's rows at once, so the
-    products have the same shapes however the states arrive; of the states
-    only the last is kept, as (time, matrix), for the state dump.
+    with each block of them: it takes each block's rows at once, straight
+    from the band entries of a, a^dag a, b and b^dag b; of the states only
+    the last is kept, as (time, matrix), for the state dump.
     """
 
     def __init__(self, spec: FockSpec):
-        a, b = (dense(op, spec.dim) for op in ladders(spec))
-        # expectation(rho, op) = trace(op rho) = rho.ravel() . op.T.ravel();
-        # a^dag a is the product, not the exact n: sqrt(n)^2 != n in the last bit
-        self.ops = np.stack([op.T.ravel() for op in (a, a.conj().T @ a, b, b.conj().T @ b)],
-                            axis=1)
-        self.stack = np.empty((OBSERVABLE_BLOCK, spec.dim, spec.dim), dtype=complex)
-        self.times, self.filled, self.rows, self.last = np.empty(OBSERVABLE_BLOCK), 0, [], None
+        a, b = ladders(spec)
+        # tr(op rho) is the sum of v[i] rho[i + o, i] over the bands {o: v} of
+        # op: the flat index in rho and the weight of each nonzero v[i], op
+        # after op, and where each op's entries start; a^dag a is the
+        # product, not the exact n: sqrt(n)^2 != n in the last bit
+        index, weight, starts = [], [], []
+        for op in (a, product(adjoint(a), a), b, product(adjoint(b), b)):
+            starts.append(len(index))
+            for o, v in op.items():
+                i = np.flatnonzero(v)
+                index += list((i + o) * spec.dim + i)
+                weight += list(v[i])
+        self.reads = np.array(index), np.array(weight), np.array(starts)
+        self.rows, self.last = [], None
 
     def __call__(self, times, stack):
-        for t, m in zip(times, stack):
-            self.times[self.filled], self.stack[self.filled] = t, m
-            self.filled += 1
-            if self.filled == OBSERVABLE_BLOCK:
-                self._flush()
+        self.rows += _observable_rows(times, stack, *self.reads)
         self.last = times[-1], stack[-1]
-
-    def _flush(self):
-        self.rows += _observable_rows(self.times[:self.filled], self.stack[:self.filled], self.ops)
-        self.filled = 0
 
     def table(self):
         """CSV header and rows of every state observed."""
-        if self.filled:
-            self._flush()
         return ["time", "re_source_amp", "im_source_amp", "source_photons",
                 "re_qubit_coherence", "im_qubit_coherence", "excited_population",
                 "purity"], self.rows
@@ -434,22 +432,17 @@ def cmd_verify(suite: str, out_dir: str) -> int:
     _check_directory(out_dir, "--out")
     results = run_suite(names)
     os.makedirs(out_dir, exist_ok=True)
-    verdict = []
     for r in results:
         w = r.worst
         status = "PASS" if r.passed else "FAIL"
         print(f"{r.name}  {status}  tolerance={w.tolerance:g}  "
               f"measured={w.measured:g}  [{r.seconds:.1f}s]  {r.description}")
-        verdict.append({
-            "name": r.name,
-            "description": r.description,
-            "passed": r.passed,
-            "seconds": r.seconds,
-            "checks": [{"label": c.label, "tolerance": c.tolerance,
-                        "measured": c.measured, "passed": c.passed,
-                        "larger_is_better": c.larger_is_better}
-                       for c in r.checks],
-        })
+        for c in r.checks:
+            print(f"    {'pass' if c.passed else 'FAIL'}  measured={c.measured:g}  "
+                  f"{'>' if c.larger_is_better else '<'} tolerance={c.tolerance:g}  {c.label}")
+    verdict = [{**asdict(r), "passed": r.passed,
+                "checks": [{**asdict(c), "passed": c.passed} for c in r.checks]}
+               for r in results]
     write_json(os.path.join(out_dir, "verdict.json"),
                {"suite": suite, "passed": all(r.passed for r in results),
                 "criteria": verdict})

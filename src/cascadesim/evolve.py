@@ -31,7 +31,8 @@ one-seed call.  It hands each stored time's dense rows to its caller's store
 callback, one seed block at a time, and keeps none.  evolve_master and
 run_ensemble hand their stored states on as they are checked or averaged, to
 an observer called as observe(times, stack) with a (B, d, d) stack of states
-and their B stored times; without one they return DensityOperator lists.
+and their B stored times, by one block rule (_Blocks): at most STORE_BLOCK
+states a call; without one they return DensityOperator lists.
 """
 
 from __future__ import annotations
@@ -152,7 +153,7 @@ STORE_BLOCK = 8
 MASTER_TOLS = dict(trace_tol=1e-8, herm_tol=1e-8, eig_tol=1e-8)
 
 
-def _observe_checked(states, times, observe):
+def _observe_checked(observe, times, states):
     """Hand observe(times, stack), in one call, the states of a (B, d, d)
     block of stored states that come before the first to fail check_states,
     with their times; then raise at that one with its own time."""
@@ -163,6 +164,28 @@ def _observe_checked(states, times, observe):
     if failure is not None:
         raise InvariantViolationError(
             f"master integration failed at t={times[n]:.6g}: {failure[1]}")
+
+
+class _Blocks:
+    """The one block rule of both integrators: add(t, state) holds a stored
+    state and its time, and the states held go to hand_on(times, stack) in
+    one call, as a fresh (B, d, d) stack and their times, once STORE_BLOCK
+    are held, at once when add is called with now true, and at flush():
+    after the last stored time and before a failure propagates."""
+
+    def __init__(self, hand_on):
+        self.hand_on, self.held = hand_on, []
+
+    def add(self, t, state, now=False):
+        self.held.append((t, state))
+        if now or len(self.held) == STORE_BLOCK:
+            self.flush()
+
+    def flush(self):
+        if self.held:
+            times, states = zip(*self.held)
+            self.held = []
+            self.hand_on(np.array(times), np.stack(states))
 
 
 def _collector(layout: str):
@@ -179,8 +202,9 @@ def evolve_master(rho0: DensityOperator, L_total: Superoperator, grid: TimeGrid,
     Trace drift beyond 1e-8 or negativity below -1e-8 aborts with a diagnostic
     that names the time of the first stored state to fail.  rho0 is checked
     and observed first, on its own.  The later states of
-    grid.stored_times(store_every) are checked STORE_BLOCK at a time, and
-    once a block has passed it goes to observe(times, stack) in one call:
+    grid.stored_times(store_every) are checked STORE_BLOCK at a time, by
+    the block rule run_ensemble shares (_Blocks), and once a block has
+    passed it goes to observe(times, stack) in one call:
     its stored times and its (B, d, d) stack, a fresh array that no later
     call writes to, so an observer may keep it.  The states before a failing
     one are observed and those after it are not.  Finiteness and trace are
@@ -199,7 +223,7 @@ def evolve_master(rho0: DensityOperator, L_total: Superoperator, grid: TimeGrid,
     d = L_total.dim
 
     m = np.array(rho0.mat, dtype=complex)
-    _observe_checked(m.copy()[None], times, observe)
+    _observe_checked(observe, times, m.copy()[None])
     blocks = block_gather(L_total, m)
     if blocks is None:
         keep, v, (index, weight) = slice(None), m.ravel(), L_total.compiled
@@ -208,7 +232,7 @@ def evolve_master(rho0: DensityOperator, L_total: Superoperator, grid: TimeGrid,
         v = m.ravel()[keep]
     derivative = partial(gather, index, weight)
     dt = grid.dt
-    filled = 0  # states in the current block
+    stored = _Blocks(partial(_observe_checked, observe))
     for step in range(grid.n_steps):
         # for a constant linear generator the classical RK4 step is the
         # degree-4 Taylor polynomial of exp(dt L), here in nested form
@@ -222,18 +246,13 @@ def evolve_master(rho0: DensityOperator, L_total: Superoperator, grid: TimeGrid,
         v += k
         if (step + 1) % store_every:
             continue
-        if filled == 0:
-            block = np.zeros((STORE_BLOCK, d, d), dtype=complex)
-        state = block[filled]
+        state = np.zeros((d, d), dtype=complex)
         state.ravel()[keep] = v
-        filled += 1
-        s = (step + 1) // store_every
         # a state that is not finite or has lost its trace ends the run here;
         # hermiticity and positivity wait for the block to fill
-        if (filled == STORE_BLOCK or s == len(times) - 1 or not np.isfinite(v).all()
-                or not abs(state.trace() - 1.0) <= MASTER_TOLS["trace_tol"]):
-            _observe_checked(block[:filled], times[s + 1 - filled:], observe)
-            filled = 0
+        stored.add(times[(step + 1) // store_every], state, not np.isfinite(v).all()
+                   or not abs(state.trace() - 1.0) <= MASTER_TOLS["trace_tol"])
+    stored.flush()
     return out
 
 
@@ -810,20 +829,23 @@ def run_ensemble(psi0: PureState, config: CouplingConfig, source_model,
     engine call a window of seeds (_window): one block of dense rows, or as
     many whole blocks of sector rows as WINDOW_BYTES holds.  So the engine's
     memory does not grow with the seed count.  When every seed fits one
-    window, each stored time's average is formed block by block, passed on
-    and dropped while the trajectories run, so no array of every stored
-    average is held.  With more windows (more than ENSEMBLE_BLOCK dense
-    seeds, say), each adds its blocks' sums into one (n_stored, d, d)
-    total.  With more workers a process pool runs one block a task, each of
-    which returns its (n_stored, d, d) sum, added into the total in block
-    order.
+    window, each stored time's average is formed block by block and held
+    only until it is handed on, while the trajectories run, so no array of
+    every stored average is held.  With more windows (more than
+    ENSEMBLE_BLOCK dense seeds, say), each adds its blocks' sums into one
+    (n_stored, d, d) total.  With more workers a process pool runs one block
+    a task, each of which returns its (n_stored, d, d) sum, added into the
+    total in block order.
 
-    The averages go to observe(times, stack) in time order, as evolve_master's
-    states do: each as its own (1, d, d) stack when every seed fits one
-    window, and otherwise the whole total in one call once every block is
-    in.  No later call writes to a stack an observer was given.  Without an
-    observer the averages are collected into ``rho_avg`` as COMPOSITE
-    DensityOperator views; with one, ``rho_avg`` is None.  A birth-death psi0
+    The averages go to observe(times, stack) in time order, by evolve_master's
+    block rule (_Blocks): when every seed fits one window, in blocks of at
+    most STORE_BLOCK as they are formed, a block handed on when it is full,
+    after the last stored time and before a failure propagates, so a failed
+    run's observer holds every average before the failure; otherwise the
+    whole total in one call once every block is in.  No later call writes to
+    a stack an observer was given.  Without an observer the averages are
+    collected into ``rho_avg`` as COMPOSITE DensityOperator views; with one,
+    ``rho_avg`` is None.  A birth-death psi0
     must lie in the quanta sector of source_model.n0, as for mcwf_run.  A
     failure is the first failing window's, raised at the earliest step where
     any of its trajectories fails; for dense rows, and on a pool, that is the
@@ -836,13 +858,16 @@ def run_ensemble(psi0: PureState, config: CouplingConfig, source_model,
     workers = min(workers_from_env(), len(blocks))
     window = _window(source_model)
     if workers == 1 and len(seeds) <= window:
-        def average(i, parts):
-            total = _add_projectors(parts)
-            total /= len(seeds)
-            observe(times[i:i + 1], total[None])
+        averages = _Blocks(observe)
 
-        records, entropies, max_p = _ensemble_chunk(
-            psi0.vec, config, source_model, grid, store_every, diagnostics, average, seeds)
+        def average(i, parts):
+            averages.add(times[i], _add_projectors(parts) / len(seeds))
+
+        try:
+            records, entropies, max_p = _ensemble_chunk(
+                psi0.vec, config, source_model, grid, store_every, diagnostics, average, seeds)
+        finally:
+            averages.flush()
     else:
         chunk = partial(_projector_sum, psi0.vec, config, source_model, grid, store_every,
                         diagnostics)

@@ -1,7 +1,6 @@
 import contextlib
 import copy
 import io
-import itertools
 import json
 import math
 import os
@@ -19,7 +18,6 @@ import cascadesim.evolve as evolve
 import cascadesim.liouvillian as liouvillian
 from cascadesim.cli import (
     BASIS_ORDERING,
-    OBSERVABLE_BLOCK,
     _Observables,
     _observable_rows,
     load_config,
@@ -586,6 +584,18 @@ class TestConfigValidation:
         assert taken.read_text() == "kept\n"
         assert sorted(os.listdir(tmp_path)) == ["config.json", "taken"]
 
+    @pytest.mark.parametrize("command", ["run-master", "run-trajectories"])
+    def test_empty_output_dir_exits_2(self, tmp_path, capsys, monkeypatch, command):
+        # an empty path names no directory, so the files could not be written
+        # after the run
+        monkeypatch.chdir(tmp_path)
+        doc = short_preset("coherent_drive.json")
+        doc["output_dir"] = ""
+        assert main([command, write_config(tmp_path, doc)]) == 2
+        assert capsys.readouterr().err == ("config error: output_dir must name a directory, "
+                                           "got ''\n")
+        assert os.listdir(tmp_path) == ["config.json"]
+
     def test_output_dir_below_missing_directories_runs(self, tmp_path):
         doc = short_preset("coherent_drive.json")
         doc["output_dir"] = str(tmp_path / "a" / "b")
@@ -603,10 +613,10 @@ class TestConfigValidation:
 class TestObservableRows:
     def test_matches_per_row_expectation(self, rng):
         spec = FockSpec(4)
-        rhos = [random_density(spec.dim, rng) for _ in range(OBSERVABLE_BLOCK)]
+        rhos = [random_density(spec.dim, rng) for _ in range(32)]
         times = 0.1 * np.arange(len(rhos))
         rows = _observable_rows(times, np.stack([rho.mat for rho in rhos]),
-                                _Observables(spec).ops)
+                                *_Observables(spec).reads)
         assert len(rows) == len(rhos)
         a, b = (dense(op, spec.dim) for op in ladders(spec))
         n, pe = a.conj().T @ a, b.conj().T @ b
@@ -618,31 +628,24 @@ class TestObservableRows:
             assert np.max(np.abs(np.array(row) - expected)) <= 1e-14
 
     def test_observer_matches_one_call(self, rng):
+        # each row is taken from its own state alone, so the rows are the
+        # same however the integrators cut the states into blocks
         spec = FockSpec(4)
-        # crosses two block boundaries
-        rhos = [random_density(spec.dim, rng) for _ in range(2 * OBSERVABLE_BLOCK + 5)]
+        rhos = [random_density(spec.dim, rng) for _ in range(69)]
         times = 0.1 * np.arange(len(rhos))
-        obs = _Observables(spec)
         stack = np.stack([rho.mat for rho in rhos])
-        # blocks of one, three and eight states, as the integrators hand them on
-        start = 0
-        for size in itertools.cycle([1, 3, 8]):
-            obs(times[start:start + size], stack[start:start + size])
-            start += size
-            assert obs.filled < OBSERVABLE_BLOCK
-            if start >= len(rhos):
-                break
-        rows = []
-        for start in range(0, len(rhos), OBSERVABLE_BLOCK):
-            block = slice(start, start + OBSERVABLE_BLOCK)
-            rows += _observable_rows(times[block], stack[block], obs.ops)
-        header, table = obs.table()
-        assert header == ["time", "re_source_amp", "im_source_amp", "source_photons",
-                          "re_qubit_coherence", "im_qubit_coherence",
-                          "excited_population", "purity"]
-        assert table == rows
-        t, last = obs.last
-        assert t == times[-1] and np.shares_memory(last, stack[-1])
+        whole = _observable_rows(times, stack, *_Observables(spec).reads)
+        for size in (1, 3, 8, 64):
+            obs = _Observables(spec)
+            for start in range(0, len(rhos), size):
+                obs(times[start:start + size], stack[start:start + size])
+            header, table = obs.table()
+            assert header == ["time", "re_source_amp", "im_source_amp", "source_photons",
+                              "re_qubit_coherence", "im_qubit_coherence",
+                              "excited_population", "purity"]
+            assert table == whole
+            t, last = obs.last
+            assert t == times[-1] and np.shares_memory(last, stack[-1])
 
 
 def per_value_csv(header, rows):
@@ -720,22 +723,23 @@ class TestStreamedStates:
         assert len(rows) == 601
         assert peak < self.HELD / 3
 
+    @pytest.mark.filterwarnings("ignore:step probability")
     @pytest.mark.parametrize("preset", ["coherent_drive.json", "bare_cavity.json"])
     def test_store_block_leaves_bytes_unchanged(self, tmp_path, monkeypatch, preset):
-        # evolve_master hands its states on STORE_BLOCK at a time, and the
-        # observer copies them into stacks of OBSERVABLE_BLOCK, so every
-        # product has the same shape whatever the blocks
+        # both integrators hand their states on STORE_BLOCK at a time, and
+        # the observer takes each row from its own state alone
         doc = load_preset_doc(preset)
         doc["store_every"] = 1
-        runs = []
-        for block in (1, 3, 8, 64):
-            monkeypatch.setattr(evolve, "STORE_BLOCK", block)
-            out = tmp_path / f"out{block}"
-            doc["output_dir"] = str(out)
-            assert main(["run-master", write_config(tmp_path, doc)]) == 0
-            runs.append([(out / name).read_bytes()
-                         for name in ("observables.csv", "final_state.json")])
-        assert all(run == runs[0] for run in runs)
+        for command, dump in (("run-master", "final_state.json"),
+                              ("run-trajectories", "ensemble_state.json")):
+            runs = []
+            for block in (1, 3, 8, 64):
+                monkeypatch.setattr(evolve, "STORE_BLOCK", block)
+                out = tmp_path / command / f"out{block}"
+                doc["output_dir"] = str(out)
+                assert main([command, write_config(tmp_path, doc)]) == 0
+                runs.append([(out / name).read_bytes() for name in ("observables.csv", dump)])
+            assert all(run == runs[0] for run in runs)
 
 
 class TestVerify:
@@ -771,6 +775,26 @@ class TestVerify:
         assert main(["verify", "--suite", "A3", "--out", str(taken)]) == 2
         assert capsys.readouterr().err.startswith("config error: --out")
         assert taken.read_text() == "kept\n"
+
+    def test_empty_out_exits_2_before_the_suite_runs(self, tmp_path, capsys, monkeypatch):
+        import cascadesim.acceptance as acceptance
+
+        monkeypatch.setattr(acceptance, "run_suite", lambda names: pytest.fail("suite ran"))
+        monkeypatch.chdir(tmp_path)
+        assert main(["verify", "--suite", "A3", "--out", ""]) == 2
+        assert capsys.readouterr().err == "config error: --out must name a directory, got ''\n"
+        assert os.listdir(tmp_path) == []
+
+    def test_every_check_is_printed_under_its_criterion(self, tmp_path, capsys):
+        # A9 has three checks, one of which must exceed its tolerance
+        assert main(["verify", "--suite", "A9", "--out", str(tmp_path)]) == 0
+        head, *lines = capsys.readouterr().out.splitlines()
+        checks = json.loads((tmp_path / "verdict.json").read_text())["criteria"][0]["checks"]
+        assert head.startswith("A9  PASS  tolerance=")
+        assert lines == [f"    pass  measured={c['measured']:g}  "
+                         f"{'>' if c['larger_is_better'] else '<'} "
+                         f"tolerance={c['tolerance']:g}  {c['label']}" for c in checks]
+        assert [c["larger_is_better"] for c in checks] == [False, True, False]
 
     @pytest.mark.parametrize("value", ["0", "abc"])
     def test_bad_worker_count_exits_2(self, tmp_path, capsys, monkeypatch, value):

@@ -2043,8 +2043,8 @@ class TestObserverContract:
 
     @pytest.mark.parametrize("path", ["online", "windows", "pool"])
     def test_ensemble_averages(self, monkeypatch, path):
-        # in one window each average is handed on as it is formed; otherwise
-        # the whole total once every block is in
+        # in one window the averages are handed on STORE_BLOCK at a time, as
+        # they are formed; otherwise the whole total once every block is in
         self.paths(monkeypatch, path)
         psi0 = ket(1, GROUND, FockSpec(4))
         model = BirthDeathLaser(1.0, 0.5, 0.3, N0=2, n0=1)
@@ -2055,7 +2055,7 @@ class TestObserverContract:
                             observe=seen).rho_avg is None
         received = seen.received(grid.stored_times(50))
         assert [len(times) for times, _, _ in seen.calls] == \
-            ([1] * 11 if path == "online" else [11])
+            ([STORE_BLOCK, 11 - STORE_BLOCK] if path == "online" else [11])
         collected = run_ensemble(psi0, self.CFG, model, grid, seeds, store_every=50)
         assert len(received) == len(collected.rho_avg) == 11
         for a, b in zip(received, collected.rho_avg):
@@ -2064,7 +2064,8 @@ class TestObserverContract:
     @pytest.mark.filterwarnings("ignore:step probability")
     @pytest.mark.parametrize("path", ["online", "windows", "pool"])
     def test_ensemble_failure(self, monkeypatch, path):
-        # the step from t fails after the average at t is handed on; in
+        # the step from t fails after the average at t is formed, and the
+        # averages held are handed on before the failure propagates; in
         # several windows or on a pool no average is whole before every block
         # is in, so a failure leaves the observer uncalled
         cfg, model, psi0, grid, error = TestLockstepBlocks.FAILING["dense_bound"]
