@@ -53,7 +53,7 @@ def run_radius(radius, cfg, n_amps, t1, dt, store):
     ansatz = [build_ansatz_state(paths, conds, i * store, spec)
               for i in range(len(full))]
     worst_td = max(trace_distance(a, f) for a, f in zip(ansatz, full, strict=True))
-    worst_neg = max(negativity(rho) for rho in full)
+    worst_neg = max(negativity(rho.mat) for rho in full)
     return spec.n_max, worst_td, worst_neg
 
 

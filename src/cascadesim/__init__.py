@@ -1,7 +1,6 @@
 """Simulator of a laser source one-way coupled to a target qubit."""
 
 from .hilbert import (
-    COMPOSITE,
     EXCITED,
     GROUND,
     SOURCE,

@@ -282,9 +282,8 @@ def criterion_a5() -> CriterionResult:
     cond = solve_separated_target(path, cfg2, GROUND_RHO)
     worst_td = 0.0
     for i, rho in enumerate(full):
-        rT_full = partial_trace(rho, TARGET)
-        rT_sep = DensityOperator(cond[i * store], layout=TARGET)
-        worst_td = max(worst_td, trace_distance(rT_full, rT_sep))
+        rT_full = DensityOperator(partial_trace(rho.mat, TARGET))
+        worst_td = max(worst_td, trace_distance(rT_full, DensityOperator(cond[i * store])))
     return CriterionResult(
         "A5", p["description"],
         [Check("max Frobenius identity deviation", ident["tolerance"], worst_id),
@@ -363,7 +362,7 @@ def criterion_a7() -> CriterionResult:
     pspec = PhaseAveragedSpec(tuple((r, w) for r, w in ph["radial_weights"]),
                               ph["a_prime"], ph["b_prime"], ph["phase_points"])
     rho_ph = phase_averaged_state(pspec, FockSpec(ph["n_max"]))
-    _, off_ph = support_pattern_check(rho_ph, tol=0.0)
+    _, off_ph = support_pattern_check(DensityOperator(rho_ph), tol=0.0)
     ph_amp = float(np.max([0.0, *(v for _, _, v in off_ph)]))
     return CriterionResult(
         "A7", p["description"],

@@ -8,37 +8,36 @@ import numpy as np
 
 from .errors import DimensionMismatchError, InvariantViolationError
 from .hilbert import (
-    COMPOSITE,
     EXCITED,
     GROUND,
     QUBIT_DIM,
     DensityOperator,
     FockSpec,
-    PureState,
     add_product,
     coherent_state,
+    composite_view,
     total_quanta,
 )
 
 
-def schmidt_entropy(psi: PureState) -> float:
-    """Entanglement entropy (base 2) of a composite pure state."""
-    if abs(psi.norm - 1.0) > 1e-10:
-        raise InvariantViolationError(f"state not normalized: |psi| = {psi.norm}")
-    A = psi.vec.reshape(-1, QUBIT_DIM)
+def schmidt_entropy(psi: np.ndarray) -> float:
+    """Entanglement entropy (base 2) of a composite (d,) pure state."""
+    norm = float(np.linalg.norm(psi))
+    if abs(norm - 1.0) > 1e-10:
+        raise InvariantViolationError(f"state not normalized: |psi| = {norm}")
+    A = np.reshape(psi, (-1, QUBIT_DIM))
     svals = np.linalg.svd(A, compute_uv=False)
     lam = svals ** 2
     lam = lam[lam > 1e-300]
     return float(max(-np.sum(lam * np.log2(lam)), 0.0))
 
 
-def negativity(rho: DensityOperator) -> float:
-    """Sum of |negative eigenvalues| of the partial transpose over the qubit."""
-    if rho.layout != COMPOSITE:
-        raise DimensionMismatchError("negativity needs a composite state")
-    fock_dim = rho.dim // QUBIT_DIM
-    r = rho.mat.reshape(fock_dim, QUBIT_DIM, fock_dim, QUBIT_DIM)
-    pt = np.transpose(r, (0, 3, 2, 1)).reshape(rho.dim, rho.dim)
+def negativity(rho: np.ndarray) -> float:
+    """Sum of |negative eigenvalues| of the partial transpose over the qubit
+    of a composite (d, d) density matrix."""
+    r = composite_view(rho)
+    d = len(rho)
+    pt = np.transpose(r, (0, 3, 2, 1)).reshape(d, d)
     eigs = np.linalg.eigvalsh((pt + pt.conj().T) / 2.0)
     return float(-eigs[eigs < 0].sum())
 
@@ -61,8 +60,7 @@ def support_pattern_check(rho: DensityOperator, tol: float) -> tuple:
     (passed, offending) where offending lists (i, j, |value|) of the
     elements outside them whose |value| is at or above tol, or not finite.
     """
-    if rho.layout != COMPOSITE:
-        raise DimensionMismatchError("support check needs a composite state")
+    composite_view(rho.mat)  # for its shape check
     quanta = total_quanta(rho.dim)
     allowed = quanta[:, None] == quanta[None, :]
     # negated, so that a NaN entry is reported too
@@ -99,8 +97,8 @@ class PhaseAveragedSpec:
             raise ValueError("phase_points must be >= 1")
 
 
-def phase_averaged_state(spec: PhaseAveragedSpec, fock: FockSpec) -> DensityOperator:
-    """Separable-by-construction state assembled from phase-correlated products."""
+def phase_averaged_state(spec: PhaseAveragedSpec, fock: FockSpec) -> np.ndarray:
+    """Separable-by-construction (d, d) state assembled from phase-correlated products."""
     if spec.phase_points < 4 * fock.n_max:
         raise ValueError(
             f"phase_points={spec.phase_points} < 4*n_max={4 * fock.n_max}: "
@@ -118,4 +116,4 @@ def phase_averaged_state(spec: PhaseAveragedSpec, fock: FockSpec) -> DensityOper
             t[GROUND] = spec.a_prime * np.exp(-0.5j * phi)
             t[EXCITED] = spec.b_prime * np.exp(0.5j * phi)
             add_product(acc, w / K, src, np.outer(t, t.conj()))
-    return DensityOperator(acc, layout=COMPOSITE)
+    return acc

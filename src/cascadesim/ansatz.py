@@ -20,8 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .hilbert import (COMPOSITE, DensityOperator, FockSpec, add_product, coherent_state,
-                      qubit_lowering)
+from .hilbert import DensityOperator, FockSpec, add_product, coherent_state, qubit_lowering
 from .liouvillian import CouplingConfig
 from .sources import ClassicalPath
 
@@ -121,4 +120,4 @@ def build_ansatz_state(paths: list, conditionals: list, t_index: int,
             raise IndexError(f"t_index {t_index} outside 0..{n - 1}")
         add_product(acc, path.weight, coherent_state(path.alphas[t_index], fock).vec,
                     cond[t_index])
-    return DensityOperator(acc, layout=COMPOSITE)
+    return DensityOperator(acc)

@@ -6,7 +6,8 @@ class DimensionMismatchError(ValueError):
 
 
 class TruncationWarning(UserWarning):
-    """A coherent amplitude is too large for the chosen Fock cutoff."""
+    """The Fock cutoff is too low: for a coherent amplitude, or for a
+    birth-death run whose rows reached the top quanta sector n_max + 1."""
 
 
 class UnsupportedSourceError(ValueError):

@@ -12,8 +12,11 @@ free-decay sources a trajectory is the dense state and a step one d x d
 product.  A birth-death trajectory stays in one total-quanta sector
 span{|n-1, excited>, |n, ground>} between jumps, and each jump moves n by the
 channel's quanta_delta, so it is two amplitudes and its sector n, and a step is
-one 2 x 2 product (checked once per run by _sector_blocks).  The no-jump state is
-not renormalized: each trajectory carries its squared norm |psi|^2 instead,
+one 2 x 2 product (checked once per run by _sector_blocks).  The engine keeps
+the highest sector a row reached, and a run whose rows reach the top sector
+n_max + 1, where truncation suppresses the gain jump, warns once with a
+TruncationWarning.  The no-jump state is not renormalized: each trajectory
+carries its squared norm |psi|^2 instead,
 the norm-decay view of the method (Molmer, Castin & Dalibard, JOSA B 10, 524
 (1993)).  A state is normalized when it jumps, before it is stored or its
 diagnostics are taken, and every RENORMALIZE_EVERY steps.  The diagnostics
@@ -50,8 +53,9 @@ from .errors import (
     DimensionMismatchError,
     InvariantViolationError,
     StepProbabilityError,
+    TruncationWarning,
 )
-from .hilbert import COMPOSITE, DensityOperator, FockSpec, PureState, check_states
+from .hilbert import DensityOperator, FockSpec, PureState, check_states
 from .liouvillian import CouplingConfig, Superoperator, block_gather, gather
 from .sources import BirthDeathLaser, unraveling
 from .streams import UniformRing
@@ -188,11 +192,11 @@ class _Blocks:
             self.hand_on(np.array(times), np.stack(states))
 
 
-def _collector(layout: str):
+def _collector():
     """The list that run results are returned in, and the observer that
     appends each state of its blocks to it as a DensityOperator view."""
     out = []
-    return out, lambda times, stack: out.extend(DensityOperator(m, layout) for m in stack)
+    return out, lambda times, stack: out.extend(map(DensityOperator, stack))
 
 
 def evolve_master(rho0: DensityOperator, L_total: Superoperator, grid: TimeGrid,
@@ -210,16 +214,17 @@ def evolve_master(rho0: DensityOperator, L_total: Superoperator, grid: TimeGrid,
     one are observed and those after it are not.  Finiteness and trace are
     tested as each state is stored, so the run never steps on from a state
     that fails them.  Without an observer the stored states are returned as
-    a list of DensityOperator views of rho0's layout; with one, None is
-    returned and no state is kept here.  If
-    L_total keeps the k-blocks and rho0 leaves some of them empty
+    a list of DensityOperator views, square density matrices like rho0,
+    which may be a composite state or one factor's; with one, None is
+    returned and no state is kept here.  If L_total keeps the k-blocks and
+    rho0 leaves some of them empty
     (liouvillian.block_gather), RK4 runs on the entries of the blocks rho0
     occupies, and each later stored state holds zeros outside them;
     otherwise it runs on every entry.  Either way each derivative is one
     liouvillian.gather call on the compiled form.
     """
     times = grid.stored_times(store_every)
-    out, observe = _collector(rho0.layout) if observe is None else (None, observe)
+    out, observe = _collector() if observe is None else (None, observe)
     d = L_total.dim
 
     m = np.array(rho0.mat, dtype=complex)
@@ -268,7 +273,7 @@ def mcwf_run(psi0: PureState, config: CouplingConfig, source_model, grid: TimeGr
     consistent with the record.  A birth-death psi0 must lie in the quanta
     sector of source_model.n0 (sector_amplitudes); ValueError otherwise.  This
     is the single-seed call of the ensemble engine; its store callback copies
-    the stored states and carrier counts.
+    the stored states and carrier counts.  It warns as run_ensemble does.
     """
     seeds = check_seeds([seed])
     times = grid.stored_times(store_every)
@@ -279,15 +284,16 @@ def mcwf_run(psi0: PureState, config: CouplingConfig, source_model, grid: TimeGr
         (psi, carrier), = parts
         states[i], carriers[i] = psi[0], carrier[0]
 
-    records, ents, max_p = _ensemble_chunk(
+    part = _ensemble_chunk(
         psi0.vec, config, source_model, grid, store_every, diagnostics, store, seeds)
-    _warn_step_probability(max_p)
+    _warn_run([part], len(psi0.vec) // 2 - 1)
+    (record,), (entropy,), *_ = part
     return TrajectoryResult(
-        record=records[0],
+        record=record,
         times=times,
         states=states,
         carriers=carriers if isinstance(source_model, BirthDeathLaser) else None,
-        max_schmidt_entropy=ents[0],
+        max_schmidt_entropy=entropy,
     )
 
 
@@ -357,7 +363,7 @@ def sector_amplitudes(vec, n: int) -> np.ndarray:
 
 def _sector_blocks(op: np.ndarray, shift: int, name: str) -> np.ndarray:
     """The (n_max + 2, 2, 2) blocks of op that map quanta sector n to n + shift,
-    in the padded two-column layout of sector_amplitudes; zero where n + shift
+    in the padded two-column form of sector_amplitudes; zero where n + shift
     falls outside the sectors.
 
     The birth-death engine keeps only these blocks, so an entry of op outside
@@ -407,13 +413,17 @@ class _DenseRows:
     of a call on its block alone.  The carrier counts stay zero.
 
     _SectorRows has the same methods and attributes: initial, the (M,
-    width) rows of psi0, and carrier, the (M,) carrier counts."""
+    width) rows of psi0; carrier, the (M,) carrier counts; and top, the
+    highest quanta sector any row reached and the first time one did, None
+    here."""
 
-    def __init__(self, psi0, model, H, channels, spec, dt, M):
+    top = None
+
+    def __init__(self, psi0, model, H, channels, spec, grid, M):
         self.initial = np.tile(psi0, (M, 1))
         self.carrier = np.zeros(M, dtype=int)
         self.fock_dim = spec.fock_dim
-        self.HT = (-1j * dt * H).T
+        self.HT = (-1j * grid.dt * H).T
         # every C_k^T side by side: jump vectors of the rows that jump
         self.Fq = np.hstack([ch.operator.T for ch in channels if ch.operator is not None])
 
@@ -438,11 +448,11 @@ class _DenseRows:
         """The jump vectors C_k psi of rows idx, every quantum channel's."""
         return psi[idx] @ self.Fq
 
-    def jumped(self, idx, carrier_delta, quanta_delta):
-        """After rows idx jump, by channels with these deltas; the first row
-        whose carrier count left int64, or None.  A dense row holds its
-        whole state, and these sources' channels move no carrier: nothing to
-        update."""
+    def jumped(self, idx, carrier_delta, quanta_delta, t):
+        """After rows idx jump at time t, by channels with these deltas; the
+        first row whose carrier count left int64, or None.  A dense row holds
+        its whole state, and these sources' channels move no carrier: nothing
+        to update."""
 
     def schmidt_weights(self, states):
         """Squared Schmidt coefficients of normalized rows, (2, rows)."""
@@ -478,12 +488,12 @@ class _SectorRows:
     call.  Stored rows are scattered into one reused dense buffer of at most
     ENSEMBLE_BLOCK rows."""
 
-    def __init__(self, psi0, model, H, channels, spec, dt, M):
+    def __init__(self, psi0, model, H, channels, spec, grid, M):
         classical = [ch for ch in channels if ch.operator is None]
         # summed rates of the classical channels, without and with the carrier factor
         self.rate_fixed = sum(ch.rate for ch in classical if not ch.scales_with_carrier)
         self.rate_scaled = sum(ch.rate for ch in classical if ch.scales_with_carrier)
-        self.dt = dt
+        dt = self.dt = grid.dt
         # per sector: the block of I - i dt H, of every C_k, and of the gain
         # back-action (dt/2) g a a^dag without its carrier factor
         self.drift = np.eye(2) - 1j * dt * _sector_blocks(H, 0, "drift Hamiltonian")
@@ -505,7 +515,8 @@ class _SectorRows:
         # a block's stored rows, scattered into their sectors' columns; the
         # middle d columns of the padded buffer are the dense rows
         self.padded = np.zeros((min(M, ENSEMBLE_BLOCK), spec.dim + 2), dtype=complex)
-        self.jumped(np.arange(M), 0, 0)
+        self.top = (model.n0, grid.t0)
+        self.jumped(np.arange(M), 0, 0, grid.t0)
 
     def no_jump(self, psi, Z, psi_f, Z_f, sq):
         # psi is part of K, at the price of a cancellation that leaves p
@@ -524,10 +535,11 @@ class _SectorRows:
     def jump_vectors(self, psi, idx):
         return np.matmul(self.jumps[self.n_pred[idx]], psi[idx][:, None, :, None])
 
-    def jumped(self, idx, carrier_delta, quanta_delta):
-        """Move rows idx by their channels' deltas, and rewrite their no-jump
-        maps and classical step probabilities; the first row whose carrier
-        count left int64, or None."""
+    def jumped(self, idx, carrier_delta, quanta_delta, t):
+        """Move rows idx by their channels' deltas at time t, raise top if
+        one enters a sector above it, and rewrite their no-jump maps and
+        classical step probabilities; the first row whose carrier count left
+        int64, or None."""
         old = self.carrier[idx]
         N = old + carrier_delta
         # numpy's int64 add wraps: a count that moved against its delta left int64
@@ -537,6 +549,9 @@ class _SectorRows:
         self.carrier[idx] = N
         self.n_pred[idx] += quanta_delta
         n = self.n_pred[idx]
+        top = int(n.max())
+        if top > self.top[0]:
+            self.top = (top, t)
         maps = self.drift[n] - N[:, None, None] * self.damp[n]
         self.K[:, :, idx] = maps.transpose(2, 1, 0)
         self.p_classical[idx] = self.dt * (self.rate_fixed + self.rate_scaled * N)
@@ -578,9 +593,11 @@ def _ensemble_chunk(psi0_vec, config, source_model, grid, store_every, diagnosti
     normalized dense (rows, d) states and (rows,) carrier counts.  These are
     working arrays, so store consumes parts during the call and copies what
     it keeps.  Returns the records, each trajectory's largest Schmidt
-    entropy (None without diagnostics), and the largest step probability,
-    so the caller can warn about it.  A failure is raised at the earliest
-    step where any row fails.  The call holds every row of seeds at once,
+    entropy (None without diagnostics), the largest step probability, and
+    the rows' top (the highest quanta sector a sector row reached and the
+    first time one did; None for dense rows), so the caller can warn about
+    them.  A failure is raised at the earliest step where any row fails.
+    The call holds every row of seeds at once,
     about 32 width + ROW_BYTES bytes a row; run_ensemble bounds that by
     calling it on one window of seed blocks at a time (_window).
     """
@@ -591,7 +608,7 @@ def _ensemble_chunk(psi0_vec, config, source_model, grid, store_every, diagnosti
     H, channels = unraveling(source_model, config, spec)
     _check_drift(H, channels)
     rows = (_SectorRows if isinstance(source_model, BirthDeathLaser) else _DenseRows)(
-        psi0, source_model, H, channels, spec, dt, M)
+        psi0, source_model, H, channels, spec, grid, M)
     n_ch = len(channels)
     # channel indices as intp arrays, which channel_probs indexes with as they are
     quantum = np.flatnonzero([ch.operator is not None for ch in channels])
@@ -726,7 +743,7 @@ def _ensemble_chunk(psi0_vec, config, source_model, grid, store_every, diagnosti
                     np.divide(v, nrm, out=psi[m])
                     sq[m] = 1.0
                 events[m].append((t_next, ch.label))
-            m = rows.jumped(jumpers, carrier_delta[ks], quanta_delta[ks])
+            m = rows.jumped(jumpers, carrier_delta[ks], quanta_delta[ks], t_next)
             if m is not None:
                 raise InvariantViolationError(
                     f"carrier count left int64 at t={t_next:.6g} (seed {seeds[m]})")
@@ -748,17 +765,24 @@ def _ensemble_chunk(psi0_vec, config, source_model, grid, store_every, diagnosti
         update_diagnostics(history[:held])
     records = [Record(events=e, seed=s) for e, s in zip(events, seeds)]
     ents = [float(e) for e in max_ent] if diagnostics else [None] * M
-    return records, ents, max_p
+    return records, ents, max_p, rows.top
 
 
-def _warn_step_probability(p: float):
-    """Warn, at the line that called the public entry point, about a step
-    probability above the recommended bound."""
+def _warn_run(parts, n_max: int):
+    """Warn, at the line that called the public entry point, once for a run
+    whose engine calls returned parts: when its largest step probability is
+    above the recommended bound, and when one of its rows reached the top
+    quanta sector n_max + 1, where truncation suppresses the gain jump."""
+    p = max(p for _, _, p, _ in parts)
     if p > SOFT_STEP_PROBABILITY:
+        warnings.warn(f"step probability {p:.3g} exceeds recommended {SOFT_STEP_PROBABILITY}",
+                      stacklevel=3)
+    reached = [top[1] for *_, top in parts if top is not None and top[0] > n_max]
+    if reached:
         warnings.warn(
-            f"step probability {p:.3g} exceeds recommended {SOFT_STEP_PROBABILITY}",
-            stacklevel=3,
-        )
+            f"trajectories reached quanta sector n_max + 1 = {n_max + 1} (n_max={n_max}), "
+            f"first at t={min(reached):.6g}, where truncation suppresses the gain jump",
+            TruncationWarning, stacklevel=3)
 
 
 def workers_from_env() -> int:
@@ -844,16 +868,20 @@ def run_ensemble(psi0: PureState, config: CouplingConfig, source_model,
     run's observer holds every average before the failure; otherwise the
     whole total in one call once every block is in.  No later call writes to
     a stack an observer was given.  Without an observer the averages are
-    collected into ``rho_avg`` as COMPOSITE DensityOperator views; with one,
-    ``rho_avg`` is None.  A birth-death psi0
-    must lie in the quanta sector of source_model.n0, as for mcwf_run.  A
-    failure is the first failing window's, raised at the earliest step where
-    any of its trajectories fails; for dense rows, and on a pool, that is the
-    first failing block's.
+    collected into ``rho_avg`` as DensityOperator views of the composite
+    averages; with one, ``rho_avg`` is None.  A birth-death psi0 must lie in
+    the quanta sector of source_model.n0, as for mcwf_run.  A failure is the
+    first failing window's, raised at the earliest step where any of its
+    trajectories fails; for dense rows, and on a pool, that is the first
+    failing block's.  A run that completes warns at most once of each kind,
+    at the caller's line, whatever its windows or workers: a UserWarning
+    when its largest step probability is above SOFT_STEP_PROBABILITY, and,
+    for birth-death rows, a TruncationWarning when a row reached the top
+    quanta sector n_max + 1, naming the first time one did.
     """
     seeds = check_seeds(seeds)
     times = grid.stored_times(store_every)
-    rho_avg, observe = _collector(COMPOSITE) if observe is None else (None, observe)
+    rho_avg, observe = _collector() if observe is None else (None, observe)
     blocks = [seeds[i:i + ENSEMBLE_BLOCK] for i in range(0, len(seeds), ENSEMBLE_BLOCK)]
     workers = min(workers_from_env(), len(blocks))
     window = _window(source_model)
@@ -864,8 +892,8 @@ def run_ensemble(psi0: PureState, config: CouplingConfig, source_model,
             averages.add(times[i], _add_projectors(parts) / len(seeds))
 
         try:
-            records, entropies, max_p = _ensemble_chunk(
-                psi0.vec, config, source_model, grid, store_every, diagnostics, average, seeds)
+            parts = [_ensemble_chunk(psi0.vec, config, source_model, grid, store_every,
+                                     diagnostics, average, seeds)]
         finally:
             averages.flush()
     else:
@@ -887,10 +915,9 @@ def run_ensemble(psi0: PureState, config: CouplingConfig, source_model,
                 for block_acc, *part in results:
                     acc += block_acc
                     parts.append(part)
-        records = [r for recs, _, _ in parts for r in recs]
-        entropies = [e for _, ents, _ in parts for e in ents]
-        max_p = max(p for _, _, p in parts)
         acc /= len(seeds)
         observe(times, acc)
-    _warn_step_probability(max_p)
+    _warn_run(parts, len(psi0.vec) // 2 - 1)
+    records = [r for recs, *_ in parts for r in recs]
+    entropies = [e for _, ents, *_ in parts for e in ents]
     return EnsembleResult(times, rho_avg, records, entropies)

@@ -1,8 +1,12 @@
 """Truncated Fock (x) qubit Hilbert space: states, partial traces and the
 qubit lowering operator.
 
-States are PureState and DensityOperator; the qubit lowering is a complex
-(2, 2) ndarray.  The ladder operators of the composite space are band maps,
+States are PureState and DensityOperator, a square density matrix with no
+record of the space it lives on; partial_trace and the entanglement
+measures take plain arrays, and the qubit lowering is a complex (2, 2)
+ndarray.  A composite state is told from a (2, 2) target state by its shape
+alone (composite_view): FockSpec keeps n_max >= 1, so its dimension is even
+and at least 4.  The ladder operators of the composite space are band maps,
 built by ``liouvillian.ladders``.
 
 Basis ordering is fixed package-wide: the composite index is ``2*n + q``
@@ -81,23 +85,19 @@ class PureState:
         return np.outer(self.vec, self.vec.conj())
 
 
-# subsystem layout tags for DensityOperator
+# the factor that partial_trace keeps
 SOURCE = "source"
 TARGET = "target"
-COMPOSITE = "composite"
 
 
 @dataclass
 class DensityOperator:
     mat: np.ndarray
-    layout: str = COMPOSITE
 
     def __post_init__(self):
         self.mat = np.asarray(self.mat, dtype=complex)
         if self.mat.ndim != 2 or self.mat.shape[0] != self.mat.shape[1]:
             raise DimensionMismatchError(f"density matrix must be square, got {self.mat.shape}")
-        if self.layout not in (SOURCE, TARGET, COMPOSITE):
-            raise ValueError(f"unknown layout {self.layout!r}")
 
     @property
     def dim(self) -> int:
@@ -232,14 +232,23 @@ def add_product(acc: np.ndarray, weight: float, source: np.ndarray, target: np.n
     view += weight * (src[:, None, :, None] * target[None, :, None, :])
 
 
-def partial_trace(rho: DensityOperator, keep: str) -> DensityOperator:
-    """Trace out one factor of a composite density operator."""
-    if rho.layout != COMPOSITE:
-        raise DimensionMismatchError(f"partial_trace needs a composite state, got {rho.layout!r}")
-    fock_dim = rho.dim // QUBIT_DIM
-    r = rho.mat.reshape(fock_dim, QUBIT_DIM, fock_dim, QUBIT_DIM)
+def composite_view(rho) -> np.ndarray:
+    """A composite (d, d) matrix as its (d / 2, 2, d / 2, 2) view, indexed
+    [n, q, m, p]; DimensionMismatchError unless it is square with an even
+    d >= 4, the shape of a source (x) qubit state at n_max >= 1."""
+    m = np.asarray(rho)
+    d = m.shape[0] if m.ndim == 2 else 0
+    if m.shape != (d, d) or d < 2 * QUBIT_DIM or d % QUBIT_DIM:
+        raise DimensionMismatchError(
+            f"need a source (x) qubit state, square of even dimension >= 4; got shape {m.shape}")
+    return m.reshape(d // QUBIT_DIM, QUBIT_DIM, d // QUBIT_DIM, QUBIT_DIM)
+
+
+def partial_trace(rho: np.ndarray, keep: str) -> np.ndarray:
+    """Trace out one factor of a composite (d, d) density matrix."""
+    r = composite_view(rho)
     if keep == SOURCE:
-        return DensityOperator(np.einsum("nqmq->nm", r), layout=SOURCE)
+        return np.einsum("nqmq->nm", r)
     if keep == TARGET:
-        return DensityOperator(np.einsum("nqnp->qp", r), layout=TARGET)
+        return np.einsum("nqnp->qp", r)
     raise ValueError(f"keep must be 'source' or 'target', got {keep!r}")

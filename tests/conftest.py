@@ -1,15 +1,15 @@
 import numpy as np
 import pytest
 
-from cascadesim.hilbert import COMPOSITE, DensityOperator
+from cascadesim.hilbert import DensityOperator
 from cascadesim.sources import ClassicalPath
 
 
-def random_density(dim: int, rng: np.random.Generator, layout: str = COMPOSITE) -> DensityOperator:
+def random_density(dim: int, rng: np.random.Generator) -> DensityOperator:
     """Random full-rank density operator (Wishart construction)."""
     M = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     rho = M @ M.conj().T
-    return DensityOperator(rho / np.trace(rho), layout=layout)
+    return DensityOperator(rho / np.trace(rho))
 
 
 def random_state(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -19,7 +19,6 @@ from cascadesim.hilbert import (
     TARGET,
     DensityOperator,
     FockSpec,
-    PureState,
     coherent_state,
     fock_state,
     partial_trace,
@@ -40,49 +39,63 @@ def binary_entropy(p):
 
 class TestSchmidtEntropy:
     def test_product_state_is_zero(self):
-        assert schmidt_entropy(ket(2, EXCITED)) == 0.0
+        assert schmidt_entropy(ket(2, EXCITED).vec) == 0.0
 
     def test_bell_state_is_one(self):
         v = (ket(1, GROUND).vec + ket(0, EXCITED).vec) / np.sqrt(2)
-        assert abs(schmidt_entropy(PureState(v)) - 1.0) < 1e-12
+        assert abs(schmidt_entropy(v) - 1.0) < 1e-12
 
     def test_partial_entanglement(self):
         # weights 0.8 / 0.2 give the binary entropy h(0.2)
         v = np.sqrt(0.8) * ket(1, GROUND).vec + np.sqrt(0.2) * ket(0, EXCITED).vec
-        assert abs(schmidt_entropy(PureState(v)) - binary_entropy(0.2)) < 1e-12
+        assert abs(schmidt_entropy(v) - binary_entropy(0.2)) < 1e-12
 
     def test_rejects_unnormalized(self):
         with pytest.raises(InvariantViolationError):
-            schmidt_entropy(PureState(2.0 * ket(0, GROUND).vec))
+            schmidt_entropy(2.0 * ket(0, GROUND).vec)
 
     def test_matches_reduced_state_entropy(self, rng):
         from conftest import random_state
 
         v = random_state(SPEC.dim, rng)
-        rho_T = partial_trace(DensityOperator(np.outer(v, v.conj())), TARGET)
-        lam = np.linalg.eigvalsh(rho_T.mat)
+        rho_T = partial_trace(np.outer(v, v.conj()), TARGET)
+        lam = np.linalg.eigvalsh(rho_T)
         lam = lam[lam > 1e-14]
-        assert abs(schmidt_entropy(PureState(v)) + np.sum(lam * np.log2(lam))) < 1e-10
+        assert abs(schmidt_entropy(v) + np.sum(lam * np.log2(lam))) < 1e-10
 
 
 class TestNegativity:
     def test_product_state_is_zero(self):
-        rho = DensityOperator(ket(1, EXCITED).projector())
-        assert negativity(rho) < 1e-12
+        assert negativity(ket(1, EXCITED).projector()) < 1e-12
 
     def test_bell_state_is_half(self):
         v = (ket(1, GROUND).vec + ket(0, EXCITED).vec) / np.sqrt(2)
-        assert abs(negativity(DensityOperator(np.outer(v, v.conj()))) - 0.5) < 1e-12
+        assert abs(negativity(np.outer(v, v.conj())) - 0.5) < 1e-12
 
     def test_separable_mixture_is_zero(self, rng):
         acc = np.zeros((SPEC.dim, SPEC.dim), dtype=complex)
         for n, q, w in ((0, GROUND, 0.3), (2, EXCITED, 0.5), (1, GROUND, 0.2)):
             acc += w * ket(n, q).projector()
-        assert negativity(DensityOperator(acc)) < 1e-12
+        assert negativity(acc) < 1e-12
 
-    def test_needs_composite_layout(self):
+
+
+class TestCompositeShape:
+    """A composite state is a square matrix of even dimension >= 4; a (2, 2)
+    target state, an odd dimension and a non-square matrix are refused."""
+
+    @pytest.mark.parametrize("mat", [np.eye(2) / 2, np.eye(5) / 5, np.ones((4, 6))],
+                             ids=["target", "odd", "non-square"])
+    @pytest.mark.parametrize("call", [
+        lambda m: partial_trace(m, SOURCE),
+        lambda m: partial_trace(m, TARGET),
+        negativity,
+        lambda m: support_pattern_check(DensityOperator(m), tol=0.0),
+    ], ids=["partial_trace-source", "partial_trace-target", "negativity",
+            "support_pattern_check"])
+    def test_refused(self, call, mat):
         with pytest.raises(DimensionMismatchError):
-            negativity(DensityOperator(np.eye(2) / 2, layout=TARGET))
+            call(mat)
 
 
 class TestTraceDistance:
@@ -207,16 +220,16 @@ class TestPhaseAveraged:
         fock = FockSpec(4)
         rho = phase_averaged_state(spec, fock)
         rho_T = partial_trace(rho, TARGET)
-        assert abs(rho_T.mat[EXCITED, EXCITED] - 0.3) < 1e-12
-        assert abs(rho_T.mat[GROUND, EXCITED]) < 1e-12
+        assert abs(rho_T[EXCITED, EXCITED] - 0.3) < 1e-12
+        assert abs(rho_T[GROUND, EXCITED]) < 1e-12
         rho_S = partial_trace(rho, SOURCE)
-        assert abs(rho_S.mat[0, 0] - 1.0) < 1e-12
+        assert abs(rho_S[0, 0] - 1.0) < 1e-12
 
     def test_ground_qubit_gives_ring_product(self):
         fock = FockSpec(6)
         spec = PhaseAveragedSpec(((0.8, 1.0),), 1.0, 0.0, 4 * fock.n_max)
         rho = phase_averaged_state(spec, fock)
-        rho_S = partial_trace(rho, SOURCE).mat
+        rho_S = partial_trace(rho, SOURCE)
         # exact uniform ring: Poissonian diagonal, no off-diagonals
         off = rho_S - np.diag(np.diag(rho_S))
         assert np.max(np.abs(off)) < 1e-12
@@ -231,7 +244,7 @@ class TestPhaseAveraged:
         spec = PhaseAveragedSpec(((0.6, 0.5), (1.0, 0.5)), np.sqrt(0.7), np.sqrt(0.3),
                                  4 * fock.n_max)
         rho = phase_averaged_state(spec, fock)
-        ok, offending = support_pattern_check(rho, tol=1e-10)
+        ok, offending = support_pattern_check(DensityOperator(rho), tol=1e-10)
         assert ok, offending
 
     def test_bit_identical_to_kron_sum(self):
@@ -248,11 +261,10 @@ class TestPhaseAveraged:
                 t = np.array([spec.a_prime * np.exp(-0.5j * phi),
                               spec.b_prime * np.exp(0.5j * phi)])
                 expect += (w / K) * np.kron(src, np.outer(t, t.conj()))
-        assert np.array_equal(phase_averaged_state(spec, fock).mat, expect)
+        assert np.array_equal(phase_averaged_state(spec, fock), expect)
 
     def test_unit_trace_and_positivity(self):
         fock = FockSpec(5)
         spec = PhaseAveragedSpec(((0.5, 1.0),), np.sqrt(0.5), np.sqrt(0.5),
                                  4 * fock.n_max)
-        rho = phase_averaged_state(spec, fock)
-        rho.check()
+        DensityOperator(phase_averaged_state(spec, fock)).check()

@@ -16,7 +16,6 @@ from cascadesim.errors import DimensionMismatchError
 from cascadesim.hilbert import (
     EXCITED,
     GROUND,
-    TARGET,
     DensityOperator,
     FockSpec,
     PureState,
@@ -360,7 +359,7 @@ class TestAgainstFullSolution:
         store = 80  # every 0.2
         (path,) = classical_paths(model, cfg, grid.times(), alpha0=alpha0)
         fock = FockSpec(min(20, adequate_n_max(np.abs(path.alphas).max())))
-        rho_T0 = random_density(2, np.random.default_rng(seed), layout=TARGET).mat
+        rho_T0 = random_density(2, np.random.default_rng(seed)).mat
         rho0 = DensityOperator(np.kron(coherent_state(alpha0, fock).projector(), rho_T0))
         L = build_L_S(model, fock) + build_L_T(cfg, fock) + build_L_ST(cfg, fock)
         full = evolve_master(rho0, L, grid, store_every=store)

@@ -19,9 +19,9 @@ from cascadesim.errors import (
     DimensionMismatchError,
     InvariantViolationError,
     StepProbabilityError,
+    TruncationWarning,
 )
 from cascadesim.hilbert import (
-    COMPOSITE,
     EXCITED,
     GROUND,
     DensityOperator,
@@ -103,7 +103,7 @@ def ensemble_average(results: list) -> list:
         for r in results:
             v = r.states[i]
             acc += np.outer(v, v.conj())
-        out.append(DensityOperator(acc / len(results), layout=COMPOSITE))
+        out.append(DensityOperator(acc / len(results)))
     return out
 
 
@@ -281,7 +281,7 @@ class TestMasterEquation:
         states = evolve_master(rho0, L, grid, store_every=5)
         assert len(seen) == len(states) == 5
         for a, b in zip(seen, states):
-            assert np.array_equal(a, b.mat) and b.layout == rho0.layout
+            assert np.array_equal(a, b.mat)
         # no two observed states share memory
         assert not any(np.shares_memory(a, b) for i, a in enumerate(seen) for b in seen[:i])
 
@@ -882,8 +882,8 @@ class TestEngineOracle:
 
         try:
             with mock.patch.object(evolve, "ENSEMBLE_BLOCK", block):
-                records, _, _ = evolve._ensemble_chunk(psi0.vec, cfg, model, grid, store_every,
-                                                       True, store, seeds)
+                records, *_ = evolve._ensemble_chunk(psi0.vec, cfg, model, grid, store_every,
+                                                     True, store, seeds)
         except StepProbabilityError:
             assume(False)
         times = grid.stored_times(store_every)
@@ -1143,7 +1143,7 @@ class TestRowKinds:
         else:
             psi0, kind = ket(0, GROUND, spec).vec, evolve._DenseRows
         with mock.patch.object(evolve, "ENSEMBLE_BLOCK", block):
-            return kind(psi0, model, H, channels, spec, dt, M), channels
+            return kind(psi0, model, H, channels, spec, TimeGrid(0.0, dt, dt), M), channels
 
     @staticmethod
     def dense_rows(rows, psi):
@@ -1174,7 +1174,7 @@ class TestRowKinds:
         if kind == "birth_death":
             # each row in its own sector, with its own carrier count
             n = rng.integers(0, n_max + 2, M)
-            rows.jumped(np.arange(M), rng.integers(0, 6, M) - model.N0, n - model.n0)
+            rows.jumped(np.arange(M), rng.integers(0, 6, M) - model.N0, n - model.n0, 0.0)
             psi[n == 0, 0] = psi[n == n_max + 1, 1] = 0.0
             vecs = self.dense_rows(rows, psi)
         else:
@@ -1200,7 +1200,7 @@ class TestRowKinds:
         rows, _ = self.make(BirthDeathLaser(1.0, 0.5, 0.5, N0=2, n0=1), spec, 0.01, M, block)
         rng = np.random.default_rng(M)
         n = np.arange(M) % (spec.n_max + 2)
-        rows.jumped(np.arange(M), 0, n - 1)
+        rows.jumped(np.arange(M), 0, n - 1, 0.0)
         psi = rng.standard_normal((M, 2)) + 1j * rng.standard_normal((M, 2))
         psi[n == 0, 0] = psi[n == spec.n_max + 1, 1] = 0.0
         stored = []
@@ -1397,7 +1397,7 @@ class TestDiagnostics:
         dt = 0.005
         r = mcwf_run(start(spec), cfg, model, TimeGrid(0.0, 2.0, dt), seed=11)
         assert r.record.events
-        entropies = [schmidt_entropy(PureState(v)) for v in r.states]
+        entropies = [schmidt_entropy(v) for v in r.states]
         assert max(entropies) > 0.1
         assert abs(r.max_schmidt_entropy - max(entropies)) <= 1e-12
         if case != "birth_death":
@@ -1470,7 +1470,7 @@ class TestDiagnosticBlocks:
         def run(model, psi0):
             r = mcwf_run(psi0, self.CFG, model, grid, seed=11)
             if grid.n_steps == 3:
-                entropies = [schmidt_entropy(PureState(v)) for v in r.states]
+                entropies = [schmidt_entropy(v) for v in r.states]
                 assert np.argmax(entropies) == 3
             return [r.max_schmidt_entropy], r.record.events
         assert self.check(monkeypatch, kind, run, rows=1).min() > 0.0
@@ -1532,6 +1532,87 @@ class TestDiagnosticBlocks:
         assert extra_peak(2 * M * width) >= 2 * step_rows
         monkeypatch.undo()
         assert extra_peak(evolve.DIAGNOSTIC_LANES) < step_rows
+
+
+class TestTopSector:
+    """A birth-death run warns once, at its caller's line, when a row
+    reaches the top quanta sector n_max + 1, where truncation suppresses the
+    gain jump; the warning names n_max, the sector and the first time a row
+    reached it."""
+
+    CFG = CouplingConfig(1.0, 0.5, 0.5)
+    MODEL = BirthDeathLaser(2.0, 1.0, 0.0, N0=3, n0=2)
+
+    @staticmethod
+    def reached(records, sector):
+        """The first time each record's sector reaches sector, where it does."""
+        shift = {"forward_f": -1, "side_s": -1, "gain": +1, "pump": 0, "nonlasing": 0}
+        times = []
+        for record in records:
+            n = TestTopSector.MODEL.n0
+            for t, label in record.events:
+                n += shift[label]
+                if n == sector:
+                    times.append(t)
+                    break
+        return times
+
+    def run(self, n_max, seeds, t1, single=False):
+        """The records of a run at n_max, and its TruncationWarnings."""
+        psi0 = ket(self.MODEL.n0, GROUND, FockSpec(n_max))
+        grid = TimeGrid(0.0, t1, 0.0005)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            if single:
+                records = [mcwf_run(psi0, self.CFG, self.MODEL, grid, seeds[0],
+                                    store_every=grid.n_steps, diagnostics=False).record]
+            else:
+                records = run_ensemble(psi0, self.CFG, self.MODEL, grid, seeds,
+                                       store_every=grid.n_steps, diagnostics=False).records
+        return records, [w for w in caught if w.category is TruncationWarning]
+
+    def check_warning(self, records, caught, n_max):
+        first = min(self.reached(records, n_max + 1))
+        (w,) = caught
+        assert w.filename == __file__
+        assert str(w.message) == (
+            f"trajectories reached quanta sector n_max + 1 = {n_max + 1} (n_max={n_max}), "
+            f"first at t={first:.6g}, where truncation suppresses the gain jump")
+
+    def test_n_max_3_run_warns_once(self):
+        # 112 of 200 rows reach sector 4; the run still returns every record
+        records, caught = self.run(3, range(200), 2.0)
+        assert len(records) == 200 and len(self.reached(records, 4)) == 112
+        self.check_warning(records, caught, 3)
+
+    @pytest.mark.parametrize("how", ["mcwf_run", "one window", "windows", "pool"])
+    def test_every_path_warns_once(self, monkeypatch, how):
+        # seed 162 reaches sector 4 at t 0.048; of seeds 100..119 the first
+        # is 118, at t 0.128.  Blocks of 4 seeds make five windows, or five
+        # pool tasks, each with its own first time
+        monkeypatch.setenv("CASCADESIM_WORKERS", "2" if how == "pool" else "1")
+        if how in ("windows", "pool"):
+            monkeypatch.setattr(evolve, "ENSEMBLE_BLOCK", 4)
+            monkeypatch.setattr(evolve, "WINDOW_BYTES", 0)
+        if how == "mcwf_run":
+            records, caught = self.run(3, [162], 0.1, single=True)
+        else:
+            records, caught = self.run(3, range(100, 120), 0.5)
+        self.check_warning(records, caught, 3)
+
+    def test_warns_exactly_when_a_row_reaches_the_top_sector(self):
+        # seeds 100..119 to t 0.5 reach sector 7 at n_max 12, and sector
+        # n_max + 1 at n_max 3 and 4 but not 5 or 6; a run warns if and only
+        # if its own records reach n_max + 1
+        warned = {}
+        for n_max in (3, 4, 5, 6, 12):
+            records, caught = self.run(n_max, range(100, 120), 0.5)
+            warned[n_max] = bool(caught)
+            if self.reached(records, n_max + 1):
+                self.check_warning(records, caught, n_max)
+            else:
+                assert not caught
+        assert warned == {3: True, 4: True, 5: False, 6: False, 12: False}
 
 
 class TestSectorReplay:
@@ -1737,7 +1818,7 @@ class TestEnsemble:
         assert observed.rho_avg is None
         assert len(seen) == len(collected.rho_avg) == len(collected.times) == 11
         for a, b in zip(seen, collected.rho_avg):
-            assert np.array_equal(a, b.mat) and b.layout == COMPOSITE
+            assert np.array_equal(a, b.mat)
         assert np.array_equal(observed.times, collected.times)
         assert [r.events for r in observed.records] == [r.events for r in collected.records]
         assert observed.max_schmidt_entropies == collected.max_schmidt_entropies
@@ -1771,8 +1852,8 @@ def per_block_reference(psi0, config, model, grid, seeds, store_every, diagnosti
             (psi, _), = parts
             sums.append(psi.T @ psi.conj())
 
-        recs, ents, _ = evolve._ensemble_chunk(psi0.vec, config, model, grid, store_every,
-                                               diagnostics, store, part)
+        recs, ents, *_ = evolve._ensemble_chunk(psi0.vec, config, model, grid, store_every,
+                                                diagnostics, store, part)
         if total is None:
             total = sums
         else:
