@@ -44,10 +44,8 @@ from .sources import (
 from .evolve import (
     Record,
     TimeGrid,
-    TrajectoryResult,
     evolve_master,
     expectation,
-    mcwf_run,
     run_ensemble,
 )
 from .analysis import (

@@ -7,7 +7,8 @@ class DimensionMismatchError(ValueError):
 
 class TruncationWarning(UserWarning):
     """The Fock cutoff is too low: for a coherent amplitude, or for a
-    birth-death run whose rows reached the top quanta sector n_max + 1."""
+    birth-death run whose rows reached quanta sector n_max, where truncation
+    already drops the gain jump of |n_max, ground>."""
 
 
 class UnsupportedSourceError(ValueError):

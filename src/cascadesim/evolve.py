@@ -13,8 +13,8 @@ product.  A birth-death trajectory stays in one total-quanta sector
 span{|n-1, excited>, |n, ground>} between jumps, and each jump moves n by the
 channel's quanta_delta, so it is two amplitudes and its sector n, and a step is
 one 2 x 2 product (checked once per run by _sector_blocks).  The engine keeps
-the highest sector a row reached, and a run whose rows reach the top sector
-n_max + 1, where truncation suppresses the gain jump, warns once with a
+the highest sector a row reached, and a run whose rows reach sector n_max,
+from which on truncation suppresses a gain jump, warns once with a
 TruncationWarning.  The no-jump state is not renormalized: each trajectory
 carries its squared norm |psi|^2 instead,
 the norm-decay view of the method (Molmer, Castin & Dalibard, JOSA B 10, 524
@@ -29,9 +29,10 @@ step, plus one per jump for the channel.  Each trajectory owns exactly one
 stream of uniforms, default_rng(seed)'s, which it reads from a
 streams.UniformRing, so results are bit-reproducible given (config, seed);
 the streams module computes them without numpy.random.  There is one
-trajectory engine, vectorized over seeds; a single trajectory is its
-one-seed call.  It hands each stored time's dense rows to its caller's store
-callback, one seed block at a time, and keeps none.  evolve_master and
+trajectory engine, vectorized over seeds, and run_ensemble is its one entry
+point; a single trajectory is its one-seed call.  It hands each stored
+time's dense rows to its caller's store callback, one seed block at a time,
+and keeps none.  evolve_master and
 run_ensemble hand their stored states on as they are checked or averaged, to
 an observer called as observe(times, stack) with a (B, d, d) stack of states
 and their B stored times, by one block rule (_Blocks): at most STORE_BLOCK
@@ -130,15 +131,6 @@ class Record:
 
     def count(self, label: str) -> int:
         return sum(1 for _, lab in self.events if lab == label)
-
-
-@dataclass
-class TrajectoryResult:
-    record: Record
-    times: np.ndarray
-    states: np.ndarray           # (n_stored, dim) normalized state vectors
-    carriers: np.ndarray | None  # (n_stored,) classical carrier counts, or None
-    max_schmidt_entropy: float | None = None
 
 
 def expectation(rho: np.ndarray, op: np.ndarray) -> complex:
@@ -259,42 +251,6 @@ def evolve_master(rho0: DensityOperator, L_total: Superoperator, grid: TimeGrid,
                    or not abs(state.trace() - 1.0) <= MASTER_TOLS["trace_tol"])
     stored.flush()
     return out
-
-
-def mcwf_run(psi0: PureState, config: CouplingConfig, source_model, grid: TimeGrid,
-             seed: int, store_every: int = 1,
-             diagnostics: bool = True) -> TrajectoryResult:
-    """One Monte-Carlo wavefunction trajectory with its environmental record.
-
-    Jump channels are the forward (f) and side (s) detections plus, for the
-    birth-death source, the pump / gain / non-lasing channels acting on the
-    classical carrier counter.  The gain channel's no-jump back-action
-    -(i/2) g N a a^dag is included in the drift so conditional amplitudes stay
-    consistent with the record.  A birth-death psi0 must lie in the quanta
-    sector of source_model.n0 (sector_amplitudes); ValueError otherwise.  This
-    is the single-seed call of the ensemble engine; its store callback copies
-    the stored states and carrier counts.  It warns as run_ensemble does.
-    """
-    seeds = check_seeds([seed])
-    times = grid.stored_times(store_every)
-    states = np.empty((len(times), len(psi0.vec)), dtype=complex)
-    carriers = np.empty(len(times), dtype=int)
-
-    def store(i, parts):
-        (psi, carrier), = parts
-        states[i], carriers[i] = psi[0], carrier[0]
-
-    part = _ensemble_chunk(
-        psi0.vec, config, source_model, grid, store_every, diagnostics, store, seeds)
-    _warn_run([part], len(psi0.vec) // 2 - 1)
-    (record,), (entropy,), *_ = part
-    return TrajectoryResult(
-        record=record,
-        times=times,
-        states=states,
-        carriers=carriers if isinstance(source_model, BirthDeathLaser) else None,
-        max_schmidt_entropy=entropy,
-    )
 
 
 @dataclass
@@ -769,20 +725,25 @@ def _ensemble_chunk(psi0_vec, config, source_model, grid, store_every, diagnosti
 
 
 def _warn_run(parts, n_max: int):
-    """Warn, at the line that called the public entry point, once for a run
-    whose engine calls returned parts: when its largest step probability is
-    above the recommended bound, and when one of its rows reached the top
-    quanta sector n_max + 1, where truncation suppresses the gain jump."""
+    """Warn, at the line that called run_ensemble, once for a run whose
+    engine calls returned parts: when its largest step probability is above
+    the recommended bound, and when one of its rows reached quanta sector
+    n_max or n_max + 1, where truncation drops a gain jump (in sector n_max,
+    |n_max, ground>'s).  The warning names the highest sector the rows
+    reached and the first time one did, the earliest of the parts that
+    reached it."""
     p = max(p for _, _, p, _ in parts)
     if p > SOFT_STEP_PROBABILITY:
         warnings.warn(f"step probability {p:.3g} exceeds recommended {SOFT_STEP_PROBABILITY}",
                       stacklevel=3)
-    reached = [top[1] for *_, top in parts if top is not None and top[0] > n_max]
-    if reached:
-        warnings.warn(
-            f"trajectories reached quanta sector n_max + 1 = {n_max + 1} (n_max={n_max}), "
-            f"first at t={min(reached):.6g}, where truncation suppresses the gain jump",
-            TruncationWarning, stacklevel=3)
+    tops = [top for *_, top in parts if top is not None]
+    if tops:
+        sector, first = min(tops, key=lambda top: (-top[0], top[1]))
+        if sector >= n_max:
+            warnings.warn(
+                f"trajectories reached quanta sector {sector} (n_max={n_max}), first at "
+                f"t={first:.6g}, where truncation suppresses a gain jump",
+                TruncationWarning, stacklevel=3)
 
 
 def workers_from_env() -> int:
@@ -870,14 +831,15 @@ def run_ensemble(psi0: PureState, config: CouplingConfig, source_model,
     a stack an observer was given.  Without an observer the averages are
     collected into ``rho_avg`` as DensityOperator views of the composite
     averages; with one, ``rho_avg`` is None.  A birth-death psi0 must lie in
-    the quanta sector of source_model.n0, as for mcwf_run.  A failure is the
+    the quanta sector of source_model.n0; ValueError otherwise.  A failure is the
     first failing window's, raised at the earliest step where any of its
     trajectories fails; for dense rows, and on a pool, that is the first
     failing block's.  A run that completes warns at most once of each kind,
     at the caller's line, whatever its windows or workers: a UserWarning
     when its largest step probability is above SOFT_STEP_PROBABILITY, and,
-    for birth-death rows, a TruncationWarning when a row reached the top
-    quanta sector n_max + 1, naming the first time one did.
+    for birth-death rows, a TruncationWarning when a row reached quanta
+    sector n_max or above, naming the highest sector reached and the first
+    time a row did.
     """
     seeds = check_seeds(seeds)
     times = grid.stored_times(store_every)

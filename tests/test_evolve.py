@@ -6,6 +6,7 @@ import time
 import tracemalloc
 import warnings
 from collections import Counter
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -74,7 +75,6 @@ from cascadesim.evolve import (
     check_seeds,
     evolve_master,
     expectation,
-    mcwf_run,
     run_ensemble,
     sector_amplitudes,
     workers_from_env,
@@ -160,6 +160,28 @@ def scalar_mcwf(psi0, config, model, grid, seed, store_every):
             states.append(psi)
             carriers.append(carrier)
     return events, np.array(states), np.array(carriers)
+
+
+def one_trajectory(psi0, config, model, grid, seed, store_every=1, diagnostics=True):
+    """One seed's engine call with a store callback that keeps what
+    run_ensemble averages away: its record, the stored times, the
+    (n_stored, d) normalized states, the (n_stored,) carrier counts (None
+    but for birth-death) and the largest Schmidt entropy.  It warns of
+    nothing; the warnings are run_ensemble's."""
+    times = grid.stored_times(store_every)
+    states = np.empty((len(times), psi0.dim), dtype=complex)
+    carriers = np.empty(len(times), dtype=int)
+
+    def store(i, parts):
+        (psi, carrier), = parts
+        states[i], carriers[i] = psi[0], carrier[0]
+
+    (record,), (entropy,), *_ = evolve._ensemble_chunk(
+        psi0.vec, config, model, grid, store_every, diagnostics, store, [seed])
+    return SimpleNamespace(
+        record=record, times=times, states=states,
+        carriers=carriers if isinstance(model, BirthDeathLaser) else None,
+        max_schmidt_entropy=entropy)
 
 
 def predicted_sectors(record, model, times):
@@ -570,16 +592,16 @@ class TestSingleTrajectory:
         cfg = CouplingConfig(1.0, 0.5, 0.5)
         grid = TimeGrid(0.0, 2.0, 0.01)
         model = FreeDecayMixture(((0.0, 1.0),))
-        r1 = mcwf_run(psi0, cfg, model, grid, seed=7)
-        r2 = mcwf_run(psi0, cfg, model, grid, seed=7)
+        r1 = one_trajectory(psi0, cfg, model, grid, seed=7)
+        r2 = one_trajectory(psi0, cfg, model, grid, seed=7)
         assert np.array_equal(r1.states, r2.states)
         assert r1.record.events == r2.record.events
 
     def test_first_state_is_normalized_once(self):
         spec = FockSpec(3)
         psi0 = product_state(coherent_state(0.7, spec), qubit_state(GROUND))
-        r = mcwf_run(psi0, BARE, FreeDecayMixture(((0.0, 1.0),)), TimeGrid(0.0, 0.1, 0.01),
-                     seed=0)
+        r = one_trajectory(psi0, BARE, FreeDecayMixture(((0.0, 1.0),)),
+                           TimeGrid(0.0, 0.1, 0.01), seed=0)
         assert np.array_equal(r.states[0], psi0.vec / np.linalg.norm(psi0.vec))
 
     @pytest.mark.filterwarnings("ignore:step probability")
@@ -591,7 +613,7 @@ class TestSingleTrajectory:
         cfg = CouplingConfig(1.0, 0.5, 0.5)
         model = BirthDeathLaser(0.0, 0.0, 0.0, N0=0, n0=3)
         grid = TimeGrid(0.0, 30.0, 0.01)
-        r = mcwf_run(psi0, cfg, model, grid, seed=3, store_every=300)
+        r = one_trajectory(psi0, cfg, model, grid, seed=3, store_every=300)
         n_f = r.record.count("forward_f")
         n_s = r.record.count("side_s")
         assert n_f + n_s == 3
@@ -605,7 +627,7 @@ class TestSingleTrajectory:
         psi0 = ket(5, GROUND, spec)
         grid = TimeGrid(0.0, 25.0, 0.01)
         model = FreeDecayMixture(((0.0, 1.0),))
-        r = mcwf_run(psi0, BARE, model, grid, seed=42, store_every=2500)
+        r = one_trajectory(psi0, BARE, model, grid, seed=42, store_every=2500)
         assert r.record.count("forward_f") == 5
         assert r.record.count("side_s") == 0
         assert r.carriers is None
@@ -615,19 +637,19 @@ class TestSingleTrajectory:
         psi0 = ket(5, GROUND, spec)
         model = FreeDecayMixture(((0.0, 1.0),))
         with pytest.raises(StepProbabilityError, match="largest channel: forward_f"):
-            mcwf_run(psi0, BARE, model, TimeGrid(0.0, 1.0, 0.05), seed=0)
+            run_ensemble(psi0, BARE, model, TimeGrid(0.0, 1.0, 0.05), [0])
 
     def test_soft_probability_warning(self):
         spec = FockSpec(6)
         psi0 = ket(5, GROUND, spec)
         model = FreeDecayMixture(((0.0, 1.0),))
         with pytest.warns(UserWarning, match="step probability"):
-            mcwf_run(psi0, BARE, model, TimeGrid(0.0, 0.2, 0.004), seed=0)
+            run_ensemble(psi0, BARE, model, TimeGrid(0.0, 0.2, 0.004), [0])
 
     @pytest.mark.parametrize("workers", [None, 1, 2])
     def test_soft_warning_points_at_caller(self, monkeypatch, workers):
         # one warning for the whole run, at the caller's line, also when the
-        # trajectories run in worker processes; None is the one-seed mcwf_run
+        # trajectories run in worker processes; None is a one-seed run
         spec = FockSpec(6)
         psi0 = ket(5, GROUND, spec)
         model = FreeDecayMixture(((0.0, 1.0),))
@@ -635,7 +657,7 @@ class TestSingleTrajectory:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             if workers is None:
-                mcwf_run(psi0, BARE, model, grid, seed=0)
+                run_ensemble(psi0, BARE, model, grid, [0])
             else:
                 monkeypatch.setenv("CASCADESIM_WORKERS", str(workers))
                 run_ensemble(psi0, BARE, model, grid, range(4))
@@ -647,14 +669,15 @@ class TestSingleTrajectory:
 
     @pytest.mark.filterwarnings("ignore:step probability")
     def test_kept_states_build_no_projector_sum(self):
-        # the states mcwf_run returns take 601 x 26 complex (0.25 MB); the
-        # unused (601, 26, 26) projector sum would take 6.5 MB more
+        # the engine hands its store callback states, so a caller that keeps
+        # one trajectory's 601 x 26 complex states (0.25 MB) pays for no
+        # (601, 26, 26) projector sum, which would take 6.5 MB more
         spec = FockSpec(12)
         psi0 = product_state(coherent_state(0.6, spec), qubit_state(GROUND))
         tracemalloc.start()
         try:
-            r = mcwf_run(psi0, CouplingConfig(1.0, 0.5, 0.5), CoherentDrive(0.3),
-                         TimeGrid(0.0, 6.0, 0.01), seed=0)
+            r = one_trajectory(psi0, CouplingConfig(1.0, 0.5, 0.5), CoherentDrive(0.3),
+                               TimeGrid(0.0, 6.0, 0.01), seed=0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -675,9 +698,9 @@ class TestSingleTrajectory:
         flux = expectation(rho_ss.mat, f_op.conj().T @ f_op).real
 
         t_burn, t_end = 10.0, 90.0
-        r = mcwf_run(ket(0, GROUND, spec), cfg, model, TimeGrid(0.0, t_end, 0.01),
-                     seed=17, store_every=9000, diagnostics=False)
-        clicks = sum(1 for t, lab in r.record.events
+        (record,) = run_ensemble(ket(0, GROUND, spec), cfg, model, TimeGrid(0.0, t_end, 0.01),
+                                 [17], store_every=9000, diagnostics=False).records
+        clicks = sum(1 for t, lab in record.events
                      if lab == "forward_f" and t > t_burn)
         mean = flux * (t_end - t_burn)
         assert abs(clicks - mean) < 3.0 * np.sqrt(mean)
@@ -703,7 +726,7 @@ class TestEngineOracle:
         assert grid.n_steps > 5 * UNIFORM_BLOCK
         events, states, carriers = scalar_mcwf(psi0, self.CFG, model, grid, seed,
                                                store_every=20)
-        r = mcwf_run(psi0, self.CFG, model, grid, seed=seed, store_every=20)
+        r = one_trajectory(psi0, self.CFG, model, grid, seed=seed, store_every=20)
         assert len(events) > 0
         assert r.record.events == events
         assert np.max(np.abs(r.states - states)) < 1e-12
@@ -721,8 +744,8 @@ class TestEngineOracle:
         assert grid.n_steps % RENORMALIZE_EVERY
         events, states, carriers = scalar_mcwf(psi0, self.CFG, model, grid, seed,
                                                store_every=grid.n_steps)
-        r = mcwf_run(psi0, self.CFG, model, grid, seed=seed, store_every=grid.n_steps,
-                     diagnostics=False)
+        r = one_trajectory(psi0, self.CFG, model, grid, seed=seed, store_every=grid.n_steps,
+                           diagnostics=False)
         assert len(events) > 0
         assert r.record.events == events
         assert np.max(np.abs(r.states - states)) < 1e-12
@@ -753,10 +776,11 @@ class TestEngineOracle:
         assert grid.n_steps >= 300
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            r = mcwf_run(psi0, self.CFG, model, grid, seed=seed, store_every=20)
+            run_ensemble(psi0, self.CFG, model, grid, [seed], store_every=20)
         (soft,) = [w for w in caught if "step probability" in str(w.message)]
         largest = float(str(soft.message).split()[2])
         assert 0.02 < largest < 0.08
+        r = one_trajectory(psi0, self.CFG, model, grid, seed=seed, store_every=20)
         events, states, carriers = scalar_mcwf(psi0, self.CFG, model, grid, seed,
                                                store_every=20)
         labels = Counter(lab for _, lab in events)
@@ -773,7 +797,7 @@ class TestEngineOracle:
         model = BirthDeathLaser(0.5, 0.5, 0.5, N0=1, n0=1)
         psi0 = ket(1, GROUND, self.SPEC)
         grid = TimeGrid(0.0, 10.0, 0.005)
-        r = mcwf_run(psi0, self.CFG, model, grid, seed=seed, store_every=20)
+        r = one_trajectory(psi0, self.CFG, model, grid, seed=seed, store_every=20)
         events, states, carriers = scalar_mcwf(psi0, self.CFG, model, grid, seed,
                                                store_every=20)
         n = predicted_sectors(r.record, model, r.times)
@@ -791,7 +815,7 @@ class TestEngineOracle:
         model = BirthDeathLaser(1.0, 2.0, 0.5, N0=2, n0=1)
         psi0 = ket(1, GROUND, spec)
         grid = TimeGrid(0.0, 10.0, 0.005)
-        r = mcwf_run(psi0, self.CFG, model, grid, seed=seed, store_every=5)
+        r = one_trajectory(psi0, self.CFG, model, grid, seed=seed, store_every=5)
         events, states, carriers = scalar_mcwf(psi0, self.CFG, model, grid, seed,
                                                store_every=5)
         n = predicted_sectors(r.record, model, r.times)
@@ -819,7 +843,7 @@ class TestEngineOracle:
         monkeypatch.setattr(np, "cumsum", all_on_gain)
         with pytest.raises(InvariantViolationError,
                            match=r"jump gain annihilated the state at t=\S+ \(seed 0\)"):
-            mcwf_run(ket(1, EXCITED, spec), self.CFG, model, TimeGrid(0.0, 5.0, 0.005), seed=0)
+            run_ensemble(ket(1, EXCITED, spec), self.CFG, model, TimeGrid(0.0, 5.0, 0.005), [0])
 
     @pytest.mark.filterwarnings("ignore:step probability")
     def test_in_sector_superposition_matches_scalar_oracle(self):
@@ -827,7 +851,7 @@ class TestEngineOracle:
         model, _, grid = self.CASES["birth_death"]
         psi0 = PureState((ket(2, GROUND, self.SPEC).vec + 1j * ket(1, EXCITED, self.SPEC).vec)
                          / np.sqrt(2.0))
-        r = mcwf_run(psi0, self.CFG, model, grid, seed=4, store_every=20)
+        r = one_trajectory(psi0, self.CFG, model, grid, seed=4, store_every=20)
         events, states, _ = scalar_mcwf(psi0, self.CFG, model, grid, 4, store_every=20)
         assert r.record.events == events
         assert np.max(np.abs(r.states - states)) < 1e-12
@@ -909,7 +933,7 @@ class TestEngineOracle:
             "excited_in_sector_3": ket(2, EXCITED, self.SPEC),
         }[start]
         with pytest.raises(ValueError, match="quanta sector of n0 = 2"):
-            mcwf_run(psi0, self.CFG, model, grid, seed=0)
+            run_ensemble(psi0, self.CFG, model, grid, [0])
         with pytest.raises(ValueError, match="quanta sector of n0 = 2"):
             run_ensemble(psi0, self.CFG, model, grid, range(3))
 
@@ -951,13 +975,13 @@ class TestEngineOracle:
 
     @pytest.mark.parametrize("seed", [True, np.True_, 1.5, -1, "3", None])
     def test_non_integer_or_negative_seed_rejected(self, seed):
-        # the one seed rule of both entry points; a bool is not a seed,
-        # though Python counts True as 1
+        # the one seed rule, for one seed and for several; a bool is not a
+        # seed, though Python counts True as 1
         model, psi0, grid = self.CASES["birth_death"]
         with pytest.raises(ValueError, match="seeds must be integers >= 0"):
             run_ensemble(psi0, self.CFG, model, grid, [0, seed])
         with pytest.raises(ValueError, match="seeds must be integers >= 0"):
-            mcwf_run(psi0, self.CFG, model, grid, seed=seed)
+            run_ensemble(psi0, self.CFG, model, grid, [seed])
 
     @pytest.mark.filterwarnings("ignore:step probability")
     def test_numpy_integer_seeds_accepted(self):
@@ -966,8 +990,9 @@ class TestEngineOracle:
         ens = run_ensemble(psi0, self.CFG, model, grid, seeds, store_every=grid.n_steps)
         ref = run_ensemble(psi0, self.CFG, model, grid, range(3), store_every=grid.n_steps)
         assert [r.events for r in ens.records] == [r.events for r in ref.records]
-        r = mcwf_run(psi0, self.CFG, model, grid, seed=np.uint8(2), store_every=grid.n_steps)
-        assert r.record.events == ref.records[2].events
+        (record,) = run_ensemble(psi0, self.CFG, model, grid, [np.uint8(2)],
+                                 store_every=grid.n_steps).records
+        assert record.events == ref.records[2].events
 
     @pytest.mark.parametrize("rate", ["pump_rate", "gain_per_carrier", "nonlasing_rate"])
     def test_non_finite_step_probability_is_invariant_violation(self, rate):
@@ -976,7 +1001,7 @@ class TestEngineOracle:
         object.__setattr__(model, rate, float("nan"))
         _, psi0, grid = self.CASES["birth_death"]
         with pytest.raises(InvariantViolationError, match="non-finite step probability"):
-            mcwf_run(psi0, self.CFG, model, grid, seed=0)
+            run_ensemble(psi0, self.CFG, model, grid, [0])
 
     @pytest.mark.filterwarnings("ignore:invalid value")
     def test_non_finite_drift_is_invariant_violation(self):
@@ -993,7 +1018,7 @@ class TestEngineOracle:
         psi0 = ket(1, GROUND, FockSpec(4))
         with pytest.raises(InvariantViolationError,
                            match=re.escape("carrier count left int64 at t=0.04 (seed 0)")):
-            mcwf_run(psi0, self.CFG, model, TimeGrid(0.0, 5.0, 0.01), seed=0)
+            run_ensemble(psi0, self.CFG, model, TimeGrid(0.0, 5.0, 0.01), [0])
 
 
 def seed_sequence_words(seeds):
@@ -1299,7 +1324,7 @@ class TestDriftIdentity:
         assert np.max(np.abs(1j * (H - H.conj().T) - decay)) < 1e-14
         # and the engine's own set-up check accepts it
         psi0 = ket(1, GROUND, self.SPEC)
-        mcwf_run(psi0, cfg, model, TimeGrid(0.0, 0.05, 0.001), seed=0)
+        run_ensemble(psi0, cfg, model, TimeGrid(0.0, 0.05, 0.001), [0])
 
     @staticmethod
     def without_gamma_T(config, spec):
@@ -1312,7 +1337,7 @@ class TestDriftIdentity:
         monkeypatch.setattr(sources, "build_nonhermitian_H", self.without_gamma_T)
         cfg, model = self.CASES["coherent_drive"]
         with pytest.raises(InvariantViolationError, match="does not match the jump operators"):
-            mcwf_run(ket(1, GROUND, self.SPEC), cfg, model, TimeGrid(0.0, 0.1, 0.01), seed=0)
+            run_ensemble(ket(1, GROUND, self.SPEC), cfg, model, TimeGrid(0.0, 0.1, 0.01), [0])
 
     def test_broken_drift_exits_3(self, monkeypatch, tmp_path, capsys):
         import json
@@ -1349,8 +1374,8 @@ class TestSectorCheck:
         model = BirthDeathLaser(1.0, 0.5, 0.3, N0=2, n0=1)
         with pytest.raises(InvariantViolationError,
                            match="drift Hamiltonian does not keep the quanta sectors"):
-            mcwf_run(ket(1, GROUND, self.SPEC), CouplingConfig(), model,
-                     TimeGrid(0.0, 0.1, 0.01), seed=0)
+            run_ensemble(ket(1, GROUND, self.SPEC), CouplingConfig(), model,
+                         TimeGrid(0.0, 0.1, 0.01), [0])
 
     def test_out_of_sector_drift_exits_3(self, monkeypatch, tmp_path, capsys):
         import json
@@ -1378,7 +1403,7 @@ class TestSectorCheck:
 
 class TestDiagnostics:
     """The engine's per-step diagnostics against their definitions, evaluated
-    on the states mcwf_run stores at every step."""
+    on one trajectory's states, stored at every step."""
 
     CASES = {
         # an entangling start for the coherent drive; the birth-death source
@@ -1395,7 +1420,7 @@ class TestDiagnostics:
         spec = FockSpec(8)
         cfg = CouplingConfig(1.0, 0.5, 0.5)
         dt = 0.005
-        r = mcwf_run(start(spec), cfg, model, TimeGrid(0.0, 2.0, dt), seed=11)
+        r = one_trajectory(start(spec), cfg, model, TimeGrid(0.0, 2.0, dt), seed=11)
         assert r.record.events
         entropies = [schmidt_entropy(v) for v in r.states]
         assert max(entropies) > 0.1
@@ -1417,7 +1442,7 @@ class TestDiagnostics:
         spec = FockSpec(8)
         cfg = CouplingConfig(1.0, 0.5, 0.5)
         grid = TimeGrid(0.0, 2.0, 0.005)
-        every, once = (mcwf_run(start(spec), cfg, model, grid, seed=11, store_every=k)
+        every, once = (one_trajectory(start(spec), cfg, model, grid, seed=11, store_every=k)
                        for k in (1, grid.n_steps))
         assert once.record.events == every.record.events
         assert abs(once.max_schmidt_entropy - every.max_schmidt_entropy) <= 1e-12
@@ -1464,11 +1489,11 @@ class TestDiagnosticBlocks:
     @pytest.mark.filterwarnings("ignore:step probability")
     @pytest.mark.parametrize("grid", sorted(GRIDS))
     @pytest.mark.parametrize("kind", sorted(ROWS))
-    def test_mcwf_run(self, monkeypatch, kind, grid):
+    def test_one_trajectory(self, monkeypatch, kind, grid):
         grid = self.GRIDS[grid]
 
         def run(model, psi0):
-            r = mcwf_run(psi0, self.CFG, model, grid, seed=11)
+            r = one_trajectory(psi0, self.CFG, model, grid, seed=11)
             if grid.n_steps == 3:
                 entropies = [schmidt_entropy(v) for v in r.states]
                 assert np.argmax(entropies) == 3
@@ -1534,11 +1559,11 @@ class TestDiagnosticBlocks:
         assert extra_peak(evolve.DIAGNOSTIC_LANES) < step_rows
 
 
-class TestTopSector:
+class TestTruncation:
     """A birth-death run warns once, at its caller's line, when a row
-    reaches the top quanta sector n_max + 1, where truncation suppresses the
-    gain jump; the warning names n_max, the sector and the first time a row
-    reached it."""
+    reaches quanta sector n_max, where truncation drops |n_max, ground>'s
+    gain jump, or n_max + 1; the warning names the highest sector the rows
+    reached, n_max and the first time a row reached that sector."""
 
     CFG = CouplingConfig(1.0, 0.5, 0.5)
     MODEL = BirthDeathLaser(2.0, 1.0, 0.0, N0=3, n0=2)
@@ -1549,7 +1574,7 @@ class TestTopSector:
         shift = {"forward_f": -1, "side_s": -1, "gain": +1, "pump": 0, "nonlasing": 0}
         times = []
         for record in records:
-            n = TestTopSector.MODEL.n0
+            n = TestTruncation.MODEL.n0
             for t, label in record.events:
                 n += shift[label]
                 if n == sector:
@@ -1557,27 +1582,24 @@ class TestTopSector:
                     break
         return times
 
-    def run(self, n_max, seeds, t1, single=False):
+    def run(self, n_max, seeds, t1):
         """The records of a run at n_max, and its TruncationWarnings."""
         psi0 = ket(self.MODEL.n0, GROUND, FockSpec(n_max))
         grid = TimeGrid(0.0, t1, 0.0005)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            if single:
-                records = [mcwf_run(psi0, self.CFG, self.MODEL, grid, seeds[0],
-                                    store_every=grid.n_steps, diagnostics=False).record]
-            else:
-                records = run_ensemble(psi0, self.CFG, self.MODEL, grid, seeds,
-                                       store_every=grid.n_steps, diagnostics=False).records
+            records = run_ensemble(psi0, self.CFG, self.MODEL, grid, seeds,
+                                   store_every=grid.n_steps, diagnostics=False).records
         return records, [w for w in caught if w.category is TruncationWarning]
 
     def check_warning(self, records, caught, n_max):
-        first = min(self.reached(records, n_max + 1))
+        top = max(n for n in range(n_max + 2) if self.reached(records, n))
+        first = min(self.reached(records, top))
         (w,) = caught
         assert w.filename == __file__
         assert str(w.message) == (
-            f"trajectories reached quanta sector n_max + 1 = {n_max + 1} (n_max={n_max}), "
-            f"first at t={first:.6g}, where truncation suppresses the gain jump")
+            f"trajectories reached quanta sector {top} (n_max={n_max}), first at "
+            f"t={first:.6g}, where truncation suppresses a gain jump")
 
     def test_n_max_3_run_warns_once(self):
         # 112 of 200 rows reach sector 4; the run still returns every record
@@ -1585,34 +1607,37 @@ class TestTopSector:
         assert len(records) == 200 and len(self.reached(records, 4)) == 112
         self.check_warning(records, caught, 3)
 
-    @pytest.mark.parametrize("how", ["mcwf_run", "one window", "windows", "pool"])
+    @pytest.mark.parametrize("how", ["one seed", "one window", "windows", "pool"])
     def test_every_path_warns_once(self, monkeypatch, how):
         # seed 162 reaches sector 4 at t 0.048; of seeds 100..119 the first
         # is 118, at t 0.128.  Blocks of 4 seeds make five windows, or five
-        # pool tasks, each with its own first time
+        # pool tasks, each with its own highest sector and first time: seeds
+        # 112..115 stop at sector n_max = 3, first at t 0.0205, and the
+        # warning still names sector 4 and t 0.128
         monkeypatch.setenv("CASCADESIM_WORKERS", "2" if how == "pool" else "1")
         if how in ("windows", "pool"):
             monkeypatch.setattr(evolve, "ENSEMBLE_BLOCK", 4)
             monkeypatch.setattr(evolve, "WINDOW_BYTES", 0)
-        if how == "mcwf_run":
-            records, caught = self.run(3, [162], 0.1, single=True)
+        if how == "one seed":
+            records, caught = self.run(3, [162], 0.1)
         else:
             records, caught = self.run(3, range(100, 120), 0.5)
         self.check_warning(records, caught, 3)
 
     def test_warns_exactly_when_a_row_reaches_the_top_sector(self):
-        # seeds 100..119 to t 0.5 reach sector 7 at n_max 12, and sector
-        # n_max + 1 at n_max 3 and 4 but not 5 or 6; a run warns if and only
-        # if its own records reach n_max + 1
+        # seeds 100..119 to t 0.5 reach sector 7 at n_max 12, sector n_max + 1
+        # at n_max 3 and 4, and sector n_max but not n_max + 1 at n_max 5 and
+        # 6, where truncation has already changed records; a run warns if and
+        # only if its own records reach sector n_max
         warned = {}
         for n_max in (3, 4, 5, 6, 12):
             records, caught = self.run(n_max, range(100, 120), 0.5)
             warned[n_max] = bool(caught)
-            if self.reached(records, n_max + 1):
+            if self.reached(records, n_max):
                 self.check_warning(records, caught, n_max)
             else:
                 assert not caught
-        assert warned == {3: True, 4: True, 5: False, 6: False, 12: False}
+        assert warned == {3: True, 4: True, 5: True, 6: True, 12: False}
 
 
 class TestSectorReplay:
@@ -1727,8 +1752,8 @@ class TestEnsemble:
         spec = FockSpec(3)
         psi0 = ket(1, GROUND, spec)
         model = FreeDecayMixture(((0.0, 1.0),))
-        r1 = mcwf_run(psi0, self.CFG, model, TimeGrid(0, 1, 0.01), seed=0)
-        r2 = mcwf_run(psi0, self.CFG, model, TimeGrid(0, 2, 0.01), seed=1)
+        r1 = one_trajectory(psi0, self.CFG, model, TimeGrid(0, 1, 0.01), seed=0)
+        r2 = one_trajectory(psi0, self.CFG, model, TimeGrid(0, 2, 0.01), seed=1)
         with pytest.raises(ValueError):
             ensemble_average([r1, r2])
 
@@ -1740,7 +1765,7 @@ class TestEnsemble:
         grid = TimeGrid(0.0, 1.0, 0.005)
         seeds = list(range(8))
         ens = run_ensemble(psi0, self.CFG, model, grid, seeds, store_every=20)
-        singles = [mcwf_run(psi0, self.CFG, model, grid, seed=s, store_every=20)
+        singles = [one_trajectory(psi0, self.CFG, model, grid, seed=s, store_every=20)
                    for s in seeds]
         avg = ensemble_average(singles)
         for a, b in zip(ens.rho_avg, avg):
@@ -2185,14 +2210,14 @@ class TestUniformRing:
     }
 
     def check_records(self, model, psi0, grid, seeds):
-        """Assert that a lockstep run's records, and each seed's mcwf_run, are
-        the scalar oracle's; return the records."""
+        """Assert that a lockstep run's records, and each seed's own
+        trajectory, are the scalar oracle's; return the records."""
         ens = run_ensemble(psi0, self.CFG, model, grid, seeds, store_every=grid.n_steps,
                            diagnostics=False)
         for seed, record in zip(seeds, ens.records):
             events, states, carriers = scalar_mcwf(psi0, self.CFG, model, grid, seed,
                                                    store_every=20)
-            r = mcwf_run(psi0, self.CFG, model, grid, seed=seed, store_every=20)
+            r = one_trajectory(psi0, self.CFG, model, grid, seed=seed, store_every=20)
             assert len(events) > 0
             assert record.seed == seed and record.events == events
             assert r.record.events == events
@@ -2300,9 +2325,9 @@ class TestUniformRing:
                 run_ensemble(psi0, self.CFG, model, grid, range(16))
             assert str(info.value) == message
             with pytest.raises(StepProbabilityError) as info:
-                mcwf_run(psi0, self.CFG, model, grid, seed=5)
+                run_ensemble(psi0, self.CFG, model, grid, [5])
             assert str(info.value) == message
             for seed in [*range(5), *range(6, 16)]:
-                mcwf_run(psi0, self.CFG, model, grid, seed=seed, store_every=grid.n_steps,
-                         diagnostics=False)
+                run_ensemble(psi0, self.CFG, model, grid, [seed], store_every=grid.n_steps,
+                             diagnostics=False)
         assert {call.args[1].shape[1] for call in fill.call_args_list} == {block}

@@ -38,7 +38,7 @@ from cascadesim.sources import (
     steady_amplitude,
     unraveling,
 )
-from cascadesim.evolve import TimeGrid, evolve_master, expectation, mcwf_run
+from cascadesim.evolve import TimeGrid, evolve_master, expectation, run_ensemble
 from conftest import diffusing_ring
 
 SPEC = FockSpec(6)
@@ -115,7 +115,7 @@ class TestJumpChannels:
             unraveling(object(), CFG, SPEC)
         psi0 = product_state(fock_state(0, SPEC), qubit_state(GROUND))
         with pytest.raises(UnsupportedSourceError):
-            mcwf_run(psi0, CouplingConfig(), object(), TimeGrid(0, 0.1, 0.01), seed=0)
+            run_ensemble(psi0, CouplingConfig(), object(), TimeGrid(0, 0.1, 0.01), [0])
 
     def test_gain_jump_adds_photon(self):
         channels = {c.label: c for c in source_jump_channels(self.BD, CFG, SPEC)}
