@@ -33,10 +33,11 @@ trajectory engine, vectorized over seeds, and run_ensemble is its one entry
 point; a single trajectory is its one-seed call.  It hands each stored
 time's dense rows to its caller's store callback, one seed block at a time,
 and keeps none.  evolve_master and
-run_ensemble hand their stored states on as they are checked or averaged, to
-an observer called as observe(times, stack) with a (B, d, d) stack of states
-and their B stored times, by one block rule (_Blocks): at most STORE_BLOCK
-states a call; without one they return DensityOperator lists.
+run_ensemble hand their stored states on in time order, as they are checked
+or averaged, to an observer called as observe(times, stack) with a fresh
+(B, d, d) stack of states and their B stored times, by one block rule
+(_Blocks) for every window and worker count: at most STORE_BLOCK states a
+call; without one they return DensityOperator lists.
 """
 
 from __future__ import annotations
@@ -784,8 +785,10 @@ def _projector_sum(psi0_vec, config, source_model, grid, store_every, diagnostic
     """Step seeds, whole seed blocks, in one lockstep engine call and add each
     block's projector sum at each stored time into acc, (n_stored, d, d), in
     block order; a new acc, starting from the first block's sum, when None.
-    Returns acc, then the engine's results.  A pool task is one block; an
-    in-process window passes on the acc of the window before it."""
+    Returns acc, then the engine's results.  A pool task is one block; each
+    in-process window but the last passes its acc on to the next, and
+    run_ensemble's last window adds its own sums into it as it stores
+    them."""
     fresh = acc is None
     if fresh:
         d = len(psi0_vec)
@@ -813,22 +816,22 @@ def run_ensemble(psi0: PureState, config: CouplingConfig, source_model,
     With one worker, or one block, the blocks run in-process, one lockstep
     engine call a window of seeds (_window): one block of dense rows, or as
     many whole blocks of sector rows as WINDOW_BYTES holds.  So the engine's
-    memory does not grow with the seed count.  When every seed fits one
-    window, each stored time's average is formed block by block and held
-    only until it is handed on, while the trajectories run, so no array of
-    every stored average is held.  With more windows (more than
-    ENSEMBLE_BLOCK dense seeds, say), each adds its blocks' sums into one
-    (n_stored, d, d) total.  With more workers a process pool runs one block
-    a task, each of which returns its (n_stored, d, d) sum, added into the
-    total in block order.
+    memory does not grow with the seed count.  Each window but the last
+    adds its blocks' sums into one (n_stored, d, d) total, which the next
+    window carries on.  The last window forms each stored time's average as
+    it is stored, from that total, if there is one, and its own blocks'
+    sums; so a run whose seeds fit one window holds no total.  With more
+    workers a process pool runs one block a task, each of which returns its
+    (n_stored, d, d) sum, added into the total in block order.
 
     The averages go to observe(times, stack) in time order, by evolve_master's
-    block rule (_Blocks): when every seed fits one window, in blocks of at
-    most STORE_BLOCK as they are formed, a block handed on when it is full,
-    after the last stored time and before a failure propagates, so a failed
-    run's observer holds every average before the failure; otherwise the
-    whole total in one call once every block is in.  No later call writes to
-    a stack an observer was given.  Without an observer the averages are
+    block rule (_Blocks), whatever the windows or workers: at most
+    STORE_BLOCK a call, a block handed on when it is full, after the last
+    stored time and before a failure propagates.  In-process they are handed
+    on as the last window forms them, so a run that fails in its last window
+    leaves its observer with every average before the failure; on a pool no
+    average is whole before every block is in.  No later call writes to a
+    stack an observer was given.  Without an observer the averages are
     collected into ``rho_avg`` as DensityOperator views of the composite
     averages; with one, ``rho_avg`` is None.  A birth-death psi0 must lie in
     the quanta sector of source_model.n0; ValueError otherwise.  A failure is the
@@ -846,39 +849,36 @@ def run_ensemble(psi0: PureState, config: CouplingConfig, source_model,
     rho_avg, observe = _collector() if observe is None else (None, observe)
     blocks = [seeds[i:i + ENSEMBLE_BLOCK] for i in range(0, len(seeds), ENSEMBLE_BLOCK)]
     workers = min(workers_from_env(), len(blocks))
-    window = _window(source_model)
-    if workers == 1 and len(seeds) <= window:
-        averages = _Blocks(observe)
-
-        def average(i, parts):
-            averages.add(times[i], _add_projectors(parts) / len(seeds))
-
-        try:
-            parts = [_ensemble_chunk(psi0.vec, config, source_model, grid, store_every,
-                                     diagnostics, average, seeds)]
-        finally:
-            averages.flush()
-    else:
-        chunk = partial(_projector_sum, psi0.vec, config, source_model, grid, store_every,
-                        diagnostics)
+    chunk = partial(_projector_sum, psi0.vec, config, source_model, grid, store_every,
+                    diagnostics)
+    averages, acc, parts = _Blocks(observe), None, []
+    try:
         if workers == 1:
-            acc, parts = None, []
-            for lo in range(0, len(seeds), window):
-                acc, *part = chunk(seeds[lo:lo + window], acc)
+            window = _window(source_model)
+            *earlier, last = [seeds[lo:lo + window] for lo in range(0, len(seeds), window)]
+            for window_seeds in earlier:
+                acc, *part = chunk(window_seeds, acc)
                 parts.append(part)
+
+            def average(i, last_parts):
+                total = _add_projectors(last_parts, None if acc is None else acc[i])
+                averages.add(times[i], total / len(seeds))
+
+            parts.append(_ensemble_chunk(psi0.vec, config, source_model, grid, store_every,
+                                         diagnostics, average, last))
         else:
             # the pool pulls in multiprocessing, so only a run that uses one loads it
             from concurrent.futures import ProcessPoolExecutor
 
             with ProcessPoolExecutor(workers) as pool:
-                results = pool.map(chunk, blocks)
-                acc, *part = next(results)
-                parts = [part]
-                for block_acc, *part in results:
-                    acc += block_acc
+                for block_acc, *part in pool.map(chunk, blocks):
+                    acc = block_acc if acc is None else np.add(acc, block_acc, out=acc)
                     parts.append(part)
-        acc /= len(seeds)
-        observe(times, acc)
+            acc /= len(seeds)
+            for t, avg in zip(times, acc):
+                averages.add(t, avg)
+    finally:
+        averages.flush()
     _warn_run(parts, len(psi0.vec) // 2 - 1)
     records = [r for recs, *_ in parts for r in recs]
     entropies = [e for _, ents, *_ in parts for e in ents]

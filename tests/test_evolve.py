@@ -2149,8 +2149,8 @@ class TestObserverContract:
 
     @pytest.mark.parametrize("path", ["online", "windows", "pool"])
     def test_ensemble_averages(self, monkeypatch, path):
-        # in one window the averages are handed on STORE_BLOCK at a time, as
-        # they are formed; otherwise the whole total once every block is in
+        # one block rule in one window, in several and on a pool: the
+        # averages are handed on in time order, STORE_BLOCK at a time
         self.paths(monkeypatch, path)
         psi0 = ket(1, GROUND, FockSpec(4))
         model = BirthDeathLaser(1.0, 0.5, 0.3, N0=2, n0=1)
@@ -2160,8 +2160,7 @@ class TestObserverContract:
         assert run_ensemble(psi0, self.CFG, model, grid, seeds, store_every=50,
                             observe=seen).rho_avg is None
         received = seen.received(grid.stored_times(50))
-        assert [len(times) for times, _, _ in seen.calls] == \
-            ([STORE_BLOCK, 11 - STORE_BLOCK] if path == "online" else [11])
+        assert [len(times) for times, _, _ in seen.calls] == [STORE_BLOCK, 11 - STORE_BLOCK]
         collected = run_ensemble(psi0, self.CFG, model, grid, seeds, store_every=50)
         assert len(received) == len(collected.rho_avg) == 11
         for a, b in zip(received, collected.rho_avg):
@@ -2171,9 +2170,10 @@ class TestObserverContract:
     @pytest.mark.parametrize("path", ["online", "windows", "pool"])
     def test_ensemble_failure(self, monkeypatch, path):
         # the step from t fails after the average at t is formed, and the
-        # averages held are handed on before the failure propagates; in
-        # several windows or on a pool no average is whole before every block
-        # is in, so a failure leaves the observer uncalled
+        # averages held are handed on before the failure propagates; here a
+        # seed of the first of two windows fails, before the last window
+        # forms any average, and on a pool no average is whole before every
+        # block is in, so the observer is not called
         cfg, model, psi0, grid, error = TestLockstepBlocks.FAILING["dense_bound"]
         self.paths(monkeypatch, path)
         seeds = [5, 2, 9]
@@ -2189,6 +2189,30 @@ class TestObserverContract:
         before = run_ensemble(psi0, cfg, model, TimeGrid(0.0, k * grid.dt, grid.dt), seeds)
         for a, b in zip(received, before.rho_avg, strict=True):
             assert np.array_equal(a, b.mat)
+
+    @pytest.mark.filterwarnings("ignore:step probability")
+    def test_failure_in_the_last_window(self, monkeypatch):
+        # seed 11 alone crosses the hard step bound, at t=0.06: in two
+        # windows, [0, 1] and [11], the last window fails after forming the
+        # averages at 0 and 0.05 from the first window's total and its own
+        # sums, the bits that one window of both blocks hands on
+        psi0 = ket(1, GROUND, FockSpec(6))
+        model = BirthDeathLaser(2.0, 0.5, 1.0, N0=2, n0=1)
+        grid = TimeGrid(0.0, 1.0, 0.01)
+        monkeypatch.setattr(evolve, "ENSEMBLE_BLOCK", 2)
+        received = {}
+        for window_bytes in (0, evolve.WINDOW_BYTES):
+            monkeypatch.setattr(evolve, "WINDOW_BYTES", window_bytes)
+            seen = Recorder()
+            with pytest.raises(StepProbabilityError) as info:
+                run_workers(monkeypatch, 1, psi0, self.CFG, model, grid, [0, 1, 11],
+                            store_every=5, observe=seen)
+            assert failure_time(info.value) == 0.06
+            received[window_bytes] = seen.received(grid.stored_times(5))
+        two, one = received.values()
+        assert len(two) == len(one) == 2
+        for a, b in zip(two, one):
+            assert a.tobytes() == b.tobytes()
 
 
 class TestUniformRing:
